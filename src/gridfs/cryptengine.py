@@ -55,7 +55,7 @@ from .errors import (
     TruncatedHeader,
     WorkerFailed,
 )
-from .ftsm import TransferClient
+from .ftsm import TransferClient, fan_out
 from .perms import Account, ActionKind, GuardedAction, check
 from .secchan import Channel
 from .wire import FrameType, Mode, SecurityMode, SessionParams
@@ -65,8 +65,7 @@ HEADER_FMT = ">QQ16s"      # part_num | ciphertext length | plaintext md5
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
 PIECE_SIZE = 262144        # streaming granularity for local block files
 
-DIR_ENCRYPT = 0
-DIR_DECRYPT = 1
+DIR_ENCRYPT = 0            # the only direction a worker serves
 
 # CRYPT_TASK request fields; tag 2 is the sealed one, keep secrets there
 C_PART = 1
@@ -74,7 +73,7 @@ C_SECRETS = 2              # nested map: key, iv, delegated credentials
 C_CIPHER = 3
 C_DIRECTION = 4
 C_SOURCE = 5               # "host:port" of the node holding the plaintext
-C_PATH = 6                 # remote file (read for encrypt, write for decrypt)
+C_PATH = 6                 # remote file holding the plaintext
 C_OFFSET = 7
 C_LENGTH = 8
 C_BLOCK = 9                # block file name in the worker's store
@@ -231,10 +230,10 @@ def encrypt_block(plaintext: bytes, params: CipherParams,
 
 
 def stream_decrypt(source, header: BlockHeader, params: CipherParams,
-                   sink: Callable[[bytes, int], None] | None) -> int:
+                   sink: Callable[[bytes, int], None]) -> int:
     """Decrypt `header.length` ciphertext bytes from the readable `source`,
     feeding plaintext pieces to `sink(piece, position)`. Verifies the
-    digest; a None sink just verifies. Returns the plaintext length."""
+    digest. Returns the plaintext length."""
     spec = params.spec()
     decryptor = _cipher(params).decryptor()
     unpadder = padding.PKCS7(spec.block_bits).unpadder()
@@ -251,14 +250,14 @@ def stream_decrypt(source, header: BlockHeader, params: CipherParams,
             plain = unpadder.update(decryptor.update(piece))
             gauge.note(len(piece) + len(plain))
             digest.update(plain)
-            if sink is not None and plain:
+            if plain:
                 sink(plain, position)
             position += len(plain)
         tail = unpadder.update(decryptor.finalize()) + unpadder.finalize()
     except ValueError as exc:
         raise BadPadding(f"block {header.part_num}: {exc}") from None
     digest.update(tail)
-    if sink is not None and tail:
+    if tail:
         sink(tail, position)
     position += len(tail)
     if digest.digest() != header.md5:
@@ -428,11 +427,11 @@ def _flat_name(name: str) -> bool:
 # -- worker service ---------------------------------------------------------
 
 class CryptWorker:
-    """Server side of CRYPT mode: executes one block task per request.
+    """Server side of CRYPT mode: executes one encrypt task per request.
 
-    Encrypt tasks read their plaintext range from the source node's file
-    service, decrypt tasks push verified plaintext back to it; either way
-    the bulk data never stages through the distributor's memory.
+    A task reads its plaintext range from the source node's file service,
+    so the bulk data never stages through the distributor's memory. Blocks
+    are decrypted where they are reassembled, never on a worker.
     """
 
     def serve(self, channel: Channel, account: Account) -> None:
@@ -467,43 +466,30 @@ class CryptWorker:
         username = secret.get(SEC_USER, b"").decode("utf-8")
         psk = secret.get(SEC_PSK, b"")
         direction = wire.read_uint(fields, C_DIRECTION, DIR_ENCRYPT)
+        if direction != DIR_ENCRYPT:
+            raise BadRequest(f"unknown direction {direction}")
         source = fields.get(C_SOURCE, b"").decode("utf-8")
         path = fields.get(C_PATH, b"").decode("utf-8")
         name = fields.get(C_BLOCK, b"").decode("utf-8")
         if not _flat_name(name):
             raise BadRequest("block names are flat file names")
-
-        if direction == DIR_ENCRYPT:
-            offset = wire.read_uint(fields, C_OFFSET)
-            length = wire.read_uint(fields, C_LENGTH)
-            collector = fields.get(C_COLLECTOR, b"").decode("utf-8")
-            self._encrypt(channel, account, params, username, psk, part,
-                          source, path, offset, length, name, collector)
-        elif direction == DIR_DECRYPT:
-            offset = wire.read_uint(fields, C_OFFSET)
-            self._decrypt(channel, account, params, username, psk, part,
-                          source, path, offset, name)
-        else:
-            raise BadRequest(f"unknown direction {direction}")
+        offset = wire.read_uint(fields, C_OFFSET)
+        length = wire.read_uint(fields, C_LENGTH)
+        collector = fields.get(C_COLLECTOR, b"").decode("utf-8")
+        self._encrypt(channel, account, params, username, psk, part,
+                      source, path, offset, length, name, collector)
         channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
             C_PART: wire.u64(part), C_DONE: wire.u8(1)}))
-
-    def _connect_fs(self, channel: Channel, source: str, username: str,
-                    psk: bytes) -> FsClient:
-        params = SessionParams(Mode.DFSM, channel.params.security,
-                               buffer_size=channel.params.buffer_size)
-        return FsClient(secchan.connect(parse_endpoint(source), params,
-                                        username, psk))
-
-    def _block_path(self, account: Account, name: str) -> Path:
-        return account.sandbox_root / BLOCK_SUBDIR / name
 
     def _encrypt(self, channel: Channel, account: Account,
                  params: CipherParams, username: str, psk: bytes, part: int,
                  source: str, path: str, offset: int, length: int,
                  name: str, collector: str) -> None:
         piece_size = channel.params.buffer_size
-        with self._connect_fs(channel, source, username, psk) as fs:
+        fs_params = SessionParams(Mode.DFSM, channel.params.security,
+                                  buffer_size=piece_size)
+        with FsClient(secchan.connect(parse_endpoint(source), fs_params,
+                                      username, psk)) as fs:
             def pieces():
                 done = 0
                 while done < length:
@@ -516,7 +502,7 @@ class CryptWorker:
                     yield piece
             block = encrypt_block_stream(pieces(), params, part)
 
-        destination = self._block_path(account, name)
+        destination = account.sandbox_root / BLOCK_SUBDIR / name
         destination.parent.mkdir(parents=True, exist_ok=True)
         scratch = destination.with_name(destination.name + ".tmp")
         scratch.write_bytes(block)
@@ -531,33 +517,6 @@ class CryptWorker:
                 scratch.unlink(missing_ok=True)
         else:
             os.replace(scratch, destination)
-
-    def _decrypt(self, channel: Channel, account: Account,
-                 params: CipherParams, username: str, psk: bytes, part: int,
-                 source: str, path: str, offset: int, name: str) -> None:
-        block_file = self._block_path(account, name)
-        if not block_file.is_file():
-            raise MissingBlock(part)
-        with open(block_file, "rb") as handle:
-            header = decode_block_header(handle.read(HEADER_SIZE))
-            if header.part_num != part:
-                raise BadRequest(
-                    f"block file holds part {header.part_num}, not {part}")
-            # full verification pass before a single byte leaves this node
-            plain_length = stream_decrypt(handle, header, params, None)
-
-        with self._connect_fs(channel, source, username, psk) as fs:
-            lock_id = fs.lock(path, offset, max(plain_length, 1))
-            try:
-                with open(block_file, "rb") as handle:
-                    handle.seek(HEADER_SIZE)
-                    stream_decrypt(
-                        handle, header, params,
-                        lambda piece, pos: fs.write(path, offset + pos,
-                                                    piece))
-                fs.flush(path)
-            finally:
-                fs.unlock(path, lock_id)
 
 
 # -- distributor ------------------------------------------------------------
@@ -689,26 +648,20 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
         while pending:
             queues = assign_round_robin(pending, len(alive))
             outcomes = [([], None)] * len(alive)
-            threads = []
-            for index, (address, queue) in enumerate(zip(alive, queues)):
+
+            def run(index: int) -> None:
                 tasks = [
                     _encrypt_task_fields(
                         part, offsets[part], lengths[part], params,
                         username, psk, source, file.name,
                         block_name(file.name, part), collector)
-                    for part in queue]
+                    for part in queues[index]]
+                outcomes[index] = _run_queue(alive[index], tasks, username,
+                                             psk, security, buffer_size)
 
-                def run(i=index, a=address, t=tasks):
-                    try:
-                        outcomes[i] = _run_queue(a, t, username, psk,
-                                                 security, buffer_size)
-                    except BaseException as exc:
-                        outcomes[i] = ([], WorkerFailed(str(exc)))
-                thread = threading.Thread(target=run, daemon=True)
-                threads.append(thread)
-                thread.start()
-            for thread in threads:
-                thread.join()
+            for index, exc in enumerate(fan_out(run, len(alive))):
+                if exc is not None:
+                    outcomes[index] = ([], WorkerFailed(str(exc)))
 
             errors = []
             survivors = []

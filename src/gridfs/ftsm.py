@@ -27,6 +27,12 @@ The sidecar is removed only on a verified completion.
 A memory-to-memory mode (zero generator into a discarding sink) drives the
 identical protocol path with no disk at either end, for measuring raw
 protocol throughput.
+
+On the sender's XFER_DONE the receiving node waits until its region is
+complete, or until the data connections have been idle for a one-second
+grace. An empty region has no data connections, so it is answered at once;
+the memory sink is complete once it has counted the byte total that
+XFER_DONE claims. Neither waits out the grace.
 """
 
 from __future__ import annotations
@@ -37,8 +43,11 @@ import os
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 from . import secchan, wire
 from .errors import (
@@ -50,7 +59,6 @@ from .errors import (
     IntegrityMismatch,
     NoSuchFile,
     PermissionDenied,
-    ProtocolError,
     StateCorrupt,
     Status,
     StreamLost,
@@ -63,7 +71,6 @@ log = logging.getLogger("gridfs.ftsm")
 
 CHUNK_HEADER = struct.Struct(">16sBQI")    # transfer_id, stream, offset, length
 STATE_SUFFIX = ".xferstate"
-EMPTY_MD5 = bytes.fromhex("d41d8cd98f00b204e9800998ecf8427e")
 
 # XFER_* field tags
 X_TRANSFER = 1
@@ -81,6 +88,14 @@ X_TRUNCATE = 12      # whole-file transfer: drop any stale tail on finish
 
 SINK_FILE = 0
 SINK_MEM = 1
+
+# a pull offer without a region length asks for everything from its offset
+WHOLE_REST = 2**64 - 1
+
+# client re-offers after a lost stream or connection, and the pause before
+# the first one; the pause doubles on each further re-offer
+RETRIES = 3
+BACKOFF = 0.25
 
 
 def pack_chunk(transfer_id: bytes, stream_index: int, offset: int,
@@ -130,13 +145,20 @@ class ChunkGrid:
     Chunks are enumerated span-major: all of span 0's chunks first, in
     offset order, then span 1's, and so on. That ordinal numbering is what
     the resume bitmap indexes, so it must never change for a given
-    (region, stream_count, chunk_size) triple.
+    (region, stream_count, chunk_size) triple. The enumeration is made
+    once per grid, on first use.
     """
 
     region_offset: int
     region_length: int
     stream_count: int
     chunk_size: int
+
+    def __post_init__(self):
+        if self.stream_count < 1:
+            raise BadRequest("stream count must be at least 1")
+        if self.chunk_size < 1:
+            raise BadRequest("chunk size must be at least 1")
 
     def spans(self) -> list[StreamSpan]:
         if self.region_length == 0:
@@ -153,19 +175,8 @@ class ChunkGrid:
             index += 1
         return spans
 
-    def chunks(self) -> list[tuple[int, int]]:
-        """All (offset, length) chunks in ordinal order."""
-        out = []
-        for span in self.spans():
-            position = span.offset
-            span_end = span.offset + span.length
-            while position < span_end:
-                size = min(self.chunk_size, span_end - position)
-                out.append((position, size))
-                position += size
-        return out
-
-    def chunks_by_span(self) -> list[list[tuple[int, int]]]:
+    @cached_property
+    def _by_span(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         grouped = []
         for span in self.spans():
             position = span.offset
@@ -175,34 +186,52 @@ class ChunkGrid:
                 size = min(self.chunk_size, span_end - position)
                 group.append((position, size))
                 position += size
-            grouped.append(group)
-        return grouped
+            grouped.append(tuple(group))
+        return tuple(grouped)
 
-    def ordinal_of(self) -> dict[int, int]:
-        return {offset: k for k, (offset, _) in enumerate(self.chunks())}
+    @cached_property
+    def _chunks(self) -> tuple[tuple[int, int], ...]:
+        return tuple(chunk for group in self._by_span for chunk in group)
+
+    @cached_property
+    def _ordinals(self) -> dict[int, int]:
+        return {offset: k for k, (offset, _) in enumerate(self._chunks)}
+
+    @cached_property
+    def _full_bitmap(self) -> bytes:
+        """The resume bitmap of a complete transfer."""
+        whole, tail = divmod(len(self._chunks), 8)
+        return b"\xff" * whole + (bytes([(1 << tail) - 1]) if tail else b"")
+
+    def chunks(self) -> list[tuple[int, int]]:
+        """All (offset, length) chunks in ordinal order, as a new list."""
+        return list(self._chunks)
+
+    def chunks_by_span(self) -> list[list[tuple[int, int]]]:
+        return [list(group) for group in self._by_span]
+
+    def ordinal_of(self) -> Mapping[int, int]:
+        return MappingProxyType(self._ordinals)
 
 
 def plan_transfer(file_size: int, region: tuple[int, int] | None,
                   stream_count: int, chunk_size: int) -> ChunkGrid:
-    if stream_count < 1:
-        raise BadRequest("stream count must be at least 1")
-    if chunk_size < 1:
-        raise BadRequest("chunk size must be at least 1")
     if region is None:
         offset, length = 0, file_size
     else:
         offset, length = region
+    grid = ChunkGrid(offset, length, stream_count, chunk_size)
     if offset < 0 or length < 0 or offset + length > file_size:
         raise BadRequest("region lies outside the file")
     if length == 0:
         raise EmptyRegion("nothing to transfer")
-    return ChunkGrid(offset, length, stream_count, chunk_size)
+    return grid
 
 
 def assign_missing(grid: ChunkGrid, missing: list[int],
                    streams: int) -> list[list[tuple[int, int]]]:
     """Group missing ordinals into consecutive runs, dealt round-robin."""
-    chunks = grid.chunks()
+    chunks = grid._chunks
     runs: list[list[tuple[int, int]]] = []
     previous = None
     for ordinal in missing:
@@ -215,6 +244,24 @@ def assign_missing(grid: ChunkGrid, missing: list[int],
     for k, run in enumerate(runs):
         assignment[k % streams].extend(run)
     return [chunks_i for chunks_i in assignment if chunks_i]
+
+
+def grid_fields(grid: ChunkGrid) -> dict[int, bytes]:
+    """The XFER_* fields that carry a grid's geometry."""
+    return {
+        X_REGION_OFFSET: wire.u64(grid.region_offset),
+        X_REGION_LENGTH: wire.u64(grid.region_length),
+        X_STREAMS: wire.u8(grid.stream_count),
+        X_CHUNK_SIZE: wire.u32(grid.chunk_size),
+    }
+
+
+def grid_from_fields(fields: dict[int, bytes]) -> ChunkGrid:
+    return ChunkGrid(
+        wire.read_uint(fields, X_REGION_OFFSET),
+        wire.read_uint(fields, X_REGION_LENGTH),
+        wire.read_uint(fields, X_STREAMS),
+        wire.read_uint(fields, X_CHUNK_SIZE))
 
 
 # -- persisted receiver state ----------------------------------------------
@@ -237,8 +284,7 @@ class TransferState:
 
     @classmethod
     def fresh(cls, transfer_id: bytes, grid: ChunkGrid) -> "TransferState":
-        n = len(grid.chunks())
-        return cls(transfer_id, grid, bytearray((n + 7) // 8))
+        return cls(transfer_id, grid, bytearray(len(grid._full_bitmap)))
 
     def mark(self, ordinal: int, length: int) -> None:
         self.bitmap[ordinal // 8] |= 1 << (ordinal % 8)
@@ -248,10 +294,10 @@ class TransferState:
         return bool(self.bitmap[ordinal // 8] & (1 << (ordinal % 8)))
 
     def missing(self) -> list[int]:
-        return [k for k in range(len(self.grid.chunks())) if not self.has(k)]
+        return [k for k in range(len(self.grid._chunks)) if not self.has(k)]
 
     def complete(self) -> bool:
-        return not self.missing()
+        return self.bitmap == self.grid._full_bitmap
 
     def encode(self) -> bytes:
         return wire.encode_fields({
@@ -278,17 +324,13 @@ class TransferState:
                         wire.read_uint(fields, S_TOTAL, 0))
         except GridfsError as exc:
             raise StateCorrupt(f"unreadable transfer state: {exc}") from None
-        chunks = grid.chunks()
-        if len(state.bitmap) != (len(chunks) + 7) // 8 or \
-                len(state.transfer_id) != 16 or grid.stream_count < 1 or \
-                grid.chunk_size < 1:
+        full = grid._full_bitmap
+        if len(state.bitmap) != len(full) or len(state.transfer_id) != 16:
             raise StateCorrupt("transfer state disagrees with its geometry")
-        tail_bits = len(chunks) % 8
-        if tail_bits and state.bitmap and \
-                state.bitmap[-1] >> tail_bits:
+        if full and state.bitmap[-1] & ~full[-1]:
             raise StateCorrupt("bitmap marks chunks beyond the region")
         if dst_size is not None:
-            for k, (offset, length) in enumerate(chunks):
+            for k, (offset, length) in enumerate(grid._chunks):
                 if state.has(k) and offset + length > dst_size:
                     raise StateCorrupt(
                         "state claims bytes beyond the destination size")
@@ -314,6 +356,24 @@ def save_state(dst: Path, state: TransferState) -> None:
     os.replace(tmp, sidecar)
 
 
+def resumable_state(dst: Path, grid: ChunkGrid) -> TransferState | None:
+    """The sidecar beside `dst` if it continues a transfer of `grid`'s
+    region in `grid`'s chunk size; any other sidecar is deleted."""
+    try:
+        state = load_state(dst)
+    except StateCorrupt:
+        log.warning("discarding corrupt transfer state next to %s", dst.name)
+        state = None
+    if state is not None and (
+            state.grid.region_offset == grid.region_offset and
+            state.grid.region_length == grid.region_length and
+            state.grid.chunk_size == grid.chunk_size):
+        return state
+    # a different transfer's remnant, or none: nothing to resume
+    state_path(dst).unlink(missing_ok=True)
+    return None
+
+
 # -- receiving end (either side, depending on direction) --------------------
 
 class RegionReceiver:
@@ -327,18 +387,16 @@ class RegionReceiver:
         self.dst = Path(dst)
         self.grid = grid
         self.state = state or TransferState.fresh(transfer_id, grid)
-        self.transfer_id = transfer_id
         self.truncate_to = truncate_to
-        self._ordinals = grid.ordinal_of()
-        self._lengths = dict(grid.chunks())
         self._lock = threading.Lock()
         self.state.transfer_id = transfer_id
         self.dst.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(self.dst, os.O_RDWR | os.O_CREAT, 0o644)
 
     def write_chunk(self, offset: int, payload: bytes) -> None:
-        ordinal = self._ordinals.get(offset)
-        if ordinal is None or self._lengths[offset] != len(payload):
+        ordinal = self.grid._ordinals.get(offset)
+        if ordinal is None or \
+                self.grid._chunks[ordinal][1] != len(payload):
             raise BadRequest("chunk does not lie on the transfer grid")
         os.pwrite(self._fd, payload, offset)
         with self._lock:
@@ -382,22 +440,94 @@ class RegionReceiver:
 
 
 class MemSink:
-    """Discarding receiver for the memory-to-memory benchmark."""
+    """Discarding receiver for the memory-to-memory benchmark. It is
+    complete once it has counted the byte total the sender claims."""
 
-    def __init__(self, transfer_id: bytes):
-        self.transfer_id = transfer_id
+    def __init__(self):
         self._lock = threading.Lock()
         self.total_received = 0
+        self.claimed: int | None = None    # X_TOTAL of the sender's DONE
 
     def write_chunk(self, offset: int, payload: bytes) -> None:
         with self._lock:
             self.total_received += len(payload)
 
     def complete(self) -> bool:
-        return False    # open-ended: quiesce by idleness, not by bitmap
+        with self._lock:
+            return self.claimed is not None and \
+                self.total_received >= self.claimed
+
+    def finish(self, expected_md5: bytes) -> int:
+        with self._lock:
+            received = self.total_received
+        if received != self.claimed:
+            raise IntegrityMismatch(
+                f"sink counted {received} bytes, sender claims {self.claimed}")
+        return received
 
     def abort(self) -> None:
         pass
+
+
+# -- data connections, both directions --------------------------------------
+
+def send_chunks(channel: Channel, transfer_id: bytes, stream_index: int,
+                src: Path, chunks: list[tuple[int, int]]) -> int:
+    """Send each (offset, length) chunk of `src` as a CHUNK frame; returns
+    the payload bytes sent."""
+    sent = 0
+    with open(src, "rb") as handle:
+        for offset, length in chunks:
+            payload = os.pread(handle.fileno(), length, offset)
+            if len(payload) != length:
+                raise StreamLost("source shrank mid-transfer")
+            channel.send(FrameType.CHUNK,
+                         pack_chunk(transfer_id, stream_index, offset,
+                                    payload))
+            sent += length
+    return sent
+
+
+def receive_chunks(channel: Channel, transfer_id: bytes, receiver,
+                   progress: Callable[[], None] | None = None) -> int:
+    """Hand each CHUNK frame to `receiver.write_chunk` until the peer
+    closes the connection, calling `progress` after each; returns the
+    payload bytes received. An ERROR frame raises the peer's error."""
+    received = 0
+    while True:
+        try:
+            frame = channel.expect(FrameType.CHUNK)
+        except ConnectionLost:
+            return received
+        chunk_transfer, _, offset, payload = unpack_chunk(frame.payload)
+        if chunk_transfer != transfer_id:
+            raise BadRequest("chunk for a different transfer")
+        receiver.write_chunk(offset, payload)
+        received += len(payload)
+        if progress is not None:
+            progress()
+
+
+def fan_out(work: Callable[[int], object],
+            count: int) -> list[BaseException | None]:
+    """Run `work(0)` … `work(count - 1)`, each on its own thread, and wait
+    for all of them. Returns, per index, the exception that ended that
+    call, or None if it returned."""
+    failures: list[BaseException | None] = [None] * count
+
+    def run(index: int) -> None:
+        try:
+            work(index)
+        except BaseException as exc:    # reported to the caller, who decides
+            failures[index] = exc
+
+    threads = [threading.Thread(target=run, args=(index,), daemon=True)
+               for index in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return failures
 
 
 # -- server side ------------------------------------------------------------
@@ -439,7 +569,7 @@ class TransferSession:
         deadline = time.monotonic() + timeout
         with self._cond:
             while True:
-                if self.receiver is not None and self.receiver.complete():
+                if self.receiver.complete():
                     return
                 now = time.monotonic()
                 if now >= deadline:
@@ -479,10 +609,9 @@ class FtsmService:
     """
 
     def __init__(self, registry: TransferRegistry, drain_timeout: float = 30.0,
-                 gate=check, resolver=None):
+                 resolver=None):
         self.registry = registry
         self.drain_timeout = drain_timeout
-        self.gate = gate
         self.resolver = resolver
 
     def _resolve(self, account: Account, relative: str) -> Path:
@@ -490,261 +619,163 @@ class FtsmService:
             return self.resolver(account, relative)
         from .dfsm import resolve_path    # local import: avoids a cycle
         target = resolve_path(account.sandbox_root, relative)
-        denial = self.gate(account, GuardedAction(ActionKind.FILE_IO, target))
+        denial = check(account, GuardedAction(ActionKind.FILE_IO, target))
         if denial is not None:
             raise PermissionDenied(denial)
         return target
 
-    # control connection, mode FTSM_PUSH: the peer sends, this node receives
-
-    def serve_push(self, channel: Channel, account: Account) -> None:
+    def serve(self, channel: Channel, account: Account, mode: Mode) -> None:
+        """Serve a control connection in FTSM_PUSH mode (the peer sends,
+        this node receives) or FTSM_PULL mode, one offer at a time."""
         while True:
             try:
                 frame = channel.expect(FrameType.XFER_OFFER)
             except ConnectionLost:
                 return
             try:
-                self._one_push(channel, account, frame.payload)
+                self.offer(channel, account, mode, frame.payload)
             except GridfsError as exc:
-                log.debug("push transfer failed: %s", exc)
+                log.debug("%s transfer failed: %s", mode.name, exc)
                 channel.send_error(exc)
 
-    def _one_push(self, channel: Channel, account: Account,
-                  offer_raw: bytes) -> None:
+    def offer(self, channel: Channel, account: Account, mode: Mode,
+              offer_raw: bytes) -> None:
+        """Run one offered transfer to its end: reply to the XFER_OFFER,
+        serve its data connections, and answer the peer's XFER_DONE."""
         fields = wire.decode_fields(offer_raw)
         transfer_id = fields.get(X_TRANSFER, b"")
         if len(transfer_id) != 16:
             raise BadRequest("transfer id must be 16 bytes")
-        sink = wire.read_uint(fields, X_SINK, SINK_FILE)
-        if sink == SINK_MEM:
-            session = TransferSession(transfer_id, account, Mode.FTSM_PUSH,
-                                      channel.params.security,
-                                      receiver=MemSink(transfer_id))
-            reply = (FrameType.XFER_ACCEPT,
-                     wire.encode_fields({X_TRANSFER: transfer_id}))
-            self._register_and_reply(channel, session, reply)
-            self._finish_mem_push(channel, session)
-            return
-
-        region_offset = wire.read_uint(fields, X_REGION_OFFSET, 0)
-        region_length = wire.read_uint(fields, X_REGION_LENGTH)
-        streams = wire.read_uint(fields, X_STREAMS, 1)
-        chunk_size = wire.read_uint(fields, X_CHUNK_SIZE,
-                                    channel.params.buffer_size)
-        whole_file = bool(wire.read_uint(fields, X_TRUNCATE, 0))
-        relative = fields.get(X_PATH, b"").decode("utf-8")
-        dst = self._resolve(account, relative)
-
-        if region_length == 0:
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            if whole_file:
-                dst.write_bytes(b"")
-            else:
-                dst.touch()
-            session = TransferSession(transfer_id, account, Mode.FTSM_PUSH,
-                                      channel.params.security)
-            reply = (FrameType.XFER_ACCEPT,
-                     wire.encode_fields({X_TRANSFER: transfer_id}))
-            self._register_and_reply(channel, session, reply)
-            self._finish_push(channel, session)
-            return
-
-        state = None
-        try:
-            state = load_state(dst)
-        except StateCorrupt:
-            log.warning("discarding corrupt transfer state next to %s",
-                        dst.name)
-            state_path(dst).unlink(missing_ok=True)
-        if state is not None and (
-                state.grid.region_offset != region_offset or
-                state.grid.region_length != region_length or
-                state.grid.chunk_size != chunk_size):
-            # different transfer parameters: the old remnant is useless
-            state_path(dst).unlink(missing_ok=True)
-            state = None
-
-        if state is not None:
-            end = state.grid.region_offset + state.grid.region_length
-            receiver = RegionReceiver(dst, transfer_id, state.grid, state,
-                                      truncate_to=end if whole_file else None)
-            reply = (FrameType.XFER_RESUME, wire.encode_fields({
-                X_TRANSFER: transfer_id,
-                X_REGION_OFFSET: wire.u64(state.grid.region_offset),
-                X_REGION_LENGTH: wire.u64(state.grid.region_length),
-                X_STREAMS: wire.u8(state.grid.stream_count),
-                X_CHUNK_SIZE: wire.u32(state.grid.chunk_size),
-                X_BITMAP: bytes(state.bitmap),
-            }))
+        if mode == Mode.FTSM_PUSH:
+            self._receive(channel, account, transfer_id, fields)
         else:
-            grid = ChunkGrid(region_offset, region_length, max(1, streams),
-                             chunk_size)
-            end = region_offset + region_length
-            receiver = RegionReceiver(dst, transfer_id, grid,
-                                      truncate_to=end if whole_file else None)
-            reply = (FrameType.XFER_ACCEPT,
-                     wire.encode_fields({X_TRANSFER: transfer_id}))
-        session = TransferSession(transfer_id, account, Mode.FTSM_PUSH,
-                                  channel.params.security, receiver=receiver)
-        self._register_and_reply(channel, session, reply)
-        self._finish_push(channel, session)
+            self._send(channel, account, transfer_id, fields)
 
     def _register_and_reply(self, channel: Channel, session: TransferSession,
-                            reply: tuple[FrameType, bytes]) -> None:
+                            frame_type: FrameType,
+                            fields: dict[int, bytes]) -> None:
         self.registry.register(session)
         try:
-            channel.send(*reply)
+            channel.send(frame_type, wire.encode_fields(
+                {X_TRANSFER: session.transfer_id, **fields}))
         except BaseException:
             self.registry.remove(session.transfer_id)
             if session.receiver is not None:
                 session.receiver.abort()
             raise
 
+    # push: the peer sends, this node receives
+
+    def _receive(self, channel: Channel, account: Account,
+                 transfer_id: bytes, fields: dict[int, bytes]) -> None:
+        frame_type, reply = FrameType.XFER_ACCEPT, {}
+        if wire.read_uint(fields, X_SINK, SINK_FILE) == SINK_MEM:
+            receiver = MemSink()
+        else:
+            dst = self._resolve(account,
+                                fields.get(X_PATH, b"").decode("utf-8"))
+            grid = ChunkGrid(
+                wire.read_uint(fields, X_REGION_OFFSET, 0),
+                wire.read_uint(fields, X_REGION_LENGTH),
+                max(1, wire.read_uint(fields, X_STREAMS, 1)),
+                wire.read_uint(fields, X_CHUNK_SIZE,
+                               channel.params.buffer_size))
+            end = grid.region_offset + grid.region_length
+            whole_file = bool(wire.read_uint(fields, X_TRUNCATE, 0))
+            state = resumable_state(dst, grid)
+            if state is not None:
+                grid = state.grid
+                frame_type = FrameType.XFER_RESUME
+                reply = {**grid_fields(grid), X_BITMAP: bytes(state.bitmap)}
+            receiver = RegionReceiver(dst, transfer_id, grid, state,
+                                      truncate_to=end if whole_file else None)
+        session = TransferSession(transfer_id, account, Mode.FTSM_PUSH,
+                                  channel.params.security, receiver=receiver)
+        self._register_and_reply(channel, session, frame_type, reply)
+        self._finish_push(channel, session)
+
     def _finish_push(self, channel: Channel,
                      session: TransferSession) -> None:
+        receiver = session.receiver
         try:
             frame = channel.expect(FrameType.XFER_DONE)
         except ConnectionLost:
             # sender vanished: keep the sidecar, but let late or still
             # draining data connections land their chunks first
-            if session.receiver is not None:
-                session.wait_quiesce(min(5.0, self.drain_timeout))
+            session.wait_quiesce(min(5.0, self.drain_timeout))
             self.registry.remove(session.transfer_id)
-            if session.receiver is not None:
-                session.receiver.abort()
+            receiver.abort()
             return
         try:
             fields = wire.decode_fields(frame.payload)
-            expected_md5 = fields.get(X_MD5, b"")
+            if isinstance(receiver, MemSink):
+                receiver.claimed = wire.read_uint(fields, X_TOTAL, 0)
+            # returns at once for a complete region, an empty one included
             session.wait_quiesce(self.drain_timeout)
-            if session.receiver is None:    # zero-length region
-                if expected_md5 != EMPTY_MD5:
-                    raise IntegrityMismatch("digest of empty region differs")
-                total = 0
-            else:
-                total = session.receiver.finish(expected_md5)
+            total = receiver.finish(fields.get(X_MD5, b""))
             channel.send(FrameType.XFER_DONE, wire.encode_fields({
                 X_TRANSFER: session.transfer_id,
                 X_STATUS: wire.u16(Status.OK),
                 X_TOTAL: wire.u64(total),
             }))
         except GridfsError as exc:
-            if session.receiver is not None:
-                session.receiver.abort()
+            receiver.abort()
             channel.send_error(exc)
         finally:
             self.registry.remove(session.transfer_id)
 
-    def _finish_mem_push(self, channel: Channel,
-                         session: TransferSession) -> None:
-        try:
-            frame = channel.expect(FrameType.XFER_DONE)
-        except ConnectionLost:
-            self.registry.remove(session.transfer_id)
-            return
-        try:
-            fields = wire.decode_fields(frame.payload)
-            claimed = wire.read_uint(fields, X_TOTAL, 0)
-            session.wait_quiesce(self.drain_timeout)
-            received = session.receiver.total_received
-            if received != claimed:
-                raise IntegrityMismatch(
-                    f"sink counted {received} bytes, sender claims {claimed}")
-            channel.send(FrameType.XFER_DONE, wire.encode_fields({
-                X_TRANSFER: session.transfer_id,
-                X_STATUS: wire.u16(Status.OK),
-                X_TOTAL: wire.u64(received),
-            }))
-        except GridfsError as exc:
-            channel.send_error(exc)
-        finally:
-            self.registry.remove(session.transfer_id)
+    # pull: the peer receives, this node sends
 
-    # control connection, mode FTSM_PULL: the peer receives, this node sends
-
-    def serve_pull(self, channel: Channel, account: Account) -> None:
-        while True:
-            try:
-                frame = channel.expect(FrameType.XFER_OFFER)
-            except ConnectionLost:
-                return
-            try:
-                self._one_pull(channel, account, frame.payload)
-            except GridfsError as exc:
-                log.debug("pull transfer failed: %s", exc)
-                channel.send_error(exc)
-
-    def _one_pull(self, channel: Channel, account: Account,
-                  offer_raw: bytes) -> None:
-        fields = wire.decode_fields(offer_raw)
-        transfer_id = fields.get(X_TRANSFER, b"")
-        if len(transfer_id) != 16:
-            raise BadRequest("transfer id must be 16 bytes")
+    def _send(self, channel: Channel, account: Account, transfer_id: bytes,
+              fields: dict[int, bytes]) -> None:
         relative = fields.get(X_PATH, b"").decode("utf-8")
         src = self._resolve(account, relative)
         if not src.is_file():
             raise NoSuchFile("source does not exist")
         file_size = src.stat().st_size
-        streams = wire.read_uint(fields, X_STREAMS, 1)
+        streams = max(1, wire.read_uint(fields, X_STREAMS, 1))
         chunk_size = wire.read_uint(fields, X_CHUNK_SIZE,
                                     channel.params.buffer_size)
         region_offset = wire.read_uint(fields, X_REGION_OFFSET, 0)
-        region_length = wire.read_uint(fields, X_REGION_LENGTH, 2**64 - 1)
-        if region_length == 2**64 - 1:
+        region_length = wire.read_uint(fields, X_REGION_LENGTH, WHOLE_REST)
+        if region_length == WHOLE_REST:
             region_length = max(file_size - region_offset, 0)
 
         if region_length == 0:
-            channel.send(FrameType.XFER_ACCEPT, wire.encode_fields({
-                X_TRANSFER: transfer_id,
-                X_REGION_OFFSET: wire.u64(region_offset),
-                X_REGION_LENGTH: wire.u64(0),
-                X_CHUNK_SIZE: wire.u32(chunk_size),
-                X_STREAMS: wire.u8(streams),
-            }))
-            self._finish_pull(channel, transfer_id, src, region_offset, 0)
-            return
-
-        grid = plan_transfer(file_size, (region_offset, region_length),
-                             max(1, streams), chunk_size)
+            grid = ChunkGrid(region_offset, 0, streams, chunk_size)
+        else:
+            grid = plan_transfer(file_size, (region_offset, region_length),
+                                 streams, chunk_size)
         bitmap = fields.get(X_BITMAP)
-        if bitmap is not None:
+        if bitmap is None:
+            assignments = grid.chunks_by_span()
+        else:
             state = TransferState(transfer_id, grid, bytearray(bitmap))
-            if len(state.bitmap) != (len(grid.chunks()) + 7) // 8:
+            if len(state.bitmap) != len(grid._full_bitmap):
                 raise StateCorrupt("offered bitmap disagrees with geometry")
             assignments = assign_missing(grid, state.missing(), streams)
-        else:
-            assignments = grid.chunks_by_span()
 
         session = TransferSession(transfer_id, account, Mode.FTSM_PULL,
                                   channel.params.security,
                                   sender_ctx=(src, assignments))
-        self.registry.register(session)
+        self._register_and_reply(channel, session, FrameType.XFER_ACCEPT,
+                                 grid_fields(grid))
         try:
-            channel.send(FrameType.XFER_ACCEPT, wire.encode_fields({
-                X_TRANSFER: transfer_id,
-                X_REGION_OFFSET: wire.u64(grid.region_offset),
-                X_REGION_LENGTH: wire.u64(grid.region_length),
-                X_CHUNK_SIZE: wire.u32(grid.chunk_size),
-                X_STREAMS: wire.u8(grid.stream_count),
-            }))
-            self._finish_pull(channel, transfer_id, src, grid.region_offset,
-                              grid.region_length)
+            self._finish_pull(channel, transfer_id, src, grid)
         finally:
             self.registry.remove(transfer_id)
 
     def _finish_pull(self, channel: Channel, transfer_id: bytes, src: Path,
-                     region_offset: int, region_length: int) -> None:
+                     grid: ChunkGrid) -> None:
         try:
             channel.expect(FrameType.XFER_DONE)
         except ConnectionLost:
             return
-        digest = md5_region(src, region_offset, region_length) \
-            if region_length else EMPTY_MD5
         channel.send(FrameType.XFER_DONE, wire.encode_fields({
             X_TRANSFER: transfer_id,
             X_STATUS: wire.u16(Status.OK),
-            X_MD5: digest,
-            X_TOTAL: wire.u64(region_length),
+            X_MD5: md5_region(src, grid.region_offset, grid.region_length),
+            X_TOTAL: wire.u64(grid.region_length),
         }))
 
     # data connections (HELLO carried a transfer_id)
@@ -769,48 +800,22 @@ class FtsmService:
         session.attach()
         try:
             if session.direction == Mode.FTSM_PUSH:
-                self._drain_incoming(channel, session)
+                receive_chunks(channel, transfer_id, session.receiver,
+                               session.touch)
             else:
-                self._send_assigned(channel, session, stream_index)
+                src, assignments = session.sender_ctx
+                if stream_index < len(assignments):
+                    send_chunks(channel, transfer_id, stream_index, src,
+                                assignments[stream_index])
+        except ConnectionLost:
+            pass    # the peer hung up: nobody is left to tell
+        except (GridfsError, OSError) as exc:
+            log.debug("data stream %d failed: %s", stream_index, exc)
+            channel.send_error(exc if isinstance(exc, GridfsError)
+                               else StreamLost(f"local file error: {exc}"))
         finally:
             session.detach()
             channel.close()
-
-    def _drain_incoming(self, channel: Channel,
-                        session: TransferSession) -> None:
-        while True:
-            try:
-                frame = channel.expect(FrameType.CHUNK)
-            except ConnectionLost:
-                return
-            transfer_id, _, offset, payload = unpack_chunk(frame.payload)
-            if transfer_id != session.transfer_id:
-                channel.send_error(BadRequest("chunk for a different transfer"))
-                return
-            try:
-                session.receiver.write_chunk(offset, payload)
-            except GridfsError as exc:
-                channel.send_error(exc)
-                return
-            session.touch()
-
-    def _send_assigned(self, channel: Channel, session: TransferSession,
-                       stream_index: int) -> None:
-        src, assignments = session.sender_ctx
-        if stream_index >= len(assignments):
-            return
-        try:
-            with open(src, "rb") as handle:
-                for offset, length in assignments[stream_index]:
-                    handle.seek(offset)
-                    payload = handle.read(length)
-                    if len(payload) != length:
-                        raise StreamLost("source shrank mid-transfer")
-                    channel.send(FrameType.CHUNK,
-                                 pack_chunk(session.transfer_id, stream_index,
-                                            offset, payload))
-        except (OSError, GridfsError) as exc:
-            log.debug("data stream %d failed: %s", stream_index, exc)
 
 
 # -- client side ------------------------------------------------------------
@@ -833,6 +838,17 @@ def throughput_mbps(byte_count: int, seconds: float) -> float:
     return byte_count * 8 / (1e6 * seconds)
 
 
+def _with_retries(attempt: Callable[[], TransferReport]) -> TransferReport:
+    """Run `attempt`; after a lost stream or connection, pause and run it
+    again, at most RETRIES more times."""
+    for retry in range(RETRIES):
+        try:
+            return attempt()
+        except (ConnectionLost, StreamLost):
+            time.sleep(BACKOFF * 2 ** retry)
+    return attempt()
+
+
 class TransferClient:
     """Client engine for push, pull and the memory benchmark.
 
@@ -844,17 +860,14 @@ class TransferClient:
     def __init__(self, address: tuple[str, int], username: str, psk: bytes,
                  security: SecurityMode = SecurityMode.NONSECURE,
                  streams: int = 1, buffer_size: int = wire.DEFAULT_MAX_PAYLOAD,
-                 chunk_size: int | None = None, retries: int = 3,
-                 backoff: float = 0.25):
+                 chunk_size: int | None = None):
         self.address = address
         self.username = username
         self.psk = psk
         self.security = security
-        self.streams = max(1, streams)
+        self.streams = max(1, min(streams, 255))    # X_STREAMS is one byte
         self.buffer_size = buffer_size
         self.chunk_size = chunk_size
-        self.retries = retries
-        self.backoff = backoff
 
     def _control(self, mode: Mode) -> Channel:
         params = SessionParams(mode, self.security,
@@ -871,20 +884,36 @@ class TransferClient:
                                transfer_id=transfer_id,
                                stream_index=stream_index)
 
+    def _run_streams(self, control: Channel, transfer_id: bytes, count: int,
+                     body: Callable[[int, Channel], int]) -> list[int]:
+        """Open `count` data connections and run `body(index, channel)` on
+        each in its own thread; returns the byte count each body returned.
+        Any failed stream raises StreamLost naming the first cause."""
+        per_stream = [0] * count
+
+        def run(index: int) -> None:
+            data = self._data(control, transfer_id, index)
+            try:
+                per_stream[index] = body(index, data)
+            finally:
+                data.close()
+
+        failures = [exc for exc in fan_out(run, count) if exc is not None]
+        if failures:
+            raise StreamLost(f"{len(failures)} data streams failed: "
+                             f"{failures[0]}")
+        return per_stream
+
+    def _chunk_size(self, control: Channel) -> int:
+        return min(self.chunk_size or self.buffer_size,
+                   control.params.buffer_size)
+
     def push(self, local: Path, remote: str,
              region: tuple[int, int] | None = None) -> TransferReport:
         local = Path(local)
         if not local.is_file():
             raise NoSuchFile(f"{local} does not exist")
-        attempt = 0
-        while True:
-            try:
-                return self._push_once(local, remote, region)
-            except (ConnectionLost, StreamLost):
-                attempt += 1
-                if attempt > self.retries:
-                    raise
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+        return _with_retries(lambda: self._push_once(local, remote, region))
 
     def _push_once(self, local: Path, remote: str,
                    region: tuple[int, int] | None) -> TransferReport:
@@ -900,100 +929,50 @@ class TransferClient:
         channel stays open afterwards; the caller owns it."""
         local = Path(local)
         file_size = local.stat().st_size
-        whole_file = region is None
         offset, length = region if region is not None else (0, file_size)
         if offset + length > file_size:
             raise BadRequest("region lies outside the file")
-        chunk_size = min(self.chunk_size or self.buffer_size,
-                         control.params.buffer_size)
+        grid = ChunkGrid(offset, length, self.streams,
+                         self._chunk_size(control))
         transfer_id = os.urandom(16)
         start = time.monotonic()
-        offer = {
-            X_TRANSFER: transfer_id,
-            X_PATH: remote.encode("utf-8"),
-            X_REGION_OFFSET: wire.u64(offset),
-            X_REGION_LENGTH: wire.u64(length),
-            X_STREAMS: wire.u8(min(self.streams, 255)),
-            X_CHUNK_SIZE: wire.u32(chunk_size),
-        }
-        if whole_file:
+        offer = {X_TRANSFER: transfer_id, X_PATH: remote.encode("utf-8"),
+                 **grid_fields(grid)}
+        if region is None:
             # replace semantics: a shorter file must not keep the old tail
             offer[X_TRUNCATE] = wire.u8(1)
         control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
         reply = control.expect(FrameType.XFER_ACCEPT, FrameType.XFER_RESUME)
         resumed = reply.frame_type == FrameType.XFER_RESUME
-        if length == 0:
-            assignments = []
-        elif resumed:
+        if resumed:
             fields = wire.decode_fields(reply.payload)
-            grid = ChunkGrid(
-                wire.read_uint(fields, X_REGION_OFFSET),
-                wire.read_uint(fields, X_REGION_LENGTH),
-                wire.read_uint(fields, X_STREAMS),
-                wire.read_uint(fields, X_CHUNK_SIZE))
-            state = TransferState(transfer_id, grid,
+            state = TransferState(transfer_id, grid_from_fields(fields),
                                   bytearray(fields.get(X_BITMAP, b"")))
-            assignments = assign_missing(grid, state.missing(), self.streams)
+            assignments = assign_missing(state.grid, state.missing(),
+                                         self.streams)
         else:
-            grid = ChunkGrid(offset, length, self.streams, chunk_size)
             assignments = grid.chunks_by_span()
 
         per_stream = self._run_senders(control, transfer_id, local,
                                        assignments)
-        digest = md5_region(local, offset, length) if length else EMPTY_MD5
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            X_TRANSFER: transfer_id, X_MD5: digest}))
+            X_TRANSFER: transfer_id,
+            X_MD5: md5_region(local, offset, length)}))
         control.expect(FrameType.XFER_DONE)
         return TransferReport(sum(per_stream), time.monotonic() - start,
                               per_stream, resumed)
 
     def _run_senders(self, control: Channel, transfer_id: bytes, local: Path,
                      assignments: list[list[tuple[int, int]]]) -> list[int]:
-        per_stream = [0] * len(assignments)
-        failures: list[BaseException] = []
-
-        def run(index: int) -> None:
-            try:
-                data = self._data(control, transfer_id, index)
-                try:
-                    with open(local, "rb") as handle:
-                        for offset, size in assignments[index]:
-                            handle.seek(offset)
-                            payload = handle.read(size)
-                            if len(payload) != size:
-                                raise StreamLost("local file shrank")
-                            data.send(FrameType.CHUNK,
-                                      pack_chunk(transfer_id, index, offset,
-                                                 payload))
-                            per_stream[index] += size
-                finally:
-                    data.close()
-            except BaseException as exc:
-                failures.append(exc)
-
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(len(assignments))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if failures:
-            raise StreamLost(f"{len(failures)} data streams failed: "
-                             f"{failures[0]}")
-        return per_stream
+        return self._run_streams(
+            control, transfer_id, len(assignments),
+            lambda index, data: send_chunks(data, transfer_id, index, local,
+                                            assignments[index]))
 
     def pull(self, remote: str, local: Path,
              region: tuple[int, int] | None = None) -> TransferReport:
         local = Path(local)
-        attempt = 0
-        while True:
-            try:
-                return self._pull_once(remote, local, region)
-            except (ConnectionLost, StreamLost):
-                attempt += 1
-                if attempt > self.retries:
-                    raise
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+        return _with_retries(lambda: self._pull_once(remote, local, region))
 
     def _pull_once(self, remote: str, local: Path,
                    region: tuple[int, int] | None) -> TransferReport:
@@ -1008,111 +987,57 @@ class TransferClient:
         """Run one pull over an already established control channel. The
         channel stays open afterwards; the caller owns it."""
         local = Path(local)
-        chunk_size = min(self.chunk_size or self.buffer_size,
-                         control.params.buffer_size)
+        chunk_size = self._chunk_size(control)
         start = time.monotonic()
         state = load_state(local)
         transfer_id = os.urandom(16)
-        receiver = None
-        try:
-            offer = {
-                X_TRANSFER: transfer_id,
-                X_PATH: remote.encode("utf-8"),
-                X_STREAMS: wire.u8(min(self.streams, 255)),
-                X_CHUNK_SIZE: wire.u32(chunk_size),
-            }
-            if region is not None:
-                offer[X_REGION_OFFSET] = wire.u64(region[0])
-                offer[X_REGION_LENGTH] = wire.u64(region[1])
-            resumed = False
-            if state is not None:
-                # only reuse state that matches what we are asking for now
-                matches = state.grid.chunk_size == chunk_size and (
+        offer = {
+            X_TRANSFER: transfer_id,
+            X_PATH: remote.encode("utf-8"),
+            X_STREAMS: wire.u8(self.streams),
+            X_CHUNK_SIZE: wire.u32(chunk_size),
+        }
+        if region is not None:
+            offer[X_REGION_OFFSET] = wire.u64(region[0])
+            offer[X_REGION_LENGTH] = wire.u64(region[1])
+        if state is not None:
+            # only reuse state that matches what we are asking for now
+            if state.grid.chunk_size == chunk_size and (
                     region is None or
                     (state.grid.region_offset, state.grid.region_length)
-                    == region)
-                if matches:
-                    offer[X_REGION_OFFSET] = wire.u64(state.grid.region_offset)
-                    offer[X_REGION_LENGTH] = wire.u64(state.grid.region_length)
-                    offer[X_CHUNK_SIZE] = wire.u32(state.grid.chunk_size)
-                    offer[X_STREAMS] = wire.u8(state.grid.stream_count)
-                    offer[X_BITMAP] = bytes(state.bitmap)
-                    resumed = True
-                else:
-                    state_path(local).unlink(missing_ok=True)
-                    state = None
-            control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
-            accept = wire.decode_fields(
-                control.expect(FrameType.XFER_ACCEPT).payload)
-            grid = ChunkGrid(
-                wire.read_uint(accept, X_REGION_OFFSET),
-                wire.read_uint(accept, X_REGION_LENGTH),
-                wire.read_uint(accept, X_STREAMS),
-                wire.read_uint(accept, X_CHUNK_SIZE))
-            if grid.region_length == 0:
-                control.send(FrameType.XFER_DONE,
-                             wire.encode_fields({X_TRANSFER: transfer_id}))
-                control.expect(FrameType.XFER_DONE)
-                local.parent.mkdir(parents=True, exist_ok=True)
-                if region is None:
-                    local.write_bytes(b"")
-                else:
-                    local.touch()
-                return TransferReport(0, time.monotonic() - start, [],
-                                      resumed)
-
-            end = grid.region_offset + grid.region_length
-            receiver = RegionReceiver(local, transfer_id, grid, state,
-                                      truncate_to=end if region is None
-                                      else None)
-            per_stream = self._run_receivers(control, transfer_id, receiver)
+                    == region):
+                offer.update(grid_fields(state.grid))
+                offer[X_BITMAP] = bytes(state.bitmap)
+            else:
+                state_path(local).unlink(missing_ok=True)
+                state = None
+        resumed = state is not None
+        control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
+        grid = grid_from_fields(wire.decode_fields(
+            control.expect(FrameType.XFER_ACCEPT).payload))
+        end = grid.region_offset + grid.region_length
+        receiver = RegionReceiver(local, transfer_id, grid, state,
+                                  truncate_to=end if region is None
+                                  else None)
+        try:
+            # an empty region has nothing to send: no data connections
+            per_stream = self._run_receivers(control, transfer_id, receiver) \
+                if grid.region_length else []
             control.send(FrameType.XFER_DONE,
                          wire.encode_fields({X_TRANSFER: transfer_id}))
             done = wire.decode_fields(
                 control.expect(FrameType.XFER_DONE).payload)
-            sender_md5 = done.get(X_MD5, b"")
-            receiver.finish(sender_md5)
-            receiver = None
-            return TransferReport(sum(per_stream), time.monotonic() - start,
-                                  per_stream, resumed)
+            receiver.finish(done.get(X_MD5, b""))
         finally:
-            if receiver is not None:
-                receiver.abort()
+            receiver.abort()    # a no-op once finish has closed the file
+        return TransferReport(sum(per_stream), time.monotonic() - start,
+                              per_stream, resumed)
 
     def _run_receivers(self, control: Channel, transfer_id: bytes,
                        receiver: RegionReceiver) -> list[int]:
-        count = max(1, min(self.streams, 255))
-        per_stream = [0] * count
-        failures: list[BaseException] = []
-
-        def run(index: int) -> None:
-            try:
-                data = self._data(control, transfer_id, index)
-                try:
-                    while True:
-                        try:
-                            frame = data.expect(FrameType.CHUNK)
-                        except ConnectionLost:
-                            return
-                        tid, _, offset, payload = unpack_chunk(frame.payload)
-                        if tid != transfer_id:
-                            raise ProtocolError("chunk for another transfer")
-                        receiver.write_chunk(offset, payload)
-                        per_stream[index] += len(payload)
-                finally:
-                    data.close()
-            except BaseException as exc:
-                failures.append(exc)
-
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(count)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if failures:
-            raise StreamLost(f"{len(failures)} data streams failed: "
-                             f"{failures[0]}")
+        per_stream = self._run_streams(
+            control, transfer_id, self.streams,
+            lambda index, data: receive_chunks(data, transfer_id, receiver))
         if not receiver.complete():
             raise StreamLost("streams drained but chunks are missing")
         return per_stream
@@ -1121,48 +1046,32 @@ class TransferClient:
         """Zero generator to discarding sink: protocol throughput with no
         disk at either end."""
         transfer_id = os.urandom(16)
-        chunk_size = self.chunk_size or self.buffer_size
         start = time.monotonic()
         control = self._control(Mode.FTSM_PUSH)
         try:
-            chunk_size = min(chunk_size, control.params.buffer_size)
+            chunk_size = self._chunk_size(control)
             control.send(FrameType.XFER_OFFER, wire.encode_fields({
                 X_TRANSFER: transfer_id,
                 X_SINK: wire.u8(SINK_MEM),
-                X_STREAMS: wire.u8(min(self.streams, 255)),
+                X_STREAMS: wire.u8(self.streams),
                 X_CHUNK_SIZE: wire.u32(chunk_size),
             }))
             control.expect(FrameType.XFER_ACCEPT)
             deadline = start + seconds
-            per_stream = [0] * self.streams
-            failures: list[BaseException] = []
             zeros = bytes(chunk_size)
 
-            def run(index: int) -> None:
+            def flood(index: int, data: Channel) -> int:
                 # synthetic offsets keep each stream in a private range
-                try:
-                    data = self._data(control, transfer_id, index)
-                    try:
-                        offset = index << 48
-                        while time.monotonic() < deadline:
-                            data.send(FrameType.CHUNK,
-                                      pack_chunk(transfer_id, index, offset,
-                                                 zeros))
-                            per_stream[index] += chunk_size
-                            offset += chunk_size
-                    finally:
-                        data.close()
-                except BaseException as exc:
-                    failures.append(exc)
+                sent = 0
+                while time.monotonic() < deadline:
+                    data.send(FrameType.CHUNK,
+                              pack_chunk(transfer_id, index,
+                                         (index << 48) + sent, zeros))
+                    sent += chunk_size
+                return sent
 
-            threads = [threading.Thread(target=run, args=(i,))
-                       for i in range(self.streams)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if failures:
-                raise StreamLost(str(failures[0]))
+            per_stream = self._run_streams(control, transfer_id, self.streams,
+                                           flood)
             control.send(FrameType.XFER_DONE, wire.encode_fields({
                 X_TRANSFER: transfer_id,
                 X_TOTAL: wire.u64(sum(per_stream)),

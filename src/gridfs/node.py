@@ -298,10 +298,8 @@ class NodeServer:
     def _dispatch(self, channel: Channel, account, mode: Mode) -> None:
         if mode == Mode.DFSM:
             DfsServer(channel, account, self.locks).serve()
-        elif mode == Mode.FTSM_PUSH:
-            self.ftsm.serve_push(channel, account)
-        elif mode == Mode.FTSM_PULL:
-            self.ftsm.serve_pull(channel, account)
+        elif mode in (Mode.FTSM_PUSH, Mode.FTSM_PULL):
+            self.ftsm.serve(channel, account, mode)
         elif mode == Mode.TASK:
             self._tasks().serve(channel, account)
         elif mode == Mode.CRYPT:

@@ -204,10 +204,6 @@ class AccountStore:
         with self._lock:
             return self._accounts.get(username)
 
-    def usernames(self) -> list[str]:
-        with self._lock:
-            return sorted(self._accounts)
-
     # management helpers used by the CLI; they write the store then reload
 
     def add(self, username: str, psk: bytes, doc: PermissionDoc) -> None:

@@ -422,7 +422,11 @@ class TaskSetRecord:
 
 class TaskService:
     """Server side of TASK mode; one instance per node, shared by every
-    task session."""
+    task session.
+
+    Staging and collection transfers register in `registry`, which the
+    node shares with its own FtsmService: every data connection goes to
+    that service, which finds the transfer there."""
 
     def __init__(self, workers: int = 4, retention: float = 600.0,
                  registry: TransferRegistry | None = None,
@@ -434,12 +438,6 @@ class TaskService:
         self.drain_timeout = drain_timeout
         self._lock = threading.Lock()
         self._sets: dict[bytes, TaskSetRecord] = {}
-
-    # registry plumbing for data connections arriving during staging
-    def serve_data(self, channel: Channel, transfer_id: bytes,
-                   stream_index: int) -> None:
-        FtsmService(self.registry).serve_data(channel, transfer_id,
-                                              stream_index)
 
     def serve(self, channel: Channel, account: Account) -> None:
         current: TaskSetRecord | None = None
@@ -519,12 +517,10 @@ class TaskService:
             raise BadRequest("no task set on this session")
         with record.cond:
             phase = record.phase
-        if phase == PH_STAGING:
-            record.ftsm._one_push(channel, account, payload)
-        elif phase == PH_DONE:
-            record.ftsm._one_pull(channel, account, payload)
-        else:
+        if phase == PH_RUNNING:
             raise BadRequest("no transfers while the set is running")
+        mode = Mode.FTSM_PUSH if phase == PH_STAGING else Mode.FTSM_PULL
+        record.ftsm.offer(channel, account, mode, payload)
 
     def _status(self, channel: Channel, account: Account,
                 record: TaskSetRecord | None,

@@ -425,6 +425,20 @@ def test_no_workers_refused(tmp_path):
         ce.distribute(source, [], PARAMS, "alice", ALICE_PSK)
 
 
+def test_worker_refuses_any_direction_but_encrypt(node_factory):
+    worker = node_factory("w1")
+    task = ce._encrypt_task_fields(0, 0, 16, PARAMS, "alice", ALICE_PSK,
+                                   "127.0.0.1:1", "data.bin", "data.blk0",
+                                   None)
+    task[ce.C_DIRECTION] = b"\x01"
+    completed, error = ce._run_queue(endpoint(worker), [task], "alice",
+                                     ALICE_PSK, SecurityMode.NONSECURE,
+                                     65536)
+    assert completed == []
+    assert isinstance(error, BadRequest)
+    assert "direction" in str(error)
+
+
 def test_empty_file_round_trip(node_factory, tmp_path):
     worker = node_factory("w1")
     source = tmp_path / "empty.bin"

@@ -4,6 +4,7 @@ import hashlib
 import os
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -74,13 +75,17 @@ def test_bad_stream_and_chunk_counts_refused():
         plan_transfer(10, None, 0, 64)
     with pytest.raises(BadRequest):
         plan_transfer(10, None, 2, 0)
+    with pytest.raises(BadRequest):
+        ChunkGrid(0, 10, 1, 0)    # a peer's offer must not loop forever
 
 
 @given(file_size=st.integers(1, 10_000),
        streams=st.integers(1, 16),
-       chunk=st.integers(1, 700))
+       chunk=st.integers(1, 700),
+       data=st.data())
 @settings(max_examples=200)
-def test_spans_and_chunks_partition_the_region(file_size, streams, chunk):
+def test_spans_and_chunks_partition_the_region(file_size, streams, chunk,
+                                                data):
     grid = plan_transfer(file_size, None, streams, chunk)
     spans = grid.spans()
     assert spans[0].offset == 0
@@ -99,6 +104,23 @@ def test_spans_and_chunks_partition_the_region(file_size, streams, chunk):
         assert not (covered & span)
         covered |= span
     assert covered == set(range(file_size))
+
+    assert [c for group in grid.chunks_by_span() for c in group] == chunks
+    ordinals = grid.ordinal_of()
+    assert len(ordinals) == len(chunks)
+    assert all(ordinals[offset] == k for k, (offset, _) in enumerate(chunks))
+
+    everything = frozenset(range(len(chunks)))
+    marked = data.draw(st.one_of(
+        st.just(everything),
+        st.sets(st.sampled_from(sorted(everything)))))
+    state = TransferState.fresh(bytes(16), grid)
+    for k in marked:
+        state.mark(k, chunks[k][1])
+    assert state.missing() == sorted(everything - marked)
+    for subject in (state, TransferState.decode(state.encode())):
+        assert subject.complete() == (not subject.missing())
+        assert subject.complete() == (marked == everything)
 
 
 def test_chunk_ordinals_are_span_major():
@@ -300,7 +322,9 @@ def test_partial_region_pull_lands_byte_exact(node, tmp_path):
 def test_empty_file_push(node, tmp_path):
     src = tmp_path / "empty.bin"
     src.touch()
+    start = time.monotonic()
     report = client(node).push(src, "empty.bin")
+    assert time.monotonic() - start < 0.5    # no data connection to await
     assert report.bytes_moved == 0
     dst = storage(node) / "empty.bin"
     assert dst.exists() and dst.stat().st_size == 0
@@ -387,6 +411,44 @@ def test_mem_bench_conserves_bytes(node):
     assert report.bytes_moved == sum(report.per_stream)
     assert len(report.per_stream) == 2
     assert report.mbps > 0
+    assert report.seconds < 0.8    # the sink completes: no idle grace
+
+
+def test_pull_source_shrinking_mid_transfer_is_reported(node, tmp_path):
+    """Driven by hand: the node's source shrinks after XFER_ACCEPT, and
+    its data connection says why instead of just closing."""
+    remote = storage(node) / "shrinks.bin"
+    remote.write_bytes(os.urandom(40_000))
+    params = SessionParams(Mode.FTSM_PULL, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    control = secchan.connect(("127.0.0.1", node.port), params, "grid",
+                              GRID_PSK)
+    try:
+        transfer_id = os.urandom(16)
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_PATH: b"shrinks.bin",
+            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_CHUNK_SIZE: wire.u32(10_000),
+        }))
+        control.expect(FrameType.XFER_ACCEPT)
+        with open(remote, "r+b") as handle:
+            handle.truncate(15_000)
+        data = secchan.connect(("127.0.0.1", node.port), params, "grid",
+                               GRID_PSK, transfer_id=transfer_id,
+                               stream_index=0)
+        try:
+            frames = [data.recv()]
+            while frames[-1].frame_type == FrameType.CHUNK:
+                frames.append(data.recv())
+        finally:
+            data.close()
+    finally:
+        control.close()
+    assert [f.frame_type for f in frames] == \
+        [FrameType.CHUNK, FrameType.ERROR]
+    _, message = wire.parse_error(frames[-1].payload)
+    assert "source shrank mid-transfer" in message
 
 
 # -- resume -----------------------------------------------------------------
