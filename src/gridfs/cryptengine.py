@@ -50,7 +50,6 @@ from .errors import (
     NoSuchFile,
     NoWorkers,
     PermissionDenied,
-    ProtocolError,
     StreamLost,
     TruncatedHeader,
     WorkerFailed,
@@ -435,21 +434,8 @@ class CryptWorker:
     """
 
     def serve(self, channel: Channel, account: Account) -> None:
-        while True:
-            try:
-                frame = channel.recv()
-            except ConnectionLost:
-                return
-            if frame.frame_type != FrameType.CRYPT_TASK:
-                raise ProtocolError(
-                    f"unexpected frame 0x{frame.frame_type:02x} on a "
-                    "crypt session")
-            try:
-                self._one(channel, account, frame.payload)
-            except ProtocolError:
-                raise
-            except GridfsError as exc:
-                channel.send_error(exc)
+        channel.serve(lambda frame: self._one(channel, account, frame.payload),
+                      FrameType.CRYPT_TASK)
 
     def _one(self, channel: Channel, account: Account,
              payload: bytes) -> None:

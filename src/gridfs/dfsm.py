@@ -12,6 +12,9 @@ refused immediately with LOCK_CONFLICT and the client retries. Overlap is
 checked against live locks of all sessions, the requester's own included;
 reads and writes from other sessions also respect lock ranges. length
 0xFFFF_FFFF_FFFF_FFFF locks to end of file, whatever the file size becomes.
+A READ, WRITE or SETLENGTH checks its range and does its I/O under one
+guard, the lock table's own lock, so no LOCK over that range can be
+granted between the check and the I/O.
 
 Seek never reaches the server as state: it is client-side arithmetic over
 a stat snapshot, and the resulting absolute offset rides in the next
@@ -30,6 +33,8 @@ import errno
 import logging
 import os
 import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path, PurePosixPath
@@ -201,12 +206,27 @@ class LockTable:
     def conflicts(self, path: str, offset: int, length: int,
                   session: bytes) -> bool:
         """True when [offset, offset+length) overlaps a foreign lock."""
-        if length == 0:
-            return False
         with self._lock:
-            return any(l.path == path and l.owner_session != session
-                       and l.overlaps(offset, length)
-                       for l in self._locks.values())
+            return self._foreign_overlap(path, offset, length, session)
+
+    @contextmanager
+    def guard(self, path: str, offset: int, length: int,
+              session: bytes) -> Iterator[None]:
+        """Run the with-block on [offset, offset+length) of `path` under
+        the table lock, after checking that no foreign lock overlaps it;
+        raises LockConflict if one does. No lock is granted or released
+        until the block ends, so keep it to the I/O the check guards."""
+        with self._lock:
+            if self._foreign_overlap(path, offset, length, session):
+                raise LockConflict(
+                    f"range [{offset}, {offset + length}) is locked")
+            yield
+
+    def _foreign_overlap(self, path: str, offset: int, length: int,
+                         session: bytes) -> bool:
+        return length > 0 and any(
+            l.path == path and l.owner_session != session
+            and l.overlaps(offset, length) for l in self._locks.values())
 
     def live_locks(self) -> tuple[RangeLock, ...]:
         with self._lock:
@@ -220,6 +240,24 @@ def _stat(path: Path) -> FileStat:
         return FileStat(path.stat().st_size, True)
     except FileNotFoundError:
         return FileStat(0, False)
+
+
+@contextmanager
+def _opened(path: Path, flags: int) -> Iterator[int]:
+    """A descriptor on `path` for one request, closed when the with-block
+    ends. An OSError from the open or from the block's I/O comes out as
+    the GridfsError it reports as. O_CREAT also creates the parent
+    directories."""
+    try:
+        if flags & os.O_CREAT:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o644)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise _map_os_error(exc) from None
 
 
 def _map_os_error(exc: OSError) -> GridfsError:
@@ -238,11 +276,10 @@ class DfsServer:
     """Per-connection request loop over an authenticated DFSM channel."""
 
     def __init__(self, channel: Channel, account: Account,
-                 locks: LockTable, gate=check):
+                 locks: LockTable):
         self.channel = channel
         self.account = account
         self.locks = locks
-        self.gate = gate
         self.session = channel.params.session_id
         self._last_request_id: int | None = None
 
@@ -290,8 +327,7 @@ class DfsServer:
             raise BadRequest("missing path")
         relative = path_raw.decode("utf-8")
         path = resolve_path(self.account.sandbox_root, relative)
-        denial = self.gate(self.account,
-                           GuardedAction(ActionKind.FILE_IO, path))
+        denial = check(self.account, GuardedAction(ActionKind.FILE_IO, path))
         if denial is not None:
             raise PermissionDenied(denial)
         key = str(path)
@@ -300,41 +336,17 @@ class DfsServer:
         if op == Op.READ:
             length = min(wire.read_uint(fields, F_LENGTH, 0),
                          self.channel.params.buffer_size)
-            if self.locks.conflicts(key, offset, length, self.session):
-                raise LockConflict("range is locked")
-            try:
-                fd = os.open(path, os.O_RDONLY)
-            except OSError as exc:
-                raise _map_os_error(exc) from None
-            try:
+            with self.locks.guard(key, offset, length, self.session), \
+                    _opened(path, os.O_RDONLY) as fd:
                 reply[F_DATA] = os.pread(fd, length, offset)
-            finally:
-                os.close(fd)
         elif op == Op.WRITE:
             data = fields.get(F_DATA, b"")
-            if self.locks.conflicts(key, offset, len(data), self.session):
-                raise LockConflict("range is locked")
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
-            except OSError as exc:
-                raise _map_os_error(exc) from None
-            try:
-                written = os.pwrite(fd, data, offset)
-            except OSError as exc:
-                raise _map_os_error(exc) from None
-            finally:
-                os.close(fd)
-            reply[F_LENGTH] = wire.u64(written)
+            with self.locks.guard(key, offset, len(data), self.session), \
+                    _opened(path, os.O_WRONLY | os.O_CREAT) as fd:
+                reply[F_LENGTH] = wire.u64(os.pwrite(fd, data, offset))
         elif op == Op.FLUSH:
-            try:
-                fd = os.open(path, os.O_RDONLY)
-            except OSError as exc:
-                raise _map_os_error(exc) from None
-            try:
+            with _opened(path, os.O_RDONLY) as fd:
                 os.fsync(fd)
-            finally:
-                os.close(fd)
         elif op == Op.LOCK:
             length = wire.read_uint(fields, F_LENGTH, 0)
             lock_id = self.locks.acquire(key, offset, length, self.session)
@@ -346,20 +358,13 @@ class DfsServer:
             new_len = wire.read_uint(fields, F_SIZE)
             old = _stat(path).size
             low, high = sorted((old, new_len))
-            if self.locks.conflicts(key, low, max(high - low, 1),
-                                    self.session):
-                raise LockConflict("truncated region is locked")
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
-            except OSError as exc:
-                raise _map_os_error(exc) from None
-            try:
+            with self.locks.guard(key, low, max(high - low, 1),
+                                  self.session), \
+                    _opened(path, os.O_WRONLY | os.O_CREAT) as fd:
+                # the range came from a size read before the guard
+                if os.fstat(fd).st_size != old:
+                    raise LockConflict("file size changed; retry")
                 os.ftruncate(fd, new_len)
-            except OSError as exc:
-                raise _map_os_error(exc) from None
-            finally:
-                os.close(fd)
         elif op in (Op.STAT, Op.SEEK):
             # SEEK carries no server state; it is a stat by another name
             st = _stat(path)
@@ -371,6 +376,12 @@ class DfsServer:
 
 
 # -- client side ------------------------------------------------------------
+
+def _stat_reply(reply: dict[int, bytes]) -> FileStat:
+    """The FileStat a STAT or SEEK reply carries."""
+    return FileStat(wire.read_uint(reply, F_SIZE, 0),
+                    bool(wire.read_uint(reply, F_LENGTH, 0)))
+
 
 class FsClient:
     """Client handle for one DFSM session; bound to a single connection.
@@ -454,16 +465,13 @@ class FsClient:
                                  F_LOCK_ID: wire.u64(lock_id)})
 
     def stat(self, path: str) -> FileStat:
-        reply = self._call(Op.STAT, {F_PATH: path.encode("utf-8")})
-        return FileStat(wire.read_uint(reply, F_SIZE, 0),
-                        bool(wire.read_uint(reply, F_LENGTH, 0)))
+        return _stat_reply(self._call(Op.STAT, {F_PATH: path.encode("utf-8")}))
 
     def seek(self, path: str, origin: SeekOrigin, delta: int) -> int:
         if origin == SeekOrigin.END:
-            reply = self._call(Op.SEEK, {F_PATH: path.encode("utf-8"),
-                                           F_SEEK_ORIGIN: wire.u8(origin)})
-            st = FileStat(wire.read_uint(reply, F_SIZE, 0),
-                          bool(wire.read_uint(reply, F_LENGTH, 0)))
+            st = _stat_reply(self._call(Op.SEEK, {
+                F_PATH: path.encode("utf-8"),
+                F_SEEK_ORIGIN: wire.u8(origin)}))
         else:
             st = FileStat(0, False)
         self.position = resolve_seek(origin, delta, st, self.position)

@@ -21,8 +21,12 @@ The receiver persists progress beside the destination in `<dst>.xferstate`:
 the transfer geometry plus a chunk-granularity bitmap, rewritten atomically
 after every chunk, data first. An interrupted transfer resumes from the
 sidecar — the original chunk grid is preserved and only missing chunks are
-resent, round-robin across however many streams the resuming sender brings.
-The sidecar is removed only on a verified completion.
+resent, round-robin across however many streams the resuming session opens.
+The sidecar is removed once every chunk has landed, whether or not the
+digest then matches: a complete sidecar has nothing left to resume, so the
+sender's retry starts afresh. A transfer whose bitmap would not fit one
+frame at the session's buffer size could never resume, so its offer is
+refused before any chunk is enumerated.
 
 A memory-to-memory mode (zero generator into a discarding sink) drives the
 identical protocol path with no disk at either end, for measuring raw
@@ -92,10 +96,15 @@ SINK_MEM = 1
 # a pull offer without a region length asks for everything from its offset
 WHOLE_REST = 2**64 - 1
 
-# client re-offers after a lost stream or connection, and the pause before
-# the first one; the pause doubles on each further re-offer
+# client re-offers after a lost stream or connection or a digest mismatch,
+# and the pause before the first one; the pause doubles on each further
+# re-offer
 RETRIES = 3
 BACKOFF = 0.25
+
+# room an XFER_RESUME, or a resuming pull XFER_OFFER, needs beside its
+# bitmap: the other fields, a path and an AEAD tag
+BITMAP_MARGIN = 512
 
 
 def pack_chunk(transfer_id: bytes, stream_index: int, offset: int,
@@ -212,6 +221,16 @@ class ChunkGrid:
 
     def ordinal_of(self) -> Mapping[int, int]:
         return MappingProxyType(self._ordinals)
+
+    def check_resumable(self, buffer_size: int) -> None:
+        """Refuse, without enumerating a chunk, a grid whose resume bitmap
+        would not fit one frame at the negotiated `buffer_size`."""
+        count = sum(-(-span.length // self.chunk_size)
+                    for span in self.spans())
+        limit = 8 * (buffer_size - BITMAP_MARGIN)
+        if count > limit:
+            raise BadRequest(f"{count} chunks exceed the {limit} a resume "
+                             f"bitmap can carry at buffer size {buffer_size}")
 
 
 def plan_transfer(file_size: int, region: tuple[int, int] | None,
@@ -410,8 +429,9 @@ class RegionReceiver:
             return self.state.complete()
 
     def finish(self, expected_md5: bytes) -> int:
-        """Verify the region against the sender's digest; only a match
-        removes the sidecar."""
+        """Verify the region against the sender's digest. A complete region
+        drops its sidecar, match or not: resuming it would send nothing and
+        fail the same way."""
         try:
             if self.truncate_to is not None:
                 # whole-file transfer over a longer predecessor
@@ -423,14 +443,11 @@ class RegionReceiver:
         if not self.state.complete():
             raise IncompleteTransfer(
                 f"{len(self.state.missing())} chunks never arrived")
+        state_path(self.dst).unlink(missing_ok=True)
         actual = md5_region(self.dst, self.grid.region_offset,
                             self.grid.region_length)
         if actual != expected_md5:
             raise IntegrityMismatch("region digest differs from sender's")
-        try:
-            state_path(self.dst).unlink()
-        except FileNotFoundError:
-            pass
         return self.state.total_received
 
     def abort(self) -> None:
@@ -627,16 +644,9 @@ class FtsmService:
     def serve(self, channel: Channel, account: Account, mode: Mode) -> None:
         """Serve a control connection in FTSM_PUSH mode (the peer sends,
         this node receives) or FTSM_PULL mode, one offer at a time."""
-        while True:
-            try:
-                frame = channel.expect(FrameType.XFER_OFFER)
-            except ConnectionLost:
-                return
-            try:
-                self.offer(channel, account, mode, frame.payload)
-            except GridfsError as exc:
-                log.debug("%s transfer failed: %s", mode.name, exc)
-                channel.send_error(exc)
+        channel.serve(
+            lambda frame: self.offer(channel, account, mode, frame.payload),
+            FrameType.XFER_OFFER)
 
     def offer(self, channel: Channel, account: Account, mode: Mode,
               offer_raw: bytes) -> None:
@@ -680,6 +690,7 @@ class FtsmService:
                 max(1, wire.read_uint(fields, X_STREAMS, 1)),
                 wire.read_uint(fields, X_CHUNK_SIZE,
                                channel.params.buffer_size))
+            grid.check_resumable(channel.params.buffer_size)
             end = grid.region_offset + grid.region_length
             whole_file = bool(wire.read_uint(fields, X_TRUNCATE, 0))
             state = resumable_state(dst, grid)
@@ -699,30 +710,25 @@ class FtsmService:
         receiver = session.receiver
         try:
             frame = channel.expect(FrameType.XFER_DONE)
-        except ConnectionLost:
-            # sender vanished: keep the sidecar, but let late or still
-            # draining data connections land their chunks first
-            session.wait_quiesce(min(5.0, self.drain_timeout))
-            self.registry.remove(session.transfer_id)
-            receiver.abort()
-            return
-        try:
             fields = wire.decode_fields(frame.payload)
             if isinstance(receiver, MemSink):
                 receiver.claimed = wire.read_uint(fields, X_TOTAL, 0)
             # returns at once for a complete region, an empty one included
             session.wait_quiesce(self.drain_timeout)
             total = receiver.finish(fields.get(X_MD5, b""))
-            channel.send(FrameType.XFER_DONE, wire.encode_fields({
-                X_TRANSFER: session.transfer_id,
-                X_STATUS: wire.u16(Status.OK),
-                X_TOTAL: wire.u64(total),
-            }))
-        except GridfsError as exc:
-            receiver.abort()
-            channel.send_error(exc)
+        except ConnectionLost:
+            # sender vanished: keep the sidecar, but let late or still
+            # draining data connections land their chunks first
+            session.wait_quiesce(min(5.0, self.drain_timeout))
+            return
         finally:
             self.registry.remove(session.transfer_id)
+            receiver.abort()    # a no-op once finish has closed the file
+        channel.send(FrameType.XFER_DONE, wire.encode_fields({
+            X_TRANSFER: session.transfer_id,
+            X_STATUS: wire.u16(Status.OK),
+            X_TOTAL: wire.u64(total),
+        }))
 
     # pull: the peer receives, this node sends
 
@@ -746,6 +752,7 @@ class FtsmService:
         else:
             grid = plan_transfer(file_size, (region_offset, region_length),
                                  streams, chunk_size)
+        grid.check_resumable(channel.params.buffer_size)
         bitmap = fields.get(X_BITMAP)
         if bitmap is None:
             assignments = grid.chunks_by_span()
@@ -753,7 +760,10 @@ class FtsmService:
             state = TransferState(transfer_id, grid, bytearray(bitmap))
             if len(state.bitmap) != len(grid._full_bitmap):
                 raise StateCorrupt("offered bitmap disagrees with geometry")
-            assignments = assign_missing(grid, state.missing(), streams)
+            # X_STREAMS is the sidecar's geometry; the missing chunks go
+            # to the data connections this session opens
+            assignments = assign_missing(grid, state.missing(),
+                                         channel.params.stream_count)
 
         session = TransferSession(transfer_id, account, Mode.FTSM_PULL,
                                   channel.params.security,
@@ -761,16 +771,11 @@ class FtsmService:
         self._register_and_reply(channel, session, FrameType.XFER_ACCEPT,
                                  grid_fields(grid))
         try:
-            self._finish_pull(channel, transfer_id, src, grid)
-        finally:
-            self.registry.remove(transfer_id)
-
-    def _finish_pull(self, channel: Channel, transfer_id: bytes, src: Path,
-                     grid: ChunkGrid) -> None:
-        try:
             channel.expect(FrameType.XFER_DONE)
         except ConnectionLost:
             return
+        finally:
+            self.registry.remove(transfer_id)
         channel.send(FrameType.XFER_DONE, wire.encode_fields({
             X_TRANSFER: transfer_id,
             X_STATUS: wire.u16(Status.OK),
@@ -839,12 +844,13 @@ def throughput_mbps(byte_count: int, seconds: float) -> float:
 
 
 def _with_retries(attempt: Callable[[], TransferReport]) -> TransferReport:
-    """Run `attempt`; after a lost stream or connection, pause and run it
-    again, at most RETRIES more times."""
+    """Run `attempt`; after a lost stream or connection, or a digest
+    mismatch (whose receiver has dropped its sidecar, so the next offer
+    starts afresh), pause and run it again, at most RETRIES more times."""
     for retry in range(RETRIES):
         try:
             return attempt()
-        except (ConnectionLost, StreamLost):
+        except (ConnectionLost, StreamLost, IntegrityMismatch):
             time.sleep(BACKOFF * 2 ** retry)
     return attempt()
 
@@ -869,17 +875,14 @@ class TransferClient:
         self.buffer_size = buffer_size
         self.chunk_size = chunk_size
 
-    def _control(self, mode: Mode) -> Channel:
+    def dial(self, mode: Mode, transfer_id: bytes | None = None,
+             stream_index: int = 0) -> Channel:
+        """Open an authenticated control session in `mode` (task sessions
+        dial through here too), or, given a transfer id, one of that
+        transfer's data connections."""
         params = SessionParams(mode, self.security,
                                buffer_size=self.buffer_size,
                                stream_count=self.streams)
-        return secchan.connect(self.address, params, self.username, self.psk)
-
-    def _data(self, control: Channel, transfer_id: bytes,
-              stream_index: int) -> Channel:
-        params = SessionParams(control.params.mode, self.security,
-                               buffer_size=control.params.buffer_size,
-                               stream_count=control.params.stream_count)
         return secchan.connect(self.address, params, self.username, self.psk,
                                transfer_id=transfer_id,
                                stream_index=stream_index)
@@ -892,7 +895,7 @@ class TransferClient:
         per_stream = [0] * count
 
         def run(index: int) -> None:
-            data = self._data(control, transfer_id, index)
+            data = self.dial(control.params.mode, transfer_id, index)
             try:
                 per_stream[index] = body(index, data)
             finally:
@@ -917,7 +920,7 @@ class TransferClient:
 
     def _push_once(self, local: Path, remote: str,
                    region: tuple[int, int] | None) -> TransferReport:
-        control = self._control(Mode.FTSM_PUSH)
+        control = self.dial(Mode.FTSM_PUSH)
         try:
             return self.push_on(control, local, remote, region)
         finally:
@@ -976,7 +979,7 @@ class TransferClient:
 
     def _pull_once(self, remote: str, local: Path,
                    region: tuple[int, int] | None) -> TransferReport:
-        control = self._control(Mode.FTSM_PULL)
+        control = self.dial(Mode.FTSM_PULL)
         try:
             return self.pull_on(control, remote, local, region)
         finally:
@@ -1047,7 +1050,7 @@ class TransferClient:
         disk at either end."""
         transfer_id = os.urandom(16)
         start = time.monotonic()
-        control = self._control(Mode.FTSM_PUSH)
+        control = self.dial(Mode.FTSM_PUSH)
         try:
             chunk_size = self._chunk_size(control)
             control.send(FrameType.XFER_OFFER, wire.encode_fields({

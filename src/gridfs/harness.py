@@ -132,17 +132,7 @@ class Cluster:
         return None
 
     def stop(self) -> None:
-        for node in self.nodes:
-            if node.process.poll() is None:
-                node.process.terminate()
-        for node in self.nodes:
-            try:
-                node.process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                node.process.kill()
-                node.process.wait(timeout=5)
-            if node.process.stdout is not None:
-                node.process.stdout.close()
+        _stop_nodes(self.nodes)
         shutil.rmtree(self.scratch, ignore_errors=True)
 
     def __enter__(self) -> "Cluster":
@@ -150,6 +140,21 @@ class Cluster:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+def _stop_nodes(nodes: list[SpawnedNode]) -> None:
+    """Terminate every node process, killing any that outlive the wait."""
+    for node in nodes:
+        if node.process.poll() is None:
+            node.process.terminate()
+    for node in nodes:
+        try:
+            node.process.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            node.process.kill()
+            node.process.wait(timeout=5)
+        if node.process.stdout is not None:
+            node.process.stdout.close()
 
 
 def _seed_accounts(root: Path, psk: bytes) -> None:
@@ -173,11 +178,6 @@ def _await_listening(process: subprocess.Popen, err_path: Path,
     thread.join(timeout)
     line = holder.get("line", "")
     if "listening on" not in line:
-        process.kill()
-        try:
-            process.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            pass
         detail = line.strip()
         try:
             stderr_lines = err_path.read_text().strip().splitlines()
@@ -218,20 +218,18 @@ def spawn_cluster(topology: Topology = Topology.HIERARCHICAL, nodes: int = 6,
                     [sys.executable, "-m", "gridfs", "serve",
                      "--config", str(config_path)],
                     stdout=subprocess.PIPE, stderr=err, text=True)
-            port = _await_listening(process, err_path, startup_timeout)
-            socket.create_connection(("127.0.0.1", port), timeout=5).close()
-            spawned.append(SpawnedNode(index, role, process, port, root))
+            # listed before it is up, so a failure below stops it too
+            node = SpawnedNode(index, role, process, 0, root)
+            spawned.append(node)
+            node.port = _await_listening(process, err_path, startup_timeout)
+            socket.create_connection(node.address, timeout=5).close()
     except BaseException as exc:
-        for node in spawned:
-            node.process.kill()
-            node.process.wait(timeout=5)
-            if node.process.stdout is not None:
-                node.process.stdout.close()
+        _stop_nodes(spawned)
         if owns_scratch:
             shutil.rmtree(scratch, ignore_errors=True)
         if isinstance(exc, OSError):
             raise SpawnFailed(
-                f"cannot start node {len(spawned)}: {exc}") from exc
+                f"cannot start node {index}: {exc}") from exc
         raise
     return Cluster(plan, scratch, spawned, HARNESS_USER, psk)
 

@@ -31,13 +31,14 @@ from .errors import (
     IntegrityFailure,
     MalformedConfig,
     ModeRejected,
-    ProtocolError,
     Status,
     VersionMismatch,
 )
+from .cryptengine import CryptWorker
 from .ftsm import FtsmService, TransferRegistry
 from .perms import AccountStore
 from .secchan import A_PROOF, A_USER, Channel, ChannelKeys, credential_proof
+from .taskexec import TaskService
 from .wire import Frame, FrameType, Mode, SecurityMode, SessionParams
 
 log = logging.getLogger("gridfs.node")
@@ -131,14 +132,15 @@ class NodeServer:
         self.registry = TransferRegistry()
         self.ftsm = FtsmService(self.registry,
                                 drain_timeout=config.drain_timeout)
+        self.tasks = TaskService(self.registry, workers=config.task_workers,
+                                 retention=config.task_retention)
+        self.crypt = CryptWorker()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stopping = threading.Event()
         self._sessions_lock = threading.Lock()
         self._session_count = 0
         self._conns: set[socket.socket] = set()
-        self._task_service = None
-        self._crypt_service = None
         self.port = config.port
 
     def start(self) -> None:
@@ -241,9 +243,7 @@ class NodeServer:
     def _handle_session(self, conn: socket.socket) -> None:
         provisional = SessionParams(Mode.DFSM, SecurityMode.NONSECURE)
         channel = Channel(conn, provisional, keys=None)
-        frame = channel._read_frame()
-        if frame.frame_type != FrameType.HELLO:
-            raise ProtocolError("expected HELLO")
+        frame = channel.expect(FrameType.HELLO)
         fields = wire.decode_fields(frame.payload)
         username = fields.get(secchan.T_USER, b"").decode("utf-8",
                                                           errors="replace")
@@ -274,13 +274,11 @@ class NodeServer:
             return
 
         try:
-            auth = channel.recv()
+            auth = channel.expect(FrameType.AUTH)
         except IntegrityFailure:
             # wrong key: either a bad password or an unknown user
             channel.send(FrameType.AUTH_FAIL, b"")
             return
-        if auth.frame_type != FrameType.AUTH:
-            raise ProtocolError("expected AUTH")
         auth_fields = wire.decode_fields(auth.payload)
         claimed = auth_fields.get(A_USER, b"").decode("utf-8",
                                                       errors="replace")
@@ -301,26 +299,11 @@ class NodeServer:
         elif mode in (Mode.FTSM_PUSH, Mode.FTSM_PULL):
             self.ftsm.serve(channel, account, mode)
         elif mode == Mode.TASK:
-            self._tasks().serve(channel, account)
+            self.tasks.serve(channel, account)
         elif mode == Mode.CRYPT:
-            self._crypt().serve(channel, account)
+            self.crypt.serve(channel, account)
         else:
             raise ModeRejected(f"mode {mode} not handled")
-
-    def _tasks(self):
-        if self._task_service is None:
-            from .taskexec import TaskService
-            self._task_service = TaskService(
-                workers=self.config.task_workers,
-                retention=self.config.task_retention,
-                registry=self.registry)
-        return self._task_service
-
-    def _crypt(self):
-        if self._crypt_service is None:
-            from .cryptengine import CryptWorker
-            self._crypt_service = CryptWorker()
-        return self._crypt_service
 
 
 def run_node(config: NodeConfig) -> int:

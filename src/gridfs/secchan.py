@@ -36,6 +36,7 @@ from __future__ import annotations
 import hmac
 import os
 import socket
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from hashlib import sha256
 
@@ -198,7 +199,7 @@ class Channel:
             payload = self._require_keys().seal(payload, bytes([frame_type]))
             flags = wire.FLAG_SEALED
         elif cls == FIELD_SEALED:
-            payload = self._seal_fields(frame_type, payload)
+            payload = self._walk_fields(frame_type, payload, seal=True)
         try:
             self.sock.sendall(wire.encode_frame(Frame(frame_type, payload, flags),
                                                 self.max_payload))
@@ -222,7 +223,8 @@ class Channel:
                 f"policy says clear")
         if cls == FIELD_SEALED:
             return Frame(frame.frame_type,
-                         self._open_fields(frame.frame_type, frame.payload), 0)
+                         self._walk_fields(frame.frame_type, frame.payload,
+                                           seal=False), 0)
         return frame
 
     def expect(self, *frame_types: int) -> Frame:
@@ -241,25 +243,46 @@ class Channel:
         self.send(FrameType.ERROR,
                   wire.error_payload(int(exc.status), str(exc)))
 
+    def serve(self, handle: Callable[[Frame], None],
+              *frame_types: int) -> None:
+        """Answer each frame of `frame_types` the peer sends with
+        `handle(frame)`, until the peer hangs up.
+
+        One error policy for every control session: a ProtocolError means
+        the peer broke the frame choreography (a frame of another type, an
+        ERROR frame included, is one), so it ends the session and
+        propagates to the caller; any other GridfsError is one failed
+        request, so it goes back to the peer as an ERROR frame and the
+        session takes the next frame.
+        """
+        while True:
+            try:
+                frame = self.recv()
+            except ConnectionLost:
+                return
+            if frame.frame_type not in frame_types:
+                raise ProtocolError(
+                    f"unexpected frame 0x{frame.frame_type:02x} on a "
+                    f"{self.params.mode.name} session")
+            try:
+                handle(frame)
+            except ProtocolError:
+                raise
+            except GridfsError as exc:
+                self.send_error(exc)
+
     # sealed fields: the tag set is fixed per frame type, both peers walk
     # it in ascending order so the counters stay in step.
 
-    def _seal_fields(self, frame_type: int, payload: bytes) -> bytes:
-        tags = sealed_field_tags(frame_type)
+    def _walk_fields(self, frame_type: int, payload: bytes,
+                     seal: bool) -> bytes:
+        """Seal (or open) the frame type's sealed fields of `payload`."""
         fields = wire.decode_fields(payload)
-        for tag in sorted(tags):
+        for tag in sorted(sealed_field_tags(frame_type)):
             if tag in fields:
-                fields[tag] = self._require_keys().seal(
-                    fields[tag], bytes([frame_type, tag]))
-        return wire.encode_fields(fields)
-
-    def _open_fields(self, frame_type: int, payload: bytes) -> bytes:
-        tags = sealed_field_tags(frame_type)
-        fields = wire.decode_fields(payload)
-        for tag in sorted(tags):
-            if tag in fields:
-                fields[tag] = self._require_keys().open(
-                    fields[tag], bytes([frame_type, tag]))
+                keys = self._require_keys()
+                transform = keys.seal if seal else keys.open
+                fields[tag] = transform(fields[tag], bytes([frame_type, tag]))
         return wire.encode_fields(fields)
 
     def _require_keys(self) -> ChannelKeys:
@@ -317,12 +340,7 @@ def connect(address: tuple[str, int], params: SessionParams,
         sock.sendall(raw)
 
         channel = Channel(sock, params, keys=None)
-        frame = channel._read_frame()
-        if frame.frame_type == FrameType.ERROR:
-            code, message = wire.parse_error(frame.payload)
-            raise error_for_status(code, message)
-        if frame.frame_type != FrameType.WELCOME:
-            raise ProtocolError("expected WELCOME")
+        frame = channel.expect(FrameType.WELCOME)
         agreed, server_nonce = wire.parse_welcome(frame.payload)
         channel.params = agreed
         channel.username = username
@@ -339,16 +357,11 @@ def connect(address: tuple[str, int], params: SessionParams,
             A_USER: username.encode("utf-8"),
             A_PROOF: proof,
         }))
-        reply = channel.recv()
-        if reply.frame_type == FrameType.AUTH_OK:
-            sock.settimeout(None)
-            return channel
+        reply = channel.expect(FrameType.AUTH_OK, FrameType.AUTH_FAIL)
         if reply.frame_type == FrameType.AUTH_FAIL:
             raise AuthFailed("server rejected credentials")
-        if reply.frame_type == FrameType.ERROR:
-            code, message = wire.parse_error(reply.payload)
-            raise error_for_status(code, message)
-        raise ProtocolError("unexpected reply to AUTH")
+        sock.settimeout(None)
+        return channel
     except BaseException:
         sock.close()
         raise

@@ -31,14 +31,12 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
-from . import secchan, wire
+from . import wire
 from .errors import (
     BadRequest,
-    ConnectionLost,
     GridfsError,
     LaunchFailed,
     PermissionDenied,
-    ProtocolError,
     SetExpired,
     StagingFailed,
     WorkerFailed,
@@ -46,7 +44,7 @@ from .errors import (
 from .ftsm import FtsmService, TransferClient, TransferRegistry
 from .perms import Account, ActionKind, GuardedAction, check
 from .secchan import Channel
-from .wire import FrameType, Mode, SecurityMode, SessionParams
+from .wire import FrameType, Mode, SecurityMode
 
 log = logging.getLogger("gridfs.taskexec")
 
@@ -314,13 +312,12 @@ def _safe_name(name: str) -> bool:
 # -- process execution ------------------------------------------------------
 
 def run_process_task(spec: TaskSpec, workdir: Path, index: int = 0,
-                     account: Account | None = None,
-                     gate=check) -> TaskResult:
+                     account: Account | None = None) -> TaskResult:
     """Run one external process task in `workdir`. The capability gate is
     applied when an account is given; a missing executable raises
     LaunchFailed so set execution can record it as a failure."""
     if spec.network_access and account is not None:
-        denial = gate(account, GuardedAction(ActionKind.SOCKET))
+        denial = check(account, GuardedAction(ActionKind.SOCKET))
         if denial is not None:
             return TaskResult(index, TaskStatus.DENIED, message=denial)
     argv = [spec.command, *spec.args]
@@ -369,7 +366,6 @@ class TaskSetRecord:
                  specs: list[TaskSpec], registry: TransferRegistry,
                  drain_timeout: float):
         self.set_id = set_id
-        self.username = account.username
         self.account = account
         self.workdir = workdir
         self.specs = specs
@@ -428,42 +424,48 @@ class TaskService:
     node shares with its own FtsmService: every data connection goes to
     that service, which finds the transfer there."""
 
-    def __init__(self, workers: int = 4, retention: float = 600.0,
-                 registry: TransferRegistry | None = None,
-                 drain_timeout: float = 10.0):
+    def __init__(self, registry: TransferRegistry, workers: int = 4,
+                 retention: float = 600.0, drain_timeout: float = 10.0):
         self.pool = ThreadPoolExecutor(max_workers=max(1, workers),
                                        thread_name_prefix="task")
         self.retention = retention
-        self.registry = registry or TransferRegistry()
+        self.registry = registry
         self.drain_timeout = drain_timeout
         self._lock = threading.Lock()
         self._sets: dict[bytes, TaskSetRecord] = {}
 
     def serve(self, channel: Channel, account: Account) -> None:
+        """Serve one task session. A set the session leaves still in
+        staging can never run, so it is dropped when the session ends."""
         current: TaskSetRecord | None = None
-        while True:
-            try:
-                frame = channel.recv()
-            except ConnectionLost:
-                return
-            try:
-                if frame.frame_type == FrameType.TASK_SUBMIT:
-                    current = self._submit(channel, account, frame.payload)
-                elif frame.frame_type == FrameType.XFER_OFFER:
-                    self._offer(channel, account, current, frame.payload)
-                elif frame.frame_type == FrameType.TASK_STATUS:
-                    current = self._status(channel, account, current,
-                                           frame.payload)
-                elif frame.frame_type == FrameType.TASK_RESULT:
-                    self._collect(channel, current, frame.payload)
-                else:
-                    raise ProtocolError(
-                        f"unexpected frame {frame.frame_type} on a task "
-                        "session")
-            except ProtocolError:
-                raise
-            except GridfsError as exc:
-                channel.send_error(exc)
+
+        def handle(frame) -> None:
+            nonlocal current
+            if frame.frame_type == FrameType.TASK_SUBMIT:
+                current = self._submit(channel, account, frame.payload)
+            elif frame.frame_type == FrameType.XFER_OFFER:
+                self._offer(channel, account, current, frame.payload)
+            elif frame.frame_type == FrameType.TASK_STATUS:
+                current = self._status(channel, account, current,
+                                       frame.payload)
+            else:
+                self._collect(channel, current, frame.payload)
+
+        try:
+            channel.serve(handle, FrameType.TASK_SUBMIT, FrameType.XFER_OFFER,
+                          FrameType.TASK_STATUS, FrameType.TASK_RESULT)
+        finally:
+            if current is not None:
+                with current.cond:
+                    staging = current.phase == PH_STAGING
+                if staging:
+                    self._drop(current)
+
+    def _drop(self, record: TaskSetRecord) -> None:
+        """Forget `record` and delete its work directory."""
+        with self._lock:
+            self._sets.pop(record.set_id, None)
+        shutil.rmtree(record.workdir, ignore_errors=True)
 
     def _sweep(self) -> None:
         now = time.monotonic()
@@ -540,9 +542,7 @@ class TaskService:
                     raise BadRequest("set is not finished")
             shutil.rmtree(record.workdir, ignore_errors=True)
         elif action == ACT_ABORT:
-            with self._lock:
-                self._sets.pop(record.set_id, None)
-            shutil.rmtree(record.workdir, ignore_errors=True)
+            self._drop(record)
             with record.cond:
                 record.phase = PH_DONE
                 record.expiry = time.monotonic()    # nothing to retain
@@ -557,7 +557,7 @@ class TaskService:
             record = self._sets.get(set_id)
         if record is None:
             raise SetExpired("unknown or expired set")
-        if record.username != account.username:
+        if record.account.username != account.username:
             raise PermissionDenied("not your task set")
         return record
 
@@ -568,9 +568,7 @@ class TaskService:
             missing = [name for name in record.dep_names
                        if not (record.workdir / name).is_file()]
             if missing:
-                with self._lock:
-                    self._sets.pop(record.set_id, None)
-                shutil.rmtree(record.workdir, ignore_errors=True)
+                self._drop(record)
                 raise StagingFailed(
                     f"{len(missing)} dependencies never arrived")
             record.phase = PH_RUNNING
@@ -616,6 +614,15 @@ class TaskService:
 
 # -- client -----------------------------------------------------------------
 
+def _set_action(channel: Channel, set_id: bytes,
+                action: int) -> dict[int, bytes]:
+    """Send one TASK_STATUS action for `set_id`; returns the reply's
+    fields."""
+    channel.send(FrameType.TASK_STATUS, wire.encode_fields({
+        ST_SET: set_id, ST_ACTION: wire.u8(action)}))
+    return wire.decode_fields(channel.expect(FrameType.TASK_STATUS).payload)
+
+
 @dataclass
 class TaskHandle:
     channel: Channel
@@ -634,21 +641,9 @@ class TaskClient:
                  security: SecurityMode = SecurityMode.NONSECURE,
                  streams: int = 1, buffer_size: int = wire.DEFAULT_MAX_PAYLOAD,
                  chunk_size: int | None = None):
-        self.address = address
-        self.username = username
-        self.psk = psk
-        self.security = security
         self.mover = TransferClient(address, username, psk, security=security,
                                     streams=streams, buffer_size=buffer_size,
                                     chunk_size=chunk_size)
-        self.buffer_size = buffer_size
-        self.streams = streams
-
-    def _connect(self) -> Channel:
-        params = SessionParams(Mode.TASK, self.security,
-                               buffer_size=self.buffer_size,
-                               stream_count=self.streams)
-        return secchan.connect(self.address, params, self.username, self.psk)
 
     def submit(self, tasks: list[TaskSpec]) -> TaskHandle:
         if not tasks:
@@ -665,7 +660,7 @@ class TaskClient:
                 raise StagingFailed(f"dependency source missing: {source}")
 
         set_id = os.urandom(16)
-        channel = self._connect()
+        channel = self.mover.dial(Mode.TASK)
         try:
             channel.send(FrameType.TASK_SUBMIT, wire.encode_fields({
                 SUB_SET: set_id,
@@ -679,15 +674,11 @@ class TaskClient:
                     self.mover.push_on(channel, Path(source), name)
             except (GridfsError, OSError) as exc:
                 try:
-                    channel.send(FrameType.TASK_STATUS, wire.encode_fields({
-                        ST_SET: set_id, ST_ACTION: wire.u8(ACT_ABORT)}))
-                    channel.expect(FrameType.TASK_STATUS)
+                    _set_action(channel, set_id, ACT_ABORT)
                 except GridfsError:
                     pass
                 raise StagingFailed(f"staging failed: {exc}") from exc
-            channel.send(FrameType.TASK_STATUS, wire.encode_fields({
-                ST_SET: set_id, ST_ACTION: wire.u8(ACT_RUN)}))
-            channel.expect(FrameType.TASK_STATUS)
+            _set_action(channel, set_id, ACT_RUN)
         except BaseException:
             channel.close()
             raise
@@ -696,12 +687,9 @@ class TaskClient:
     def reattach(self, set_id: bytes, total: int = 0) -> TaskHandle:
         """Reopen a handle after a lost connection, within the retention
         window."""
-        channel = self._connect()
+        channel = self.mover.dial(Mode.TASK)
         try:
-            channel.send(FrameType.TASK_STATUS, wire.encode_fields({
-                ST_SET: set_id, ST_ACTION: wire.u8(ACT_ATTACH)}))
-            status = wire.decode_fields(
-                channel.expect(FrameType.TASK_STATUS).payload)
+            status = _set_action(channel, set_id, ACT_ATTACH)
         except BaseException:
             channel.close()
             raise
@@ -710,10 +698,7 @@ class TaskClient:
 
     def status(self, handle: TaskHandle) -> tuple[int, int, int]:
         """(phase, done, total) for a submitted set."""
-        handle.channel.send(FrameType.TASK_STATUS, wire.encode_fields({
-            ST_SET: handle.set_id, ST_ACTION: wire.u8(ACT_QUERY)}))
-        fields = wire.decode_fields(
-            handle.channel.expect(FrameType.TASK_STATUS).payload)
+        fields = _set_action(handle.channel, handle.set_id, ACT_QUERY)
         return (wire.read_uint(fields, ST_PHASE),
                 wire.read_uint(fields, ST_DONE),
                 wire.read_uint(fields, ST_TOTAL))
@@ -738,9 +723,7 @@ class TaskClient:
                         self.mover.pull_on(handle.channel, name,
                                            output_dir / name)
                         fetched.add(name)
-        handle.channel.send(FrameType.TASK_STATUS, wire.encode_fields({
-            ST_SET: handle.set_id, ST_ACTION: wire.u8(ACT_FINISH)}))
-        handle.channel.expect(FrameType.TASK_STATUS)
+        _set_action(handle.channel, handle.set_id, ACT_FINISH)
         return results
 
     def close(self, handle: TaskHandle) -> None:

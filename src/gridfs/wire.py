@@ -200,31 +200,8 @@ def read_f64(fields: dict[int, bytes], tag: int, default: float = 0.0) -> float:
     return struct.unpack(">d", raw)[0]
 
 
-def pack_strings(items: list[str]) -> bytes:
-    """Length-prefixed UTF-8 string list, used inside field values."""
-    out = bytearray()
-    for s in items:
-        raw = s.encode("utf-8")
-        out += struct.pack(">I", len(raw)) + raw
-    return bytes(out)
-
-
-def unpack_strings(data: bytes) -> list[str]:
-    items = []
-    pos = 0
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise MalformedFieldMap("truncated string list")
-        (n,) = struct.unpack(">I", data[pos:pos + 4])
-        pos += 4
-        if pos + n > len(data):
-            raise MalformedFieldMap("truncated string list entry")
-        items.append(data[pos:pos + n].decode("utf-8"))
-        pos += n
-    return items
-
-
 def pack_blobs(items: list[bytes]) -> bytes:
+    """Length-prefixed byte-string list, used inside field values."""
     out = bytearray()
     for b in items:
         out += struct.pack(">I", len(b)) + b
@@ -244,6 +221,15 @@ def unpack_blobs(data: bytes) -> list[bytes]:
         items.append(data[pos:pos + n])
         pos += n
     return items
+
+
+def pack_strings(items: list[str]) -> bytes:
+    """A blob list of UTF-8 strings."""
+    return pack_blobs([s.encode("utf-8") for s in items])
+
+
+def unpack_strings(data: bytes) -> list[str]:
+    return [b.decode("utf-8") for b in unpack_blobs(data)]
 
 
 # -- session parameters -----------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import socket
 import threading
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gridfs import wire
+from gridfs import dfsm, wire
 from gridfs.dfsm import (
     WHOLE_FILE,
     DfsServer,
@@ -424,3 +425,72 @@ class TestConcurrentSchedules:
             assert results[i] == blob[i * piece:(i + 1) * piece]
         for client in clients:
             client.__exit__(None, None, None)
+
+
+def test_lock_waits_for_a_write_in_progress(tmp_path, monkeypatch):
+    """The conflict check and the write run under one guard: a LOCK over
+    the range cannot be granted while the write is still in os.pwrite."""
+    account = make_account(tmp_path)
+    locks = LockTable()
+    fs, _ = dfs_pair(account, locks)
+    key = str(resolve_path(account.sandbox_root, "guarded.bin"))
+    entered, release = threading.Event(), threading.Event()
+    real_pwrite = os.pwrite
+
+    def held_pwrite(fd, data, offset):
+        entered.set()
+        release.wait(5)
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", held_pwrite)
+    writer = threading.Thread(target=fs.write,
+                              args=("guarded.bin", 0, b"w" * 100),
+                              daemon=True)
+    writer.start()
+    assert entered.wait(5)
+    granted = []
+    locker = threading.Thread(
+        target=lambda: granted.append(locks.acquire(key, 0, 10, b"L" * 16)),
+        daemon=True)
+    locker.start()
+    locker.join(0.3)
+    assert granted == []          # still waiting on the write
+    release.set()
+    writer.join(5)
+    locker.join(5)
+    assert not writer.is_alive() and not locker.is_alive()
+    assert len(granted) == 1
+    fs.close()
+
+
+def test_setlength_refuses_when_the_file_grew_under_a_lock(tmp_path,
+                                                          monkeypatch):
+    """SETLENGTH checks the range its stat gave it. If the lock holder
+    grows the file between that stat and the guard, the truncate must
+    not drop the locked bytes."""
+    account = make_account(tmp_path)
+    locks = LockTable()
+    holder, _ = dfs_pair(account, locks)
+    other, _ = dfs_pair(account, locks)
+    holder.write("grow.bin", 0, b"x" * 50)
+    holder.lock("grow.bin", 100, 100)
+    real_stat = dfsm._stat
+    grown = []
+
+    def stat_then_grow(path):
+        size = real_stat(path)
+        if not grown:
+            grown.append(True)
+            writer = threading.Thread(target=holder.write,
+                                      args=("grow.bin", 100, b"L" * 100))
+            writer.start()
+            writer.join(5)
+        return size
+
+    monkeypatch.setattr(dfsm, "_stat", stat_then_grow)
+    with pytest.raises(LockConflict):
+        other.set_length("grow.bin", 80)
+    path = account.sandbox_root / "grow.bin"
+    assert path.read_bytes()[100:] == b"L" * 100
+    holder.close()
+    other.close()

@@ -14,6 +14,7 @@ from gridfs import ftsm, secchan, wire
 from gridfs.errors import (
     AuthFailed,
     BadRequest,
+    ConnectionLost,
     EmptyRegion,
     PermissionDenied,
     StateCorrupt,
@@ -594,6 +595,109 @@ def test_resume_of_complete_state_sends_nothing(node, tmp_path):
     assert report.resumed
     assert report.bytes_moved == 0
     assert dst.read_bytes() == data
+    assert not state_path(dst).exists()
+
+
+def test_pull_resume_over_fewer_streams_than_the_sidecar(node, tmp_path):
+    """The sidecar's stream count is grid geometry: a 1-stream pull must
+    resume a 4-stream sidecar over the one data connection it opens."""
+    data = os.urandom(200_000)
+    (storage(node) / "wide.bin").write_bytes(data)
+    local = tmp_path / "wide.bin"
+    grid = ChunkGrid(0, len(data), 4, 4096)
+    state = TransferState.fresh(os.urandom(16), grid)
+    have = 0
+    with open(local, "wb") as handle:
+        for ordinal, (offset, length) in enumerate(grid.chunks()):
+            if ordinal % 3 == 0:
+                handle.seek(offset)
+                handle.write(data[offset:offset + length])
+                state.mark(ordinal, length)
+                have += length
+    save_state(local, state)
+
+    report = client(node, streams=1, chunk_size=4096).pull("wide.bin", local)
+    assert report.resumed
+    assert report.bytes_moved == len(data) - have
+    assert local.read_bytes() == data
+    assert not state_path(local).exists()
+
+
+def test_offer_beyond_one_frame_of_bitmap_is_refused(node, tmp_path):
+    """A region whose resume bitmap cannot fit one frame at the session's
+    buffer size is refused before the node enumerates its chunks, in
+    either direction; the session stays usable."""
+    length = 8 * 4096 + 8        # 1-byte chunks: a bitmap over 4096 bytes
+    (storage(node) / "many.bin").write_bytes(bytes(length))
+    for mode, fields in (
+            (Mode.FTSM_PUSH, {ftsm.X_PATH: b"many-in.bin",
+                              ftsm.X_REGION_OFFSET: wire.u64(0),
+                              ftsm.X_REGION_LENGTH: wire.u64(length)}),
+            (Mode.FTSM_PULL, {ftsm.X_PATH: b"many.bin"})):
+        params = SessionParams(mode, SecurityMode.NONSECURE,
+                               buffer_size=4096, stream_count=1)
+        control = secchan.connect(("127.0.0.1", node.port), params, "grid",
+                                  GRID_PSK)
+        try:
+            assert control.params.buffer_size == 4096
+            for _ in range(2):
+                control.send(FrameType.XFER_OFFER, wire.encode_fields({
+                    ftsm.X_TRANSFER: os.urandom(16),
+                    ftsm.X_STREAMS: wire.u8(1),
+                    ftsm.X_CHUNK_SIZE: wire.u32(1),
+                    **fields}))
+                with pytest.raises(BadRequest):
+                    control.expect(FrameType.XFER_ACCEPT)
+        finally:
+            control.close()
+    assert not (storage(node) / "many-in.bin").exists()
+
+
+def test_stray_frame_inside_an_offer_ends_the_session(node):
+    """A frame out of the transfer choreography is a protocol error: the
+    node drops the transfer and closes the session instead of answering
+    with an ERROR frame and reading on."""
+    params = SessionParams(Mode.FTSM_PUSH, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    control = secchan.connect(("127.0.0.1", node.port), params, "grid",
+                              GRID_PSK)
+    transfer_id = os.urandom(16)
+    try:
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_PATH: b"stray.bin",
+            ftsm.X_REGION_OFFSET: wire.u64(0),
+            ftsm.X_REGION_LENGTH: wire.u64(10),
+            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_CHUNK_SIZE: wire.u32(10),
+        }))
+        control.expect(FrameType.XFER_ACCEPT)
+        control.send(FrameType.TASK_STATUS, b"")    # not XFER_DONE
+        with pytest.raises(ConnectionLost):
+            control.expect(FrameType.XFER_DONE)
+    finally:
+        control.close()
+    assert node.registry.lookup(transfer_id) is None
+
+
+def test_push_after_the_landed_part_changed_starts_afresh(node, tmp_path):
+    """A resume whose already-landed chunks no longer match the source
+    fails its digest; the node drops the full sidecar and the client's
+    retry pushes the whole file again."""
+    old = os.urandom(100_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(old)
+    sent = interrupted_push(node, src, "changed.bin", fraction=0.5)
+    dst = storage(node) / "changed.bin"
+    wait_for_state(dst, sent)
+    new = os.urandom(sent) + old[sent:]
+    src.write_bytes(new)
+
+    report = client(node, streams=2, chunk_size=4096).push(src,
+                                                         "changed.bin")
+    assert not report.resumed
+    assert report.bytes_moved == len(new)
+    assert dst.read_bytes() == new
     assert not state_path(dst).exists()
 
 

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfs import secchan, wire
-from gridfs.errors import CounterExhausted, IntegrityFailure, ProtocolError
+from gridfs.errors import (
+    BadRequest,
+    CounterExhausted,
+    IntegrityFailure,
+    ProtocolError,
+)
 from gridfs.secchan import (
     CLEAR,
     FIELD_SEALED,
@@ -244,3 +249,39 @@ class TestChannel:
         t.join()
         assert frame.payload == blob
         client.close(), server.close()
+
+
+def test_serve_reports_request_errors_and_ends_on_protocol_errors():
+    """The control-session loop answers a failed request with an ERROR
+    frame and takes the next one; a frame of another type ends it."""
+    client, server = channel_pair(SecurityMode.SECURE)
+    client.sock.settimeout(5)
+    handled = []
+
+    def handle(frame):
+        handled.append(frame.payload)
+        if frame.payload == b"bad":
+            raise BadRequest("refused")
+        server.send(FrameType.TASK_STATUS, b"ok")
+
+    outcome = []
+
+    def run():
+        try:
+            server.serve(handle, FrameType.TASK_SUBMIT)
+        except ProtocolError as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    client.send(FrameType.TASK_SUBMIT, b"bad")
+    with pytest.raises(BadRequest, match="refused"):
+        client.expect(FrameType.TASK_STATUS)
+    client.send(FrameType.TASK_SUBMIT, b"good")
+    assert client.expect(FrameType.TASK_STATUS).payload == b"ok"
+    client.send(FrameType.CRYPT_TASK, b"stray")
+    thread.join(5)
+    assert not thread.is_alive()
+    assert len(outcome) == 1 and handled == [b"bad", b"good"]
+    client.close(), server.close()
+

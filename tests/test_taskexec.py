@@ -454,3 +454,31 @@ def test_dotted_dependency_names_rejected(node, tmp_path):
     with pytest.raises((BadRequest, StagingFailed)):
         client.submit([task])
     assert not (node.config.storage_root / "home" / "escape").exists()
+
+
+def test_set_abandoned_in_staging_is_dropped(node):
+    """Driving the protocol by hand: submit a set with a dependency, then
+    hang up before staging it. The set can never run, so the node forgets
+    it and removes its work directory."""
+    params = SessionParams(Mode.TASK, SecurityMode.NONSECURE)
+    channel = secchan.connect(("127.0.0.1", node.port), params, "alice",
+                              ALICE_PSK)
+    set_id = b"\xbb" * 16
+    try:
+        task = process_task(SH, ["-c", "true"],
+                            dependencies=[("data.bin", "ignored")])
+        channel.send(FrameType.TASK_SUBMIT, wire.encode_fields({
+            taskexec.SUB_SET: set_id,
+            taskexec.SUB_COUNT: wire.u16(1),
+            taskexec.SUB_TASKS: wire.pack_blobs([taskexec.encode_spec(task)]),
+        }))
+        channel.expect(FrameType.TASK_STATUS)
+        workdir = tasksets_dir(node, "alice") / set_id.hex()
+        assert workdir.is_dir()
+    finally:
+        channel.close()
+    deadline = time.monotonic() + 5
+    while workdir.exists() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not workdir.exists()
+    assert set_id not in node.tasks._sets
