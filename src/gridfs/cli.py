@@ -341,8 +341,6 @@ def cmd_crypt_encrypt(args) -> int:
         block_size=args.block_size,
         security=SECURITY_NAMES[args.security],
         collector=collector,
-        listen_host=args.listen_host,
-        advertise_host=args.advertise_host,
         buffer_size=args.buffer,
         manifest_path=Path(args.manifest) if args.manifest else None)
     manifest_path = (Path(args.manifest) if args.manifest
@@ -514,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--block-size", type=int,
                            default=DEFAULT_BLOCK_SIZE, metavar="BYTES")
             q.add_argument("--collector", metavar="HOST[:PORT]")
-            q.add_argument("--listen-host", default="127.0.0.1")
-            q.add_argument("--advertise-host", default=None)
         else:
             q.add_argument("--out", metavar="FILE")
         add_client_options(q)

@@ -1,11 +1,11 @@
 """Distributed block cryptography: slice, fan out, encrypt, reassemble.
 
 A file is cut into fixed-size blocks. Each block becomes one task: a worker
-node reads its plaintext range from the distributor's remote file system
-service, encrypts it, and keeps the headed block in its own store or streams
-it to a collector node. A manifest records where every block ended up; the
-reverse path pulls the blocks back, verifies each one, and rebuilds the
-file bit for bit.
+node reads its plaintext range over the session that carried the task (the
+distributor answers reads of that one file only), encrypts it, and keeps
+the headed block in its own store or streams it to a collector node. A
+manifest records where every block ended up; the reverse path pulls the
+blocks back, verifies each one, and rebuilds the file bit for bit.
 
 Every block file starts with a fixed 32-byte header: the 0-based block
 index, the ciphertext length, and the MD5 digest of the block's plaintext.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
 import struct
 import tempfile
 import threading
@@ -39,7 +38,7 @@ from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import secchan, wire
-from .dfsm import FsClient
+from .dfsm import FileShare, FsClient
 from .errors import (
     BadPadding,
     BadRequest,
@@ -68,11 +67,11 @@ DIR_ENCRYPT = 0            # the only direction a worker serves
 
 # CRYPT_TASK request fields; tag 2 is the sealed one, keep secrets there
 C_PART = 1
-C_SECRETS = 2              # nested map: key, iv, delegated credentials
+C_SECRETS = 2              # nested map: key, iv, credentials for a collector
 C_CIPHER = 3
 C_DIRECTION = 4
-C_SOURCE = 5               # "host:port" of the node holding the plaintext
-C_PATH = 6                 # remote file holding the plaintext
+# tag 5 is retired: it named a node serving the plaintext; do not reuse it
+C_PATH = 6                 # name the distributor shares the plaintext under
 C_OFFSET = 7
 C_LENGTH = 8
 C_BLOCK = 9                # block file name in the worker's store
@@ -428,8 +427,8 @@ def _flat_name(name: str) -> bool:
 class CryptWorker:
     """Server side of CRYPT mode: executes one encrypt task per request.
 
-    A task reads its plaintext range from the source node's file service,
-    so the bulk data never stages through the distributor's memory. Blocks
+    A task reads its plaintext range with DFS READs over the same session,
+    piece by piece, so neither side holds the whole range in memory. Blocks
     are decrypted where they are reassembled, never on a worker.
     """
 
@@ -454,7 +453,6 @@ class CryptWorker:
         direction = wire.read_uint(fields, C_DIRECTION, DIR_ENCRYPT)
         if direction != DIR_ENCRYPT:
             raise BadRequest(f"unknown direction {direction}")
-        source = fields.get(C_SOURCE, b"").decode("utf-8")
         path = fields.get(C_PATH, b"").decode("utf-8")
         name = fields.get(C_BLOCK, b"").decode("utf-8")
         if not _flat_name(name):
@@ -463,30 +461,28 @@ class CryptWorker:
         length = wire.read_uint(fields, C_LENGTH)
         collector = fields.get(C_COLLECTOR, b"").decode("utf-8")
         self._encrypt(channel, account, params, username, psk, part,
-                      source, path, offset, length, name, collector)
+                      path, offset, length, name, collector)
         channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
             C_PART: wire.u64(part), C_DONE: wire.u8(1)}))
 
     def _encrypt(self, channel: Channel, account: Account,
                  params: CipherParams, username: str, psk: bytes, part: int,
-                 source: str, path: str, offset: int, length: int,
+                 path: str, offset: int, length: int,
                  name: str, collector: str) -> None:
         piece_size = channel.params.buffer_size
-        fs_params = SessionParams(Mode.DFSM, channel.params.security,
-                                  buffer_size=piece_size)
-        with FsClient(secchan.connect(parse_endpoint(source), fs_params,
-                                      username, psk)) as fs:
-            def pieces():
-                done = 0
-                while done < length:
-                    piece = fs.read(path, offset + done,
-                                    min(piece_size, length - done))
-                    if not piece:
-                        raise BadRequest(
-                            "source file ends inside the block range")
-                    done += len(piece)
-                    yield piece
-            block = encrypt_block_stream(pieces(), params, part)
+        # not a context manager: its close would end the crypt session
+        fs = FsClient(channel)
+        def pieces():
+            done = 0
+            while done < length:
+                piece = fs.read(path, offset + done,
+                                min(piece_size, length - done))
+                if not piece:
+                    raise BadRequest(
+                        "source file ends inside the block range")
+                done += len(piece)
+                yield piece
+        block = encrypt_block_stream(pieces(), params, part)
 
         destination = account.sandbox_root / BLOCK_SUBDIR / name
         destination.parent.mkdir(parents=True, exist_ok=True)
@@ -507,67 +503,35 @@ class CryptWorker:
 
 # -- distributor ------------------------------------------------------------
 
-def _share_file(file: Path, username: str, psk: bytes, listen_host: str,
-                buffer_cap: int):
-    """Stand up a throwaway node whose file service exposes exactly one
-    file to exactly one account. Returns (server, tempdir handle)."""
-    from .node import NodeConfig, NodeServer
-    from .perms import PermissionDoc, serialize_permissions
-
-    scratch = tempfile.TemporaryDirectory(prefix="gridfs-share-")
-    root = Path(scratch.name) / "store"
-    etc = root / "etc" / "accounts"
-    etc.mkdir(parents=True)
-    (root / "etc" / "credentials").write_text(
-        f"{username}:{psk.hex()}\n")
-    (etc / f"{username}.xml").write_text(serialize_permissions(
-        PermissionDoc.others(FileIOPermission=True)))
-    home = root / "home" / username
-    home.mkdir(parents=True)
-    try:
-        os.link(file, home / file.name)
-    except OSError:
-        shutil.copy2(file, home / file.name)
-
-    config = NodeConfig(host=listen_host, port=0, storage_root=root,
-                        modes=frozenset({Mode.DFSM}), buffer_cap=buffer_cap)
-    server = NodeServer(config)
-    try:
-        server.start()
-    except BaseException:
-        scratch.cleanup()
-        raise
-    return server, scratch
-
-
 def _encrypt_task_fields(part: int, offset: int, length: int,
                          params: CipherParams, username: str, psk: bytes,
-                         source: str, path: str, name: str,
+                         path: str, name: str,
                          collector: str | None) -> dict[int, bytes]:
+    secret = {SEC_KEY: params.key, SEC_IV: params.iv}
     fields = {
         C_PART: wire.u64(part),
-        C_SECRETS: wire.encode_fields({
-            SEC_KEY: params.key, SEC_IV: params.iv,
-            SEC_USER: username.encode("utf-8"), SEC_PSK: psk}),
         C_CIPHER: params.cipher.encode("utf-8"),
         C_DIRECTION: wire.u8(DIR_ENCRYPT),
-        C_SOURCE: source.encode("utf-8"),
         C_PATH: path.encode("utf-8"),
         C_OFFSET: wire.u64(offset),
         C_LENGTH: wire.u64(length),
         C_BLOCK: name.encode("utf-8"),
     }
     if collector:
+        secret.update({SEC_USER: username.encode("utf-8"), SEC_PSK: psk})
         fields[C_COLLECTOR] = collector.encode("utf-8")
+    fields[C_SECRETS] = wire.encode_fields(secret)
     return fields
 
 
 def _run_queue(address: str, tasks: list[dict[int, bytes]],
                username: str, psk: bytes, security: SecurityMode,
-               buffer_size: int) -> tuple[list[int], GridfsError | None]:
-    """Feed one worker its task queue over a single crypt session.
-    Returns the completed part numbers and the error that stopped the
-    queue, if any."""
+               buffer_size: int, source: Path
+               ) -> tuple[list[int], GridfsError | None]:
+    """Feed one worker its task queue over a single crypt session, and
+    answer the worker's reads of `source` while each task runs. Returns
+    the completed part numbers and the error that stopped the queue, if
+    any."""
     completed: list[int] = []
     try:
         channel = secchan.connect(
@@ -581,8 +545,10 @@ def _run_queue(address: str, tasks: list[dict[int, bytes]],
     try:
         for fields in tasks:
             channel.send(FrameType.CRYPT_TASK, wire.encode_fields(fields))
+            # the worker's request ids start over with each task
+            share = FileShare(channel, source, source.name)
             reply = wire.decode_fields(
-                channel.expect(FrameType.CRYPT_TASK).payload)
+                share.answer_until(FrameType.CRYPT_TASK).payload)
             completed.append(wire.read_uint(reply, C_PART))
         return completed, None
     except GridfsError as exc:
@@ -596,16 +562,15 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
                block_size: int = DEFAULT_BLOCK_SIZE,
                security: SecurityMode = SecurityMode.NONSECURE,
                collector: str | None = None,
-               listen_host: str = "127.0.0.1",
-               advertise_host: str | None = None,
                buffer_size: int = wire.DEFAULT_MAX_PAYLOAD,
                manifest_path: Path | None = None) -> PlacementMap:
     """Encrypt `file` across `workers`, returning the placement manifest.
 
-    The file is shared read-only through a throwaway node for the duration
-    of the run; workers pull their ranges from it directly. A worker that
-    dies forfeits all its blocks (they die with its store) and the run
-    redistributes them over the survivors.
+    Each worker reads its plaintext ranges over the crypt session that
+    carries its tasks, and this process answers those reads: READ of this
+    one file, by its name, and nothing else. No port is opened. A worker
+    that dies forfeits all its blocks (they die with its store) and the
+    run redistributes them over the survivors.
     """
     file = Path(file)
     params.spec()
@@ -622,67 +587,55 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
         save_manifest(manifest, manifest_path)
         return manifest
 
-    server, scratch = _share_file(file, username, psk, listen_host,
-                                  buffer_size)
-    host = advertise_host or listen_host
-    source = f"{host}:{server.port}"
     lengths = {part: length for part, _, length in plan}
     offsets = {part: offset for part, offset, _ in plan}
-    try:
-        alive = list(workers)
-        pending = [part for part, _, _ in plan]
-        while pending:
-            queues = assign_round_robin(pending, len(alive))
-            outcomes = [([], None)] * len(alive)
+    alive = list(workers)
+    pending = [part for part, _, _ in plan]
+    while pending:
+        queues = assign_round_robin(pending, len(alive))
+        outcomes = [([], None)] * len(alive)
 
-            def run(index: int) -> None:
-                tasks = [
-                    _encrypt_task_fields(
-                        part, offsets[part], lengths[part], params,
-                        username, psk, source, file.name,
-                        block_name(file.name, part), collector)
-                    for part in queues[index]]
-                outcomes[index] = _run_queue(alive[index], tasks, username,
-                                             psk, security, buffer_size)
+        def run(index: int) -> None:
+            tasks = [
+                _encrypt_task_fields(
+                    part, offsets[part], lengths[part], params,
+                    username, psk, file.name,
+                    block_name(file.name, part), collector)
+                for part in queues[index]]
+            outcomes[index] = _run_queue(alive[index], tasks, username,
+                                         psk, security, buffer_size, file)
 
-            for index, exc in enumerate(fan_out(run, len(alive))):
-                if exc is not None:
-                    outcomes[index] = ([], WorkerFailed(str(exc)))
+        for index, exc in enumerate(fan_out(run, len(alive))):
+            if exc is not None:
+                outcomes[index] = ([], WorkerFailed(str(exc)))
 
-            errors = []
-            survivors = []
-            still_pending = []
-            for address, queue, (completed, error) in zip(alive, queues,
-                                                          outcomes):
-                if error is None:
-                    survivors.append(address)
-                    holder = collector or address
-                    for part in completed:
-                        manifest.placements[part] = Placement(
-                            part, holder, block_name(file.name, part))
-                    continue
-                errors.append(error)
-                # a dead worker's store is gone: blocks it already wrote
-                # are lost too, unless they went to the collector
-                if collector:
-                    for part in completed:
-                        manifest.placements[part] = Placement(
-                            part, collector, block_name(file.name, part))
-                    still_pending += [p for p in queue
-                                      if p not in completed]
-                else:
-                    still_pending += queue
-            alive = survivors
-            pending = still_pending
-            if pending and not alive:
-                if errors and all(isinstance(e, PermissionDenied)
-                                  for e in errors):
-                    raise errors[-1]
-                raise WorkerFailed(
-                    f"{len(pending)} blocks unplaced: {errors[-1]}")
-    finally:
-        server.stop()
-        scratch.cleanup()
+        errors = []
+        survivors = []
+        still_pending = []
+        for address, queue, (completed, error) in zip(alive, queues, outcomes):
+            if error is None:
+                survivors.append(address)
+                holder = collector or address
+                for part in completed:
+                    manifest.placements[part] = Placement(
+                        part, holder, block_name(file.name, part))
+                continue
+            errors.append(error)
+            # a dead worker's store is gone: blocks it already wrote
+            # are lost too, unless they went to the collector
+            if collector:
+                for part in completed:
+                    manifest.placements[part] = Placement(
+                        part, collector, block_name(file.name, part))
+                still_pending += [p for p in queue if p not in completed]
+            else:
+                still_pending += queue
+        alive = survivors
+        pending = still_pending
+        if pending and not alive:
+            if errors and all(isinstance(e, PermissionDenied) for e in errors):
+                raise errors[-1]
+            raise WorkerFailed(f"{len(pending)} blocks unplaced: {errors[-1]}")
 
     for part, _, _ in plan:
         if part not in manifest.placements:

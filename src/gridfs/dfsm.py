@@ -55,7 +55,7 @@ from .errors import (
 )
 from .perms import Account, ActionKind, GuardedAction, check
 from .secchan import Channel
-from .wire import FrameType
+from .wire import Frame, FrameType
 
 log = logging.getLogger("gridfs.dfsm")
 
@@ -372,6 +372,38 @@ class DfsServer:
             reply[F_LENGTH] = wire.u64(1 if st.exists else 0)
         else:
             raise BadRequest(f"unhandled op {op}")
+        return True
+
+
+class FileShare(DfsServer):
+    """Answers DFS requests for one local file on a channel opened for
+    another mode: a READ of `name` is served from `path`, and any other
+    op or name is denied. The peer's request ids count from 1 for each
+    share."""
+
+    def __init__(self, channel: Channel, path: Path, name: str):
+        super().__init__(channel, None, LockTable())
+        self.path = path
+        self.name = name.encode("utf-8")
+
+    def answer_until(self, frame_type: int) -> Frame:
+        """Answer DFS_REQ frames until a `frame_type` frame arrives, and
+        return it; an ERROR frame raises."""
+        while True:
+            frame = self.channel.expect(FrameType.DFS_REQ, frame_type)
+            if frame.frame_type != FrameType.DFS_REQ:
+                return frame
+            self._handle(frame.payload)
+
+    def _dispatch(self, op: Op, fields: dict[int, bytes],
+                  reply: dict[int, bytes]) -> bool:
+        if op != Op.READ or fields.get(F_PATH) != self.name:
+            raise PermissionDenied("the share serves READ of one file")
+        length = min(wire.read_uint(fields, F_LENGTH, 0),
+                     self.channel.params.buffer_size)
+        with _opened(self.path, os.O_RDONLY) as fd:
+            reply[F_DATA] = os.pread(fd, length,
+                                     wire.read_uint(fields, F_OFFSET, 0))
         return True
 
 

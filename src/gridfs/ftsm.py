@@ -789,17 +789,16 @@ class FtsmService:
                    stream_index: int) -> None:
         session = self.registry.lookup(transfer_id)
         if session is None:
-            channel.send_error(BadRequest("unknown transfer"))
-            channel.close()
-            return
-        if channel.params.security != session.security:
-            channel.send_error(BadRequest(
-                "data connection security differs from the control session"))
-            channel.close()
-            return
-        if channel.username != session.account.username:
-            channel.send_error(BadRequest(
-                "data connection user differs from the transfer owner"))
+            refusal = "unknown transfer"
+        elif channel.params.security != session.security:
+            refusal = ("data connection security differs from the "
+                       "control session")
+        elif channel.username != session.account.username:
+            refusal = "data connection user differs from the transfer owner"
+        else:
+            refusal = None
+        if refusal is not None:
+            channel.send_error(BadRequest(refusal))
             channel.close()
             return
         session.attach()

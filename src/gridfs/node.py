@@ -132,14 +132,14 @@ class NodeServer:
         self.registry = TransferRegistry()
         self.ftsm = FtsmService(self.registry,
                                 drain_timeout=config.drain_timeout)
-        self.tasks = TaskService(self.registry, workers=config.task_workers,
+        self.tasks = TaskService(self.registry, config.drain_timeout,
+                                 workers=config.task_workers,
                                  retention=config.task_retention)
         self.crypt = CryptWorker()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stopping = threading.Event()
         self._sessions_lock = threading.Lock()
-        self._session_count = 0
         self._conns: set[socket.socket] = set()
         self.port = config.port
 
@@ -202,10 +202,9 @@ class NodeServer:
                 conn.close()
                 return
             with self._sessions_lock:
-                if self._session_count >= self.config.max_sessions:
+                if len(self._conns) >= self.config.max_sessions:
                     self._refuse(conn)
                     continue
-                self._session_count += 1
                 self._conns.add(conn)
             thread = threading.Thread(target=self._session, args=(conn, peer),
                                       daemon=True)
@@ -237,7 +236,6 @@ class NodeServer:
             except OSError:
                 pass
             with self._sessions_lock:
-                self._session_count -= 1
                 self._conns.discard(conn)
 
     def _handle_session(self, conn: socket.socket) -> None:

@@ -424,8 +424,8 @@ class TaskService:
     node shares with its own FtsmService: every data connection goes to
     that service, which finds the transfer there."""
 
-    def __init__(self, registry: TransferRegistry, workers: int = 4,
-                 retention: float = 600.0, drain_timeout: float = 10.0):
+    def __init__(self, registry: TransferRegistry, drain_timeout: float,
+                 workers: int = 4, retention: float = 600.0):
         self.pool = ThreadPoolExecutor(max_workers=max(1, workers),
                                        thread_name_prefix="task")
         self.retention = retention

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import ALICE_PSK, BOB_PSK
 from gridfs import cryptengine as ce
+from gridfs import wire
 from gridfs.errors import (
     BadPadding,
     BadRequest,
@@ -425,18 +426,32 @@ def test_no_workers_refused(tmp_path):
         ce.distribute(source, [], PARAMS, "alice", ALICE_PSK)
 
 
-def test_worker_refuses_any_direction_but_encrypt(node_factory):
+def test_worker_refuses_any_direction_but_encrypt(node_factory, tmp_path):
     worker = node_factory("w1")
     task = ce._encrypt_task_fields(0, 0, 16, PARAMS, "alice", ALICE_PSK,
-                                   "127.0.0.1:1", "data.bin", "data.blk0",
-                                   None)
+                                   "data.bin", "data.blk0", None)
     task[ce.C_DIRECTION] = b"\x01"
     completed, error = ce._run_queue(endpoint(worker), [task], "alice",
                                      ALICE_PSK, SecurityMode.NONSECURE,
-                                     65536)
+                                     65536, tmp_path / "data.bin")
     assert completed == []
     assert isinstance(error, BadRequest)
     assert "direction" in str(error)
+
+
+def test_credentials_travel_only_to_reach_a_collector():
+    """A worker needs the user's credentials only to push its block to a
+    collector; without one, the task's secrets carry the key and IV
+    alone."""
+    def secrets(collector):
+        task = ce._encrypt_task_fields(0, 0, 16, PARAMS, "alice", ALICE_PSK,
+                                       "data.bin", "data.blk0", collector)
+        return wire.decode_fields(task[ce.C_SECRETS])
+
+    assert secrets(None) == {ce.SEC_KEY: KEY, ce.SEC_IV: IV}
+    assert secrets("127.0.0.1:2525") == {
+        ce.SEC_KEY: KEY, ce.SEC_IV: IV,
+        ce.SEC_USER: b"alice", ce.SEC_PSK: ALICE_PSK}
 
 
 def test_empty_file_round_trip(node_factory, tmp_path):

@@ -494,3 +494,49 @@ def test_setlength_refuses_when_the_file_grew_under_a_lock(tmp_path,
     assert path.read_bytes()[100:] == b"L" * 100
     holder.close()
     other.close()
+
+
+# -- one-file share ---------------------------------------------------------
+
+def test_file_share_answers_only_reads_of_its_one_file(tmp_path):
+    """The responder a crypt distributor runs on a worker's session: it
+    answers a READ of its one file and denies every other op and name,
+    so the shared file stays byte-identical."""
+    data = os.urandom(4096)
+    shared = tmp_path / "plain.bin"
+    shared.write_bytes(data)
+    (tmp_path / "other.bin").write_bytes(b"other")
+    a, b = socket.socketpair()
+    params = SessionParams(Mode.CRYPT, SecurityMode.SECURE)
+    cn, sn = b"c" * 16, b"s" * 16
+    client = Channel(a, params, ChannelKeys.for_role(PSK, cn, sn, True))
+    server = Channel(b, params, ChannelKeys.for_role(PSK, cn, sn, False))
+    share = dfsm.FileShare(server, shared, "plain.bin")
+    ended = []
+    thread = threading.Thread(
+        target=lambda: ended.append(share.answer_until(FrameType.CRYPT_TASK)),
+        daemon=True)
+    thread.start()
+    fs = FsClient(client)
+
+    assert fs.read("plain.bin", 100, 200) == data[100:300]
+    for attempt in (lambda: fs.write("plain.bin", 0, b"OVERWRITTEN"),
+                    lambda: fs.set_length("plain.bin", 1),
+                    lambda: fs.lock("plain.bin", 0, 16),
+                    lambda: fs.stat("plain.bin"),
+                    lambda: fs.read("other.bin", 0, 5),
+                    lambda: fs.read("../plain.bin", 0, 5)):
+        with pytest.raises(PermissionDenied):
+            attempt()
+    assert fs.read("plain.bin", 0, len(data)) == data
+    fs._next_request_id = 1    # a replayed request id
+    with pytest.raises(BadRequest):
+        fs.read("plain.bin", 0, 16)
+
+    client.send(FrameType.CRYPT_TASK, b"")
+    thread.join(5)
+    assert not thread.is_alive()
+    assert ended[0].frame_type == FrameType.CRYPT_TASK
+    assert shared.read_bytes() == data
+    client.close()
+    server.close()

@@ -680,6 +680,50 @@ def test_stray_frame_inside_an_offer_ends_the_session(node):
     assert node.registry.lookup(transfer_id) is None
 
 
+@pytest.mark.parametrize("case, message", [
+    ("unknown id", "unknown transfer"),
+    ("other security",
+     "data connection security differs from the control session"),
+    ("other user", "data connection user differs from the transfer owner"),
+])
+def test_data_connection_admission_refusals(node, case, message):
+    """A data connection joins a live transfer only with its id, its
+    security mode and its owner; anything else gets an ERROR frame that
+    says which."""
+    address = ("127.0.0.1", node.port)
+    control = secchan.connect(address, SessionParams(
+        Mode.FTSM_PUSH, SecurityMode.NONSECURE, buffer_size=65536,
+        stream_count=1), "grid", GRID_PSK)
+    transfer_id = os.urandom(16)
+    try:
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_PATH: b"admit.bin",
+            ftsm.X_REGION_OFFSET: wire.u64(0),
+            ftsm.X_REGION_LENGTH: wire.u64(10),
+            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_CHUNK_SIZE: wire.u32(10),
+        }))
+        control.expect(FrameType.XFER_ACCEPT)
+        security = (SecurityMode.SECURE if case == "other security"
+                    else SecurityMode.NONSECURE)
+        username, psk = (("alice", ALICE_PSK) if case == "other user"
+                         else ("grid", GRID_PSK))
+        data = secchan.connect(
+            address, SessionParams(Mode.FTSM_PUSH, security,
+                                   buffer_size=65536, stream_count=1),
+            username, psk, transfer_id=(os.urandom(16) if case == "unknown id"
+                                        else transfer_id))
+        try:
+            with pytest.raises(BadRequest) as refused:
+                data.expect(FrameType.CHUNK)
+            assert str(refused.value) == message
+        finally:
+            data.close()
+    finally:
+        control.close()
+
+
 def test_push_after_the_landed_part_changed_starts_afresh(node, tmp_path):
     """A resume whose already-landed chunks no longer match the source
     fails its digest; the node drops the full sidecar and the client's

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALICE_PSK, BOB_PSK
-from gridfs import secchan, taskexec, wire
+from gridfs import ftsm, secchan, taskexec, wire
 from gridfs.errors import (
     BadRequest,
     LaunchFailed,
@@ -244,6 +244,29 @@ def test_staged_bytes_survive_round_trip(node, tmp_path):
     client.close(handle)
     assert results[0].status == TaskStatus.OK
     assert (outdir / "copy.bin").read_bytes() == payload
+
+
+def test_staging_waits_the_node_drain_timeout(node_factory, tmp_path,
+                                              monkeypatch):
+    """A node's configured drain_timeout reaches its task sessions:
+    staging waits for its data connections as long as a plain push."""
+    waits = []
+    real_wait = ftsm.TransferSession.wait_quiesce
+
+    def recording_wait(session, timeout, *args, **kwargs):
+        waits.append(timeout)
+        return real_wait(session, timeout, *args, **kwargs)
+
+    monkeypatch.setattr(ftsm.TransferSession, "wait_quiesce", recording_wait)
+    node = node_factory("drain", drain_timeout=2.5)
+    source = tmp_path / "data.bin"
+    source.write_bytes(b"staged")
+    client = alice_client(node)
+    handle = client.submit([process_task(
+        SH, ["-c", "true"], dependencies=[("data.bin", str(source))])])
+    client.collect(handle)
+    client.close(handle)
+    assert waits == [2.5]
 
 
 def test_mixed_statuses_come_back(node):
