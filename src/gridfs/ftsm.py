@@ -32,11 +32,11 @@ A memory-to-memory mode (zero generator into a discarding sink) drives the
 identical protocol path with no disk at either end, for measuring raw
 protocol throughput.
 
-On the sender's XFER_DONE the receiving node waits until its region is
-complete, or until the data connections have been idle for a one-second
-grace. An empty region has no data connections, so it is answered at once;
-the memory sink is complete once it has counted the byte total that
-XFER_DONE claims. Neither waits out the grace.
+A data connection joins its transfer before the node sends it WELCOME,
+and the sender sends no chunk before WELCOME and no XFER_DONE before its
+data connections have closed. So on XFER_DONE the receiving node waits
+only until every joined connection has drained and detached; whatever
+the region then lacks was never sent, and the push is refused at once.
 """
 
 from __future__ import annotations
@@ -457,8 +457,8 @@ class RegionReceiver:
 
 
 class MemSink:
-    """Discarding receiver for the memory-to-memory benchmark. It is
-    complete once it has counted the byte total the sender claims."""
+    """Discarding receiver for the memory-to-memory benchmark. It finishes
+    only if it counted the byte total the sender claims."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -468,11 +468,6 @@ class MemSink:
     def write_chunk(self, offset: int, payload: bytes) -> None:
         with self._lock:
             self.total_received += len(payload)
-
-    def complete(self) -> bool:
-        with self._lock:
-            return self.claimed is not None and \
-                self.total_received >= self.claimed
 
     def finish(self, expected_md5: bytes) -> int:
         with self._lock:
@@ -505,11 +500,10 @@ def send_chunks(channel: Channel, transfer_id: bytes, stream_index: int,
     return sent
 
 
-def receive_chunks(channel: Channel, transfer_id: bytes, receiver,
-                   progress: Callable[[], None] | None = None) -> int:
+def receive_chunks(channel: Channel, transfer_id: bytes, receiver) -> int:
     """Hand each CHUNK frame to `receiver.write_chunk` until the peer
-    closes the connection, calling `progress` after each; returns the
-    payload bytes received. An ERROR frame raises the peer's error."""
+    closes the connection; returns the payload bytes received. An ERROR
+    frame raises the peer's error."""
     received = 0
     while True:
         try:
@@ -521,8 +515,6 @@ def receive_chunks(channel: Channel, transfer_id: bytes, receiver,
             raise BadRequest("chunk for a different transfer")
         receiver.write_chunk(offset, payload)
         received += len(payload)
-        if progress is not None:
-            progress()
 
 
 def fan_out(work: Callable[[int], object],
@@ -562,38 +554,22 @@ class TransferSession:
         self.sender_ctx = sender_ctx      # pull: (src path, assignments)
         self._cond = threading.Condition()
         self._active = 0
-        self._last_activity = time.monotonic()
 
     def attach(self) -> None:
         with self._cond:
             self._active += 1
-            self._last_activity = time.monotonic()
 
     def detach(self) -> None:
         with self._cond:
             self._active -= 1
-            self._last_activity = time.monotonic()
             self._cond.notify_all()
 
-    def touch(self) -> None:
+    def wait_quiesce(self, timeout: float) -> None:
+        """Block until no data connection is attached, or `timeout`
+        expires. A data connection attaches before its WELCOME, so once
+        none is attached, none has a chunk in flight."""
         with self._cond:
-            self._last_activity = time.monotonic()
-            self._cond.notify_all()
-
-    def wait_quiesce(self, timeout: float, grace: float = 1.0) -> None:
-        """Block until the receiver is complete, or the data connections
-        have gone idle for `grace` seconds, or `timeout` expires."""
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while True:
-                if self.receiver.complete():
-                    return
-                now = time.monotonic()
-                if now >= deadline:
-                    return
-                if self._active == 0 and now - self._last_activity >= grace:
-                    return
-                self._cond.wait(min(0.1, deadline - now))
+            self._cond.wait_for(lambda: self._active == 0, timeout)
 
 
 class TransferRegistry:
@@ -713,12 +689,13 @@ class FtsmService:
             fields = wire.decode_fields(frame.payload)
             if isinstance(receiver, MemSink):
                 receiver.claimed = wire.read_uint(fields, X_TOTAL, 0)
-            # returns at once for a complete region, an empty one included
+            # the sender closed its data connections before XFER_DONE:
+            # once they have drained, every chunk it sent has landed
             session.wait_quiesce(self.drain_timeout)
             total = receiver.finish(fields.get(X_MD5, b""))
         except ConnectionLost:
-            # sender vanished: keep the sidecar, but let late or still
-            # draining data connections land their chunks first
+            # sender vanished: keep the sidecar, but let the data
+            # connections still joined land their chunks first
             session.wait_quiesce(min(5.0, self.drain_timeout))
             return
         finally:
@@ -785,41 +762,42 @@ class FtsmService:
 
     # data connections (HELLO carried a transfer_id)
 
-    def serve_data(self, channel: Channel, transfer_id: bytes,
-                   stream_index: int) -> None:
+    def join(self, transfer_id: bytes, username: str,
+             security: SecurityMode) -> TransferSession:
+        """Admit a data connection to its live transfer and attach it;
+        the caller detaches it when the connection ends. Only the
+        transfer's id, security mode and owner are admitted."""
         session = self.registry.lookup(transfer_id)
         if session is None:
-            refusal = "unknown transfer"
-        elif channel.params.security != session.security:
-            refusal = ("data connection security differs from the "
-                       "control session")
-        elif channel.username != session.account.username:
-            refusal = "data connection user differs from the transfer owner"
-        else:
-            refusal = None
-        if refusal is not None:
-            channel.send_error(BadRequest(refusal))
-            channel.close()
-            return
+            raise BadRequest("unknown transfer")
+        if security != session.security:
+            raise BadRequest("data connection security differs from the "
+                             "control session")
+        if username != session.account.username:
+            raise BadRequest(
+                "data connection user differs from the transfer owner")
         session.attach()
+        return session
+
+    def serve_data(self, channel: Channel, session: TransferSession,
+                   stream_index: int) -> None:
+        """Move one joined data connection's chunks: receive them for a
+        push, send this stream's share for a pull."""
         try:
             if session.direction == Mode.FTSM_PUSH:
-                receive_chunks(channel, transfer_id, session.receiver,
-                               session.touch)
+                receive_chunks(channel, session.transfer_id,
+                               session.receiver)
             else:
                 src, assignments = session.sender_ctx
                 if stream_index < len(assignments):
-                    send_chunks(channel, transfer_id, stream_index, src,
-                                assignments[stream_index])
+                    send_chunks(channel, session.transfer_id, stream_index,
+                                src, assignments[stream_index])
         except ConnectionLost:
             pass    # the peer hung up: nobody is left to tell
         except (GridfsError, OSError) as exc:
             log.debug("data stream %d failed: %s", stream_index, exc)
             channel.send_error(exc if isinstance(exc, GridfsError)
                                else StreamLost(f"local file error: {exc}"))
-        finally:
-            session.detach()
-            channel.close()
 
 
 # -- client side ------------------------------------------------------------

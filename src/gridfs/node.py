@@ -5,7 +5,7 @@ the sealed challenge-response AUTH, then hands the connection to whichever
 service the negotiated mode selects: remote file access, parallel transfer
 (either direction), task execution, or block cryptography. Data
 connections for an in-flight transfer carry a transfer id in their HELLO
-and bypass AUTH; the transfer rendezvous validates them instead.
+and bypass AUTH; they join that transfer, which admits them, before WELCOME.
 
 Configuration is a flat `key = value` file. Unknown keys warn and are
 ignored so configs can be shared across versions; a known key with an
@@ -26,6 +26,7 @@ from pathlib import Path
 from . import secchan, wire
 from .dfsm import DfsServer, LockTable
 from .errors import (
+    BadRequest,
     BindFailed,
     GridfsError,
     IntegrityFailure,
@@ -260,17 +261,32 @@ class NodeServer:
         psk = account.psk if account is not None else secrets.token_bytes(32)
         server_nonce = os.urandom(secchan.NONCE_SIZE)
         channel.params = agreed
-        channel.send(FrameType.WELCOME,
-                     wire.welcome_payload(agreed, server_nonce))
-        channel.keys = ChannelKeys.for_role(psk, client_nonce, server_nonce,
-                                            is_client=False)
-        channel.username = username
+
+        def welcome() -> None:
+            channel.send(FrameType.WELCOME,
+                         wire.welcome_payload(agreed, server_nonce))
+            channel.keys = ChannelKeys.for_role(psk, client_nonce,
+                                                server_nonce, is_client=False)
 
         if transfer_id is not None:
-            conn.settimeout(None)
-            self.ftsm.serve_data(channel, transfer_id, stream_index)
+            # join before WELCOME: the client sends no chunk until it has
+            # WELCOME, so a push with no joined connection has none in flight
+            try:
+                session = self.ftsm.join(transfer_id, username,
+                                         agreed.security)
+            except BadRequest as refusal:
+                welcome()
+                channel.send_error(refusal)
+                return
+            try:
+                welcome()
+                conn.settimeout(None)
+                self.ftsm.serve_data(channel, session, stream_index)
+            finally:
+                session.detach()
             return
 
+        welcome()
         try:
             auth = channel.expect(FrameType.AUTH)
         except IntegrityFailure:
@@ -286,7 +302,6 @@ class NodeServer:
                 not secrets.compare_digest(proof, expected):
             channel.send(FrameType.AUTH_FAIL, b"")
             return
-        channel.account = account
         channel.send(FrameType.AUTH_OK, b"")
         conn.settimeout(None)
         self._dispatch(channel, account, agreed.mode)

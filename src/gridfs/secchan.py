@@ -170,8 +170,6 @@ class Channel:
         self.params = params
         self.keys = keys
         self._rbuf = bytearray()
-        self.username: str | None = None
-        self.account = None   # set by the server after AUTH
 
     @property
     def max_payload(self) -> int:
@@ -323,8 +321,9 @@ def connect(address: tuple[str, int], params: SessionParams,
             timeout: float | None = 30.0) -> Channel:
     """Dial a node: HELLO/WELCOME negotiation, key derivation, then AUTH.
 
-    Data connections (transfer_id given) skip AUTH; they are admitted by
-    the transfer rendezvous instead and inherit the owner's key schedule.
+    Data connections (transfer_id given) skip AUTH; the node admits them
+    to their transfer before it sends WELCOME, and they inherit the
+    owner's key schedule.
     """
     if len(username.encode("utf-8")) > MAX_USERNAME:
         raise AuthFailed("username too long")
@@ -343,7 +342,6 @@ def connect(address: tuple[str, int], params: SessionParams,
         frame = channel.expect(FrameType.WELCOME)
         agreed, server_nonce = wire.parse_welcome(frame.payload)
         channel.params = agreed
-        channel.username = username
         if psk is not None:
             channel.keys = ChannelKeys.for_role(psk, client_nonce,
                                                 server_nonce, is_client=True)

@@ -18,6 +18,7 @@ from gridfs.errors import (
     EmptyRegion,
     PermissionDenied,
     StateCorrupt,
+    StreamLost,
 )
 from gridfs.ftsm import (
     ChunkGrid,
@@ -722,6 +723,59 @@ def test_data_connection_admission_refusals(node, case, message):
             data.close()
     finally:
         control.close()
+
+
+def test_push_missing_a_chunk_is_refused_at_once(node):
+    """Driven by hand: XFER_DONE arrives after the only data connection
+    closed with one of two chunks sent. Nothing is left in flight, so the
+    node refuses the push without waiting for more data."""
+    params = SessionParams(Mode.FTSM_PUSH, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    address = ("127.0.0.1", node.port)
+    control = secchan.connect(address, params, "grid", GRID_PSK)
+    transfer_id = os.urandom(16)
+    try:
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_PATH: b"short.bin",
+            ftsm.X_REGION_OFFSET: wire.u64(0),
+            ftsm.X_REGION_LENGTH: wire.u64(20),
+            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_CHUNK_SIZE: wire.u32(10),
+        }))
+        control.expect(FrameType.XFER_ACCEPT)
+        data = secchan.connect(address, params, "grid", GRID_PSK,
+                               transfer_id=transfer_id)
+        data.send(FrameType.CHUNK, pack_chunk(transfer_id, 0, 0, bytes(10)))
+        data.close()
+        start = time.monotonic()
+        control.send(FrameType.XFER_DONE, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id, ftsm.X_MD5: md5(bytes(20))}))
+        with pytest.raises(StreamLost, match="1 chunks never arrived"):
+            control.expect(FrameType.XFER_DONE)
+        assert time.monotonic() - start < 0.5
+    finally:
+        control.close()
+
+
+def test_data_connection_slow_to_join_lands_its_chunks(node, tmp_path,
+                                                       monkeypatch):
+    """Each data connection's join takes longer than a second; the push
+    still lands every chunk, because the client sends none before its
+    connection has joined."""
+    real_lookup = ftsm.TransferRegistry.lookup
+
+    def slow_lookup(registry, transfer_id):
+        time.sleep(1.2)
+        return real_lookup(registry, transfer_id)
+
+    monkeypatch.setattr(ftsm.TransferRegistry, "lookup", slow_lookup)
+    data = os.urandom(100_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    report = client(node, streams=2, chunk_size=8192).push(src, "slow.bin")
+    assert report.bytes_moved == len(data)
+    assert (storage(node) / "slow.bin").read_bytes() == data
 
 
 def test_push_after_the_landed_part_changed_starts_afresh(node, tmp_path):

@@ -1,0 +1,134 @@
+"""Append benchmark records to the BENCH_<workload>.json trail.
+
+    python3 tools/bench_trail.py [--workload bulk|small|crypt|all]
+        [--checkout DIR]
+
+For each workload this runs `perfbench/run.py --workload W --trace 0`,
+then `--trace 1`, in the gridfs checkout DIR (default: the one holding
+this script), for BENCHMARK.json's `run_seconds` and the default seed,
+so that records of different commits compare like with like. It reads
+the `detail` JSON line each run prints, and appends one record per run
+to `BENCH_<W>.json` beside this script's checkout. A record holds the measured commit (suffixed `-dirty` when `src/` or
+`perfbench/` has uncommitted changes), the UTC date, `nproc`, the run's
+steal share, every end-to-end metric that BENCHMARK.json names with its
+sample count, and, for the traced run, the per-layer split. A run that
+reports failures is still recorded, with its failures, and makes the
+script exit 1; the trail records numbers and gates nothing.
+
+To compare two commits, run the script once with `--checkout` pointing
+at a clone of the earlier one and once without it, on the same machine.
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TRAIL = Path(__file__).resolve().parent.parent
+WORKLOADS = ("bulk", "small", "crypt")
+
+
+def commit_of(checkout: Path) -> str:
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    dirty = git("status", "--porcelain", "--", "src", "perfbench")
+    return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
+
+
+def run_detail(checkout: Path, workload: str, trace: int,
+               seconds: float) -> dict:
+    """Run one benchmark process and return its `detail` object."""
+    process = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--trace", str(trace), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True)
+    for line in process.stdout.splitlines():
+        if line.startswith("detail "):
+            return json.loads(line[len("detail "):])
+    raise SystemExit(f"bench_trail: {workload} --trace {trace} printed no "
+                     f"detail line (exit {process.returncode}):\n"
+                     f"{process.stdout}{process.stderr}")
+
+
+def record_of(detail: dict, contract: dict, commit: str) -> dict:
+    end_to_end = {}
+    for metric in contract["end_to_end"]:
+        name = metric["name"]
+        value, unit, samples = detail["gated"].get(name) or detail[name]
+        end_to_end[name] = {"value": value, "unit": unit, "n": samples}
+    record = {
+        "commit": commit,
+        "date": datetime.datetime.now(datetime.timezone.utc)
+        .isoformat(timespec="seconds"),
+        "nproc": os.cpu_count(),
+        "workload": detail["workload"],
+        "seed": detail["seed"],
+        "seconds": detail["seconds"],
+        "trace": detail["trace"],
+        "steal_share": detail["steal"]["share"],
+        "clean_windows": [detail["steal"]["clean_windows"],
+                          detail["steal"]["windows"]],
+        "attempted": detail["attempted"],
+        "failures": detail["failures"],
+        "end_to_end": end_to_end,
+    }
+    if "layers" in detail:
+        units = {metric["name"]: metric["unit"]
+                 for metric in contract["per_layer"]}
+        record["per_layer"] = {
+            name: {"value": value, "unit": units.get(name, "")}
+            for name, value in detail["layers"].items()}
+    return record
+
+
+def append(record: dict) -> Path:
+    path = TRAIL / f"BENCH_{record['workload']}.json"
+    trail = json.loads(path.read_text()) if path.exists() else []
+    trail.append(record)
+    partial = path.with_suffix(".json.tmp")
+    partial.write_text(json.dumps(trail, indent=1) + "\n")
+    os.replace(partial, path)
+    return path
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="append perfbench records to BENCH_<workload>.json")
+    parser.add_argument("--workload", choices=WORKLOADS + ("all",),
+                        default="all")
+    parser.add_argument("--checkout", type=Path, default=TRAIL,
+                        help="gridfs checkout to measure (default: this one)")
+    args = parser.parse_args(argv)
+    checkout = args.checkout.resolve()
+    contract = json.loads((checkout / "BENCHMARK.json").read_text())
+    commit = commit_of(checkout)
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    healthy = True
+    for workload in workloads:
+        for trace in (0, 1):
+            detail = run_detail(checkout, workload, trace,
+                                contract["run_seconds"])
+            record = record_of(detail, contract, commit)
+            path = append(record)
+            healthy &= not record["failures"]
+            metrics = "  ".join(
+                f"{name} {metric['value']:.4g}"
+                for name, metric in record["end_to_end"].items())
+            print(f"{path.name} {commit[:12]}{commit[40:]} trace {trace}: "
+                  f"{metrics}  "
+                  f"steal {record['steal_share']:.1%}  "
+                  f"failures {len(record['failures'])}", flush=True)
+    return 0 if healthy else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
