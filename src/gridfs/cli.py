@@ -12,7 +12,6 @@ or authentication refused.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import time
@@ -28,7 +27,7 @@ from .cryptengine import (
 )
 from .dfsm import FsClient, WHOLE_FILE
 from .errors import AuthFailed, GridfsError, PermissionDenied
-from .ftsm import TransferClient, TransferReport
+from .ftsm import TransferClient, TransferReport, md5_region
 from .node import NodeConfig, load_config, run_node
 from .perms import FLAG_ORDER, AccountStore, PermissionDoc
 from .secchan import connect
@@ -359,7 +358,7 @@ def cmd_crypt_decrypt(args) -> int:
     reassemble(manifest, _cipher_params(args), destination, user, psk,
                security=SECURITY_NAMES[args.security],
                buffer_size=args.buffer)
-    digest = hashlib.md5(destination.read_bytes()).hexdigest()
+    digest = md5_region(destination, 0, destination.stat().st_size).hex()
     print(f"rebuilt {destination} md5={digest}")
     return EX_OK
 

@@ -5,7 +5,8 @@ node reads its plaintext range over the session that carried the task (the
 distributor answers reads of that one file only), encrypts it, and keeps
 the headed block in its own store or streams it to a collector node. A
 manifest records where every block ended up; the reverse path pulls the
-blocks back, verifies each one, and rebuilds the file bit for bit.
+blocks back from all their holders at once, verifies each block, and
+rebuilds the file bit for bit.
 
 Every block file starts with a fixed 32-byte header: the 0-based block
 index, the ciphertext length, and the MD5 digest of the block's plaintext.
@@ -651,8 +652,20 @@ def reassemble(manifest: PlacementMap | Path, params: CipherParams,
                security: SecurityMode = SecurityMode.NONSECURE,
                buffer_size: int = wire.DEFAULT_MAX_PAYLOAD) -> None:
     """Pull every block named in the manifest, decrypt, and rebuild the
-    file at `destination`. All-or-nothing: the output appears only after
-    every block has verified."""
+    file at `destination`.
+
+    One fetcher thread runs per holder. Each pulls its holder's blocks in
+    plan order, one at a time, into a spool file, decrypts the block
+    straight into its place in the output and deletes the spool file
+    before it pulls the next, so one holder's decrypt overlaps another's
+    transfer. At most one block per holder sits on the spool disk, and
+    one decrypt piece per holder in memory.
+
+    All-or-nothing: the output appears only after every block has
+    verified. The first failing block stops the run: every other fetcher
+    finishes the block it holds and pulls no further, all of them are
+    joined before the output and the spool are closed, and that first
+    failure is raised."""
     if isinstance(manifest, (str, Path)):
         manifest = load_manifest(Path(manifest))
     params.spec()
@@ -664,27 +677,32 @@ def reassemble(manifest: PlacementMap | Path, params: CipherParams,
     for part, _, _ in plan:
         if part not in manifest.placements:
             raise MissingBlock(part)
+    queues: dict[str, list[tuple[int, int, int]]] = {}
+    for block in plan:
+        queues.setdefault(manifest.placements[block[0]].holder,
+                          []).append(block)
+    fetchers = [(TransferClient(parse_endpoint(holder), username, psk,
+                                security=security, buffer_size=buffer_size),
+                 blocks)
+                for holder, blocks in queues.items()]
 
     destination = Path(destination)
     destination.parent.mkdir(parents=True, exist_ok=True)
     scratch = destination.with_name(destination.name + ".part")
-    movers: dict[str, TransferClient] = {}
-    rebuilt = 0
+    rebuilt = [0] * len(fetchers)
+    failures: list[BaseException] = []
+    stop = threading.Event()
     try:
         with open(scratch, "wb") as out, \
                 tempfile.TemporaryDirectory(prefix="gridfs-blocks-") as spool:
             fd = out.fileno()
-            for part, base_offset, plain_length in plan:
-                placement = manifest.placements[part]
-                mover = movers.get(placement.holder)
-                if mover is None:
-                    mover = TransferClient(
-                        parse_endpoint(placement.holder), username, psk,
-                        security=security, buffer_size=buffer_size)
-                    movers[placement.holder] = mover
+
+            def restore(mover: TransferClient, part: int, base_offset: int,
+                        plain_length: int) -> int:
                 local = Path(spool) / f"{part}.blk"
+                remote = f"{BLOCK_SUBDIR}/{manifest.placements[part].name}"
                 try:
-                    mover.pull(f"{BLOCK_SUBDIR}/{placement.name}", local)
+                    mover.pull(remote, local)
                 except (NoSuchFile, ConnectionLost, StreamLost,
                         OSError) as exc:
                     raise MissingBlock(part) from exc
@@ -703,13 +721,29 @@ def reassemble(manifest: PlacementMap | Path, params: CipherParams,
                     raise IntegrityMismatch(
                         f"block {part}: {got} plaintext bytes where "
                         f"{plain_length} belong")
-                rebuilt += got
+                return got
+
+            def fetch(index: int) -> None:
+                mover, blocks = fetchers[index]
+                for block in blocks:
+                    if stop.is_set():
+                        return
+                    try:
+                        rebuilt[index] += restore(mover, *block)
+                    except BaseException as exc:
+                        failures.append(exc)    # in the order they happen
+                        stop.set()
+                        raise
+
+            fan_out(fetch, len(fetchers))
+            if failures:
+                raise failures[0]
             out.truncate(manifest.file_size)
             out.flush()
             os.fsync(fd)
-        if rebuilt != manifest.file_size:
+        if sum(rebuilt) != manifest.file_size:
             raise IntegrityMismatch(
-                f"rebuilt {rebuilt} bytes of {manifest.file_size}")
+                f"rebuilt {sum(rebuilt)} bytes of {manifest.file_size}")
         os.replace(scratch, destination)
     except BaseException:
         scratch.unlink(missing_ok=True)

@@ -3,24 +3,32 @@
 `perfbench/spans.py` wraps gridfs functions by name from outside the
 program, and the workloads call gridfs by name and keyword. A rename or a
 removed keyword under `src/` would detach a wrapper or break a run; this
-catches it in the fast suite. It reads `perfbench/` and starts no node."""
+catches it in the fast suite. It reads `perfbench/` and starts no node.
+The summary of the `BENCH_*.json` trail is checked here too, on a
+synthetic trail."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import threading
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_module("perfbench_spans", SPANS)
 
 
 def test_every_wrapped_target_resolves():
@@ -100,3 +108,52 @@ def test_every_gridfs_name_and_keyword_perfbench_uses_exists():
                     f" takes no keyword {keyword!r}"
                 checked += 1
     assert checked > 0    # the walk did find perfbench's keyword calls
+
+
+# -- BENCH trail summary ----------------------------------------------------
+
+def trail_record(commit, trace, read_MBps):
+    end_to_end = {name: {"value": 2.0, "unit": unit, "n": 1}
+                  for name, unit in (("setup_s", "s"), ("peak_rss_MiB", "MiB"),
+                                     ("write_MBps", "MB/s"),
+                                     ("read_MBps", "MB/s"),
+                                     ("op_p50_ms", "ms"),
+                                     ("ops_per_s", "1/s"))}
+    end_to_end["read_MBps"]["value"] = read_MBps
+    return {"commit": commit, "date": "2026-01-02T03:04:05+00:00",
+            "trace": trace, "end_to_end": end_to_end}
+
+
+def test_trail_table_pairs_the_latest_record_with_another_commit(
+        tmp_path, monkeypatch, capsys):
+    trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
+    old, new = "a" * 40, "b" * 40
+    (tmp_path / "BENCH_crypt.json").write_text(json.dumps([
+        trail_record(old, 0, 60.0),
+        trail_record(old, 1, 10.0),
+        trail_record(new, 0, 80.0),
+        trail_record(new + "-dirty", 1, 11.0),
+        trail_record(new, 0, 90.0),
+    ]))
+    (tmp_path / "BENCH_bulk.json").write_text(json.dumps([
+        trail_record(old, 0, 100.0)]))
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("--table ran the benchmark")
+
+    monkeypatch.setattr(trail, "TRAIL", tmp_path)
+    monkeypatch.setattr(trail, "run_detail", no_runs)
+    assert trail.main(["--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    crypt = lines.index("crypt: bbbbbbbbbbbb (2026-01-02) against "
+                        "aaaaaaaaaaaa (2026-01-02)")
+    rows = {line.split()[0]: line.split() for line in lines[crypt + 1:]}
+    assert len(rows) == 6
+    # the latest untraced record (90) against the old commit's (60)
+    assert rows["read_MBps"] == ["read_MBps", "90", "MB/s", "60", "x1.500"]
+    assert rows["setup_s"] == ["setup_s", "2", "s", "2", "x1.000"]
+    assert lines[0] == ("bulk: aaaaaaaaaaaa (2026-01-02) against "
+                            "no other commit")
+    assert lines[1].split() == ["setup_s", "2", "s"]
+    assert "small: no untraced records" in lines

@@ -1,6 +1,7 @@
 """Command line coverage: argument handling, exit codes, and one
 subprocess run of the daemon the way an operator would start it."""
 
+import hashlib
 import os
 import signal
 import socket
@@ -291,7 +292,9 @@ def test_crypt_encrypt_decrypt_roundtrip(node_factory, tmp_path, capsys):
                  "--key", key, "--iv", iv,
                  "--user", "alice", "--psk", ALICE_PSK.hex()])
     assert code == EX_OK
-    assert "md5=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "md5=" in out
+    assert f"md5={hashlib.md5(payload).hexdigest()}" in out
     assert rebuilt.read_bytes() == payload
 
 

@@ -6,6 +6,10 @@ import os
 import random
 import socket
 import struct
+import sys
+import tempfile
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -371,6 +375,139 @@ def test_corrupted_block_refused(node_factory, tmp_path):
     assert "block 1" in str(info.value)
     assert not rebuilt.exists()
     assert not rebuilt.with_name("back.bin.part").exists()
+
+
+def two_holders(node_factory, tmp_path):
+    """Distribute eight 16 KiB blocks over two workers: the first holds
+    the even parts, the second the odd ones."""
+    holders = [node_factory("w1"), node_factory("w2")]
+    payload = os.urandom(8 * 16 * 1024)
+    source = tmp_path / "data.bin"
+    source.write_bytes(payload)
+    manifest = ce.distribute(source, [endpoint(n) for n in holders], PARAMS,
+                             "alice", ALICE_PSK, block_size=16 * 1024)
+    return holders, payload, manifest
+
+
+def test_reassembly_pulls_from_every_holder_at_once(node_factory, tmp_path,
+                                                    monkeypatch):
+    """Each holder's first pull waits for the other's: a reassembly that
+    pulls one block at a time breaks the barrier. No holder ever has more
+    than one pull in flight."""
+    holders, payload, manifest = two_holders(node_factory, tmp_path)
+    barrier = threading.Barrier(2, timeout=5)
+    lock = threading.Lock()
+    in_flight, peak, pulls = Counter(), Counter(), Counter()
+    real_pull = ce.TransferClient.pull
+
+    def pull(self, remote, local, region=None):
+        holder = self.address[1]
+        with lock:
+            in_flight[holder] += 1
+            peak[holder] = max(peak[holder], in_flight[holder])
+            pulls[holder] += 1
+            first = pulls[holder] == 1
+        try:
+            if first:
+                barrier.wait()
+            return real_pull(self, remote, local, region)
+        finally:
+            with lock:
+                in_flight[holder] -= 1
+
+    monkeypatch.setattr(ce.TransferClient, "pull", pull)
+    rebuilt = tmp_path / "rebuilt.bin"
+    ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK)
+    assert not barrier.broken
+    ports = [node.port for node in holders]
+    assert pulls == {port: 4 for port in ports}
+    assert peak == {port: 1 for port in ports}
+    assert rebuilt.read_bytes() == payload
+
+
+def test_reassembly_from_more_holders_than_cores(node_factory, tmp_path):
+    """Four fetchers write one output under a very short thread switch
+    interval; every block must land at its own offset."""
+    holders = [node_factory(f"w{i}") for i in range(4)]
+    payload = os.urandom(40 * 4096 + 123)
+    source = tmp_path / "data.bin"
+    source.write_bytes(payload)
+    manifest = ce.distribute(source, [endpoint(n) for n in holders], PARAMS,
+                             "alice", ALICE_PSK, block_size=4096)
+    rebuilt = tmp_path / "rebuilt.bin"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rebuilt.read_bytes() == payload
+
+
+@pytest.mark.parametrize("fault", ["corrupt", "stopped"])
+def test_reassembly_failure_on_one_holder_stops_every_fetcher(
+        node_factory, tmp_path, monkeypatch, fault):
+    """The second holder fails on its first block, part 1. That failure is
+    raised; the first holder's fetcher finishes its current block and pulls
+    no more; every fetcher has ended when the call returns; and neither
+    the output, its .part file nor the block spool is left behind."""
+    (first, second), _, manifest = two_holders(node_factory, tmp_path)
+    if fault == "corrupt":
+        victim = (second.config.storage_root / "home" / "alice" /
+                  ce.BLOCK_SUBDIR / ce.block_name("data.bin", 1))
+        data = bytearray(victim.read_bytes())
+        data[40] ^= 0x80
+        victim.write_bytes(bytes(data))
+    else:
+        second.stop()
+
+    spool_root = tmp_path / "tmp"
+    spool_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
+    fetchers = []
+    real_fan_out = ce.fan_out
+
+    def fan_out(work, count):
+        def recorded(index):
+            fetchers.append(threading.current_thread())
+            work(index)
+        return real_fan_out(recorded, count)
+
+    # the first holder's first pull waits until the second holder's fetcher
+    # has failed and ended, so the stop is in place before it goes on
+    second_fetcher = []
+    second_started = threading.Event()
+    first_pulls = []
+    real_pull = ce.TransferClient.pull
+
+    def pull(self, remote, local, region=None):
+        if self.address[1] == second.port:
+            second_fetcher.append(threading.current_thread())
+            second_started.set()
+        else:
+            first_pulls.append(remote)
+            if len(first_pulls) == 1:
+                assert second_started.wait(5), "pulls ran one at a time"
+                second_fetcher[0].join(10)
+        return real_pull(self, remote, local, region)
+
+    monkeypatch.setattr(ce, "fan_out", fan_out)
+    monkeypatch.setattr(ce.TransferClient, "pull", pull)
+    rebuilt = tmp_path / "back.bin"
+    expected = (IntegrityMismatch, BadPadding) if fault == "corrupt" \
+        else MissingBlock
+    with pytest.raises(expected) as info:
+        ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK)
+    if fault == "corrupt":
+        assert "block 1" in str(info.value)
+    else:
+        assert info.value.part_num == 1
+    assert len(first_pulls) == 1
+    assert len(fetchers) == 2
+    assert not any(thread.is_alive() for thread in fetchers)
+    assert not rebuilt.exists()
+    assert not rebuilt.with_name("back.bin.part").exists()
+    assert list(spool_root.glob("gridfs-blocks-*")) == []
 
 
 def test_missing_manifest_entry(node_factory, tmp_path):

@@ -2,6 +2,7 @@
 
     python3 tools/bench_trail.py [--workload bulk|small|crypt|all]
         [--checkout DIR]
+    python3 tools/bench_trail.py --table
 
 For each workload this runs `perfbench/run.py --workload W --trace 0`,
 then `--trace 1`, in the gridfs checkout DIR (default: the one holding
@@ -17,6 +18,9 @@ script exit 1; the trail records numbers and gates nothing.
 
 To compare two commits, run the script once with `--checkout` pointing
 at a clone of the earlier one and once without it, on the same machine.
+`--table` runs nothing: for each workload it prints the end-to-end
+metrics of the trail's latest untraced record beside those of the most
+recent untraced record of another commit, with their ratio.
 Only the standard library is used.
 """
 
@@ -100,6 +104,39 @@ def append(record: dict) -> Path:
     return path
 
 
+def table(trail: Path) -> list[str]:
+    """The latest untraced record of each workload against the most recent
+    untraced record of a different commit, metric by metric, with the
+    ratio latest/earlier."""
+    def label(record: dict) -> str:
+        commit = record["commit"]
+        return f"{commit[:12]}{commit[40:]} ({record['date'][:10]})"
+
+    lines = []
+    for workload in WORKLOADS:
+        path = trail / f"BENCH_{workload}.json"
+        records = [record for record in
+                   (json.loads(path.read_text()) if path.exists() else [])
+                   if not record["trace"]]
+        if not records:
+            lines.append(f"{workload}: no untraced records")
+            continue
+        latest = records[-1]
+        earlier = next((record for record in reversed(records)
+                        if record["commit"] != latest["commit"]), None)
+        lines.append(f"{workload}: {label(latest)} against "
+                     f"{label(earlier) if earlier else 'no other commit'}")
+        for name, metric in latest["end_to_end"].items():
+            row = f"  {name:<14} {metric['value']:>10.4g} {metric['unit']:<5}"
+            before = earlier and earlier["end_to_end"].get(name)
+            if before:
+                ratio = (metric["value"] / before["value"]
+                         if before["value"] else float("nan"))
+                row += f" {before['value']:>10.4g}  x{ratio:.3f}"
+            lines.append(row.rstrip())
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="append perfbench records to BENCH_<workload>.json")
@@ -107,7 +144,13 @@ def main(argv=None) -> int:
                         default="all")
     parser.add_argument("--checkout", type=Path, default=TRAIL,
                         help="gridfs checkout to measure (default: this one)")
+    parser.add_argument("--table", action="store_true",
+                        help="print the latest records against those of the "
+                             "commit before, and run nothing")
     args = parser.parse_args(argv)
+    if args.table:
+        print("\n".join(table(TRAIL)))
+        return 0
     checkout = args.checkout.resolve()
     contract = json.loads((checkout / "BENCHMARK.json").read_text())
     commit = commit_of(checkout)
