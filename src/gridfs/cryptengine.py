@@ -243,8 +243,8 @@ def stream_decrypt(source, header: BlockHeader, params: CipherParams,
         while remaining > 0:
             piece = source.read(min(PIECE_SIZE, remaining))
             if not piece:
-                raise BadRequest(
-                    "block file shorter than its header claims")
+                raise BadRequest(f"block {header.part_num}: block file "
+                                 f"shorter than its header claims")
             remaining -= len(piece)
             plain = unpadder.update(decryptor.update(piece))
             gauge.note(len(piece) + len(plain))
@@ -280,7 +280,8 @@ def decrypt_block(block: bytes, params: CipherParams) -> tuple[int, bytes]:
     """Inverse of encrypt_block: returns (part_num, plaintext)."""
     header = decode_block_header(block)
     if len(block) - HEADER_SIZE < header.length:
-        raise BadRequest("block file shorter than its header claims")
+        raise BadRequest(f"block {header.part_num}: block file shorter "
+                         f"than its header claims")
     out = []
     source = _BytesReader(block[HEADER_SIZE:HEADER_SIZE + header.length])
     stream_decrypt(source, header, params,
@@ -707,7 +708,12 @@ def reassemble(manifest: PlacementMap | Path, params: CipherParams,
                         OSError) as exc:
                     raise MissingBlock(part) from exc
                 with open(local, "rb") as handle:
-                    header = decode_block_header(handle.read(HEADER_SIZE))
+                    try:
+                        header = decode_block_header(
+                            handle.read(HEADER_SIZE))
+                    except TruncatedHeader as exc:
+                        raise TruncatedHeader(f"block {part}: {exc}") \
+                            from None
                     if header.part_num != part:
                         raise IntegrityMismatch(
                             f"block {part}: file holds part "

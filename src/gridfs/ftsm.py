@@ -2,10 +2,12 @@
 
 A transfer is negotiated on the authenticated control connection
 (XFER_OFFER / XFER_ACCEPT, or XFER_RESUME when the receiver holds partial
-state), then the bytes travel over N data connections opened with
-HELLO(transfer_id, stream_index). The planned region is ceiling-split into
-N contiguous spans, one per stream, and each span is sent as sequential
-CHUNK frames:
+state), then the bytes travel over N streams. Stream 0 rides the control
+connection itself, between the reply and XFER_DONE; streams 1..N-1 each
+open a data connection with HELLO(transfer_id, stream_index), so a
+single-stream transfer opens no data connection at all. The planned
+region is ceiling-split into N contiguous spans, one per stream, and each
+span is sent as sequential CHUNK frames:
 
     transfer_id(16) | stream_index(1) | offset(8 BE) | length(4 BE) | payload
 
@@ -37,6 +39,16 @@ and the sender sends no chunk before WELCOME and no XFER_DONE before its
 data connections have closed. So on XFER_DONE the receiving node waits
 only until every joined connection has drained and detached; whatever
 the region then lacks was never sent, and the push is refused at once.
+The chunks of stream 0 need no such wait: they precede XFER_DONE on the
+same connection, and the node lands each one as it reads it.
+
+A pushing node takes CHUNK frames on the control connection from any
+sender. A pulling node sends stream 0 there only when the offer carries
+X_CONTROL_STREAM; the client then reads exactly the chunks the node
+assigns to stream 0, which both sides compute with `pull_assignments`.
+An offer without the tag leaves every stream, stream 0 included, to a
+data connection, and a data connection for any stream index is still
+served.
 """
 
 from __future__ import annotations
@@ -89,6 +101,7 @@ X_BITMAP = 9
 X_SINK = 10
 X_TOTAL = 11
 X_TRUNCATE = 12      # whole-file transfer: drop any stale tail on finish
+X_CONTROL_STREAM = 13    # pull offer: send stream 0 on the control session
 
 SINK_FILE = 0
 SINK_MEM = 1
@@ -393,6 +406,21 @@ def resumable_state(dst: Path, grid: ChunkGrid) -> TransferState | None:
     return None
 
 
+def pull_assignments(grid: ChunkGrid, bitmap: bytes | None,
+                     streams: int) -> list[list[tuple[int, int]]]:
+    """The chunks each stream of a pull carries: the grid span by span,
+    or, given the puller's resume bitmap, its missing chunks dealt over
+    the `streams` the session opens (the grid's stream count is then the
+    sidecar's geometry). The node sends by this plan, and the client
+    reads stream 0's share of it on the control session."""
+    if bitmap is None:
+        return grid.chunks_by_span()
+    state = TransferState(b"", grid, bytearray(bitmap))
+    if len(state.bitmap) != len(grid._full_bitmap):
+        raise StateCorrupt("offered bitmap disagrees with geometry")
+    return assign_missing(grid, state.missing(), streams)
+
+
 # -- receiving end (either side, depending on direction) --------------------
 
 class RegionReceiver:
@@ -481,7 +509,7 @@ class MemSink:
         pass
 
 
-# -- data connections, both directions --------------------------------------
+# -- streams, both directions -----------------------------------------------
 
 def send_chunks(channel: Channel, transfer_id: bytes, stream_index: int,
                 src: Path, chunks: list[tuple[int, int]]) -> int:
@@ -500,28 +528,43 @@ def send_chunks(channel: Channel, transfer_id: bytes, stream_index: int,
     return sent
 
 
-def receive_chunks(channel: Channel, transfer_id: bytes, receiver) -> int:
+def land_chunk(payload: bytes, transfer_id: bytes, receiver) -> int:
+    """Hand one CHUNK frame's payload to `receiver.write_chunk`; returns
+    its payload bytes."""
+    chunk_transfer, _, offset, data = unpack_chunk(payload)
+    if chunk_transfer != transfer_id:
+        raise BadRequest("chunk for a different transfer")
+    receiver.write_chunk(offset, data)
+    return len(data)
+
+
+def receive_chunks(channel: Channel, transfer_id: bytes, receiver,
+                   count: int | None = None) -> int:
     """Hand each CHUNK frame to `receiver.write_chunk` until the peer
-    closes the connection; returns the payload bytes received. An ERROR
-    frame raises the peer's error."""
+    closes the connection, or, given `count`, for exactly that many
+    frames; returns the payload bytes received. An ERROR frame raises the
+    peer's error."""
     received = 0
-    while True:
+    while count is None or count > 0:
         try:
             frame = channel.expect(FrameType.CHUNK)
         except ConnectionLost:
+            if count is not None:
+                raise
             return received
-        chunk_transfer, _, offset, payload = unpack_chunk(frame.payload)
-        if chunk_transfer != transfer_id:
-            raise BadRequest("chunk for a different transfer")
-        receiver.write_chunk(offset, payload)
-        received += len(payload)
+        received += land_chunk(frame.payload, transfer_id, receiver)
+        if count is not None:
+            count -= 1
+    return received
 
 
-def fan_out(work: Callable[[int], object],
-            count: int) -> list[BaseException | None]:
+def fan_out(work: Callable[[int], object], count: int,
+            inline: bool = False) -> list[BaseException | None]:
     """Run `work(0)` … `work(count - 1)`, each on its own thread, and wait
-    for all of them. Returns, per index, the exception that ended that
-    call, or None if it returned."""
+    for all of them; with `inline`, `work(0)` runs on the calling thread
+    instead, beside the others. Returns, per index, the exception that
+    ended that call, or None if it returned; only a KeyboardInterrupt or
+    other non-Exception raised by the inline call propagates, at once."""
     failures: list[BaseException | None] = [None] * count
 
     def run(index: int) -> None:
@@ -530,10 +573,16 @@ def fan_out(work: Callable[[int], object],
         except BaseException as exc:    # reported to the caller, who decides
             failures[index] = exc
 
+    first = 1 if inline else 0
     threads = [threading.Thread(target=run, args=(index,), daemon=True)
-               for index in range(count)]
+               for index in range(first, count)]
     for thread in threads:
         thread.start()
+    if inline and count:
+        try:
+            work(0)
+        except Exception as exc:
+            failures[0] = exc
     for thread in threads:
         thread.join()
     return failures
@@ -542,7 +591,9 @@ def fan_out(work: Callable[[int], object],
 # -- server side ------------------------------------------------------------
 
 class TransferSession:
-    """Server-side rendezvous record joining control and data connections."""
+    """Server-side rendezvous record joining control and data connections.
+    Only data connections attach: stream 0's chunks on the control
+    connection are handled by the thread that serves it."""
 
     def __init__(self, transfer_id: bytes, account: Account, direction: Mode,
                  security: SecurityMode, receiver=None, sender_ctx=None):
@@ -685,7 +736,12 @@ class FtsmService:
                      session: TransferSession) -> None:
         receiver = session.receiver
         try:
-            frame = channel.expect(FrameType.XFER_DONE)
+            # stream 0's chunks, if the sender put them on this session,
+            # arrive before XFER_DONE and land as they are read
+            frame = channel.expect(FrameType.CHUNK, FrameType.XFER_DONE)
+            while frame.frame_type == FrameType.CHUNK:
+                land_chunk(frame.payload, session.transfer_id, receiver)
+                frame = channel.expect(FrameType.CHUNK, FrameType.XFER_DONE)
             fields = wire.decode_fields(frame.payload)
             if isinstance(receiver, MemSink):
                 receiver.claimed = wire.read_uint(fields, X_TOTAL, 0)
@@ -693,11 +749,15 @@ class FtsmService:
             # once they have drained, every chunk it sent has landed
             session.wait_quiesce(self.drain_timeout)
             total = receiver.finish(fields.get(X_MD5, b""))
-        except ConnectionLost:
-            # sender vanished: keep the sidecar, but let the data
-            # connections still joined land their chunks first
+        except BaseException as exc:
+            # let the data connections still joined land their chunks
+            # before the file closes; a vanished sender keeps its sidecar
             session.wait_quiesce(min(5.0, self.drain_timeout))
-            return
+            if isinstance(exc, ConnectionLost):
+                return
+            if isinstance(exc, OSError):
+                raise StreamLost(f"local file error: {exc}") from None
+            raise
         finally:
             self.registry.remove(session.transfer_id)
             receiver.abort()    # a no-op once finish has closed the file
@@ -730,17 +790,8 @@ class FtsmService:
             grid = plan_transfer(file_size, (region_offset, region_length),
                                  streams, chunk_size)
         grid.check_resumable(channel.params.buffer_size)
-        bitmap = fields.get(X_BITMAP)
-        if bitmap is None:
-            assignments = grid.chunks_by_span()
-        else:
-            state = TransferState(transfer_id, grid, bytearray(bitmap))
-            if len(state.bitmap) != len(grid._full_bitmap):
-                raise StateCorrupt("offered bitmap disagrees with geometry")
-            # X_STREAMS is the sidecar's geometry; the missing chunks go
-            # to the data connections this session opens
-            assignments = assign_missing(grid, state.missing(),
-                                         channel.params.stream_count)
+        assignments = pull_assignments(grid, fields.get(X_BITMAP),
+                                       channel.params.stream_count)
 
         session = TransferSession(transfer_id, account, Mode.FTSM_PULL,
                                   channel.params.security,
@@ -748,9 +799,13 @@ class FtsmService:
         self._register_and_reply(channel, session, FrameType.XFER_ACCEPT,
                                  grid_fields(grid))
         try:
+            if wire.read_uint(fields, X_CONTROL_STREAM, 0) and assignments:
+                send_chunks(channel, transfer_id, 0, src, assignments[0])
             channel.expect(FrameType.XFER_DONE)
         except ConnectionLost:
             return
+        except OSError as exc:
+            raise StreamLost(f"local file error: {exc}") from None
         finally:
             self.registry.remove(transfer_id)
         channel.send(FrameType.XFER_DONE, wire.encode_fields({
@@ -855,8 +910,8 @@ class TransferClient:
     def dial(self, mode: Mode, transfer_id: bytes | None = None,
              stream_index: int = 0) -> Channel:
         """Open an authenticated control session in `mode` (task sessions
-        dial through here too), or, given a transfer id, one of that
-        transfer's data connections."""
+        dial through here too), or, given a transfer id, the data
+        connection of one of that transfer's streams 1..n-1."""
         params = SessionParams(mode, self.security,
                                buffer_size=self.buffer_size,
                                stream_count=self.streams)
@@ -866,21 +921,27 @@ class TransferClient:
 
     def _run_streams(self, control: Channel, transfer_id: bytes, count: int,
                      body: Callable[[int, Channel], int]) -> list[int]:
-        """Open `count` data connections and run `body(index, channel)` on
-        each in its own thread; returns the byte count each body returned.
-        Any failed stream raises StreamLost naming the first cause."""
+        """Run `body(index, channel)` for `count` streams at once: stream 0
+        on `control` in this thread, each other stream on a data
+        connection of its own in a thread of its own. Returns the byte
+        count each body returned. Any failed stream raises StreamLost
+        naming the first cause."""
         per_stream = [0] * count
 
         def run(index: int) -> None:
+            if index == 0:
+                per_stream[0] = body(0, control)
+                return
             data = self.dial(control.params.mode, transfer_id, index)
             try:
                 per_stream[index] = body(index, data)
             finally:
                 data.close()
 
-        failures = [exc for exc in fan_out(run, count) if exc is not None]
+        failures = [exc for exc in fan_out(run, count, inline=True)
+                    if exc is not None]
         if failures:
-            raise StreamLost(f"{len(failures)} data streams failed: "
+            raise StreamLost(f"{len(failures)} streams failed: "
                              f"{failures[0]}")
         return per_stream
 
@@ -976,6 +1037,7 @@ class TransferClient:
             X_PATH: remote.encode("utf-8"),
             X_STREAMS: wire.u8(self.streams),
             X_CHUNK_SIZE: wire.u32(chunk_size),
+            X_CONTROL_STREAM: wire.u8(1),
         }
         if region is not None:
             offer[X_REGION_OFFSET] = wire.u64(region[0])
@@ -995,14 +1057,17 @@ class TransferClient:
         control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
         grid = grid_from_fields(wire.decode_fields(
             control.expect(FrameType.XFER_ACCEPT).payload))
+        # the node's plan: stream 0's share arrives on `control`, and an
+        # empty region has nothing to send
+        assignments = pull_assignments(grid, offer.get(X_BITMAP),
+                                       control.params.stream_count)
         end = grid.region_offset + grid.region_length
         receiver = RegionReceiver(local, transfer_id, grid, state,
                                   truncate_to=end if region is None
                                   else None)
         try:
-            # an empty region has nothing to send: no data connections
-            per_stream = self._run_receivers(control, transfer_id, receiver) \
-                if grid.region_length else []
+            per_stream = self._run_receivers(control, transfer_id, receiver,
+                                             assignments)
             control.send(FrameType.XFER_DONE,
                          wire.encode_fields({X_TRANSFER: transfer_id}))
             done = wire.decode_fields(
@@ -1014,10 +1079,14 @@ class TransferClient:
                               per_stream, resumed)
 
     def _run_receivers(self, control: Channel, transfer_id: bytes,
-                       receiver: RegionReceiver) -> list[int]:
+                       receiver: RegionReceiver,
+                       assignments: list[list[tuple[int, int]]]
+                       ) -> list[int]:
         per_stream = self._run_streams(
-            control, transfer_id, self.streams,
-            lambda index, data: receive_chunks(data, transfer_id, receiver))
+            control, transfer_id, len(assignments),
+            lambda index, channel: receive_chunks(
+                channel, transfer_id, receiver,
+                len(assignments[0]) if index == 0 else None))
         if not receiver.complete():
             raise StreamLost("streams drained but chunks are missing")
         return per_stream

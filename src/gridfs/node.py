@@ -4,8 +4,9 @@ A node accepts TCP connections, performs the HELLO/WELCOME negotiation and
 the sealed challenge-response AUTH, then hands the connection to whichever
 service the negotiated mode selects: remote file access, parallel transfer
 (either direction), task execution, or block cryptography. Data
-connections for an in-flight transfer carry a transfer id in their HELLO
-and bypass AUTH; they join that transfer, which admits them, before WELCOME.
+connections for an in-flight transfer (its streams 1..n-1; stream 0 rides
+the control session) carry a transfer id in their HELLO and bypass AUTH;
+they join that transfer, which admits them, before WELCOME.
 
 Configuration is a flat `key = value` file. Unknown keys warn and are
 ignored so configs can be shared across versions; a known key with an

@@ -162,6 +162,13 @@ class Channel:
     Owned by exactly one connection handler or client; not shared across
     threads. The lockstep counters make any cross-thread interleaving a
     protocol error by construction, which is the point.
+
+    A control channel also carries stream 0 of each transfer it runs. The
+    client hands it to stream 0's body, which runs on the calling thread
+    beside the threads of streams 1..n-1, and takes it back for XFER_DONE
+    only once `ftsm.fan_out` has joined them all: the join orders every
+    stream's frames before the transfer's end, and the channel never has
+    two users at once.
     """
 
     def __init__(self, sock: socket.socket, params: SessionParams,
@@ -323,7 +330,10 @@ def connect(address: tuple[str, int], params: SessionParams,
 
     Data connections (transfer_id given) skip AUTH; the node admits them
     to their transfer before it sends WELCOME, and they inherit the
-    owner's key schedule.
+    owner's key schedule. A transfer's client dials one only for streams
+    1..n-1: stream 0 rides the control session, so a single-stream
+    transfer dials none. The node still admits a data connection for any
+    stream index, stream 0 included.
     """
     if len(username.encode("utf-8")) > MAX_USERNAME:
         raise AuthFailed("username too long")

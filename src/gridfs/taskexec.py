@@ -9,8 +9,10 @@ their context. Results come back as an array with one slot per task, in
 submission order; produced output files can then be pulled back over the
 same session.
 
-Authentication happens exactly once per set, on the control session; the
-data connections used for staging ride the transfer rendezvous.
+Authentication happens exactly once per set, on the control session.
+Each transfer's first stream rides that session too, so a single-stream
+set stages and collects over one connection; the data connections of any
+further streams ride the transfer rendezvous.
 
 The pi built-in extracts hexadecimal digits of pi with a BBP-family series
 using pure integer arithmetic; any digit range is computable without its

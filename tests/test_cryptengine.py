@@ -377,6 +377,34 @@ def test_corrupted_block_refused(node_factory, tmp_path):
     assert not rebuilt.with_name("back.bin.part").exists()
 
 
+@pytest.mark.parametrize("cut, error", [(10, TruncatedHeader),
+                                        (100, BadRequest)])
+def test_truncated_block_names_its_part(node_factory, tmp_path, monkeypatch,
+                                        cut, error):
+    """A block file cut short inside its header, or inside its
+    ciphertext, fails with an error that names the block, and leaves no
+    output, .part file or spool behind."""
+    worker = node_factory("w1")
+    source = tmp_path / "data.bin"
+    source.write_bytes(os.urandom(64 * 1024))
+    manifest = ce.distribute(source, [endpoint(worker)], PARAMS,
+                             "alice", ALICE_PSK, block_size=16 * 1024)
+    victim = (worker.config.storage_root / "home" / "alice" /
+              ce.BLOCK_SUBDIR / ce.block_name("data.bin", 2))
+    victim.write_bytes(victim.read_bytes()[:cut])
+
+    spool_root = tmp_path / "tmp"
+    spool_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
+    rebuilt = tmp_path / "back.bin"
+    with pytest.raises(error) as info:
+        ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK)
+    assert "block 2" in str(info.value)
+    assert not rebuilt.exists()
+    assert not rebuilt.with_name("back.bin.part").exists()
+    assert list(spool_root.glob("gridfs-blocks-*")) == []
+
+
 def two_holders(node_factory, tmp_path):
     """Distribute eight 16 KiB blocks over two workers: the first holds
     the even parts, the second the odd ones."""

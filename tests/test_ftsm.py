@@ -840,3 +840,189 @@ def test_randomized_chunk_interleavings_reassemble(node, tmp_path):
         control.expect(FrameType.XFER_DONE)
         control.close()
         assert (storage(node) / remote).read_bytes() == data
+
+
+# -- stream 0 on the control session ----------------------------------------
+
+ALL_MODES = [SecurityMode.NONSECURE, SecurityMode.SEMISECURE,
+             SecurityMode.SECURE]
+
+
+@pytest.mark.parametrize("security", ALL_MODES,
+                         ids=[mode.name for mode in ALL_MODES])
+def test_single_stream_transfer_opens_one_connection(node, sniff_factory,
+                                                     tmp_path, security):
+    """A single-stream push and a single-stream pull each open their
+    control session and nothing else, and move the bytes exactly."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    mover = TransferClient(proxy.address, "grid", GRID_PSK,
+                           security=security, streams=1, buffer_size=65536,
+                           chunk_size=16384)
+    data = os.urandom(200_001)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    pushed = mover.push(src, "one.bin")
+    assert proxy.count(FrameType.HELLO) == 1
+    assert (storage(node) / "one.bin").read_bytes() == data
+    back = tmp_path / "back.bin"
+    pulled = mover.pull("one.bin", back)
+    assert proxy.count(FrameType.HELLO) == 2
+    assert back.read_bytes() == data
+    assert pushed.per_stream == pulled.per_stream == [len(data)]
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+def test_three_streams_open_three_connections(node, sniff_factory, tmp_path,
+                                              direction):
+    """Stream 0 rides the control session; streams 1 and 2 each open a
+    data connection of their own."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    mover = TransferClient(proxy.address, "grid", GRID_PSK, streams=3,
+                           buffer_size=65536, chunk_size=8192)
+    data = os.urandom(300_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    if direction == "push":
+        report = mover.push(src, "three.bin")
+        landed = (storage(node) / "three.bin").read_bytes()
+    else:
+        (storage(node) / "three.bin").write_bytes(data)
+        back = tmp_path / "back.bin"
+        report = mover.pull("three.bin", back)
+        landed = back.read_bytes()
+    assert landed == data
+    assert proxy.count(FrameType.HELLO) == 3
+    assert proxy.count(FrameType.AUTH) == 1
+    assert len(report.per_stream) == 3 and all(report.per_stream)
+
+
+@pytest.mark.parametrize("security, sealed", [
+    (SecurityMode.SECURE, True),
+    (SecurityMode.SEMISECURE, False),
+    (SecurityMode.NONSECURE, False),
+], ids=["SECURE", "SEMISECURE", "NONSECURE"])
+def test_chunks_on_the_control_session_keep_the_seal_policy(
+        node, sniff_factory, tmp_path, security, sealed):
+    """Under SECURE every CHUNK frame on the control session, the only
+    connection a single-stream push and pull open, is sealed in both
+    directions; under the other modes it travels clear."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    mover = TransferClient(proxy.address, "grid", GRID_PSK,
+                           security=security, buffer_size=65536,
+                           chunk_size=16384)
+    data = os.urandom(100_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    mover.push(src, "sealed.bin")
+    mover.pull("sealed.bin", tmp_path / "back.bin")
+    assert proxy.count(FrameType.HELLO) == 2
+    chunks = [(direction, flags, payload)
+              for direction, ftype, flags, payload in proxy.frames
+              if ftype == FrameType.CHUNK]
+    assert {direction for direction, _, _ in chunks} == {"c2s", "s2c"}
+    assert all(bool(flags & wire.FLAG_SEALED) == sealed
+               for _, flags, _ in chunks)
+    assert (data[:4096] in proxy.raw()) != sealed
+
+
+def test_inline_pull_source_shrinking_mid_transfer_is_reported(
+        node, tmp_path, monkeypatch):
+    """The node's source shrinks while it sends stream 0 on the control
+    session: the client's pull fails with the node's cause, and the
+    transfer leaves no registry entry."""
+    remote = storage(node) / "shrinks.bin"
+    remote.write_bytes(os.urandom(40_000))
+    real_send_chunks = ftsm.send_chunks
+    transfers = []
+
+    def shrinking(channel, transfer_id, stream_index, src, chunks):
+        transfers.append(transfer_id)
+        with open(src, "r+b") as handle:
+            handle.truncate(15_000)
+        return real_send_chunks(channel, transfer_id, stream_index, src,
+                                chunks)
+
+    monkeypatch.setattr(ftsm, "send_chunks", shrinking)
+    mover = client(node, chunk_size=10_000)
+    control = mover.dial(Mode.FTSM_PULL)
+    try:
+        with pytest.raises(StreamLost, match="source shrank mid-transfer"):
+            mover.pull_on(control, "shrinks.bin", tmp_path / "back.bin")
+    finally:
+        control.close()
+    assert len(transfers) == 1
+    assert node.registry.lookup(transfers[0]) is None
+
+
+@pytest.mark.parametrize("case, message", [
+    ("off the grid", "chunk does not lie on the transfer grid"),
+    ("other transfer", "chunk for a different transfer"),
+])
+def test_bad_chunk_on_the_control_session_ends_the_transfer(node, case,
+                                                            message):
+    """A CHUNK on the control session that the transfer cannot take
+    ends the transfer with an ERROR that says why."""
+    params = SessionParams(Mode.FTSM_PUSH, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    control = secchan.connect(("127.0.0.1", node.port), params, "grid",
+                              GRID_PSK)
+    transfer_id = os.urandom(16)
+    try:
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_PATH: b"bad-chunk.bin",
+            ftsm.X_REGION_OFFSET: wire.u64(0),
+            ftsm.X_REGION_LENGTH: wire.u64(20),
+            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_CHUNK_SIZE: wire.u32(10),
+        }))
+        control.expect(FrameType.XFER_ACCEPT)
+        if case == "off the grid":
+            chunk = pack_chunk(transfer_id, 0, 5, bytes(10))
+        else:
+            chunk = pack_chunk(os.urandom(16), 0, 0, bytes(10))
+        control.send(FrameType.CHUNK, chunk)
+        with pytest.raises(BadRequest) as refused:
+            control.expect(FrameType.XFER_DONE)
+        assert str(refused.value) == message
+    finally:
+        control.close()
+    assert node.registry.lookup(transfer_id) is None
+
+
+def test_pull_offered_without_the_tag_serves_stream_zero_by_connection(
+        node, tmp_path):
+    """A pull offer without X_CONTROL_STREAM sends no chunk on the
+    control session: a data connection dialed for stream 0 moves them."""
+    data = os.urandom(30_000)
+    (storage(node) / "plain.bin").write_bytes(data)
+    params = SessionParams(Mode.FTSM_PULL, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    address = ("127.0.0.1", node.port)
+    control = secchan.connect(address, params, "grid", GRID_PSK)
+    transfer_id = os.urandom(16)
+    try:
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_PATH: b"plain.bin",
+            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_CHUNK_SIZE: wire.u32(10_000),
+        }))
+        control.expect(FrameType.XFER_ACCEPT)
+        conn = secchan.connect(address, params, "grid", GRID_PSK,
+                               transfer_id=transfer_id, stream_index=0)
+        received = bytearray(len(data))
+        try:
+            for _ in range(3):
+                _, _, offset, payload = unpack_chunk(
+                    conn.expect(FrameType.CHUNK).payload)
+                received[offset:offset + len(payload)] = payload
+        finally:
+            conn.close()
+        control.send(FrameType.XFER_DONE, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id}))
+        done = wire.decode_fields(control.expect(FrameType.XFER_DONE).payload)
+    finally:
+        control.close()
+    assert bytes(received) == data
+    assert done[ftsm.X_MD5] == md5(data)

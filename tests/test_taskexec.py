@@ -380,8 +380,8 @@ def test_sets_get_distinct_workdirs(node, tmp_path):
 
 
 def test_one_auth_for_the_whole_set(node, sniff_factory, tmp_path):
-    """Control session authenticates once; staging and output transfers
-    ride data connections that never carry credentials."""
+    """Control session authenticates once, and staging and output
+    transfers, each a single stream, ride that same session."""
     proxy = sniff_factory(("127.0.0.1", node.port))
     first = tmp_path / "first.bin"
     second = tmp_path / "second.bin"
@@ -398,9 +398,9 @@ def test_one_auth_for_the_whole_set(node, sniff_factory, tmp_path):
     assert results[0].status == TaskStatus.OK
     assert (tmp_path / "out" / "both.bin").read_bytes() == \
         b"x" * 9000 + b"y" * 5000
-    # one control connection + three data connections (two in, one out)
+    # one control connection carries both stagings and the output pull
     assert proxy.count(FrameType.AUTH) == 1
-    assert proxy.count(FrameType.HELLO) == 4
+    assert proxy.count(FrameType.HELLO) == 1
 
 
 def test_collect_twice_within_retention(node):
