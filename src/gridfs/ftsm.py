@@ -13,15 +13,22 @@ span is sent as sequential CHUNK frames:
 
 Offsets are absolute file offsets; the receiver writes each payload at
 exactly its offset, so any interleaving of streams reassembles the same
-bytes. After draining, the sender's XFER_DONE carries the whole-region
-MD5; the receiver re-reads its region and compares before acknowledging.
+bytes. The sender's XFER_DONE carries the whole-region MD5, which a second
+thread computes while the streams move the region (a region of one chunk
+is hashed after its send, on the calling thread); the receiver re-reads
+its region and compares before acknowledging. A source whose stat changes
+while it is read is hashed again afterwards, so a torn copy fails.
 A whole-file transfer replaces the destination (the offer carries a
 truncate flag, so a shorter file drops any stale tail); an explicit
 region only ever touches its own byte range.
 
 The receiver persists progress beside the destination in `<dst>.xferstate`:
-the transfer geometry plus a chunk-granularity bitmap, rewritten atomically
-after every chunk, data first. An interrupted transfer resumes from the
+the transfer geometry plus a chunk-granularity bitmap, replaced atomically
+on the first chunk, then at most once per SIDECAR_INTERVAL, and once more
+when the receiver is dropped short of a verified finish. Data lands before
+its mark, so a sidecar never claims an unwritten chunk; a receiving
+process killed outright loses at most one interval of marks, and those
+chunks are sent again. An interrupted transfer resumes from the
 sidecar — the original chunk grid is preserved and only missing chunks are
 resent, round-robin across however many streams the resuming session opens.
 The sidecar is removed once every chunk has landed, whether or not the
@@ -115,6 +122,9 @@ WHOLE_REST = 2**64 - 1
 RETRIES = 3
 BACKOFF = 0.25
 
+# a receiver replaces its sidecar at most once per this many seconds
+SIDECAR_INTERVAL = 0.05
+
 # room an XFER_RESUME, or a resuming pull XFER_OFFER, needs beside its
 # bitmap: the other fields, a path and an AEAD tag
 BITMAP_MARGIN = 512
@@ -137,18 +147,64 @@ def unpack_chunk(raw: bytes) -> tuple[bytes, int, int, bytes]:
     return transfer_id, stream_index, offset, payload
 
 
-def md5_region(path: Path, offset: int, length: int) -> bytes:
+def md5_region(path: Path, offset: int, length: int,
+               stop: threading.Event | None = None) -> bytes:
+    """MD5 of `length` bytes of `path` from `offset`, read in pieces of at
+    most 1 MiB into one reused buffer. Once `stop` is set, the read ends
+    after the current piece and the digest covers only what was read."""
     digest = hashlib.md5()
+    buffer = memoryview(bytearray(min(1 << 20, length)))
     remaining = length
-    with open(path, "rb") as handle:
+    with open(path, "rb", buffering=0) as handle:
         handle.seek(offset)
-        while remaining:
-            piece = handle.read(min(1 << 20, remaining))
-            if not piece:
+        while remaining and not (stop is not None and stop.is_set()):
+            got = handle.readinto(buffer[:min(len(buffer), remaining)])
+            if not got:
                 break
-            digest.update(piece)
-            remaining -= len(piece)
+            digest.update(buffer[:got])
+            remaining -= got
     return digest.digest()
+
+
+def _stamp(path: Path) -> tuple[int, int, int, int]:
+    stat = os.stat(path)
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
+
+
+def run_beside_digest(work: Callable[[], object], src: Path,
+                      grid: ChunkGrid) -> tuple[object, bytes]:
+    """Run `work()` on the calling thread while a second thread computes
+    the MD5 of `grid`'s region of `src`; return work's result and the
+    digest. A region of at most one chunk is hashed after `work` on this
+    thread instead: a thread costs more than it would overlap. If `work`
+    raises, the hash stops after its current piece; either error is
+    raised once the hashing thread has ended. If the source's stat
+    changed meanwhile, the region is hashed again, so the digest is of
+    what the file holds now and a copy torn by the change fails."""
+    offset, length = grid.region_offset, grid.region_length
+    if length <= grid.chunk_size:
+        result = work()
+        return result, md5_region(src, offset, length)
+    before = _stamp(src)
+    stop = threading.Event()
+    results: list = [None, None]
+
+    def run(index: int) -> None:
+        if index:
+            results[1] = md5_region(src, offset, length, stop)
+            return
+        try:
+            results[0] = work()
+        except BaseException:
+            stop.set()      # nobody will read the digest
+            raise
+
+    for exc in fan_out(run, 2, inline=True):
+        if exc is not None:
+            raise exc
+    if _stamp(src) != before:
+        results[1] = md5_region(src, offset, length)
+    return results[0], results[1]
 
 
 # -- planning ---------------------------------------------------------------
@@ -388,14 +444,21 @@ def save_state(dst: Path, state: TransferState) -> None:
     os.replace(tmp, sidecar)
 
 
+def readable_state(dst: Path) -> TransferState | None:
+    """The sidecar beside `dst`, or None if there is none or it cannot be
+    trusted; an untrusted one is deleted with a warning."""
+    try:
+        return load_state(dst)
+    except StateCorrupt:
+        log.warning("discarding corrupt transfer state next to %s", dst.name)
+        state_path(dst).unlink(missing_ok=True)
+        return None
+
+
 def resumable_state(dst: Path, grid: ChunkGrid) -> TransferState | None:
     """The sidecar beside `dst` if it continues a transfer of `grid`'s
     region in `grid`'s chunk size; any other sidecar is deleted."""
-    try:
-        state = load_state(dst)
-    except StateCorrupt:
-        log.warning("discarding corrupt transfer state next to %s", dst.name)
-        state = None
+    state = readable_state(dst)
     if state is not None and (
             state.grid.region_offset == grid.region_offset and
             state.grid.region_length == grid.region_length and
@@ -424,9 +487,13 @@ def pull_assignments(grid: ChunkGrid, bitmap: bytes | None,
 # -- receiving end (either side, depending on direction) --------------------
 
 class RegionReceiver:
-    """Writes validated chunks at their absolute offsets and keeps the
-    sidecar current. Data lands before the bitmap marks it, so a crash
-    can lose at most the marking, never claim unwritten bytes."""
+    """Writes validated chunks at their absolute offsets and records them
+    in the sidecar: on the first chunk, then at most once per
+    SIDECAR_INTERVAL, and once more, if any chunk landed since, when the
+    receiver is dropped short of a verified finish (`abort`, or `finish`
+    of an incomplete region). Data lands before the bitmap marks it, so a
+    sidecar never claims unwritten bytes; a process killed outright loses
+    at most one interval of marks, and those chunks are sent again."""
 
     def __init__(self, dst: Path, transfer_id: bytes, grid: ChunkGrid,
                  state: TransferState | None = None,
@@ -436,6 +503,8 @@ class RegionReceiver:
         self.state = state or TransferState.fresh(transfer_id, grid)
         self.truncate_to = truncate_to
         self._lock = threading.Lock()
+        self._saved_at: float | None = None   # monotonic, last sidecar write
+        self._unsaved = False                 # marks made since then
         self.state.transfer_id = transfer_id
         self.dst.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(self.dst, os.O_RDWR | os.O_CREAT, 0o644)
@@ -450,7 +519,21 @@ class RegionReceiver:
             if self.state.has(ordinal):
                 return     # duplicate delivery after a resume race: harmless
             self.state.mark(ordinal, len(payload))
-            save_state(self.dst, self.state)
+            self._unsaved = True
+            if self._saved_at is None or \
+                    time.monotonic() - self._saved_at >= SIDECAR_INTERVAL:
+                self._save()
+
+    def _save(self) -> None:
+        """Replace the sidecar; the caller holds the lock."""
+        save_state(self.dst, self.state)
+        self._saved_at = time.monotonic()
+        self._unsaved = False
+
+    def _save_unsaved(self) -> None:
+        with self._lock:
+            if self._unsaved:
+                self._save()
 
     def complete(self) -> bool:
         with self._lock:
@@ -469,8 +552,11 @@ class RegionReceiver:
             os.close(self._fd)
             self._fd = -1
         if not self.state.complete():
+            self._save_unsaved()
             raise IncompleteTransfer(
                 f"{len(self.state.missing())} chunks never arrived")
+        with self._lock:
+            self._unsaved = False    # the sidecar goes, and stays gone
         state_path(self.dst).unlink(missing_ok=True)
         actual = md5_region(self.dst, self.grid.region_offset,
                             self.grid.region_length)
@@ -479,6 +565,10 @@ class RegionReceiver:
         return self.state.total_received
 
     def abort(self) -> None:
+        """Drop the receiver: record the chunks landed since the last
+        sidecar write, unless `finish` verified the region, and close the
+        file."""
+        self._save_unsaved()
         if self._fd >= 0:
             os.close(self._fd)
             self._fd = -1
@@ -798,10 +888,14 @@ class FtsmService:
                                   sender_ctx=(src, assignments))
         self._register_and_reply(channel, session, FrameType.XFER_ACCEPT,
                                  grid_fields(grid))
-        try:
+
+        def serve() -> None:
             if wire.read_uint(fields, X_CONTROL_STREAM, 0) and assignments:
                 send_chunks(channel, transfer_id, 0, src, assignments[0])
             channel.expect(FrameType.XFER_DONE)
+
+        try:
+            _, digest = run_beside_digest(serve, src, grid)
         except ConnectionLost:
             return
         except OSError as exc:
@@ -811,7 +905,7 @@ class FtsmService:
         channel.send(FrameType.XFER_DONE, wire.encode_fields({
             X_TRANSFER: transfer_id,
             X_STATUS: wire.u16(Status.OK),
-            X_MD5: md5_region(src, grid.region_offset, grid.region_length),
+            X_MD5: digest,
             X_TOTAL: wire.u64(grid.region_length),
         }))
 
@@ -994,11 +1088,12 @@ class TransferClient:
         else:
             assignments = grid.chunks_by_span()
 
-        per_stream = self._run_senders(control, transfer_id, local,
-                                       assignments)
+        per_stream, digest = run_beside_digest(
+            lambda: self._run_senders(control, transfer_id, local,
+                                      assignments),
+            local, grid)
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            X_TRANSFER: transfer_id,
-            X_MD5: md5_region(local, offset, length)}))
+            X_TRANSFER: transfer_id, X_MD5: digest}))
         control.expect(FrameType.XFER_DONE)
         return TransferReport(sum(per_stream), time.monotonic() - start,
                               per_stream, resumed)
@@ -1030,7 +1125,7 @@ class TransferClient:
         local = Path(local)
         chunk_size = self._chunk_size(control)
         start = time.monotonic()
-        state = load_state(local)
+        state = readable_state(local)
         transfer_id = os.urandom(16)
         offer = {
             X_TRANSFER: transfer_id,

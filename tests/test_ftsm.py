@@ -1026,3 +1026,400 @@ def test_pull_offered_without_the_tag_serves_stream_zero_by_connection(
         control.close()
     assert bytes(received) == data
     assert done[ftsm.X_MD5] == md5(data)
+
+
+# -- sidecar write policy ---------------------------------------------------
+
+def counted_saves(monkeypatch):
+    """Count the receiver's sidecar writes; returns the list of states."""
+    saves = []
+    real_save = ftsm.save_state
+
+    def counting(dst, state):
+        saves.append(state.total_received)
+        real_save(dst, state)
+
+    monkeypatch.setattr(ftsm, "save_state", counting)
+    return saves
+
+
+def receiver_over(tmp_path, chunks=64, chunk_size=1024):
+    grid = ChunkGrid(0, chunks * chunk_size, 1, chunk_size)
+    dst = tmp_path / "dst.bin"
+    data = os.urandom(grid.region_length)
+    return ftsm.RegionReceiver(dst, os.urandom(16), grid), dst, data
+
+
+def assert_sidecar_marks(dst, grid, landed, data):
+    """Check the sidecar marks exactly the chunks in `landed`, each of
+    them on disk byte for byte."""
+    state = load_state(dst)
+    chunks = grid.chunks()
+    assert [k for k in range(len(chunks)) if state.has(k)] == sorted(landed)
+    assert state.total_received == sum(chunks[k][1] for k in landed)
+    on_disk = dst.read_bytes()
+    for k in landed:
+        offset, length = chunks[k]
+        assert on_disk[offset:offset + length] == data[offset:offset + length]
+
+
+def test_sidecar_writes_at_most_once_per_interval(tmp_path, monkeypatch):
+    saves = counted_saves(monkeypatch)
+    receiver, dst, data = receiver_over(tmp_path)
+    start = time.monotonic()
+    for offset, length in receiver.grid.chunks():
+        receiver.write_chunk(offset, data[offset:offset + length])
+    elapsed = time.monotonic() - start
+    assert saves[0] == 1024      # the first chunk is recorded at once
+    assert len(saves) <= 1 + -(-elapsed // ftsm.SIDECAR_INTERVAL)
+    assert receiver.finish(md5(data)) == len(data)
+    assert dst.read_bytes() == data
+
+
+def test_abort_records_exactly_the_landed_chunks(tmp_path, monkeypatch):
+    saves = counted_saves(monkeypatch)
+    receiver, dst, data = receiver_over(tmp_path)
+    landed = [0, 3, 4, 9, 40, 63]
+    chunks = receiver.grid.chunks()
+    for k in landed:
+        offset, length = chunks[k]
+        receiver.write_chunk(offset, data[offset:offset + length])
+    receiver.abort()
+    assert saves[-1] == len(landed) * 1024
+    assert_sidecar_marks(dst, receiver.grid, landed, data)
+    writes = len(saves)
+    receiver.abort()    # nothing new landed: nothing to write
+    assert len(saves) == writes
+
+
+def test_incomplete_finish_leaves_the_landed_chunks_recorded(tmp_path):
+    receiver, dst, data = receiver_over(tmp_path)
+    landed = list(range(0, 64, 2))
+    chunks = receiver.grid.chunks()
+    for k in landed:
+        offset, length = chunks[k]
+        receiver.write_chunk(offset, data[offset:offset + length])
+    with pytest.raises(ftsm.IncompleteTransfer):
+        receiver.finish(md5(data))
+    assert_sidecar_marks(dst, receiver.grid, landed, data)
+    receiver.abort()
+    assert_sidecar_marks(dst, receiver.grid, landed, data)
+
+
+def test_finished_receiver_leaves_no_sidecar_even_after_abort(
+        tmp_path, monkeypatch):
+    saves = counted_saves(monkeypatch)
+    receiver, dst, data = receiver_over(tmp_path)
+    for offset, length in receiver.grid.chunks():
+        receiver.write_chunk(offset, data[offset:offset + length])
+    writes = len(saves)
+    assert receiver.finish(md5(data)) == len(data)
+    assert not state_path(dst).exists()
+    receiver.abort()
+    assert not state_path(dst).exists()
+    assert len(saves) == writes
+
+
+@pytest.mark.parametrize("interval", [0.0, 0.05])
+def test_sidecar_on_disk_never_marks_an_unwritten_chunk(
+        tmp_path, monkeypatch, interval):
+    """Four writers land chunks in parallel while a reader checks every
+    sidecar it finds: each chunk it marks is on disk byte for byte."""
+    import sys
+    monkeypatch.setattr(ftsm, "SIDECAR_INTERVAL", interval)
+    receiver, dst, data = receiver_over(tmp_path, chunks=256)
+    chunks = receiver.grid.chunks()
+    done = threading.Event()
+    checked = []
+    errors = []
+
+    def check() -> None:
+        while not done.is_set():
+            try:
+                state = load_state(dst)
+            except StateCorrupt:
+                continue    # newer than the file size it was read with
+            if state is None:
+                continue
+            on_disk = dst.read_bytes()
+            for k, (offset, length) in enumerate(chunks):
+                if state.has(k) and on_disk[offset:offset + length] != \
+                        data[offset:offset + length]:
+                    errors.append(k)
+            checked.append(state.total_received)
+
+    def land(index: int) -> None:
+        for offset, length in chunks[index::4]:
+            receiver.write_chunk(offset, data[offset:offset + length])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reader = threading.Thread(target=check, daemon=True)
+        reader.start()
+        failures = ftsm.fan_out(land, 4)
+        receiver.abort()
+        done.set()
+        reader.join(5.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not reader.is_alive()
+    assert failures == [None] * 4
+    assert checked and not errors
+    assert_sidecar_marks(dst, receiver.grid, range(len(chunks)), data)
+
+
+# -- the sender's digest beside the streams ----------------------------------
+
+def test_digest_of_a_source_changed_beside_it_is_of_the_new_bytes(
+        tmp_path, monkeypatch):
+    """The source is rewritten after the overlapped hash has read it: the
+    digest returned is of what the file now holds."""
+    old, new = os.urandom(300_000), os.urandom(300_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(old)
+    os.utime(src, ns=(10**9, 10**9))
+    hashed = threading.Event()
+    real_md5_region = ftsm.md5_region
+
+    def md5_region(*args, **kwargs):
+        digest = real_md5_region(*args, **kwargs)
+        hashed.set()
+        return digest
+
+    def work():
+        assert hashed.wait(5.0)
+        src.write_bytes(new)
+        return "sent"
+
+    monkeypatch.setattr(ftsm, "md5_region", md5_region)
+    grid = ChunkGrid(0, len(old), 2, 65536)
+    assert ftsm.run_beside_digest(work, src, grid) == ("sent", md5(new))
+
+
+def test_digest_error_reaches_the_caller(tmp_path, monkeypatch):
+    src = tmp_path / "src.bin"
+    src.write_bytes(os.urandom(300_000))
+
+    def failing(*args, **kwargs):
+        raise OSError("read failed")
+
+    monkeypatch.setattr(ftsm, "md5_region", failing)
+    ran = []
+    grid = ChunkGrid(0, 300_000, 1, 65536)
+    with pytest.raises(OSError, match="read failed"):
+        ftsm.run_beside_digest(lambda: ran.append("sent"), src, grid)
+    assert ran == ["sent"]
+
+
+def test_pull_of_a_source_changed_mid_transfer_never_lands_a_wrong_file(
+        node, tmp_path, monkeypatch):
+    """The node's source is rewritten, same size, after stream 0's first
+    chunk: the pull either fails its digest or, retried, lands the new
+    bytes exactly."""
+    old, new = os.urandom(1_000_000), os.urandom(1_000_000)
+    remote = storage(node) / "moving.bin"
+    remote.write_bytes(old)
+    os.utime(remote, ns=(10**9, 10**9))
+    real_send_chunks = ftsm.send_chunks
+    rewrites = []
+
+    def rewriting(channel, transfer_id, stream_index, src, chunks):
+        if rewrites or stream_index:
+            return real_send_chunks(channel, transfer_id, stream_index, src,
+                                    chunks)
+        sent = real_send_chunks(channel, transfer_id, 0, src, chunks[:1])
+        src.write_bytes(new)
+        rewrites.append(transfer_id)
+        return sent + real_send_chunks(channel, transfer_id, 0, src,
+                                       chunks[1:])
+
+    monkeypatch.setattr(ftsm, "send_chunks", rewriting)
+    local = tmp_path / "moving.bin"
+    try:
+        report = client(node, streams=2, chunk_size=16384).pull(
+            "moving.bin", local)
+    except ftsm.IntegrityMismatch:
+        pass
+    else:
+        assert report.bytes_moved == len(new)
+        assert local.read_bytes() == new
+    assert rewrites
+
+
+def ftsm_threads_started(monkeypatch):
+    """Count the threads `ftsm` starts, in the client and the in-process
+    node alike; node sessions start theirs elsewhere."""
+    import types
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    shim = types.SimpleNamespace(**{key: getattr(threading, key)
+                                    for key in dir(threading)
+                                    if not key.startswith("__")})
+    shim.Thread = Counted
+    monkeypatch.setattr(ftsm, "threading", shim)
+    return started
+
+
+@pytest.mark.parametrize("size, threads", [(16384, 0), (16385, 1)])
+def test_one_chunk_region_starts_no_digest_thread(node, tmp_path,
+                                                  monkeypatch, size, threads):
+    """A single-stream push or pull of one chunk hashes on the calling
+    thread; one byte more and the sender hashes beside its stream."""
+    started = ftsm_threads_started(monkeypatch)
+    data = os.urandom(size)
+    src = tmp_path / "one.bin"
+    src.write_bytes(data)
+    mover = client(node, chunk_size=16384)
+    mover.push(src, "one.bin")
+    assert len(started) == threads
+    mover.pull("one.bin", tmp_path / "back.bin")
+    assert len(started) == 2 * threads
+    assert (tmp_path / "back.bin").read_bytes() == data
+
+
+def settled_threads(baseline, timeout=5.0):
+    """The live threads beyond `baseline`, once they have had `timeout`
+    seconds to end."""
+    deadline = time.monotonic() + timeout
+    while True:
+        extra = [thread for thread in threading.enumerate()
+                 if thread not in baseline]
+        if not extra or time.monotonic() > deadline:
+            return extra
+        time.sleep(0.01)
+
+
+def test_failed_push_leaves_no_thread_behind(node, tmp_path, monkeypatch):
+    started = ftsm_threads_started(monkeypatch)
+    src = tmp_path / "src.bin"
+    src.write_bytes(os.urandom(2_000_000))
+    mover = client(node, streams=2, chunk_size=16384)
+    real_dial = TransferClient.dial
+
+    def no_data_connection(self, mode, transfer_id=None, stream_index=0):
+        if transfer_id is not None:
+            raise ConnectionLost("data connection refused")
+        return real_dial(self, mode)
+
+    baseline = set(threading.enumerate())
+    monkeypatch.setattr(TransferClient, "dial", no_data_connection)
+    control = mover.dial(Mode.FTSM_PUSH)
+    try:
+        with pytest.raises(StreamLost, match="data connection refused"):
+            mover.push_on(control, src, "failed.bin")
+    finally:
+        control.close()
+    assert len(started) == 2       # stream 1 and the digest
+    assert not any(thread.is_alive() for thread in started)
+    assert settled_threads(baseline) == []
+
+
+def test_vanished_puller_stops_the_node_hashing(node, tmp_path, monkeypatch):
+    """The puller hangs up after the node's reply: the node's digest stops
+    within a piece instead of reading the whole region, and its threads
+    end with the session."""
+    import types
+    length = 64 << 20
+    with open(storage(node) / "sparse.bin", "wb") as handle:
+        handle.truncate(length)
+    hashed = []
+
+    class SlowMd5:
+        def __init__(self):
+            self._digest = hashlib.md5()
+
+        def update(self, piece):
+            hashed.append(len(piece))
+            time.sleep(0.02)
+            self._digest.update(piece)
+
+        def digest(self):
+            return self._digest.digest()
+
+    monkeypatch.setattr(ftsm, "hashlib", types.SimpleNamespace(md5=SlowMd5))
+    started = ftsm_threads_started(monkeypatch)
+    baseline = set(threading.enumerate())
+    params = SessionParams(Mode.FTSM_PULL, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    control = secchan.connect(("127.0.0.1", node.port), params, "grid",
+                              GRID_PSK)
+    transfer_id = os.urandom(16)
+    try:
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_PATH: b"sparse.bin",
+            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_CHUNK_SIZE: wire.u32(65536),
+        }))
+        control.expect(FrameType.XFER_ACCEPT)
+    finally:
+        control.close()    # vanish: no chunk read, no XFER_DONE
+    assert settled_threads(baseline) == []
+    assert len(started) == 1
+    assert not started[0].is_alive()
+    assert sum(hashed) < length // 4
+    assert node.registry.lookup(transfer_id) is None
+
+
+def test_pull_that_fails_its_stream_leaves_no_thread_behind(
+        node, tmp_path, monkeypatch):
+    """A pull whose node source shrinks mid-send fails; neither side keeps
+    a stream or digest thread once it has."""
+    remote = storage(node) / "shrinks.bin"
+    remote.write_bytes(os.urandom(2_000_000))
+    real_send_chunks = ftsm.send_chunks
+
+    def shrinking(channel, transfer_id, stream_index, src, chunks):
+        with open(src, "r+b") as handle:
+            handle.truncate(15_000)
+        return real_send_chunks(channel, transfer_id, stream_index, src,
+                                chunks)
+
+    monkeypatch.setattr(ftsm, "send_chunks", shrinking)
+    started = ftsm_threads_started(monkeypatch)
+    baseline = set(threading.enumerate())
+    mover = client(node, streams=2, chunk_size=16384)
+    control = mover.dial(Mode.FTSM_PULL)
+    try:
+        with pytest.raises(StreamLost):
+            mover.pull_on(control, "shrinks.bin", tmp_path / "back.bin")
+    finally:
+        control.close()
+    assert started
+    assert settled_threads(baseline) == []
+    assert not any(thread.is_alive() for thread in started)
+
+
+# -- a client pull over a sidecar it cannot trust ---------------------------
+
+def garbage_sidecar(local, data):
+    state_path(local).write_bytes(b"not a fieldmap at all")
+
+
+def sidecar_beyond_an_absent_file(local, data):
+    state = TransferState.fresh(os.urandom(16), ChunkGrid(0, len(data), 1,
+                                                          4096))
+    state.mark(0, 4096)
+    save_state(local, state)
+    assert not local.exists()
+
+
+@pytest.mark.parametrize("plant", [garbage_sidecar,
+                                   sidecar_beyond_an_absent_file],
+                         ids=["unreadable", "beyond the destination"])
+def test_pull_over_an_untrusted_sidecar_starts_afresh(node, tmp_path, plant):
+    data = os.urandom(50_000)
+    (storage(node) / "back.bin").write_bytes(data)
+    local = tmp_path / "back.bin"
+    plant(local, data)
+    report = client(node, chunk_size=4096).pull("back.bin", local)
+    assert not report.resumed
+    assert report.bytes_moved == len(data)
+    assert local.read_bytes() == data
+    assert not state_path(local).exists()
