@@ -54,7 +54,7 @@ from .errors import (
     TruncatedHeader,
     WorkerFailed,
 )
-from .ftsm import TransferClient, fan_out
+from .ftsm import TransferClient, fan_out, pwrite_all
 from .perms import Account, ActionKind, GuardedAction, check
 from .secchan import Channel
 from .wire import FrameType, Mode, SecurityMode, SessionParams
@@ -720,7 +720,7 @@ def reassemble(manifest: PlacementMap | Path, params: CipherParams,
                             f"{header.part_num}")
                     got = stream_decrypt(
                         handle, header, params,
-                        lambda piece, pos: os.pwrite(
+                        lambda piece, pos: pwrite_all(
                             fd, piece, base_offset + pos))
                 local.unlink()
                 if got != plain_length:

@@ -15,9 +15,12 @@ Offsets are absolute file offsets; the receiver writes each payload at
 exactly its offset, so any interleaving of streams reassembles the same
 bytes. The sender's XFER_DONE carries the whole-region MD5, which a second
 thread computes while the streams move the region (a region of one chunk
-is hashed after its send, on the calling thread); the receiver re-reads
-its region and compares before acknowledging. A source whose stat changes
-while it is read is hashed again afterwards, so a torn copy fails.
+is hashed after its send, on the calling thread). A source whose stat
+changes while it is read is hashed again afterwards, so a torn copy
+fails. The receiving threads keep one MD5 over the landed prefix of the
+region as the chunks land (see RegionReceiver), and the receiver compares
+it before acknowledging; the first delivery of a chunk wins, so no
+duplicate rewrites bytes the digest has covered.
 A whole-file transfer replaces the destination (the offer carries a
 truncate flag, so a shorter file drops any stale tail); an explicit
 region only ever touches its own byte range.
@@ -60,6 +63,7 @@ served.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import logging
 import os
@@ -164,6 +168,20 @@ def md5_region(path: Path, offset: int, length: int,
             digest.update(buffer[:got])
             remaining -= got
     return digest.digest()
+
+
+def pwrite_all(fd: int, data: bytes, offset: int) -> None:
+    """Write all of `data` to `fd` at `offset`, carrying on after a short
+    write; a write that makes no progress raises OSError, so no caller
+    mistakes a partial write for a whole one."""
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        if written <= 0:
+            raise OSError(errno.EIO, f"short write: {len(view)} bytes of "
+                                     f"{len(data)} unwritten at {offset}")
+        view = view[written:]
+        offset += written
 
 
 def _stamp(path: Path) -> tuple[int, int, int, int]:
@@ -487,8 +505,22 @@ def pull_assignments(grid: ChunkGrid, bitmap: bytes | None,
 # -- receiving end (either side, depending on direction) --------------------
 
 class RegionReceiver:
-    """Writes validated chunks at their absolute offsets and records them
-    in the sidecar: on the first chunk, then at most once per
+    """Writes validated chunks at their absolute offsets, digests the
+    region as it lands, and records progress in the sidecar.
+
+    The first delivery of a chunk wins: a chunk whose ordinal has landed,
+    or is being written at that moment, is dropped unwritten, so landed
+    bytes never change under the digest. The receiver keeps one running
+    MD5 over the landed prefix of the region in ordinal order, which is
+    file order. Once its chunk has landed, a caller takes the front of
+    the unhashed rest, if the front has landed and no other caller holds
+    it, and hashes forward until it meets a chunk that has not landed:
+    the chunk in hand from memory, any other (one that landed out of
+    order, or in an earlier session of a resumed transfer) read back from
+    the file. `finish` takes the digest and reads back only what no
+    caller hashed. No thread is started for this.
+
+    The sidecar is replaced on the first chunk, then at most once per
     SIDECAR_INTERVAL, and once more, if any chunk landed since, when the
     receiver is dropped short of a verified finish (`abort`, or `finish`
     of an incomplete region). Data lands before the bitmap marks it, so a
@@ -502,9 +534,13 @@ class RegionReceiver:
         self.grid = grid
         self.state = state or TransferState.fresh(transfer_id, grid)
         self.truncate_to = truncate_to
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
         self._saved_at: float | None = None   # monotonic, last sidecar write
         self._unsaved = False                 # marks made since then
+        self._writing: set[int] = set()       # ordinals being written now
+        self._md5 = hashlib.md5()             # over ordinals below _hashed
+        self._hashed = 0
+        self._hashing = False                 # a caller holds the front
         self.state.transfer_id = transfer_id
         self.dst.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(self.dst, os.O_RDWR | os.O_CREAT, 0o644)
@@ -514,15 +550,63 @@ class RegionReceiver:
         if ordinal is None or \
                 self.grid._chunks[ordinal][1] != len(payload):
             raise BadRequest("chunk does not lie on the transfer grid")
-        os.pwrite(self._fd, payload, offset)
         with self._lock:
-            if self.state.has(ordinal):
-                return     # duplicate delivery after a resume race: harmless
+            if self.state.has(ordinal) or ordinal in self._writing:
+                return     # a duplicate: the first delivery wins
+            self._writing.add(ordinal)
+        try:
+            pwrite_all(self._fd, payload, offset)
+        except BaseException:
+            with self._lock:
+                self._writing.discard(ordinal)
+            raise
+        with self._lock:
+            self._writing.discard(ordinal)
             self.state.mark(ordinal, len(payload))
             self._unsaved = True
             if self._saved_at is None or \
                     time.monotonic() - self._saved_at >= SIDECAR_INTERVAL:
                 self._save()
+            claimed = self._claim_front()
+        if claimed:
+            self._hash_front(ordinal, payload)
+
+    def _claim_front(self) -> bool:
+        """Take the front of the unhashed rest if it has landed and no
+        other caller holds it; the caller holds the lock."""
+        if self._hashing or self._hashed == len(self.grid._chunks) or \
+                not self.state.has(self._hashed):
+            return False
+        self._hashing = True
+        return True
+
+    def _hash_front(self, ordinal: int = -1, payload: bytes = b"") -> None:
+        """Hash landed chunks from the front on, in ordinal order, until
+        one has not landed, then let go of the front, which the caller
+        holds. `payload` is chunk `ordinal`'s bytes; every other chunk is
+        read back from the file, so a chunk cut short on disk fails the
+        digest. The release happens under the same hold of the lock as
+        the check that the next chunk has not landed, so a chunk marked
+        meanwhile is never left for nobody to hash."""
+        chunks = self.grid._chunks
+        try:
+            while True:
+                k = self._hashed
+                offset, length = chunks[k]
+                self._md5.update(payload if k == ordinal
+                                 else os.pread(self._fd, length, offset))
+                with self._lock:
+                    self._hashed = k + 1
+                    if self._hashed == len(chunks) or \
+                            not self.state.has(self._hashed):
+                        self._hashing = False
+                        self._lock.notify_all()
+                        return
+        except BaseException:
+            with self._lock:
+                self._hashing = False
+                self._lock.notify_all()
+            raise
 
     def _save(self) -> None:
         """Replace the sidecar; the caller holds the lock."""
@@ -539,27 +623,40 @@ class RegionReceiver:
         with self._lock:
             return self.state.complete()
 
+    def _digest(self) -> bytes:
+        """The MD5 of the landed region so far: wait for a caller still
+        hashing, then hash what no caller did."""
+        with self._lock:
+            self._lock.wait_for(lambda: not self._hashing)
+            claimed = self._claim_front()
+        if claimed:
+            self._hash_front()
+        with self._lock:
+            return self._md5.digest()
+
     def finish(self, expected_md5: bytes) -> int:
-        """Verify the region against the sender's digest. A complete region
-        drops its sidecar, match or not: resuming it would send nothing and
-        fail the same way."""
+        """Verify the region against the sender's digest, which the
+        receiver took as the chunks landed; only what no writer hashed is
+        read back here (the landed chunks of a resumed transfer that
+        received nothing, or the rest after a hashing error). A complete
+        region drops its sidecar, match or not: resuming it would send
+        nothing and fail the same way."""
         try:
             if self.truncate_to is not None:
                 # whole-file transfer over a longer predecessor
                 os.ftruncate(self._fd, self.truncate_to)
             os.fsync(self._fd)
+            actual = self._digest() if self.complete() else None
         finally:
             os.close(self._fd)
             self._fd = -1
-        if not self.state.complete():
+        if actual is None:
             self._save_unsaved()
             raise IncompleteTransfer(
                 f"{len(self.state.missing())} chunks never arrived")
         with self._lock:
             self._unsaved = False    # the sidecar goes, and stays gone
         state_path(self.dst).unlink(missing_ok=True)
-        actual = md5_region(self.dst, self.grid.region_offset,
-                            self.grid.region_length)
         if actual != expected_md5:
             raise IntegrityMismatch("region digest differs from sender's")
         return self.state.total_received

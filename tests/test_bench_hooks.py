@@ -157,3 +157,44 @@ def test_trail_table_pairs_the_latest_record_with_another_commit(
                             "no other commit")
     assert lines[1].split() == ["setup_s", "2", "s"]
     assert "small: no untraced records" in lines
+
+
+def test_trail_table_pairs_the_latest_traced_split_with_another_commit(
+        tmp_path, monkeypatch, capsys):
+    trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
+    old, new = "a" * 40, "b" * 40
+
+    def traced(commit, digest_s, date="2026-01-02T03:04:05+00:00"):
+        record = trail_record(commit, 1, 10.0)
+        record["date"] = date
+        record["per_layer"] = {
+            "ftsm.finish_ms": {"value": 100.0, "unit": "ms"},
+            "ftsm.receiver_digest_s": {"value": digest_s, "unit": "s/op"}}
+        return record
+
+    (tmp_path / "BENCH_bulk.json").write_text(json.dumps([
+        traced(old, 0.25),
+        trail_record(old, 0, 60.0),
+        trail_record(new, 1, 11.0),     # a traced record with no split
+        traced(new, 0.0, "2026-01-03T00:00:00+00:00"),
+        trail_record(new, 0, 90.0),
+    ]))
+    (tmp_path / "BENCH_small.json").write_text(json.dumps([
+        traced(new, 0.5)]))
+    monkeypatch.setattr(trail, "TRAIL", tmp_path)
+    assert trail.main(["--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    split = lines.index("bulk per layer: bbbbbbbbbbbb (2026-01-03) against "
+                        "aaaaaaaaaaaa (2026-01-02)")
+    assert lines[split - 7] == ("bulk: bbbbbbbbbbbb (2026-01-02) against "
+                                "aaaaaaaaaaaa (2026-01-02)")
+    assert lines[split + 1].split() == \
+        ["ftsm.finish_ms", "100", "ms", "100", "x1.000"]
+    assert lines[split + 2].split() == \
+        ["ftsm.receiver_digest_s", "0", "s/op", "0.25", "x0.000"]
+    small = lines.index("small: no untraced records")
+    assert lines[small + 1] == ("small per layer: bbbbbbbbbbbb (2026-01-02) "
+                                "against no other commit")
+    assert lines[small + 2].split() == ["ftsm.finish_ms", "100", "ms"]
+    assert lines[-1] == "crypt: no untraced records"

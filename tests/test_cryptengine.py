@@ -405,6 +405,33 @@ def test_truncated_block_names_its_part(node_factory, tmp_path, monkeypatch,
     assert list(spool_root.glob("gridfs-blocks-*")) == []
 
 
+def test_short_output_write_fails_the_reassembly(node_factory, tmp_path,
+                                                 monkeypatch):
+    """A pwrite into the rebuilt output that writes only half of what it
+    is given raises, instead of leaving a hole of zeros, and leaves no
+    output or .part file behind."""
+    worker = node_factory("w1")
+    source = tmp_path / "data.bin"
+    source.write_bytes(os.urandom(64 * 1024))
+    manifest = ce.distribute(source, [endpoint(worker)], PARAMS,
+                             "alice", ALICE_PSK, block_size=16 * 1024)
+    rebuilt = tmp_path / "back.bin"
+    scratch = rebuilt.with_name("back.bin.part")
+    real_pwrite = os.pwrite
+
+    def half_into_the_output(fd, data, offset):
+        if scratch.exists() and \
+                os.fstat(fd).st_ino == scratch.stat().st_ino:
+            data = data[:len(data) // 2]
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", half_into_the_output)
+    with pytest.raises(OSError, match="short write"):
+        ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK)
+    assert not rebuilt.exists()
+    assert not scratch.exists()
+
+
 def two_holders(node_factory, tmp_path):
     """Distribute eight 16 KiB blocks over two workers: the first holds
     the even parts, the second the odd ones."""

@@ -1423,3 +1423,155 @@ def test_pull_over_an_untrusted_sidecar_starts_afresh(node, tmp_path, plant):
     assert report.bytes_moved == len(data)
     assert local.read_bytes() == data
     assert not state_path(local).exists()
+
+
+# -- the receiver's digest, taken as the chunks land ------------------------
+
+def land(receiver, data, ordinals):
+    chunks = receiver.grid.chunks()
+    for k in ordinals:
+        offset, length = chunks[k]
+        receiver.write_chunk(offset, data[offset:offset + length])
+
+
+def test_late_duplicate_with_other_bytes_leaves_the_first(tmp_path):
+    receiver, dst, data = receiver_over(tmp_path, chunks=8)
+    land(receiver, data, range(8))
+    offset, length = receiver.grid.chunks()[5]
+    receiver.write_chunk(offset, os.urandom(length))
+    assert receiver.finish(md5(data)) == len(data)
+    assert dst.read_bytes() == data
+
+
+def test_duplicate_of_a_chunk_being_written_is_dropped(tmp_path,
+                                                       monkeypatch):
+    """A second delivery that arrives while the first is still in pwrite
+    returns without writing, and the first delivery's bytes stay."""
+    receiver, dst, data = receiver_over(tmp_path, chunks=4)
+    offset, length = receiver.grid.chunks()[2]
+    real_pwrite = os.pwrite
+    entered, release = threading.Event(), threading.Event()
+    writes = []
+
+    def held_pwrite(fd, payload, at):
+        writes.append(at)
+        if at == offset and not entered.is_set():
+            entered.set()
+            assert release.wait(5.0)
+        return real_pwrite(fd, payload, at)
+
+    monkeypatch.setattr(os, "pwrite", held_pwrite)
+    first = threading.Thread(target=land, args=(receiver, data, [2]),
+                             daemon=True)
+    first.start()
+    try:
+        assert entered.wait(5.0)
+        receiver.write_chunk(offset, os.urandom(length))
+    finally:
+        release.set()
+        first.join(5.0)
+    assert not first.is_alive()
+    assert writes.count(offset) == 1
+    land(receiver, data, [0, 1, 3])
+    assert receiver.finish(md5(data)) == len(data)
+    assert dst.read_bytes() == data
+
+
+def test_short_pwrite_raises_from_write_chunk(tmp_path, monkeypatch):
+    """A pwrite that keeps writing half of what it is given raises; the
+    chunk stays unmarked, so a later delivery lands it whole."""
+    receiver, dst, data = receiver_over(tmp_path, chunks=4)
+    real_pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, payload, offset: real_pwrite(
+        fd, payload[:len(payload) // 2], offset))
+    with pytest.raises(OSError, match="short write"):
+        land(receiver, data, [1])
+    monkeypatch.setattr(os, "pwrite", real_pwrite)
+    assert not receiver.state.has(1)
+    land(receiver, data, range(4))
+    assert receiver.finish(md5(data)) == len(data)
+    assert dst.read_bytes() == data
+
+
+def test_chunks_landing_in_reverse_over_three_streams_verify(tmp_path):
+    """Three writers each land their span's chunks last to first, with
+    thread switches forced often: the front lands last, every chunk is
+    hashed by the time the writers are done (none is left for nobody),
+    and the digest covers the region in order."""
+    import sys
+    grid = ChunkGrid(0, 3 * 40 * 1024 + 123, 3, 1024)
+    dst = tmp_path / "dst.bin"
+    data = os.urandom(grid.region_length)
+    receiver = ftsm.RegionReceiver(dst, os.urandom(16), grid)
+    spans = grid.chunks_by_span()
+
+    def land_span(index):
+        for offset, length in reversed(spans[2 - index]):
+            receiver.write_chunk(offset, data[offset:offset + length])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert ftsm.fan_out(land_span, 3) == [None] * 3
+    finally:
+        sys.setswitchinterval(switch)
+    assert receiver._hashed == len(grid.chunks())
+    assert receiver.finish(md5(data)) == len(data)
+    assert dst.read_bytes() == data
+
+
+def test_resume_checks_the_earlier_session_chunks_on_disk(node, tmp_path):
+    """A chunk that landed before the interruption and was changed on
+    disk since fails the resumed push's digest; the retry starts afresh."""
+    data = os.urandom(100_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    sent = interrupted_push(node, src, "bitrot.bin", fraction=0.5)
+    dst = storage(node) / "bitrot.bin"
+    wait_for_state(dst, sent)
+    with open(dst, "r+b") as handle:
+        handle.seek(4096 + 17)
+        handle.write(b"\x00" if data[4096 + 17] else b"\x01")
+
+    mover = client(node, streams=2, chunk_size=4096)
+    control = mover.dial(Mode.FTSM_PUSH)
+    try:
+        with pytest.raises(ftsm.IntegrityMismatch):
+            mover.push_on(control, src, "bitrot.bin")
+    finally:
+        control.close()
+    report = mover.push(src, "bitrot.bin")
+    assert not report.resumed
+    assert dst.read_bytes() == data
+
+
+def test_receiver_finish_reads_nothing_back(node, tmp_path, monkeypatch):
+    """A multi-chunk push and pull verify without a whole-region MD5
+    under `RegionReceiver.finish`: the senders still hash their source."""
+    finishing = threading.local()
+    calls = {"sender": 0, "finish": 0}
+    real_md5_region = ftsm.md5_region
+    real_finish = ftsm.RegionReceiver.finish
+
+    def md5_region(*args, **kwargs):
+        calls["finish" if getattr(finishing, "on", False) else "sender"] += 1
+        return real_md5_region(*args, **kwargs)
+
+    def finish(self, expected_md5):
+        finishing.on = True
+        try:
+            return real_finish(self, expected_md5)
+        finally:
+            finishing.on = False
+
+    monkeypatch.setattr(ftsm, "md5_region", md5_region)
+    monkeypatch.setattr(ftsm.RegionReceiver, "finish", finish)
+    data = os.urandom(300_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    mover = client(node, streams=2, chunk_size=16384)
+    mover.push(src, "both.bin")
+    mover.pull("both.bin", tmp_path / "back.bin")
+    assert (storage(node) / "both.bin").read_bytes() == data
+    assert (tmp_path / "back.bin").read_bytes() == data
+    assert calls == {"sender": 2, "finish": 0}

@@ -20,7 +20,9 @@ To compare two commits, run the script once with `--checkout` pointing
 at a clone of the earlier one and once without it, on the same machine.
 `--table` runs nothing: for each workload it prints the end-to-end
 metrics of the trail's latest untraced record beside those of the most
-recent untraced record of another commit, with their ratio.
+recent untraced record of another commit, then the per-layer split of
+the latest traced record beside that of the most recent traced record
+of another commit, each with their ratio.
 Only the standard library is used.
 """
 
@@ -105,35 +107,45 @@ def append(record: dict) -> Path:
 
 
 def table(trail: Path) -> list[str]:
-    """The latest untraced record of each workload against the most recent
-    untraced record of a different commit, metric by metric, with the
-    ratio latest/earlier."""
+    """Per workload, the end-to-end metrics of the trail's latest untraced
+    record, then the per-layer split of its latest traced record, each
+    beside the most recent record of the same kind from a different
+    commit, metric by metric, with the ratio latest/earlier."""
     def label(record: dict) -> str:
         commit = record["commit"]
         return f"{commit[:12]}{commit[40:]} ({record['date'][:10]})"
 
-    lines = []
-    for workload in WORKLOADS:
-        path = trail / f"BENCH_{workload}.json"
-        records = [record for record in
-                   (json.loads(path.read_text()) if path.exists() else [])
-                   if not record["trace"]]
-        if not records:
-            lines.append(f"{workload}: no untraced records")
-            continue
+    def compare(heading: str, records: list[dict], key: str) -> list[str]:
         latest = records[-1]
         earlier = next((record for record in reversed(records)
                         if record["commit"] != latest["commit"]), None)
-        lines.append(f"{workload}: {label(latest)} against "
-                     f"{label(earlier) if earlier else 'no other commit'}")
-        for name, metric in latest["end_to_end"].items():
-            row = f"  {name:<14} {metric['value']:>10.4g} {metric['unit']:<5}"
-            before = earlier and earlier["end_to_end"].get(name)
+        lines = [f"{heading}{label(latest)} against "
+                 f"{label(earlier) if earlier else 'no other commit'}"]
+        width = max([14, *map(len, latest[key])])
+        for name, metric in latest[key].items():
+            row = f"  {name:<{width}} {metric['value']:>10.4g} " \
+                  f"{metric['unit']:<5}"
+            before = earlier and earlier[key].get(name)
             if before:
                 ratio = (metric["value"] / before["value"]
                          if before["value"] else float("nan"))
                 row += f" {before['value']:>10.4g}  x{ratio:.3f}"
             lines.append(row.rstrip())
+        return lines
+
+    lines = []
+    for workload in WORKLOADS:
+        path = trail / f"BENCH_{workload}.json"
+        records = json.loads(path.read_text()) if path.exists() else []
+        untraced = [record for record in records if not record["trace"]]
+        traced = [record for record in records
+                  if record["trace"] and "per_layer" in record]
+        if untraced:
+            lines += compare(f"{workload}: ", untraced, "end_to_end")
+        else:
+            lines.append(f"{workload}: no untraced records")
+        if traced:
+            lines += compare(f"{workload} per layer: ", traced, "per_layer")
     return lines
 
 
