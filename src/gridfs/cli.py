@@ -146,16 +146,16 @@ def cmd_cp(args) -> int:
         region = (args.offset, args.length)
     user, psk = client_identity(args)
     address = (src or dst)[0]
-    mover = TransferClient(address, user, psk,
-                           security=SECURITY_NAMES[args.security],
-                           streams=args.streams, buffer_size=args.buffer,
-                           chunk_size=args.chunk)
-    if dst is not None:
-        report = mover.push(Path(args.src), dst[1], region)
-        print_report("pushed", report)
-    else:
-        report = mover.pull(src[1], Path(args.dst), region)
-        print_report("pulled", report)
+    with TransferClient(address, user, psk,
+                        security=SECURITY_NAMES[args.security],
+                        streams=args.streams, buffer_size=args.buffer,
+                        chunk_size=args.chunk) as mover:
+        if dst is not None:
+            report = mover.push(Path(args.src), dst[1], region)
+            print_report("pushed", report)
+        else:
+            report = mover.pull(src[1], Path(args.dst), region)
+            print_report("pulled", report)
     return EX_OK
 
 
@@ -165,10 +165,11 @@ def cmd_bench(args) -> int:
     if not args.mem:
         raise UsageError("only the memory benchmark exists; pass --mem")
     user, psk = client_identity(args)
-    mover = TransferClient(parse_node_address(args.node), user, psk,
-                           security=SECURITY_NAMES[args.security],
-                           streams=args.streams, buffer_size=args.buffer)
-    report = mover.bench_mem(args.seconds)
+    with TransferClient(parse_node_address(args.node), user, psk,
+                        security=SECURITY_NAMES[args.security],
+                        streams=args.streams,
+                        buffer_size=args.buffer) as mover:
+        report = mover.bench_mem(args.seconds)
     print_report("moved", report)
     for index, moved in enumerate(report.per_stream):
         print(f"  stream {index}: {moved} bytes")

@@ -435,11 +435,19 @@ class CryptWorker:
     """
 
     def serve(self, channel: Channel, account: Account) -> None:
-        channel.serve(lambda frame: self._one(channel, account, frame.payload),
-                      FrameType.CRYPT_TASK)
+        # the session's collector pushes share one client per collector
+        # and credentials, so its blocks reuse one FTSM_PUSH session
+        movers: dict[tuple, TransferClient] = {}
+        try:
+            channel.serve(lambda frame: self._one(channel, account,
+                                                  frame.payload, movers),
+                          FrameType.CRYPT_TASK)
+        finally:
+            for mover in movers.values():
+                mover.close()
 
-    def _one(self, channel: Channel, account: Account,
-             payload: bytes) -> None:
+    def _one(self, channel: Channel, account: Account, payload: bytes,
+             movers: dict[tuple, TransferClient]) -> None:
         denial = check(account, GuardedAction(ActionKind.EXECUTION))
         if denial is not None:
             raise PermissionDenied(denial)
@@ -463,14 +471,15 @@ class CryptWorker:
         length = wire.read_uint(fields, C_LENGTH)
         collector = fields.get(C_COLLECTOR, b"").decode("utf-8")
         self._encrypt(channel, account, params, username, psk, part,
-                      path, offset, length, name, collector)
+                      path, offset, length, name, collector, movers)
         channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
             C_PART: wire.u64(part), C_DONE: wire.u8(1)}))
 
     def _encrypt(self, channel: Channel, account: Account,
                  params: CipherParams, username: str, psk: bytes, part: int,
-                 path: str, offset: int, length: int,
-                 name: str, collector: str) -> None:
+                 path: str, offset: int, length: int, name: str,
+                 collector: str,
+                 movers: dict[tuple, TransferClient]) -> None:
         piece_size = channel.params.buffer_size
         # not a context manager: its close would end the crypt session
         fs = FsClient(channel)
@@ -491,12 +500,15 @@ class CryptWorker:
         scratch = destination.with_name(destination.name + ".tmp")
         scratch.write_bytes(block)
         if collector:
+            security = channel.params.security
             try:
-                mover = TransferClient(
-                    parse_endpoint(collector), username, psk,
-                    security=channel.params.security,
-                    buffer_size=channel.params.buffer_size)
-                mover.push(scratch, f"{BLOCK_SUBDIR}/{name}")
+                key = (collector, username, psk, security)
+                if key not in movers:
+                    movers[key] = TransferClient(
+                        parse_endpoint(collector), username, psk,
+                        security=security,
+                        buffer_size=channel.params.buffer_size)
+                movers[key].push(scratch, f"{BLOCK_SUBDIR}/{name}")
             finally:
                 scratch.unlink(missing_ok=True)
         else:
@@ -655,8 +667,9 @@ def reassemble(manifest: PlacementMap | Path, params: CipherParams,
     """Pull every block named in the manifest, decrypt, and rebuild the
     file at `destination`.
 
-    One fetcher thread runs per holder. Each pulls its holder's blocks in
-    plan order, one at a time, into a spool file, decrypts the block
+    One fetcher thread runs per holder, over one control session to it
+    that the fetcher closes when it ends. Each pulls its holder's blocks
+    in plan order, one at a time, into a spool file, decrypts the block
     straight into its place in the output and deletes the spool file
     before it pulls the next, so one holder's decrypt overlaps another's
     transfer. At most one block per holder sits on the spool disk, and
@@ -731,15 +744,16 @@ def reassemble(manifest: PlacementMap | Path, params: CipherParams,
 
             def fetch(index: int) -> None:
                 mover, blocks = fetchers[index]
-                for block in blocks:
-                    if stop.is_set():
-                        return
-                    try:
-                        rebuilt[index] += restore(mover, *block)
-                    except BaseException as exc:
-                        failures.append(exc)    # in the order they happen
-                        stop.set()
-                        raise
+                with mover:
+                    for block in blocks:
+                        if stop.is_set():
+                            return
+                        try:
+                            rebuilt[index] += restore(mover, *block)
+                        except BaseException as exc:
+                            failures.append(exc)    # in the order they happen
+                            stop.set()
+                            raise
 
             fan_out(fetch, len(fetchers))
             if failures:

@@ -59,6 +59,12 @@ assigns to stream 0, which both sides compute with `pull_assignments`.
 An offer without the tag leaves every stream, stream 0 included, to a
 data connection, and a data connection for any stream index is still
 served.
+
+The node serves offers on a control session one after another until the
+client hangs up, so a client keeps its authenticated session between
+transfers: `TransferClient` holds one idle session per direction, so a
+run of pushes and pulls to one node dials and authenticates once per
+direction.
 """
 
 from __future__ import annotations
@@ -1066,16 +1072,29 @@ def throughput_mbps(byte_count: int, seconds: float) -> float:
     return byte_count * 8 / (1e6 * seconds)
 
 
+class StaleSession(ConnectionLost):
+    """A held control session was lost before the node's first reply to
+    the offer, as when the node closed it while it sat idle: nothing of
+    the transfer ran."""
+
+
 def _with_retries(attempt: Callable[[], TransferReport]) -> TransferReport:
     """Run `attempt`; after a lost stream or connection, or a digest
     mismatch (whose receiver has dropped its sidecar, so the next offer
-    starts afresh), pause and run it again, at most RETRIES more times."""
-    for retry in range(RETRIES):
+    starts afresh), pause and run it again, at most RETRIES more times.
+    A stale held session costs neither a pause nor a retry: the attempt
+    runs again at once, on a freshly dialled session."""
+    retry = 0
+    while True:
         try:
             return attempt()
+        except StaleSession:
+            continue
         except (ConnectionLost, StreamLost, IntegrityMismatch):
+            if retry == RETRIES:
+                raise
             time.sleep(BACKOFF * 2 ** retry)
-    return attempt()
+            retry += 1
 
 
 class TransferClient:
@@ -1084,6 +1103,20 @@ class TransferClient:
     Transient stream failures are retried with doubling backoff; each
     retry re-offers the transfer, which the receiving side answers with
     resume state, so completed chunks are never resent.
+
+    The client holds at most one idle authenticated control session per
+    mode (FTSM_PUSH, FTSM_PULL), so a run of transfers to one node
+    dials and authenticates once per mode. A transfer takes the held
+    session out of the client under a lock, or dials one if none is
+    held, and gives it back only when it ends normally; any exception
+    closes it, an ERROR reply included. A held session that turns out
+    to be dead before the node's first reply is dialled again at once,
+    without backoff. A client used from several threads at once dials a
+    session for each transfer that finds none held; when a second one
+    comes back it is closed rather than kept. An idle held session keeps
+    a connection, and a session thread, open on the node, and counts
+    against the node's `max_sessions` until `close()` (or the end of a
+    `with` block) closes it; the client stays usable, and dials anew.
     """
 
     def __init__(self, address: tuple[str, int], username: str, psk: bytes,
@@ -1097,6 +1130,47 @@ class TransferClient:
         self.streams = max(1, min(streams, 255))    # X_STREAMS is one byte
         self.buffer_size = buffer_size
         self.chunk_size = chunk_size
+        self._held: dict[Mode, Channel] = {}
+        self._held_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the held sessions. Idempotent."""
+        with self._held_lock:
+            held, self._held = list(self._held.values()), {}
+        for control in held:
+            control.close()
+
+    def __enter__(self) -> "TransferClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _on_held(self, mode: Mode,
+                 transfer: Callable[[Channel], TransferReport]
+                 ) -> TransferReport:
+        """Run `transfer` on the held session for `mode`, or on a new one,
+        and hold the session afterwards if it ended normally."""
+        with self._held_lock:
+            control = self._held.pop(mode, None)
+        reused = control is not None
+        if control is None:
+            control = self.dial(mode)
+        replies = control.frames_received
+        try:
+            report = transfer(control)
+        except BaseException as exc:
+            control.close()
+            if reused and isinstance(exc, ConnectionLost) \
+                    and control.frames_received == replies:
+                raise StaleSession(str(exc)) from exc
+            raise
+        with self._held_lock:
+            if mode not in self._held:
+                self._held[mode], control = control, None
+        if control is not None:
+            control.close()
+        return report
 
     def dial(self, mode: Mode, transfer_id: bytes | None = None,
              stream_index: int = 0) -> Channel:
@@ -1149,11 +1223,8 @@ class TransferClient:
 
     def _push_once(self, local: Path, remote: str,
                    region: tuple[int, int] | None) -> TransferReport:
-        control = self.dial(Mode.FTSM_PUSH)
-        try:
-            return self.push_on(control, local, remote, region)
-        finally:
-            control.close()
+        return self._on_held(Mode.FTSM_PUSH, lambda control: self.push_on(
+            control, local, remote, region))
 
     def push_on(self, control: Channel, local: Path, remote: str,
                 region: tuple[int, int] | None = None) -> TransferReport:
@@ -1209,11 +1280,8 @@ class TransferClient:
 
     def _pull_once(self, remote: str, local: Path,
                    region: tuple[int, int] | None) -> TransferReport:
-        control = self.dial(Mode.FTSM_PULL)
-        try:
-            return self.pull_on(control, remote, local, region)
-        finally:
-            control.close()
+        return self._on_held(Mode.FTSM_PULL, lambda control: self.pull_on(
+            control, remote, local, region))
 
     def pull_on(self, control: Channel, remote: str, local: Path,
                 region: tuple[int, int] | None = None) -> TransferReport:

@@ -338,22 +338,22 @@ def scenario_transfer(cluster: Cluster,
     src.write_bytes(payload)
     digest = hashlib.md5(payload).digest()
     for streams in settings.stream_counts:
-        mover = TransferClient(cluster.master.address, cluster.username,
-                               cluster.psk, streams=streams,
-                               chunk_size=settings.chunk_size)
-        bench = mover.bench_mem(settings.bench_seconds)
-        ensure(sum(bench.per_stream) == bench.bytes_moved,
-               f"streams={streams}: per-stream counters sum to "
-               f"{sum(bench.per_stream)}, moved {bench.bytes_moved}")
-        records.append(ScenarioRecord(
-            "transfer", f"streams={streams} target=mem",
-            bench.bytes_moved, bench.seconds, bench.mbps, True))
+        with TransferClient(cluster.master.address, cluster.username,
+                            cluster.psk, streams=streams,
+                            chunk_size=settings.chunk_size) as mover:
+            bench = mover.bench_mem(settings.bench_seconds)
+            ensure(sum(bench.per_stream) == bench.bytes_moved,
+                   f"streams={streams}: per-stream counters sum to "
+                   f"{sum(bench.per_stream)}, moved {bench.bytes_moved}")
+            records.append(ScenarioRecord(
+                "transfer", f"streams={streams} target=mem",
+                bench.bytes_moved, bench.seconds, bench.mbps, True))
 
-        remote = f"bench/disk{streams}.bin"
-        push = mover.push(src, remote)
-        back = cluster.scratch / f"transfer-back{streams}.bin"
-        back.unlink(missing_ok=True)
-        mover.pull(remote, back)
+            remote = f"bench/disk{streams}.bin"
+            push = mover.push(src, remote)
+            back = cluster.scratch / f"transfer-back{streams}.bin"
+            back.unlink(missing_ok=True)
+            mover.pull(remote, back)
         ensure(hashlib.md5(back.read_bytes()).digest() == digest,
                f"streams={streams}: disk round trip corrupted the payload")
         records.append(ScenarioRecord(
@@ -478,15 +478,15 @@ def scenario_kill_resume(cluster: Cluster,
                          chunk_size=settings.chunk_size)
     _wait_for_state(dst, sent)
 
-    mover = TransferClient(cluster.master.address, cluster.username,
-                           cluster.psk, streams=2,
-                           chunk_size=settings.chunk_size)
-    report = mover.push(src, remote)
-    ensure(report.resumed, "second push started fresh instead of resuming")
-
     back = cluster.scratch / "resume-back.bin"
     back.unlink(missing_ok=True)
-    mover.pull(remote, back)
+    with TransferClient(cluster.master.address, cluster.username,
+                        cluster.psk, streams=2,
+                        chunk_size=settings.chunk_size) as mover:
+        report = mover.push(src, remote)
+        ensure(report.resumed,
+               "second push started fresh instead of resuming")
+        mover.pull(remote, back)
     ensure(hashlib.md5(back.read_bytes()).digest()
            == hashlib.md5(payload).digest(),
            "resumed file does not match the source")

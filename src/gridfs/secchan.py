@@ -176,6 +176,7 @@ class Channel:
         self.sock = sock
         self.params = params
         self.keys = keys
+        self.frames_received = 0    # tells a reply from a dead session
         self._rbuf = bytearray()
 
     @property
@@ -305,6 +306,7 @@ class Channel:
                 self._rbuf += chunk
                 continue
             self._rbuf = bytearray(rest)
+            self.frames_received += 1
             return frame
 
     def _recv_some(self, at_least: int) -> bytes:

@@ -156,6 +156,17 @@ class SniffProxy:
                     kill = True
         return kill
 
+    def drop_connections(self):
+        """Cut every relayed connection, as a restarted node would, and
+        keep accepting new ones."""
+        with self._lock:
+            conns = list(self._conns)
+        for sock in conns:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
     def close(self):
         self._stopping = True
         self._listener.close()

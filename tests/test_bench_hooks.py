@@ -198,3 +198,96 @@ def test_trail_table_pairs_the_latest_traced_split_with_another_commit(
                                 "against no other commit")
     assert lines[small + 2].split() == ["ftsm.finish_ms", "100", "ms"]
     assert lines[-1] == "crypt: no untraced records"
+
+
+# -- paired runs ------------------------------------------------------------
+
+CONTRACT = {"run_seconds": 30, "per_layer": [], "end_to_end": [
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower"},
+    {"name": "read_MBps", "unit": "MB/s", "better": "higher"}]}
+
+
+def fake_detail(workload, op_p50_ms, read_MBps, failures=()):
+    return {"workload": workload, "seed": 1, "seconds": 30, "trace": 0,
+            "steal": {"share": 0.0, "clean_windows": 3, "windows": 3},
+            "attempted": 100, "failures": list(failures),
+            "gated": {"op_p50_ms": [op_p50_ms, "ms", 3],
+                      "read_MBps": [read_MBps, "MB/s", 3]}}
+
+
+def test_pairs_alternate_the_order_and_record_every_run(
+        tmp_path, monkeypatch, capsys):
+    trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (change / "BENCHMARK.json").parent.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(CONTRACT))
+    calls = []
+
+    def fake_run(checkout, workload, trace, seconds, seed):
+        calls.append((checkout, workload, trace, seconds, seed))
+        slow = checkout == parent
+        return fake_detail(workload, 2.0 if slow else 1.0,
+                           10.0 if slow else 12.0)
+
+    monkeypatch.setattr(trail, "TRAIL", tmp_path)
+    monkeypatch.setattr(trail, "run_detail", fake_run)
+    monkeypatch.setattr(trail, "commit_of",
+                        lambda checkout: ("a" if checkout == parent
+                                          else "b") * 40)
+    assert trail.main(["--pairs", "3", "--against", str(parent),
+                       "--checkout", str(change), "--workload", "small",
+                       "--seed", "2"]) == 0
+    assert [call[0] for call in calls] == \
+        [parent, change, change, parent, parent, change]
+    assert {call[1:] for call in calls} == {("small", 0, 30, 2)}
+
+    records = json.loads((tmp_path / "BENCH_small.json").read_text())
+    assert len(records) == 6
+    pair_ids = [record["pair"] for record in records]
+    assert len(set(pair_ids)) == 3
+    assert pair_ids[0] == pair_ids[1] != pair_ids[2] == pair_ids[3]
+    assert [record["commit"][0] for record in records] == \
+        ["a", "b", "b", "a", "a", "b"]
+    out = capsys.readouterr().out
+    assert "op_p50_ms     parent 2 [2, 2]  change 1 [1, 1]  x0.500  " \
+           "wins 3/3  gap -1 vs parent IQR 0" in out
+    assert "failures      parent 0 of 300  change 0 of 300" in out
+
+
+def test_pair_summary_on_synthetic_numbers():
+    trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
+
+    def record(op_p50_ms, read_MBps, failures=0):
+        return trail.record_of(
+            fake_detail("small", op_p50_ms, read_MBps, ["x"] * failures),
+            CONTRACT, "c" * 40)
+
+    parent = [(1.5, 40), (1.4, 42), (1.6, 41), (1.2, 45), (1.7, 39)]
+    change = [(1.0, 52), (1.5, 41), (0.9, 55), (1.1, 50), (0.8, 60)]
+    pairs = [(record(*p, failures=1 if index == 0 else 0), record(*c))
+             for index, (p, c) in enumerate(zip(parent, change))]
+    lines = trail.pair_summary(pairs, CONTRACT)
+    # parent op_p50_ms sorted 1.2 1.4 1.5 1.6 1.7: quartiles 1.4 and 1.6
+    assert lines[0].split() == [
+        "op_p50_ms", "parent", "1.5", "[1.4,", "1.6]",
+        "change", "1", "[0.9,", "1.1]", "x0.667", "wins", "4/5",
+        "gap", "-0.5", "vs", "parent", "IQR", "0.2",
+        "(lower", "is", "better)"]
+    assert lines[1].split()[:12] == [
+        "read_MBps", "parent", "41", "[40,", "42]",
+        "change", "52", "[50,", "55]", "x1.268", "wins", "4/5"]
+    assert lines[2].split() == ["failures", "parent", "1", "of", "500",
+                                "change", "0", "of", "500"]
+    assert trail.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_pairs_need_a_parent_checkout(tmp_path, monkeypatch):
+    trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
+    monkeypatch.setattr(trail, "run_detail", None)
+    for argv in (["--pairs", "2"], ["--against", str(tmp_path)]):
+        try:
+            trail.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            raise AssertionError(f"{argv} ran")

@@ -9,6 +9,7 @@ import struct
 import sys
 import tempfile
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -656,3 +657,44 @@ def test_empty_file_round_trip(node_factory, tmp_path):
     rebuilt = tmp_path / "back.bin"
     ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK)
     assert rebuilt.read_bytes() == b""
+
+
+def open_sessions(node, timeout=5.0):
+    """The node's open connections, once they have settled."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with node._sessions_lock:
+            count = len(node._conns)
+        if count == 0 or time.monotonic() > deadline:
+            return count
+        time.sleep(0.01)
+
+
+def test_collector_pushes_and_holder_pulls_each_ride_one_session(
+        node_factory, sniff_factory, tmp_path):
+    """A worker pushes its blocks to the collector over one FTSM_PUSH
+    session, reassembly pulls them back over one FTSM_PULL session, and
+    both are closed once their run ends."""
+    worker = node_factory("w1")
+    collector = node_factory("coll")
+    proxy = sniff_factory(("127.0.0.1", collector.port))
+    payload = os.urandom(160 * 1024)
+    source = tmp_path / "data.bin"
+    source.write_bytes(payload)
+
+    manifest = ce.distribute(
+        source, [endpoint(worker)], PARAMS, "alice", ALICE_PSK,
+        block_size=32 * 1024, collector=f"127.0.0.1:{proxy.port}")
+    assert sorted(stored_blocks(collector)) == [0, 1, 2, 3, 4]
+    hellos = [wire.parse_hello(raw)[0].mode
+              for raw in proxy.payloads(FrameType.HELLO)]
+    assert hellos == [wire.Mode.FTSM_PUSH]
+    assert open_sessions(collector) == 0
+
+    rebuilt = tmp_path / "back.bin"
+    ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK)
+    assert rebuilt.read_bytes() == payload
+    hellos = [wire.parse_hello(raw)[0].mode
+              for raw in proxy.payloads(FrameType.HELLO)]
+    assert hellos == [wire.Mode.FTSM_PUSH, wire.Mode.FTSM_PULL]
+    assert open_sessions(collector) == 0

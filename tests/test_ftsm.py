@@ -16,6 +16,7 @@ from gridfs.errors import (
     BadRequest,
     ConnectionLost,
     EmptyRegion,
+    NoSuchFile,
     PermissionDenied,
     StateCorrupt,
     StreamLost,
@@ -1575,3 +1576,182 @@ def test_receiver_finish_reads_nothing_back(node, tmp_path, monkeypatch):
     assert (storage(node) / "both.bin").read_bytes() == data
     assert (tmp_path / "back.bin").read_bytes() == data
     assert calls == {"sender": 2, "finish": 0}
+
+
+# -- the held control session ------------------------------------------------
+
+def sniffed_client(node, sniff_factory):
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    return proxy, TransferClient(proxy.address, "grid", GRID_PSK,
+                                 buffer_size=65536)
+
+
+def test_transfers_on_one_client_share_one_session_per_mode(
+        node, sniff_factory, tmp_path):
+    """Five pushes and five pulls through one client dial and
+    authenticate twice, once per mode, and move every byte exactly."""
+    proxy, mover = sniffed_client(node, sniff_factory)
+    with mover:
+        for index in range(5):
+            data = os.urandom(10_000 + index * 7_919)
+            src = tmp_path / f"src{index}.bin"
+            src.write_bytes(data)
+            mover.push(src, f"held/{index}.bin")
+            assert (storage(node) / "held" / f"{index}.bin").read_bytes() \
+                == data
+            back = tmp_path / f"back{index}.bin"
+            mover.pull(f"held/{index}.bin", back)
+            assert back.read_bytes() == data
+    assert proxy.count(FrameType.HELLO) == 2
+    assert proxy.count(FrameType.AUTH) == 2
+    modes = sorted(wire.parse_hello(payload)[0].mode
+                   for payload in proxy.payloads(FrameType.HELLO))
+    assert modes == sorted([Mode.FTSM_PUSH, Mode.FTSM_PULL])
+
+
+def test_an_error_reply_closes_the_held_session(node, sniff_factory,
+                                                tmp_path):
+    """A pull refused with NoSuchFile ends its session; the next pull
+    dials a fresh one and lands its file."""
+    proxy, mover = sniffed_client(node, sniff_factory)
+    data = os.urandom(50_000)
+    (storage(node) / "there.bin").write_bytes(data)
+    with mover:
+        mover.pull("there.bin", tmp_path / "first.bin")
+        assert proxy.count(FrameType.HELLO) == 1
+        with pytest.raises(NoSuchFile):
+            mover.pull("absent.bin", tmp_path / "absent.bin")
+        assert proxy.count(FrameType.HELLO) == 1
+        mover.pull("there.bin", tmp_path / "again.bin")
+    assert proxy.count(FrameType.HELLO) == 2
+    assert (tmp_path / "again.bin").read_bytes() == data
+
+
+def test_a_stale_held_session_is_dialled_again_at_once(
+        node, sniff_factory, tmp_path, monkeypatch):
+    """The connection of the held session is cut between two pushes; the
+    second push dials afresh with no backoff pause and lands its file."""
+    proxy, mover = sniffed_client(node, sniff_factory)
+    real_sleep = time.sleep
+    pauses = []
+
+    def sleep(seconds):
+        pauses.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(ftsm.time, "sleep", sleep)
+    data = os.urandom(80_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    with mover:
+        mover.push(src, "stale/first.bin")
+        proxy.drop_connections()
+        report = mover.push(src, "stale/second.bin")
+    assert (storage(node) / "stale" / "second.bin").read_bytes() == data
+    assert report.bytes_moved == len(data) and not report.resumed
+    assert proxy.count(FrameType.HELLO) == 2
+    assert not [pause for pause in pauses if pause >= ftsm.BACKOFF]
+
+
+def test_a_stale_session_retry_costs_no_retry_of_the_budget(monkeypatch):
+    """_with_retries runs a stale-session failure again at once, and still
+    allows RETRIES paused re-runs for real failures afterwards."""
+    pauses = []
+    monkeypatch.setattr(ftsm.time, "sleep", pauses.append)
+    outcomes = [ftsm.StaleSession("idle session gone")] + \
+        [ConnectionLost("lost")] * ftsm.RETRIES + ["done"]
+
+    def attempt():
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    assert ftsm._with_retries(attempt) == "done"
+    assert pauses == [ftsm.BACKOFF * 2 ** retry
+                      for retry in range(ftsm.RETRIES)]
+    outcomes[:] = [ConnectionLost("lost")] * (ftsm.RETRIES + 1)
+    with pytest.raises(ConnectionLost):
+        ftsm._with_retries(attempt)
+
+
+def test_concurrent_transfers_on_one_client_each_get_a_session(
+        node, sniff_factory, tmp_path, monkeypatch):
+    """Two threads push through one client at once: each runs on a session
+    of its own, both files land intact, and one session stays held."""
+    proxy, mover = sniffed_client(node, sniff_factory)
+    both_inside = threading.Barrier(2, timeout=10)
+    real_push_on = TransferClient.push_on
+
+    def push_on(self, control, *args, **kwargs):
+        both_inside.wait()
+        return real_push_on(self, control, *args, **kwargs)
+
+    monkeypatch.setattr(TransferClient, "push_on", push_on)
+    payloads = [os.urandom(120_000), os.urandom(90_000)]
+    for index, data in enumerate(payloads):
+        (tmp_path / f"src{index}.bin").write_bytes(data)
+    failures = ftsm.fan_out(
+        lambda index: mover.push(tmp_path / f"src{index}.bin",
+                                 f"both/{index}.bin"), 2)
+    assert failures == [None, None]
+    for index, data in enumerate(payloads):
+        assert (storage(node) / "both" / f"{index}.bin").read_bytes() == data
+    assert proxy.count(FrameType.HELLO) == 2
+    assert list(mover._held) == [Mode.FTSM_PUSH]
+    mover.close()
+    assert not mover._held
+
+
+def test_close_is_idempotent_and_the_client_dials_anew(node, sniff_factory,
+                                                       tmp_path):
+    proxy, mover = sniffed_client(node, sniff_factory)
+    data = os.urandom(30_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    mover.push(src, "closed.bin")
+    held = mover._held[Mode.FTSM_PUSH]
+    mover.close()
+    mover.close()
+    assert held.sock.fileno() == -1
+    mover.push(src, "closed.bin")
+    assert proxy.count(FrameType.HELLO) == 2
+    assert (storage(node) / "closed.bin").read_bytes() == data
+    mover.close()
+
+
+def test_many_threads_on_one_client_leave_one_session_per_mode(
+        node, tmp_path):
+    """Six threads push and pull through one client with a short switch
+    interval: every file lands intact, and once they are done the node
+    keeps open exactly the sessions the client holds, one per mode."""
+    import sys
+    mover = client(node)
+    payloads = [os.urandom(20_000 + index * 3_001) for index in range(6)]
+    for index, data in enumerate(payloads):
+        (tmp_path / f"src{index}.bin").write_bytes(data)
+
+    def work(index: int) -> None:
+        for round_ in range(3):
+            mover.push(tmp_path / f"src{index}.bin", f"many/{index}.bin")
+            back = tmp_path / f"back{index}-{round_}.bin"
+            mover.pull(f"many/{index}.bin", back)
+            assert back.read_bytes() == payloads[index]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        failures = ftsm.fan_out(work, len(payloads))
+    finally:
+        sys.setswitchinterval(switch)
+    assert failures == [None] * len(payloads)
+    assert sorted(mover._held) == sorted([Mode.FTSM_PUSH, Mode.FTSM_PULL])
+    deadline = time.monotonic() + 5.0
+    while True:
+        with node._sessions_lock:
+            open_sessions = len(node._conns)
+        if open_sessions == 2 or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    assert open_sessions == 2
+    mover.close()

@@ -3,6 +3,8 @@
     python3 tools/bench_trail.py [--workload bulk|small|crypt|all]
         [--checkout DIR]
     python3 tools/bench_trail.py --table
+    python3 tools/bench_trail.py --pairs N --against DIR
+        [--workload bulk|small|crypt|all] [--checkout DIR] [--seed S]
 
 For each workload this runs `perfbench/run.py --workload W --trace 0`,
 then `--trace 1`, in the gridfs checkout DIR (default: the one holding
@@ -23,6 +25,19 @@ metrics of the trail's latest untraced record beside those of the most
 recent untraced record of another commit, then the per-layer split of
 the latest traced record beside that of the most recent traced record
 of another commit, each with their ratio.
+
+`--pairs N --against DIR` compares two commits on this machine: for each
+workload it runs N pairs of untraced runs, one of the checkout at DIR
+(the parent) and one of this checkout (the change) in each pair, with
+the order flipped from pair to pair (parent first in pair 0), so a
+drift of the machine or an order effect falls on both sides alike. Every
+run is appended to the trail with its pair id. Then, per end-to-end
+metric of BENCHMARK.json, it prints the median and quartiles of each
+side, the ratio of the medians (change/parent), how many of the N pairs
+the change won, and the gap between the medians against the parent's
+interquartile range; and the failed operations of each side. `--seed`
+runs the pairs on another seed than the benchmark's default, to check
+that a gain found on one seed holds on another.
 Only the standard library is used.
 """
 
@@ -32,6 +47,7 @@ import argparse
 import datetime
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -51,11 +67,12 @@ def commit_of(checkout: Path) -> str:
 
 
 def run_detail(checkout: Path, workload: str, trace: int,
-               seconds: float) -> dict:
+               seconds: float, seed: int | None = None) -> dict:
     """Run one benchmark process and return its `detail` object."""
+    seeded = [] if seed is None else ["--seed", str(seed)]
     process = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--trace", str(trace), "--seconds", str(seconds)],
+         "--trace", str(trace), "--seconds", str(seconds), *seeded],
         cwd=checkout, capture_output=True, text=True)
     for line in process.stdout.splitlines():
         if line.startswith("detail "):
@@ -149,6 +166,73 @@ def table(trail: Path) -> list[str]:
     return lines
 
 
+def run_pairs(parent: Path, change: Path, workload: str, pairs: int,
+              contract: dict, seed: int | None = None
+              ) -> list[tuple[dict, dict]]:
+    """Run `pairs` alternating pairs of untraced runs of `workload` and
+    append every record to the trail. Returns the (parent, change)
+    records of each pair."""
+    stamp = datetime.datetime.now(datetime.timezone.utc) \
+        .strftime("%Y%m%dT%H%M%SZ")
+    commits = {parent: commit_of(parent), change: commit_of(change)}
+    out = []
+    for index in range(pairs):
+        records = {}
+        order = (parent, change) if index % 2 == 0 else (change, parent)
+        for checkout in order:
+            detail = run_detail(checkout, workload, 0,
+                                contract["run_seconds"], seed)
+            record = record_of(detail, contract, commits[checkout])
+            record["pair"] = f"{stamp}/{workload}/{index}"
+            append(record)
+            records[checkout] = record
+            print(f"pair {index} {workload} "
+                  f"{'parent' if checkout == parent else 'change'} "
+                  f"{record['commit'][:12]}: " + "  ".join(
+                      f"{name} {metric['value']:.4g}" for name, metric
+                      in record["end_to_end"].items()), flush=True)
+        out.append((records[parent], records[change]))
+    return out
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    low, mid, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, mid, high
+
+
+def pair_summary(pairs: list[tuple[dict, dict]], contract: dict) -> list[str]:
+    """Per end-to-end metric of (parent, change) record pairs: each
+    side's median [quartiles], the ratio change/parent of the medians,
+    the pairs the change won, and the gap of the medians against the
+    parent's interquartile range."""
+    lines = []
+    for metric in contract["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p["end_to_end"][name]["value"] for p, _ in pairs]
+        change = [c["end_to_end"][name]["value"] for _, c in pairs]
+        p_low, p_mid, p_high = quartiles(parent)
+        c_low, c_mid, c_high = quartiles(change)
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(parent, change))
+        ratio = c_mid / p_mid if p_mid else float("nan")
+        lines.append(
+            f"  {name:<13} parent {p_mid:.4g} [{p_low:.4g}, {p_high:.4g}]"
+            f"  change {c_mid:.4g} [{c_low:.4g}, {c_high:.4g}]"
+            f"  x{ratio:.3f}  wins {wins}/{len(pairs)}"
+            f"  gap {c_mid - p_mid:+.4g} vs parent IQR "
+            f"{p_high - p_low:.4g} ({metric['better']} is better)")
+    failed = [sum(len(record["failures"]) for record in side)
+              for side in zip(*pairs)]
+    attempted = [sum(record["attempted"] for record in side)
+                 for side in zip(*pairs)]
+    lines.append(f"  failures      parent {failed[0]} of {attempted[0]}"
+                 f"  change {failed[1]} of {attempted[1]}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="append perfbench records to BENCH_<workload>.json")
@@ -159,14 +243,37 @@ def main(argv=None) -> int:
     parser.add_argument("--table", action="store_true",
                         help="print the latest records against those of the "
                              "commit before, and run nothing")
+    parser.add_argument("--pairs", type=int, default=0,
+                        help="run this many alternating pairs of the "
+                             "--against checkout and this one")
+    parser.add_argument("--against", type=Path,
+                        help="checkout of the parent commit for --pairs")
+    parser.add_argument("--seed", type=int,
+                        help="workload seed for --pairs (default: the "
+                             "benchmark's)")
     args = parser.parse_args(argv)
     if args.table:
         print("\n".join(table(TRAIL)))
         return 0
+    if bool(args.pairs) != (args.against is not None) or args.pairs < 0:
+        parser.error("--pairs N (N > 0) and --against DIR go together")
     checkout = args.checkout.resolve()
     contract = json.loads((checkout / "BENCHMARK.json").read_text())
-    commit = commit_of(checkout)
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    if args.pairs:
+        healthy = True
+        for workload in workloads:
+            pairs = run_pairs(args.against.resolve(), checkout, workload,
+                              args.pairs, contract, args.seed)
+            print(f"{workload}: {len(pairs)} pairs, parent "
+                  f"{pairs[0][0]['commit'][:12]} against change "
+                  f"{pairs[0][1]['commit'][:12]}"
+                  f"{pairs[0][1]['commit'][40:]}")
+            print("\n".join(pair_summary(pairs, contract)), flush=True)
+            healthy &= not any(record["failures"]
+                               for pair in pairs for record in pair)
+        return 0 if healthy else 1
+    commit = commit_of(checkout)
     healthy = True
     for workload in workloads:
         for trace in (0, 1):
