@@ -216,10 +216,6 @@ class SpawnFailed(GridfsError):
     status = Status.INTERNAL
 
 
-class ScenarioFailed(GridfsError):
-    status = Status.INTERNAL
-
-
 _STATUS_DEFAULT = {
     Status.BAD_REQUEST: BadRequest,
     Status.NO_SUCH_FILE: NoSuchFile,

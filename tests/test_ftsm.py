@@ -1131,8 +1131,10 @@ def test_sidecar_on_disk_never_marks_an_unwritten_chunk(
     receiver, dst, data = receiver_over(tmp_path, chunks=256)
     chunks = receiver.grid.chunks()
     done = threading.Event()
+    seen = threading.Event()    # the reader has checked a sidecar
     checked = []
     errors = []
+    waits = []
 
     def check() -> None:
         while not done.is_set():
@@ -1148,10 +1150,16 @@ def test_sidecar_on_disk_never_marks_an_unwritten_chunk(
                         data[offset:offset + length]:
                     errors.append(k)
             checked.append(state.total_received)
+            seen.set()
 
     def land(index: int) -> None:
-        for offset, length in chunks[index::4]:
+        for n, (offset, length) in enumerate(chunks[index::4]):
             receiver.write_chunk(offset, data[offset:offset + length])
+            if n == 0:
+                # a sidecar is saved on the first chunk: hold the rest
+                # until the reader has checked one, so `done` never
+                # comes before any check
+                waits.append(seen.wait(5.0))
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -1166,6 +1174,7 @@ def test_sidecar_on_disk_never_marks_an_unwritten_chunk(
         sys.setswitchinterval(switch)
     assert not reader.is_alive()
     assert failures == [None] * 4
+    assert waits == [True] * 4
     assert checked and not errors
     assert_sidecar_marks(dst, receiver.grid, range(len(chunks)), data)
 

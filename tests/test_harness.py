@@ -1,52 +1,18 @@
-"""Cluster harness: topology planning, record codec, and the scenarios
-run against a real spawned cluster."""
-
-import os
-from pathlib import Path
+"""Cluster spawner: topology planning, a real spawned cluster, and its
+teardown."""
 
 import pytest
 
-from gridfs.errors import BadRequest, ScenarioFailed, SpawnFailed
+from gridfs.errors import BadRequest, SpawnFailed
 from gridfs.harness import (
-    Cluster,
-    HarnessSettings,
     ROLE_COLLECTOR,
     ROLE_DISTRIBUTOR,
     ROLE_MASTER,
     ROLE_PEER,
     ROLE_WORKER,
-    ScenarioRecord,
     Topology,
-    decode_record,
-    encode_record,
-    ensure,
-    main,
     plan_topology,
-    read_report,
-    render_text,
-    run_scenario,
     spawn_cluster,
-    write_report,
-)
-
-SMALL = HarnessSettings(
-    transfer_bytes=200_000,
-    bench_seconds=0.2,
-    crypt_bytes=200_000,
-    crypt_block=65_536,
-    pi_digits=48,
-    kill_bytes=300_000,
-    chunk_size=8_192,
-)
-
-TINY = HarnessSettings(
-    transfer_bytes=64_000,
-    bench_seconds=0.1,
-    crypt_bytes=64_000,
-    crypt_block=16_384,
-    pi_digits=24,
-    kill_bytes=120_000,
-    chunk_size=4_096,
 )
 
 
@@ -76,71 +42,6 @@ def test_topology_minimum_sizes():
         plan_topology(Topology.COMPLETE_GRAPH, 0)
 
 
-# -- records -----------------------------------------------------------------
-
-def test_record_codec_round_trip():
-    record = ScenarioRecord("transfer", "streams=4 target=mem",
-                            123_456_789, 1.5, 658.4352, True)
-    assert decode_record(encode_record(record)) == record
-
-
-def test_report_file_round_trip(tmp_path):
-    records = [
-        ScenarioRecord("crypt", "workers=2 cipher=aes128",
-                       8 << 20, 2.25, 29.826161593, True),
-        ScenarioRecord("pi", "digits=256 nodes=4", 256, 0.75, 0.00273, False),
-    ]
-    path = tmp_path / "out.records"
-    write_report(records, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    bytes.fromhex(lines[0])       # every line is one hex-encoded record
-    assert read_report(path) == records
-
-
-def test_render_text_table():
-    records = [ScenarioRecord("pi", "digits=48 nodes=1", 48, 0.5, 0.01, True),
-               ScenarioRecord("crypt", "workers=1", 64000, 1.0, 0.51, False)]
-    text = render_text(records)
-    lines = text.splitlines()
-    assert "scenario" in lines[0] and "Mbps" in lines[0]
-    assert "pass" in text and "FAIL" in text
-    assert len(lines) == 4
-
-
-def test_ensure_raises_scenario_failed():
-    ensure(True, "fine")
-    with pytest.raises(ScenarioFailed, match="broken invariant"):
-        ensure(False, "broken invariant")
-
-
-def test_run_scenario_propagates_first_violation():
-    def boom(cluster, settings):
-        ensure(False, "first failed assertion")
-        return []
-
-    from gridfs import harness
-    harness.SCENARIOS["boom"] = boom
-    try:
-        with pytest.raises(ScenarioFailed, match="first failed assertion"):
-            run_scenario(None, "boom", repeats=1)
-    finally:
-        del harness.SCENARIOS["boom"]
-
-
-def test_unknown_scenario_rejected():
-    with pytest.raises(BadRequest):
-        run_scenario(None, "no-such-scenario", repeats=1)
-
-
-def test_repeats_report_means():
-    from gridfs.harness import _mean_batches
-    one = [ScenarioRecord("pi", "digits=8", 8, 1.0, 10.0, True)]
-    two = [ScenarioRecord("pi", "digits=8", 8, 3.0, 30.0, True)]
-    merged = _mean_batches([one, two])
-    assert merged == [ScenarioRecord("pi", "digits=8", 8, 2.0, 20.0, True)]
-
-
 # -- a real cluster ----------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -162,53 +63,6 @@ def test_cluster_shape(cluster):
         assert (node.root / "etc" / "credentials").exists()
 
 
-def test_transfer_scenario_eight_records(cluster):
-    records = run_scenario(cluster, "transfer", repeats=1, settings=SMALL)
-    assert len(records) == 8
-    assert all(record.passed for record in records)
-    assert {record.parameters for record in records} == {
-        f"streams={n} target={t}"
-        for n in (1, 2, 4, 8) for t in ("mem", "disk")}
-    disk = [r for r in records if "disk" in r.parameters]
-    assert all(r.byte_count == SMALL.transfer_bytes for r in disk)
-    assert all(r.mbps > 0 for r in records)
-
-
-def test_crypt_scenario_sweeps_workers(cluster):
-    records = run_scenario(cluster, "crypt", repeats=1, settings=SMALL)
-    assert [record.parameters for record in records] == [
-        "workers=1 cipher=aes128", "workers=2 cipher=aes128",
-        "workers=3 cipher=aes128"]
-    assert all(record.passed for record in records)
-    assert all(record.byte_count == SMALL.crypt_bytes for record in records)
-    # collector topology: blocks land on the collector node
-    blocks = cluster.collector.root / "home" / cluster.username / "blocks"
-    assert blocks.is_dir() and any(blocks.iterdir())
-
-
-def test_pi_scenario(cluster):
-    records = run_scenario(cluster, "pi", repeats=1, settings=SMALL)
-    assert len(records) == 1
-    assert records[0].passed
-    assert records[0].byte_count == SMALL.pi_digits
-
-
-def test_kill_resume_scenario(cluster):
-    records = run_scenario(cluster, "kill-resume", repeats=1, settings=SMALL)
-    assert len(records) == 1
-    assert records[0].passed
-    assert records[0].byte_count == SMALL.kill_bytes
-
-
-def test_run_all_with_repeats(cluster, tmp_path):
-    records = run_scenario(cluster, "all", repeats=2, settings=TINY)
-    assert len(records) == 8 + 3 + 1 + 1
-    assert all(record.passed for record in records)
-    path = tmp_path / "all.records"
-    write_report(records, path)
-    assert read_report(path) == records
-
-
 # -- spawn failure and teardown ---------------------------------------------
 
 def test_spawn_failure_is_spawn_failed(tmp_path):
@@ -227,17 +81,3 @@ def test_teardown_kills_processes_and_removes_scratch():
     spawned.stop()
     assert process.poll() is not None
     assert not scratch.exists()
-
-
-def test_harness_cli_writes_report(tmp_path, capsys):
-    report = tmp_path / "pi.records"
-    code = main(["--topology", "mesh", "--nodes", "1",
-                 "--scenario", "pi", "--repeats", "1",
-                 "--pi-digits", "24",
-                 "--report", str(report), "--report-text"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "pi" in out and "pass" in out
-    records = read_report(report)
-    assert len(records) == 1 and records[0].passed
-    assert records[0].parameters == "digits=24 nodes=1"
