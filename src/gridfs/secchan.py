@@ -69,6 +69,9 @@ A_PROOF = 2
 
 _COUNTER_LIMIT = 2**64
 
+# a channel's receive buffer starts this large and grows to its largest frame
+RECV_START = 4096
+
 
 def derive_keys(psk: bytes, client_nonce: bytes, server_nonce: bytes) -> tuple[bytes, bytes]:
     """Returns (client_key, server_key), each 16 bytes, same on both peers."""
@@ -169,6 +172,12 @@ class Channel:
     only once `ftsm.fan_out` has joined them all: the join orders every
     stream's frames before the transfer's end, and the channel never has
     two users at once.
+
+    Frames arrive into one receive buffer per channel, filled with
+    `recv_into` and decoded in place; it grows only once a frame's header
+    has passed the cap check, to hold that frame. `recv` opens a sealed
+    payload straight from the buffer and copies a clear one out once, so
+    no frame it returns shares memory with the buffer.
     """
 
     def __init__(self, sock: socket.socket, params: SessionParams,
@@ -177,7 +186,9 @@ class Channel:
         self.params = params
         self.keys = keys
         self.frames_received = 0    # tells a reply from a dead session
-        self._rbuf = bytearray()
+        self._rbuf = bytearray(RECV_START)
+        self._start = 0             # unread bytes are _rbuf[_start:_end]
+        self._end = 0
 
     @property
     def max_payload(self) -> int:
@@ -191,7 +202,8 @@ class Channel:
 
     # frame transmit/receive
 
-    def send(self, frame_type: int, payload: bytes = b"") -> None:
+    def send(self, frame_type: int,
+             payload: bytes | memoryview = b"") -> None:
         cls = classify_frame(frame_type, self.params.security)
         # size-check before sealing: a seal consumes a nonce counter, and a
         # frame that then fails to encode would desync the channel for good
@@ -213,7 +225,7 @@ class Channel:
             raise ConnectionLost(str(exc)) from None
 
     def recv(self) -> Frame:
-        frame = self._read_frame()
+        frame = self._read_frame()    # its payload is a view of _rbuf
         cls = classify_frame(frame.frame_type, self.params.security)
         if cls == SEALED:
             if not frame.flags & wire.FLAG_SEALED:
@@ -227,11 +239,12 @@ class Channel:
             raise ProtocolError(
                 f"frame type 0x{frame.frame_type:02x} arrived sealed, "
                 f"policy says clear")
+        payload = bytes(frame.payload)
         if cls == FIELD_SEALED:
             return Frame(frame.frame_type,
-                         self._walk_fields(frame.frame_type, frame.payload,
+                         self._walk_fields(frame.frame_type, payload,
                                            seal=False), 0)
-        return frame
+        return Frame(frame.frame_type, payload, frame.flags)
 
     def expect(self, *frame_types: int) -> Frame:
         """Receive a frame, converting ERROR frames into raised exceptions."""
@@ -297,29 +310,49 @@ class Channel:
         return self.keys
 
     def _read_frame(self) -> Frame:
+        """The next frame, its payload a view of the receive buffer that
+        stays valid until the next read."""
+        needed = 0
         while True:
+            if needed:
+                self._fill(needed)
             try:
-                frame, rest = wire.decode_frame(bytes(self._rbuf),
-                                                self.max_payload)
+                frame, rest = wire.decode_frame(
+                    memoryview(self._rbuf)[self._start:self._end],
+                    self.max_payload)
             except wire.TruncatedFrame as short:
-                chunk = self._recv_some(short.needed)
-                self._rbuf += chunk
+                needed = short.needed
                 continue
-            self._rbuf = bytearray(rest)
+            self._start = self._end - len(rest)
+            if self._start == self._end:
+                self._start = self._end = 0
             self.frames_received += 1
             return frame
 
-    def _recv_some(self, at_least: int) -> bytes:
-        out = bytearray()
-        while len(out) < at_least:
-            try:
-                chunk = self.sock.recv(max(at_least - len(out), 65536))
-            except OSError as exc:
-                raise ConnectionLost(str(exc)) from None
-            if not chunk:
-                raise ConnectionLost("peer closed the connection")
-            out += chunk
-        return bytes(out)
+    def _fill(self, needed: int) -> None:
+        """Read until the buffer holds `needed` bytes more than it does,
+        taking whatever else has arrived that fits. Unread bytes move to
+        the front, or to a larger buffer, first if the rest would not
+        fit behind them."""
+        held = self._end - self._start
+        if self._end + needed > len(self._rbuf):
+            if held + needed > len(self._rbuf):
+                grown = bytearray(held + needed)
+                grown[:held] = memoryview(self._rbuf)[self._start:self._end]
+                self._rbuf = grown
+            else:
+                self._rbuf[:held] = self._rbuf[self._start:self._end]
+            self._start, self._end = 0, held
+        target = self._end + needed
+        with memoryview(self._rbuf) as view:
+            while self._end < target:
+                try:
+                    got = self.sock.recv_into(view[self._end:])
+                except OSError as exc:
+                    raise ConnectionLost(str(exc)) from None
+                if not got:
+                    raise ConnectionLost("peer closed the connection")
+                self._end += got
 
 
 # -- client-side bootstrap --------------------------------------------------

@@ -108,8 +108,11 @@ def encode_frame(frame: Frame, max_payload: int = DEFAULT_MAX_PAYLOAD) -> bytes:
     return struct.pack(HEADER_FMT, MAGIC, frame.frame_type, frame.flags, n) + frame.payload
 
 
-def decode_frame(data: bytes, max_payload: int = DEFAULT_MAX_PAYLOAD) -> tuple[Frame, bytes]:
+def decode_frame(data: bytes | memoryview,
+                 max_payload: int = DEFAULT_MAX_PAYLOAD
+                 ) -> tuple[Frame, bytes | memoryview]:
     """Decode one frame off the front of `data`, returning (frame, rest).
+    The payload and the rest are slices of `data`: views, given a view.
 
     Total over arbitrary input: raises BadMagic, OversizedPayload, or the
     recoverable TruncatedFrame (carrying how many bytes are still needed).

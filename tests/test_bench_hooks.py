@@ -291,3 +291,65 @@ def test_pairs_need_a_parent_checkout(tmp_path, monkeypatch):
             assert exc.code == 2
         else:
             raise AssertionError(f"{argv} ran")
+
+
+# -- digest probe -----------------------------------------------------------
+
+def test_each_run_records_a_digest_probe_before_and_after(
+        tmp_path, monkeypatch, capsys):
+    trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(CONTRACT))
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nflags\t\t: fpu sse2 sha_ni avx2\n")
+    probes, probes_before_run = [], []
+    real_probe = trail.digest_probe
+
+    def counted_probe():
+        probes.append(real_probe())
+        return probes[-1]
+
+    def fake_run(checkout, workload, trace, seconds, seed):
+        probes_before_run.append(len(probes))
+        return fake_detail(workload, 1.0, 10.0)
+
+    monkeypatch.setattr(trail, "TRAIL", tmp_path)
+    monkeypatch.setattr(trail, "CPUINFO", cpuinfo)
+    monkeypatch.setattr(trail, "PROBE_BYTES", 1 << 20)
+    monkeypatch.setattr(trail, "digest_probe", counted_probe)
+    monkeypatch.setattr(trail, "run_detail", fake_run)
+    monkeypatch.setattr(trail, "commit_of", lambda checkout: "d" * 40)
+    assert trail.main(["--checkout", str(change), "--workload", "small"]) == 0
+    assert probes_before_run == [1, 3]     # each run between its two probes
+
+    records = json.loads((tmp_path / "BENCH_small.json").read_text())
+    assert [record["probe"] for record in records] == [
+        {"before": probes[0], "after": probes[1]},
+        {"before": probes[2], "after": probes[3]}]
+    for probe in probes:
+        assert probe["md5_s"] > 0 and probe["sha256_s"] > 0
+        assert probe["sha_ext"] is True
+
+    capsys.readouterr()
+    assert trail.main(["--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    latest = records[-1]["probe"]
+    ratios = [latest[when]["sha256_s"] / latest[when]["md5_s"]
+              for when in ("before", "after")]
+    assert f"  digest probe: sha256/md5 time x{ratios[0]:.3f} before, " \
+           f"x{ratios[1]:.3f} after, SHA extensions yes" in lines
+
+
+def test_sha_extensions_read_from_the_cpu_flags(tmp_path, monkeypatch):
+    trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
+    cpuinfo = tmp_path / "cpuinfo"
+    monkeypatch.setattr(trail, "CPUINFO", cpuinfo)
+    assert trail.sha_extensions() is False             # no file
+    for text, expected in (
+            ("flags\t\t: fpu sse2 avx2\n", False),
+            ("flags\t\t: fpu sha_ni\n", True),
+            ("Features\t: fp asimd aes sha1 sha2\n", True),
+            ("model name\t: sha_ni lookalike\nflags\t: fpu\n", False)):
+        cpuinfo.write_text(text)
+        assert trail.sha_extensions() is expected, text

@@ -293,8 +293,8 @@ def test_crypt_encrypt_decrypt_roundtrip(node_factory, tmp_path, capsys):
                  "--user", "alice", "--psk", ALICE_PSK.hex()])
     assert code == EX_OK
     out = capsys.readouterr().out
-    assert "md5=" in out
-    assert f"md5={hashlib.md5(payload).hexdigest()}" in out
+    assert "sha256=" in out
+    assert f"sha256={hashlib.sha256(payload).hexdigest()}" in out
     assert rebuilt.read_bytes() == payload
 
 

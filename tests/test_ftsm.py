@@ -40,7 +40,7 @@ from conftest import ALICE_PSK, BOB_PSK, GRID_PSK
 
 
 def md5(data: bytes) -> bytes:
-    return hashlib.md5(data).digest()
+    return ftsm.DIGEST(data).digest()
 
 
 # -- planning ---------------------------------------------------------------
@@ -751,12 +751,57 @@ def test_push_missing_a_chunk_is_refused_at_once(node):
         data.close()
         start = time.monotonic()
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            ftsm.X_TRANSFER: transfer_id, ftsm.X_MD5: md5(bytes(20))}))
+            ftsm.X_TRANSFER: transfer_id, ftsm.X_SHA256: md5(bytes(20))}))
         with pytest.raises(StreamLost, match="1 chunks never arrived"):
             control.expect(FrameType.XFER_DONE)
         assert time.monotonic() - start < 0.5
     finally:
         control.close()
+
+
+def test_push_done_without_a_sha256_digest_is_refused_once(node):
+    """Driven by hand, as a peer that predates X_SHA256 pushes: every
+    chunk lands on the control session, but XFER_DONE carries only an
+    MD5 under the retired tag 7. The node refuses the push at once with
+    BadRequest, which no client retries, and forgets the transfer."""
+    params = SessionParams(Mode.FTSM_PUSH, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    control = secchan.connect(("127.0.0.1", node.port), params, "grid",
+                              GRID_PSK)
+    transfer_id = os.urandom(16)
+    data = os.urandom(20)
+    try:
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_PATH: b"old.bin",
+            ftsm.X_REGION_OFFSET: wire.u64(0),
+            ftsm.X_REGION_LENGTH: wire.u64(20),
+            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_CHUNK_SIZE: wire.u32(10),
+        }))
+        control.expect(FrameType.XFER_ACCEPT)
+        for offset in (0, 10):
+            control.send(FrameType.CHUNK, pack_chunk(
+                transfer_id, 0, offset, data[offset:offset + 10]))
+        start = time.monotonic()
+        control.send(FrameType.XFER_DONE, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id, 7: hashlib.md5(data).digest()}))
+        with pytest.raises(BadRequest, match="no SHA-256 region digest"):
+            control.expect(FrameType.XFER_DONE)
+        assert time.monotonic() - start < 0.5
+    finally:
+        control.close()
+    assert node.registry.lookup(transfer_id) is None
+
+    attempts = []
+
+    def refused():
+        attempts.append(time.monotonic())
+        raise BadRequest("XFER_DONE carries no SHA-256 region digest")
+
+    with pytest.raises(BadRequest):
+        ftsm._with_retries(refused)
+    assert len(attempts) == 1
 
 
 def test_data_connection_slow_to_join_lands_its_chunks(node, tmp_path,
@@ -837,7 +882,7 @@ def test_randomized_chunk_interleavings_reassemble(node, tmp_path):
                                  data[offset:offset + length]))
         conn.close()
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            ftsm.X_TRANSFER: transfer_id, ftsm.X_MD5: md5(data)}))
+            ftsm.X_TRANSFER: transfer_id, ftsm.X_SHA256: md5(data)}))
         control.expect(FrameType.XFER_DONE)
         control.close()
         assert (storage(node) / remote).read_bytes() == data
@@ -1026,7 +1071,7 @@ def test_pull_offered_without_the_tag_serves_stream_zero_by_connection(
     finally:
         control.close()
     assert bytes(received) == data
-    assert done[ftsm.X_MD5] == md5(data)
+    assert done[ftsm.X_SHA256] == md5(data)
 
 
 # -- sidecar write policy ---------------------------------------------------
@@ -1331,28 +1376,30 @@ def test_failed_push_leaves_no_thread_behind(node, tmp_path, monkeypatch):
 
 
 def test_vanished_puller_stops_the_node_hashing(node, tmp_path, monkeypatch):
-    """The puller hangs up after the node's reply: the node's digest stops
-    within a piece instead of reading the whole region, and its threads
-    end with the session."""
-    import types
+    """The puller hangs up once the node has begun hashing: the node's
+    digest stops within a piece instead of reading the whole region, and
+    its threads end with the session."""
     length = 64 << 20
     with open(storage(node) / "sparse.bin", "wb") as handle:
         handle.truncate(length)
     hashed = []
+    began = threading.Event()
+    real_digest = ftsm.DIGEST
 
-    class SlowMd5:
+    class SlowDigest:
         def __init__(self):
-            self._digest = hashlib.md5()
+            self._digest = real_digest()
 
         def update(self, piece):
             hashed.append(len(piece))
+            began.set()
             time.sleep(0.02)
             self._digest.update(piece)
 
         def digest(self):
             return self._digest.digest()
 
-    monkeypatch.setattr(ftsm, "hashlib", types.SimpleNamespace(md5=SlowMd5))
+    monkeypatch.setattr(ftsm, "DIGEST", SlowDigest)
     started = ftsm_threads_started(monkeypatch)
     baseline = set(threading.enumerate())
     params = SessionParams(Mode.FTSM_PULL, SecurityMode.NONSECURE,
@@ -1368,11 +1415,13 @@ def test_vanished_puller_stops_the_node_hashing(node, tmp_path, monkeypatch):
             ftsm.X_CHUNK_SIZE: wire.u32(65536),
         }))
         control.expect(FrameType.XFER_ACCEPT)
+        assert began.wait(5.0)
     finally:
         control.close()    # vanish: no chunk read, no XFER_DONE
     assert settled_threads(baseline) == []
     assert len(started) == 1
     assert not started[0].is_alive()
+    assert hashed
     assert sum(hashed) < length // 4
     assert node.registry.lookup(transfer_id) is None
 

@@ -1,4 +1,5 @@
 import socket
+import struct
 import threading
 
 import pytest
@@ -10,6 +11,7 @@ from gridfs.errors import (
     BadRequest,
     CounterExhausted,
     IntegrityFailure,
+    OversizedPayload,
     ProtocolError,
 )
 from gridfs.secchan import (
@@ -285,3 +287,113 @@ def test_serve_reports_request_errors_and_ends_on_protocol_errors():
     assert len(outcome) == 1 and handled == [b"bad", b"good"]
     client.close(), server.close()
 
+
+
+# -- framing over the reused receive buffer ----------------------------------
+
+class Capture:
+    """Stands in for a socket on the sending side: keeps what is sent."""
+
+    def __init__(self):
+        self.sent = bytearray()
+
+    def sendall(self, data):
+        self.sent += data
+
+
+class TrickleSocket(socket.socket):
+    """A socket that hands over at most one byte per read."""
+
+    def recv_into(self, buffer, nbytes=0, flags=0):
+        return super().recv_into(buffer, 1, flags)
+
+
+FRAMES = [
+    (FrameType.DFS_RESP, b""),
+    (FrameType.DFS_RESP, b"short"),
+    (FrameType.CHUNK, bytes(range(256)) * 24),       # outgrows RECV_START
+    # read in one go behind it, these leave part of a frame to move
+    # to the front of the buffer
+    *[(FrameType.DFS_RESP, bytes([k]) * 3000) for k in range(3)],
+    (FrameType.TASK_STATUS, b"after the big one"),
+    (FrameType.CHUNK, b"\x00" * 5000),
+]
+
+
+def raw_stream(security):
+    """The bytes a channel sends for FRAMES."""
+    sender = Channel(Capture(), SessionParams(Mode.DFSM, security),
+                     ChannelKeys.for_role(PSK, CN, SN, True))
+    for frame_type, payload in FRAMES:
+        sender.send(frame_type, payload)
+    return bytes(sender.sock.sent)
+
+
+def receive_all(security, raw, trickle):
+    """Decode `raw` with a fresh receiving channel over a socketpair,
+    written in one sendall or, with `trickle`, one byte per sendall and
+    read one byte per read."""
+    a, b = socket.socketpair()
+    if trickle:
+        b = TrickleSocket(fileno=b.detach())
+    b.settimeout(5)
+    receiver = Channel(b, SessionParams(Mode.DFSM, security),
+                       ChannelKeys.for_role(PSK, CN, SN, False))
+
+    def write():
+        if trickle:
+            for k in range(len(raw)):
+                a.sendall(raw[k:k + 1])
+        else:
+            a.sendall(raw)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return [(frame.frame_type, frame.payload, frame.flags)
+                for frame in (receiver.recv() for _ in FRAMES)]
+    finally:
+        writer.join(5)
+        assert not writer.is_alive()
+        a.close(), receiver.close()
+
+
+@pytest.mark.parametrize("security", [SecurityMode.NONSECURE,
+                                      SecurityMode.SEMISECURE,
+                                      SecurityMode.SECURE])
+def test_frames_trickled_byte_by_byte_decode_as_one_burst(security):
+    raw = raw_stream(security)
+    burst = receive_all(security, raw, trickle=False)
+    assert burst == [(frame_type, payload, 0)
+                     for frame_type, payload in FRAMES]
+    assert receive_all(security, raw, trickle=True) == burst
+
+
+def test_oversized_header_is_refused_before_its_payload_is_read():
+    """A header declaring more than the cap raises OversizedPayload while
+    its payload is still unsent, and the buffer has not grown for it."""
+    client, server = channel_pair(SecurityMode.NONSECURE)
+    server.sock.settimeout(5)    # reading on for the payload would time out
+    declared = server.max_payload + 1
+    client.sock.sendall(struct.pack(wire.HEADER_FMT, wire.MAGIC,
+                                    FrameType.DFS_RESP, 0, declared))
+    with pytest.raises(OversizedPayload):
+        server.recv()
+    assert len(server._rbuf) == secchan.RECV_START
+    client.close(), server.close()
+
+
+@pytest.mark.parametrize("security", [SecurityMode.NONSECURE,
+                                      SecurityMode.SECURE])
+def test_received_payload_outlives_the_next_receive(security):
+    """`recv` returns bytes of its own: the next frame, read into the same
+    buffer at the same place, leaves the earlier payload intact."""
+    client, server = channel_pair(security)
+    first, second = b"a" * 3000, b"b" * 3000
+    client.send(FrameType.DFS_RESP, first)
+    frame = server.recv()
+    client.send(FrameType.DFS_RESP, second)
+    assert server.recv().payload == second
+    assert type(frame.payload) is bytes
+    assert frame.payload == first
+    client.close(), server.close()

@@ -14,7 +14,11 @@ the `detail` JSON line each run prints, and appends one record per run
 to `BENCH_<W>.json` beside this script's checkout. A record holds the measured commit (suffixed `-dirty` when `src/` or
 `perfbench/` has uncommitted changes), the UTC date, `nproc`, the run's
 steal share, every end-to-end metric that BENCHMARK.json names with its
-sample count, and, for the traced run, the per-layer split. A run that
+sample count, and, for the traced run, the per-layer split. It also
+holds a digest probe taken just before and just after the run: the
+seconds to MD5 and to SHA-256 64 MiB in memory, and whether
+/proc/cpuinfo lists the `sha_ni` or `sha2` CPU flag, since the transfer
+digest (SHA-256) outruns MD5 only with such extensions. A run that
 reports failures is still recorded, with its failures, and makes the
 script exit 1; the trail records numbers and gates nothing.
 
@@ -24,7 +28,8 @@ at a clone of the earlier one and once without it, on the same machine.
 metrics of the trail's latest untraced record beside those of the most
 recent untraced record of another commit, then the per-layer split of
 the latest traced record beside that of the most recent traced record
-of another commit, each with their ratio.
+of another commit, each with their ratio, and, for records that hold
+a digest probe, its SHA-256/MD5 time ratios and CPU flag.
 
 `--pairs N --against DIR` compares two commits on this machine: for each
 workload it runs N pairs of untraced runs, one of the checkout at DIR
@@ -45,15 +50,19 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 TRAIL = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bulk", "small", "crypt")
+PROBE_BYTES = 64 << 20
+CPUINFO = Path("/proc/cpuinfo")
 
 
 def commit_of(checkout: Path) -> str:
@@ -80,6 +89,57 @@ def run_detail(checkout: Path, workload: str, trace: int,
     raise SystemExit(f"bench_trail: {workload} --trace {trace} printed no "
                      f"detail line (exit {process.returncode}):\n"
                      f"{process.stdout}{process.stderr}")
+
+
+def sha_extensions() -> bool:
+    """Whether the CPU flags in /proc/cpuinfo include SHA extensions:
+    `sha_ni` on x86, `sha2` on ARM."""
+    try:
+        text = CPUINFO.read_text()
+    except OSError:
+        return False
+    flags = set()
+    for line in text.splitlines():
+        name, _, value = line.partition(":")
+        if name.strip() in ("flags", "Features"):
+            flags.update(value.split())
+    return bool(flags & {"sha_ni", "sha2"})
+
+
+def digest_probe() -> dict:
+    """Seconds to MD5 and to SHA-256 PROBE_BYTES in memory, and whether
+    the CPU has SHA extensions."""
+    data = bytes(PROBE_BYTES)
+    probe = {}
+    for name in ("md5", "sha256"):
+        start = time.perf_counter()
+        hashlib.new(name, data).digest()
+        probe[f"{name}_s"] = time.perf_counter() - start
+    probe["sha_ext"] = sha_extensions()
+    return probe
+
+
+def measure(checkout: Path, workload: str, trace: int, contract: dict,
+            commit: str, seed: int | None = None) -> dict:
+    """Run the benchmark once and return its record, with a digest probe
+    taken just before and just after the run."""
+    before = digest_probe()
+    detail = run_detail(checkout, workload, trace, contract["run_seconds"],
+                        seed)
+    record = record_of(detail, contract, commit)
+    record["probe"] = {"before": before, "after": digest_probe()}
+    return record
+
+
+def probe_text(record: dict) -> str:
+    probe = record.get("probe")
+    if not probe:
+        return "none"
+    ratios = ", ".join(
+        f"x{probe[when]['sha256_s'] / probe[when]['md5_s']:.3f} {when}"
+        for when in ("before", "after"))
+    flag = "yes" if probe["before"]["sha_ext"] else "no"
+    return f"sha256/md5 time {ratios}, SHA extensions {flag}"
 
 
 def record_of(detail: dict, contract: dict, commit: str) -> dict:
@@ -148,6 +208,10 @@ def table(trail: Path) -> list[str]:
                          if before["value"] else float("nan"))
                 row += f" {before['value']:>10.4g}  x{ratio:.3f}"
             lines.append(row.rstrip())
+        if "probe" in latest:
+            lines.append(f"  digest probe: {probe_text(latest)}"
+                         + (f"; against {probe_text(earlier)}"
+                            if earlier else ""))
         return lines
 
     lines = []
@@ -180,9 +244,8 @@ def run_pairs(parent: Path, change: Path, workload: str, pairs: int,
         records = {}
         order = (parent, change) if index % 2 == 0 else (change, parent)
         for checkout in order:
-            detail = run_detail(checkout, workload, 0,
-                                contract["run_seconds"], seed)
-            record = record_of(detail, contract, commits[checkout])
+            record = measure(checkout, workload, 0, contract,
+                             commits[checkout], seed)
             record["pair"] = f"{stamp}/{workload}/{index}"
             append(record)
             records[checkout] = record
@@ -277,9 +340,7 @@ def main(argv=None) -> int:
     healthy = True
     for workload in workloads:
         for trace in (0, 1):
-            detail = run_detail(checkout, workload, trace,
-                                contract["run_seconds"])
-            record = record_of(detail, contract, commit)
+            record = measure(checkout, workload, trace, contract, commit)
             path = append(record)
             healthy &= not record["failures"]
             metrics = "  ".join(
