@@ -51,9 +51,10 @@ A memory-to-memory mode (zero generator into a discarding sink) drives the
 identical protocol path with no disk at either end, for measuring raw
 protocol throughput.
 
-A data connection joins its transfer before the node sends it WELCOME,
-and the sender sends no chunk before WELCOME and no XFER_DONE before its
-data connections have closed. So on XFER_DONE the receiving node waits
+A data connection authenticates like any other connection, then joins
+its transfer before the node answers its AUTH with AUTH_OK; the sender
+sends no chunk before AUTH_OK and no XFER_DONE before its data
+connections have closed. So on XFER_DONE the receiving node waits
 only until every joined connection has drained and detached; whatever
 the region then lacks was never sent, and the push is refused at once.
 The chunks of stream 0 need no such wait: they precede XFER_DONE on the
@@ -844,7 +845,7 @@ class TransferSession:
 
     def wait_quiesce(self, timeout: float) -> None:
         """Block until no data connection is attached, or `timeout`
-        expires. A data connection attaches before its WELCOME, so once
+        expires. A data connection attaches before its AUTH_OK, so once
         none is attached, none has a chunk in flight."""
         with self._cond:
             self._cond.wait_for(lambda: self._active == 0, timeout)
@@ -1053,9 +1054,10 @@ class FtsmService:
 
     def join(self, transfer_id: bytes, username: str,
              security: SecurityMode) -> TransferSession:
-        """Admit a data connection to its live transfer and attach it;
-        the caller detaches it when the connection ends. Only the
-        transfer's id, security mode and owner are admitted."""
+        """Admit an authenticated data connection to its live transfer
+        and attach it, before its AUTH_OK; the caller detaches it when the
+        connection ends. Only the transfer's id, security mode and owner
+        are admitted."""
         session = self.registry.lookup(transfer_id)
         if session is None:
             raise BadRequest("unknown transfer")
@@ -1212,8 +1214,8 @@ class TransferClient:
     def dial(self, mode: Mode, transfer_id: bytes | None = None,
              stream_index: int = 0) -> Channel:
         """Open an authenticated control session in `mode` (task sessions
-        dial through here too), or, given a transfer id, the data
-        connection of one of that transfer's streams 1..n-1."""
+        dial through here too), or, given a transfer id, the authenticated
+        data connection of one of that transfer's streams 1..n-1."""
         params = SessionParams(mode, self.security,
                                buffer_size=self.buffer_size,
                                stream_count=self.streams)

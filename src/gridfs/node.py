@@ -3,10 +3,11 @@
 A node accepts TCP connections, performs the HELLO/WELCOME negotiation and
 the sealed challenge-response AUTH, then hands the connection to whichever
 service the negotiated mode selects: remote file access, parallel transfer
-(either direction), task execution, or block cryptography. Data
-connections for an in-flight transfer (its streams 1..n-1; stream 0 rides
-the control session) carry a transfer id in their HELLO and bypass AUTH;
-they join that transfer, which admits them, before WELCOME.
+(either direction), task execution, or block cryptography. Every
+connection takes that one way in. A data connection for an in-flight
+transfer (its streams 1..n-1; stream 0 rides the control session) also
+carries the transfer id in its HELLO; once its AUTH has verified, it
+joins that transfer, which admits it, before AUTH_OK.
 
 Configuration is a flat `key = value` file. Unknown keys warn and are
 ignored so configs can be shared across versions; a known key with an
@@ -262,32 +263,10 @@ class NodeServer:
         psk = account.psk if account is not None else secrets.token_bytes(32)
         server_nonce = os.urandom(secchan.NONCE_SIZE)
         channel.params = agreed
-
-        def welcome() -> None:
-            channel.send(FrameType.WELCOME,
-                         wire.welcome_payload(agreed, server_nonce))
-            channel.keys = ChannelKeys.for_role(psk, client_nonce,
-                                                server_nonce, is_client=False)
-
-        if transfer_id is not None:
-            # join before WELCOME: the client sends no chunk until it has
-            # WELCOME, so a push with no joined connection has none in flight
-            try:
-                session = self.ftsm.join(transfer_id, username,
-                                         agreed.security)
-            except BadRequest as refusal:
-                welcome()
-                channel.send_error(refusal)
-                return
-            try:
-                welcome()
-                conn.settimeout(None)
-                self.ftsm.serve_data(channel, session, stream_index)
-            finally:
-                session.detach()
-            return
-
-        welcome()
+        channel.send(FrameType.WELCOME,
+                     wire.welcome_payload(agreed, server_nonce))
+        channel.keys = ChannelKeys.for_role(psk, client_nonce, server_nonce,
+                                            is_client=False)
         try:
             auth = channel.expect(FrameType.AUTH)
         except IntegrityFailure:
@@ -303,9 +282,24 @@ class NodeServer:
                 not secrets.compare_digest(proof, expected):
             channel.send(FrameType.AUTH_FAIL, b"")
             return
-        channel.send(FrameType.AUTH_OK, b"")
-        conn.settimeout(None)
-        self._dispatch(channel, account, agreed.mode)
+        if transfer_id is None:
+            channel.send(FrameType.AUTH_OK, b"")
+            conn.settimeout(None)
+            self._dispatch(channel, account, agreed.mode)
+            return
+        # join before AUTH_OK: the client sends no chunk until it has
+        # AUTH_OK, so a push with no joined connection has none in flight
+        try:
+            session = self.ftsm.join(transfer_id, username, agreed.security)
+        except BadRequest as refusal:
+            channel.send_error(refusal)
+            return
+        try:
+            channel.send(FrameType.AUTH_OK, b"")
+            conn.settimeout(None)
+            self.ftsm.serve_data(channel, session, stream_index)
+        finally:
+            session.detach()
 
     def _dispatch(self, channel: Channel, account, mode: Mode) -> None:
         if mode == Mode.DFSM:

@@ -358,17 +358,18 @@ class Channel:
 # -- client-side bootstrap --------------------------------------------------
 
 def connect(address: tuple[str, int], params: SessionParams,
-            username: str, psk: bytes | None,
+            username: str, psk: bytes,
             transfer_id: bytes | None = None, stream_index: int = 0,
             timeout: float | None = 30.0) -> Channel:
     """Dial a node: HELLO/WELCOME negotiation, key derivation, then AUTH.
 
-    Data connections (transfer_id given) skip AUTH; the node admits them
-    to their transfer before it sends WELCOME, and they inherit the
-    owner's key schedule. A transfer's client dials one only for streams
-    1..n-1: stream 0 rides the control session, so a single-stream
-    transfer dials none. The node still admits a data connection for any
-    stream index, stream 0 included.
+    Every connection authenticates. A data connection (transfer_id given)
+    is one stream of a live transfer; after its AUTH verifies, the node
+    admits it to that transfer before AUTH_OK, or answers AUTH with an
+    ERROR frame, raised here, saying why not. A transfer's client dials
+    one only for streams 1..n-1: stream 0 rides the control session, so
+    a single-stream transfer dials none. The node still admits a data
+    connection for any stream index, stream 0 included.
     """
     if len(username.encode("utf-8")) > MAX_USERNAME:
         raise AuthFailed("username too long")
@@ -387,15 +388,9 @@ def connect(address: tuple[str, int], params: SessionParams,
         frame = channel.expect(FrameType.WELCOME)
         agreed, server_nonce = wire.parse_welcome(frame.payload)
         channel.params = agreed
-        if psk is not None:
-            channel.keys = ChannelKeys.for_role(psk, client_nonce,
-                                                server_nonce, is_client=True)
-        if transfer_id is not None:
-            sock.settimeout(None)    # timeout only guards the handshake
-            return channel
-
-        proof = credential_proof(psk or b"", client_nonce, server_nonce,
-                                 username)
+        channel.keys = ChannelKeys.for_role(psk, client_nonce, server_nonce,
+                                            is_client=True)
+        proof = credential_proof(psk, client_nonce, server_nonce, username)
         channel.send(FrameType.AUTH, wire.encode_fields({
             A_USER: username.encode("utf-8"),
             A_PROOF: proof,

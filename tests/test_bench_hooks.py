@@ -293,7 +293,7 @@ def test_pairs_need_a_parent_checkout(tmp_path, monkeypatch):
             raise AssertionError(f"{argv} ran")
 
 
-# -- digest probe -----------------------------------------------------------
+# -- machine probe ----------------------------------------------------------
 
 def test_each_run_records_a_digest_probe_before_and_after(
         tmp_path, monkeypatch, capsys):
@@ -304,7 +304,7 @@ def test_each_run_records_a_digest_probe_before_and_after(
     cpuinfo = tmp_path / "cpuinfo"
     cpuinfo.write_text("processor\t: 0\nflags\t\t: fpu sse2 sha_ni avx2\n")
     probes, probes_before_run = [], []
-    real_probe = trail.digest_probe
+    real_probe = trail.machine_probe
 
     def counted_probe():
         probes.append(real_probe())
@@ -317,7 +317,8 @@ def test_each_run_records_a_digest_probe_before_and_after(
     monkeypatch.setattr(trail, "TRAIL", tmp_path)
     monkeypatch.setattr(trail, "CPUINFO", cpuinfo)
     monkeypatch.setattr(trail, "PROBE_BYTES", 1 << 20)
-    monkeypatch.setattr(trail, "digest_probe", counted_probe)
+    monkeypatch.setattr(trail, "ROUND_TRIPS", 50)
+    monkeypatch.setattr(trail, "machine_probe", counted_probe)
     monkeypatch.setattr(trail, "run_detail", fake_run)
     monkeypatch.setattr(trail, "commit_of", lambda checkout: "d" * 40)
     assert trail.main(["--checkout", str(change), "--workload", "small"]) == 0
@@ -330,6 +331,7 @@ def test_each_run_records_a_digest_probe_before_and_after(
     for probe in probes:
         assert probe["md5_s"] > 0 and probe["sha256_s"] > 0
         assert probe["sha_ext"] is True
+        assert probe["loopback_rtt_s"] > 0
 
     capsys.readouterr()
     assert trail.main(["--table"]) == 0
@@ -339,6 +341,9 @@ def test_each_run_records_a_digest_probe_before_and_after(
               for when in ("before", "after")]
     assert f"  digest probe: sha256/md5 time x{ratios[0]:.3f} before, " \
            f"x{ratios[1]:.3f} after, SHA extensions yes" in lines
+    assert f"  loopback probe: round trip " \
+           f"{latest['before']['loopback_rtt_s'] * 1e6:.1f} us before, " \
+           f"{latest['after']['loopback_rtt_s'] * 1e6:.1f} us after" in lines
 
 
 def test_sha_extensions_read_from_the_cpu_flags(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import socket
 import struct
 import threading
 import time
@@ -689,9 +690,9 @@ def test_stray_frame_inside_an_offer_ends_the_session(node):
     ("other user", "data connection user differs from the transfer owner"),
 ])
 def test_data_connection_admission_refusals(node, case, message):
-    """A data connection joins a live transfer only with its id, its
-    security mode and its owner; anything else gets an ERROR frame that
-    says which."""
+    """An authenticated data connection joins a live transfer only with
+    its id, its security mode and its owner; anything else gets an ERROR
+    frame in place of AUTH_OK that says which."""
     address = ("127.0.0.1", node.port)
     control = secchan.connect(address, SessionParams(
         Mode.FTSM_PUSH, SecurityMode.NONSECURE, buffer_size=65536,
@@ -711,19 +712,90 @@ def test_data_connection_admission_refusals(node, case, message):
                     else SecurityMode.NONSECURE)
         username, psk = (("alice", ALICE_PSK) if case == "other user"
                          else ("grid", GRID_PSK))
-        data = secchan.connect(
-            address, SessionParams(Mode.FTSM_PUSH, security,
-                                   buffer_size=65536, stream_count=1),
-            username, psk, transfer_id=(os.urandom(16) if case == "unknown id"
-                                        else transfer_id))
-        try:
-            with pytest.raises(BadRequest) as refused:
-                data.expect(FrameType.CHUNK)
-            assert str(refused.value) == message
-        finally:
-            data.close()
+        with pytest.raises(BadRequest) as refused:
+            secchan.connect(
+                address, SessionParams(Mode.FTSM_PUSH, security,
+                                       buffer_size=65536, stream_count=1),
+                username, psk,
+                transfer_id=(os.urandom(16) if case == "unknown id"
+                             else transfer_id))
+        assert str(refused.value) == message
     finally:
         control.close()
+
+
+@pytest.mark.parametrize("psk", [b"", BOB_PSK], ids=["no psk", "wrong psk"])
+@pytest.mark.parametrize("security", [SecurityMode.NONSECURE,
+                                      SecurityMode.SEMISECURE],
+                         ids=["NONSECURE", "SEMISECURE"])
+def test_forged_data_hello_is_refused_at_auth(node, sniff_factory, tmp_path,
+                                              monkeypatch, security, psk):
+    """A data HELLO travels clear, so a watcher of a 2-stream push learns
+    a live transfer id and its owner's name. A data connection dialled
+    with them but without the owner's PSK fails AUTH; one that sends a
+    CHUNK where its AUTH belongs is dropped. Nothing they send lands: the
+    owner's push completes with its own bytes on its first offer."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    address = ("127.0.0.1", node.port)
+    stream_1_joined, forged = threading.Event(), threading.Event()
+    real_send_chunks = ftsm.send_chunks
+
+    def held_send_chunks(channel, transfer_id, index, *args):
+        if index == 1:
+            stream_1_joined.set()
+            forged.wait(10)
+        return real_send_chunks(channel, transfer_id, index, *args)
+
+    monkeypatch.setattr(ftsm, "send_chunks", held_send_chunks)
+    data = os.urandom(40_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    mover = TransferClient(proxy.address, "grid", GRID_PSK, security=security,
+                           streams=2, buffer_size=65536, chunk_size=4096)
+    reports = []
+    pusher = threading.Thread(target=lambda: reports.append(
+        mover.push(src, "owned.bin")))
+    pusher.start()
+    try:
+        assert stream_1_joined.wait(10)
+        deadline = time.monotonic() + 5
+        while not (data_hellos := [
+                hello for hello in map(wire.parse_hello,
+                                       proxy.payloads(FrameType.HELLO))
+                if hello[2] is not None]):
+            assert time.monotonic() < deadline, "no data HELLO captured"
+            time.sleep(0.01)
+        [(params, _, transfer_id, stream_index)] = data_hellos
+        with pytest.raises(AuthFailed):
+            secchan.connect(address, params, "grid", psk,
+                            transfer_id=transfer_id,
+                            stream_index=stream_index)
+
+        offset, length = ChunkGrid(0, len(data), 2, 4096) \
+            .chunks_by_span()[stream_index][0]
+        hello = wire.decode_fields(wire.hello_payload(
+            params, os.urandom(16), transfer_id, stream_index))
+        hello[secchan.T_USER] = b"grid"
+        sock = socket.create_connection(address, timeout=5)
+        forger = secchan.Channel(sock, params, keys=None)
+        try:
+            sock.sendall(wire.encode_frame(wire.Frame(
+                FrameType.HELLO, wire.encode_fields(hello))))
+            forger.expect(FrameType.WELCOME)
+            forger.send(FrameType.CHUNK, pack_chunk(
+                transfer_id, stream_index, offset, os.urandom(length)))
+            with pytest.raises(ConnectionLost, match="peer closed"):
+                forger.recv()
+        finally:
+            forger.close()
+    finally:
+        forged.set()
+        pusher.join(10)
+        mover.close()
+    assert not pusher.is_alive()
+    assert [report.bytes_moved for report in reports] == [len(data)]
+    assert proxy.count(FrameType.XFER_OFFER) == 1
+    assert (storage(node) / "owned.bin").read_bytes() == data
 
 
 def test_push_missing_a_chunk_is_refused_at_once(node):
@@ -938,7 +1010,7 @@ def test_three_streams_open_three_connections(node, sniff_factory, tmp_path,
         landed = back.read_bytes()
     assert landed == data
     assert proxy.count(FrameType.HELLO) == 3
-    assert proxy.count(FrameType.AUTH) == 1
+    assert proxy.count(FrameType.AUTH) == 3
     assert len(report.per_stream) == 3 and all(report.per_stream)
 
 

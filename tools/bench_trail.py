@@ -15,10 +15,12 @@ to `BENCH_<W>.json` beside this script's checkout. A record holds the measured c
 `perfbench/` has uncommitted changes), the UTC date, `nproc`, the run's
 steal share, every end-to-end metric that BENCHMARK.json names with its
 sample count, and, for the traced run, the per-layer split. It also
-holds a digest probe taken just before and just after the run: the
-seconds to MD5 and to SHA-256 64 MiB in memory, and whether
-/proc/cpuinfo lists the `sha_ni` or `sha2` CPU flag, since the transfer
-digest (SHA-256) outruns MD5 only with such extensions. A run that
+holds a machine probe taken just before and just after the run: the
+seconds to MD5 and to SHA-256 64 MiB in memory, whether /proc/cpuinfo
+lists the `sha_ni` or `sha2` CPU flag, since the transfer digest
+(SHA-256) outruns MD5 only with such extensions, and the mean seconds
+of a one-byte TCP round trip over loopback, over 1,000 of them: what
+one more handshake step costs. A run that
 reports failures is still recorded, with its failures, and makes the
 script exit 1; the trail records numbers and gates nothing.
 
@@ -29,7 +31,8 @@ metrics of the trail's latest untraced record beside those of the most
 recent untraced record of another commit, then the per-layer split of
 the latest traced record beside that of the most recent traced record
 of another commit, each with their ratio, and, for records that hold
-a digest probe, its SHA-256/MD5 time ratios and CPU flag.
+a machine probe, its SHA-256/MD5 time ratios and CPU flag, and its
+loopback round trip.
 
 `--pairs N --against DIR` compares two commits on this machine: for each
 workload it runs N pairs of untraced runs, one of the checkout at DIR
@@ -53,15 +56,18 @@ import datetime
 import hashlib
 import json
 import os
+import socket
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 TRAIL = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bulk", "small", "crypt")
 PROBE_BYTES = 64 << 20
+ROUND_TRIPS = 1000
 CPUINFO = Path("/proc/cpuinfo")
 
 
@@ -106,9 +112,36 @@ def sha_extensions() -> bool:
     return bool(flags & {"sha_ni", "sha2"})
 
 
-def digest_probe() -> dict:
-    """Seconds to MD5 and to SHA-256 PROBE_BYTES in memory, and whether
-    the CPU has SHA extensions."""
+def loopback_round_trip() -> float:
+    """Mean seconds of a one-byte round trip over a loopback TCP
+    connection with TCP_NODELAY, answered by an echo thread, over
+    ROUND_TRIPS of them."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def echo() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                while byte := conn.recv(1):
+                    conn.sendall(byte)
+
+        echoer = threading.Thread(target=echo, daemon=True)
+        echoer.start()
+        with socket.create_connection(listener.getsockname(),
+                                      timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            start = time.perf_counter()
+            for _ in range(ROUND_TRIPS):
+                sock.sendall(b"x")
+                if not sock.recv(1):
+                    raise SystemExit("bench_trail: loopback echo hung up")
+            elapsed = time.perf_counter() - start
+        echoer.join(timeout=10)
+    return elapsed / ROUND_TRIPS
+
+
+def machine_probe() -> dict:
+    """Seconds to MD5 and to SHA-256 PROBE_BYTES in memory, whether the
+    CPU has SHA extensions, and the mean loopback round trip."""
     data = bytes(PROBE_BYTES)
     probe = {}
     for name in ("md5", "sha256"):
@@ -116,18 +149,19 @@ def digest_probe() -> dict:
         hashlib.new(name, data).digest()
         probe[f"{name}_s"] = time.perf_counter() - start
     probe["sha_ext"] = sha_extensions()
+    probe["loopback_rtt_s"] = loopback_round_trip()
     return probe
 
 
 def measure(checkout: Path, workload: str, trace: int, contract: dict,
             commit: str, seed: int | None = None) -> dict:
-    """Run the benchmark once and return its record, with a digest probe
+    """Run the benchmark once and return its record, with a machine probe
     taken just before and just after the run."""
-    before = digest_probe()
+    before = machine_probe()
     detail = run_detail(checkout, workload, trace, contract["run_seconds"],
                         seed)
     record = record_of(detail, contract, commit)
-    record["probe"] = {"before": before, "after": digest_probe()}
+    record["probe"] = {"before": before, "after": machine_probe()}
     return record
 
 
@@ -140,6 +174,15 @@ def probe_text(record: dict) -> str:
         for when in ("before", "after"))
     flag = "yes" if probe["before"]["sha_ext"] else "no"
     return f"sha256/md5 time {ratios}, SHA extensions {flag}"
+
+
+def loopback_text(record: dict) -> str:
+    probe = record.get("probe")
+    if not probe or "loopback_rtt_s" not in probe["before"]:
+        return "none"
+    return "round trip " + ", ".join(
+        f"{probe[when]['loopback_rtt_s'] * 1e6:.1f} us {when}"
+        for when in ("before", "after"))
 
 
 def record_of(detail: dict, contract: dict, commit: str) -> dict:
@@ -211,6 +254,9 @@ def table(trail: Path) -> list[str]:
         if "probe" in latest:
             lines.append(f"  digest probe: {probe_text(latest)}"
                          + (f"; against {probe_text(earlier)}"
+                            if earlier else ""))
+            lines.append(f"  loopback probe: {loopback_text(latest)}"
+                         + (f"; against {loopback_text(earlier)}"
                             if earlier else ""))
         return lines
 
