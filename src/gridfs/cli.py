@@ -162,8 +162,6 @@ def cmd_cp(args) -> int:
 # -- bench -------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
-    if not args.mem:
-        raise UsageError("only the memory benchmark exists; pass --mem")
     user, psk = client_identity(args)
     with TransferClient(parse_node_address(args.node), user, psk,
                         security=SECURITY_NAMES[args.security],
@@ -436,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="memory-to-memory throughput")
     p.add_argument("--node", required=True, metavar="HOST[:PORT]")
-    p.add_argument("--mem", action="store_true")
     p.add_argument("--streams", type=int, default=1)
     p.add_argument("--seconds", type=float, default=3.0)
     add_client_options(p)

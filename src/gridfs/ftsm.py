@@ -21,8 +21,7 @@ again afterwards, so a torn copy fails. The receiving threads keep one
 SHA-256 over the landed prefix of the region as the chunks land (see
 RegionReceiver), and the receiver compares it before acknowledging; the
 first delivery of a chunk wins, so no duplicate rewrites bytes the digest
-has covered. An XFER_DONE without X_SHA256, as from a peer that predates
-it and sends an MD5 under the retired tag 7, is refused with BadRequest
+has covered. An XFER_DONE without X_SHA256 is refused with BadRequest
 and not retried.
 Each sending stream reads its chunks into one reused frame buffer, the
 29-byte header packed in front of the payload, and a receiving channel
@@ -60,13 +59,10 @@ the region then lacks was never sent, and the push is refused at once.
 The chunks of stream 0 need no such wait: they precede XFER_DONE on the
 same connection, and the node lands each one as it reads it.
 
-A pushing node takes CHUNK frames on the control connection from any
-sender. A pulling node sends stream 0 there only when the offer carries
-X_CONTROL_STREAM; the client then reads exactly the chunks the node
-assigns to stream 0, which both sides compute with `pull_assignments`.
-An offer without the tag leaves every stream, stream 0 included, to a
-data connection, and a data connection for any stream index is still
-served.
+A pushing node takes CHUNK frames on the control connection, and a data
+connection for any stream index. A pulling node sends stream 0's share of
+its plan (`pull_assignments`, which the client computes too) on the
+control connection, and admits data connections only for streams 1..n-1.
 
 The node serves offers on a control session one after another until the
 client hangs up, so a client keeps its authenticated session between
@@ -126,7 +122,7 @@ X_BITMAP = 9
 X_SINK = 10
 X_TOTAL = 11
 X_TRUNCATE = 12      # whole-file transfer: drop any stale tail on finish
-X_CONTROL_STREAM = 13    # pull offer: send stream 0 on the control session
+# tag 13 (X_CONTROL_STREAM, stream 0 on control) is retired; do not reuse it
 X_SHA256 = 14        # XFER_DONE: the region's DIGEST
 
 SINK_FILE = 0
@@ -755,14 +751,12 @@ def land_chunk(payload: bytes, transfer_id: bytes, receiver) -> int:
 
 
 def done_digest(fields: dict[int, bytes]) -> bytes:
-    """The region digest an XFER_DONE carries. One without X_SHA256, as
-    from a peer that predates it, is refused: it cannot be verified, and
-    re-offering would fail the same way."""
+    """The region digest an XFER_DONE carries; one without X_SHA256 is
+    refused, since it cannot be verified and a re-offer would fail too."""
     digest = fields.get(X_SHA256)
     if digest is None:
         raise BadRequest("XFER_DONE carries no SHA-256 region digest "
-                         f"(tag {X_SHA256}): the peer speaks an older "
-                         "transfer protocol")
+                         f"(tag {X_SHA256})")
     return digest
 
 
@@ -1031,7 +1025,7 @@ class FtsmService:
                                  grid_fields(grid))
 
         def serve() -> None:
-            if wire.read_uint(fields, X_CONTROL_STREAM, 0) and assignments:
+            if assignments:
                 send_chunks(channel, transfer_id, 0, src, assignments[0])
             channel.expect(FrameType.XFER_DONE)
 
@@ -1053,11 +1047,11 @@ class FtsmService:
     # data connections (HELLO carried a transfer_id)
 
     def join(self, transfer_id: bytes, username: str,
-             security: SecurityMode) -> TransferSession:
+             security: SecurityMode, stream_index: int) -> TransferSession:
         """Admit an authenticated data connection to its live transfer
         and attach it, before its AUTH_OK; the caller detaches it when the
         connection ends. Only the transfer's id, security mode and owner
-        are admitted."""
+        are admitted, and for a pull only streams 1..n-1 of its plan."""
         session = self.registry.lookup(transfer_id)
         if session is None:
             raise BadRequest("unknown transfer")
@@ -1067,6 +1061,10 @@ class FtsmService:
         if username != session.account.username:
             raise BadRequest(
                 "data connection user differs from the transfer owner")
+        if session.direction == Mode.FTSM_PULL and \
+                not 0 < stream_index < len(session.sender_ctx[1]):
+            raise BadRequest(f"pull stream {stream_index} takes no data "
+                             "connection")
         session.attach()
         return session
 
@@ -1076,13 +1074,11 @@ class FtsmService:
         push, send this stream's share for a pull."""
         try:
             if session.direction == Mode.FTSM_PUSH:
-                receive_chunks(channel, session.transfer_id,
-                               session.receiver)
+                receive_chunks(channel, session.transfer_id, session.receiver)
             else:
                 src, assignments = session.sender_ctx
-                if stream_index < len(assignments):
-                    send_chunks(channel, session.transfer_id, stream_index,
-                                src, assignments[stream_index])
+                send_chunks(channel, session.transfer_id, stream_index, src,
+                            assignments[stream_index])
         except ConnectionLost:
             pass    # the peer hung up: nobody is left to tell
         except (GridfsError, OSError) as exc:
@@ -1336,7 +1332,6 @@ class TransferClient:
             X_PATH: remote.encode("utf-8"),
             X_STREAMS: wire.u8(self.streams),
             X_CHUNK_SIZE: wire.u32(chunk_size),
-            X_CONTROL_STREAM: wire.u8(1),
         }
         if region is not None:
             offer[X_REGION_OFFSET] = wire.u64(region[0])

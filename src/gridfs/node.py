@@ -4,10 +4,12 @@ A node accepts TCP connections, performs the HELLO/WELCOME negotiation and
 the sealed challenge-response AUTH, then hands the connection to whichever
 service the negotiated mode selects: remote file access, parallel transfer
 (either direction), task execution, or block cryptography. Every
-connection takes that one way in. A data connection for an in-flight
-transfer (its streams 1..n-1; stream 0 rides the control session) also
-carries the transfer id in its HELLO; once its AUTH has verified, it
-joins that transfer, which admits it, before AUTH_OK.
+connection takes that one way in; a HELLO of another protocol version
+or a disabled mode gets an ERROR frame and a warning naming the peer. A
+data connection carries its transfer id and stream index in its HELLO;
+once its AUTH has verified, the transfer admits it before AUTH_OK: a
+push for any stream, a pull for streams 1..n-1 (stream 0 rides the
+control session).
 
 Configuration is a flat `key = value` file. Unknown keys warn and are
 ignored so configs can be shared across versions; a known key with an
@@ -228,7 +230,7 @@ class NodeServer:
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.settimeout(30)    # guards the handshake only
-            self._handle_session(conn)
+            self._handle_session(conn, peer)
         except (GridfsError, OSError, socket.timeout) as exc:
             log.debug("session from %s ended: %s", peer, exc)
         except Exception:
@@ -241,7 +243,7 @@ class NodeServer:
             with self._sessions_lock:
                 self._conns.discard(conn)
 
-    def _handle_session(self, conn: socket.socket) -> None:
+    def _handle_session(self, conn: socket.socket, peer) -> None:
         provisional = SessionParams(Mode.DFSM, SecurityMode.NONSECURE)
         channel = Channel(conn, provisional, keys=None)
         frame = channel.expect(FrameType.HELLO)
@@ -254,6 +256,7 @@ class NodeServer:
             agreed = wire.negotiate(requested, self.config.buffer_cap,
                                     self.config.modes)
         except (VersionMismatch, ModeRejected) as exc:
+            log.warning("refused session from %s: %s", peer, exc)
             channel.send_error(exc)
             return
 
@@ -290,7 +293,8 @@ class NodeServer:
         # join before AUTH_OK: the client sends no chunk until it has
         # AUTH_OK, so a push with no joined connection has none in flight
         try:
-            session = self.ftsm.join(transfer_id, username, agreed.security)
+            session = self.ftsm.join(transfer_id, username, agreed.security,
+                                     stream_index)
         except BadRequest as refusal:
             channel.send_error(refusal)
             return

@@ -368,8 +368,8 @@ def connect(address: tuple[str, int], params: SessionParams,
     admits it to that transfer before AUTH_OK, or answers AUTH with an
     ERROR frame, raised here, saying why not. A transfer's client dials
     one only for streams 1..n-1: stream 0 rides the control session, so
-    a single-stream transfer dials none. The node still admits a data
-    connection for any stream index, stream 0 included.
+    a single-stream transfer dials none. The node admits a push's data
+    connection for any index, but a pull's only for streams 1..n-1.
     """
     if len(username.encode("utf-8")) > MAX_USERNAME:
         raise AuthFailed("username too long")

@@ -9,9 +9,7 @@ Every message on every channel travels as one frame:
 
 flags bit 0 marks a payload sealed by the security channel. All multi-byte
 integers are big-endian. Control payloads are tag-length-value field maps:
-a sequence of (tag u8 | value_len u32 BE | value) triples with unique tags;
-consumers ignore tags they do not know, which keeps old peers compatible
-with newer field sets.
+a sequence of (tag u8 | value_len u32 BE | value) triples with unique tags.
 
 Frame type registry:
 
@@ -25,7 +23,12 @@ A session starts with the client's HELLO and the server's WELCOME. Those
 two frames negotiate the operating mode, the security mode and the network
 buffer size (the negotiated buffer is min(requested, server cap), floored
 at 4096 bytes), and exchange the random nonces the security channel derives
-its keys from.
+its keys from. A node refuses a HELLO of another PROTOCOL_VERSION before
+any key is used. A change that makes an old peer fail bumps the version:
+
+    1  the original wire
+    2  a pull's stream 0 on the control session, the SHA-256 region digest
+       (transfer tag 14), sealed AUTH on data connections; tag 13 retired
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits

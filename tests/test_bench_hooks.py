@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
 import threading
 from pathlib import Path
 
@@ -234,6 +235,7 @@ def test_pairs_alternate_the_order_and_record_every_run(
     monkeypatch.setattr(trail, "commit_of",
                         lambda checkout: ("a" if checkout == parent
                                           else "b") * 40)
+    monkeypatch.setattr(trail, "tree_of", lambda checkout: "t" * 64)
     assert trail.main(["--pairs", "3", "--against", str(parent),
                        "--checkout", str(change), "--workload", "small",
                        "--seed", "2"]) == 0
@@ -252,6 +254,59 @@ def test_pairs_alternate_the_order_and_record_every_run(
     assert "op_p50_ms     parent 2 [2, 2]  change 1 [1, 1]  x0.500  " \
            "wins 3/3  gap -1 vs parent IQR 0" in out
     assert "failures      parent 0 of 300  change 0 of 300" in out
+
+
+def test_two_trees_on_one_commit_are_two_builds(tmp_path, monkeypatch,
+                                               capsys):
+    """Runs of two uncommitted trees on one parent carry the same commit
+    label; their `tree` digests tell them apart, and `--table` compares
+    the later with the earlier."""
+    trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
+    checkout = tmp_path / "change"
+    subprocess.run(["git", "init", "-q", str(checkout)], check=True)
+    (checkout / "BENCHMARK.json").write_text(json.dumps(CONTRACT))
+    (checkout / ".gitignore").write_text("*.pyc\n")
+    for name in ("src", "perfbench"):
+        (checkout / name).mkdir()
+        (checkout / name / "a.py").write_text(f"{name} one\n")
+    reads = iter([10.0, 11.0, 20.0, 21.0])
+
+    def fake_run(checkout, workload, trace, seconds, seed):
+        return {**fake_detail(workload, 1.0, next(reads)), "trace": trace}
+
+    monkeypatch.setattr(trail, "TRAIL", tmp_path)
+    monkeypatch.setattr(trail, "run_detail", fake_run)
+    monkeypatch.setattr(trail, "commit_of", lambda checkout: "d" * 40
+                        + "-dirty")
+    monkeypatch.setattr(trail, "machine_probe", lambda: {
+        "md5_s": 1.0, "sha256_s": 0.5, "sha_ext": True,
+        "loopback_rtt_s": 1e-5})
+    first = trail.tree_of(checkout)
+    assert trail.main(["--checkout", str(checkout), "--workload",
+                       "small"]) == 0
+    # an ignored file, or one outside src/ and perfbench/, is no new build
+    (checkout / "src" / "a.pyc").write_bytes(b"cache")
+    (checkout / "notes.txt").write_text("notes")
+    assert trail.tree_of(checkout) == first
+    (checkout / "perfbench" / "a.py").write_text("perfbench two\n")
+    second = trail.tree_of(checkout)
+    assert second != first
+    assert trail.main(["--checkout", str(checkout), "--workload",
+                       "small"]) == 0
+
+    records = json.loads((tmp_path / "BENCH_small.json").read_text())
+    assert [record["tree"] for record in records] == [first] * 2 + \
+        [second] * 2
+    assert {record["commit"] for record in records} == {"d" * 40 + "-dirty"}
+    capsys.readouterr()
+    assert trail.main(["--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    small = lines.index(f"small: dddddddddddd-dirty tree {second[:8]} "
+                        f"({records[0]['date'][:10]}) against dddddddddddd"
+                        f"-dirty tree {first[:8]} "
+                        f"({records[0]['date'][:10]})")
+    rows = {line.split()[0]: line.split() for line in lines[small + 1:]}
+    assert rows["read_MBps"] == ["read_MBps", "20", "MB/s", "10", "x2.000"]
 
 
 def test_pair_summary_on_synthetic_numbers():
@@ -321,6 +376,7 @@ def test_each_run_records_a_digest_probe_before_and_after(
     monkeypatch.setattr(trail, "machine_probe", counted_probe)
     monkeypatch.setattr(trail, "run_detail", fake_run)
     monkeypatch.setattr(trail, "commit_of", lambda checkout: "d" * 40)
+    monkeypatch.setattr(trail, "tree_of", lambda checkout: "t" * 64)
     assert trail.main(["--checkout", str(change), "--workload", "small"]) == 0
     assert probes_before_run == [1, 3]     # each run between its two probes
 

@@ -310,17 +310,12 @@ def test_crypt_bad_key_hex_is_usage_error(tmp_path):
 # -- bench -------------------------------------------------------------------
 
 def test_bench_mem_smoke(node, capsys):
-    code = main(["bench", "--node", endpoint(node), "--mem",
+    code = main(["bench", "--node", endpoint(node),
                  "--streams", "2", "--seconds", "0.2", *AS_ALICE])
     assert code == EX_OK
     out = capsys.readouterr().out
     assert "Mbps" in out
     assert "stream 1:" in out
-
-
-def test_bench_without_mem_is_usage_error(node):
-    assert main(["bench", "--node", endpoint(node),
-                 *AS_ALICE]) == EX_USAGE
 
 
 # -- account -----------------------------------------------------------------

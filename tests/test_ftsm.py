@@ -419,12 +419,13 @@ def test_mem_bench_conserves_bytes(node):
 
 
 def test_pull_source_shrinking_mid_transfer_is_reported(node, tmp_path):
-    """Driven by hand: the node's source shrinks after XFER_ACCEPT, and
-    its data connection says why instead of just closing."""
+    """Driven by hand: the node's source shrinks after XFER_ACCEPT of a
+    2-stream pull, so the second chunk of stream 1 comes up short, and
+    stream 1's data connection says why instead of just closing."""
     remote = storage(node) / "shrinks.bin"
     remote.write_bytes(os.urandom(40_000))
     params = SessionParams(Mode.FTSM_PULL, SecurityMode.NONSECURE,
-                           buffer_size=65536, stream_count=1)
+                           buffer_size=65536, stream_count=2)
     control = secchan.connect(("127.0.0.1", node.port), params, "grid",
                               GRID_PSK)
     try:
@@ -432,15 +433,16 @@ def test_pull_source_shrinking_mid_transfer_is_reported(node, tmp_path):
         control.send(FrameType.XFER_OFFER, wire.encode_fields({
             ftsm.X_TRANSFER: transfer_id,
             ftsm.X_PATH: b"shrinks.bin",
-            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_STREAMS: wire.u8(2),
             ftsm.X_CHUNK_SIZE: wire.u32(10_000),
         }))
         control.expect(FrameType.XFER_ACCEPT)
         with open(remote, "r+b") as handle:
-            handle.truncate(15_000)
+            handle.truncate(35_000)
+        # stream 1 carries [20000, 30000) and the now short [30000, 40000)
         data = secchan.connect(("127.0.0.1", node.port), params, "grid",
                                GRID_PSK, transfer_id=transfer_id,
-                               stream_index=0)
+                               stream_index=1)
         try:
             frames = [data.recv()]
             while frames[-1].frame_type == FrameType.CHUNK:
@@ -688,23 +690,31 @@ def test_stray_frame_inside_an_offer_ends_the_session(node):
     ("other security",
      "data connection security differs from the control session"),
     ("other user", "data connection user differs from the transfer owner"),
+    ("pull stream 0", "pull stream 0 takes no data connection"),
+    ("pull stream past the plan", "pull stream 2 takes no data connection"),
 ])
 def test_data_connection_admission_refusals(node, case, message):
     """An authenticated data connection joins a live transfer only with
-    its id, its security mode and its owner; anything else gets an ERROR
-    frame in place of AUTH_OK that says which."""
+    its id, its security mode and its owner, and a pull's only for a
+    stream 1..n-1 of its plan, since stream 0 rides the control session;
+    anything else gets an ERROR frame in place of AUTH_OK that says
+    which."""
     address = ("127.0.0.1", node.port)
+    pull = case.startswith("pull")
+    mode, streams = (Mode.FTSM_PULL, 2) if pull else (Mode.FTSM_PUSH, 1)
+    if pull:
+        (storage(node) / "admit.bin").write_bytes(os.urandom(20))
     control = secchan.connect(address, SessionParams(
-        Mode.FTSM_PUSH, SecurityMode.NONSECURE, buffer_size=65536,
-        stream_count=1), "grid", GRID_PSK)
+        mode, SecurityMode.NONSECURE, buffer_size=65536,
+        stream_count=streams), "grid", GRID_PSK)
     transfer_id = os.urandom(16)
     try:
         control.send(FrameType.XFER_OFFER, wire.encode_fields({
             ftsm.X_TRANSFER: transfer_id,
             ftsm.X_PATH: b"admit.bin",
             ftsm.X_REGION_OFFSET: wire.u64(0),
-            ftsm.X_REGION_LENGTH: wire.u64(10),
-            ftsm.X_STREAMS: wire.u8(1),
+            ftsm.X_REGION_LENGTH: wire.u64(10 * streams),
+            ftsm.X_STREAMS: wire.u8(streams),
             ftsm.X_CHUNK_SIZE: wire.u32(10),
         }))
         control.expect(FrameType.XFER_ACCEPT)
@@ -714,11 +724,12 @@ def test_data_connection_admission_refusals(node, case, message):
                          else ("grid", GRID_PSK))
         with pytest.raises(BadRequest) as refused:
             secchan.connect(
-                address, SessionParams(Mode.FTSM_PUSH, security,
-                                       buffer_size=65536, stream_count=1),
+                address, SessionParams(mode, security, buffer_size=65536,
+                                       stream_count=streams),
                 username, psk,
                 transfer_id=(os.urandom(16) if case == "unknown id"
-                             else transfer_id))
+                             else transfer_id),
+                stream_index=2 if case.endswith("plan") else 0)
         assert str(refused.value) == message
     finally:
         control.close()
@@ -832,7 +843,7 @@ def test_push_missing_a_chunk_is_refused_at_once(node):
 
 
 def test_push_done_without_a_sha256_digest_is_refused_once(node):
-    """Driven by hand, as a peer that predates X_SHA256 pushes: every
+    """Driven by hand, as a peer that omits X_SHA256 pushes: every
     chunk lands on the control session, but XFER_DONE carries only an
     MD5 under the retired tag 7. The node refuses the push at once with
     BadRequest, which no client retries, and forgets the transfer."""
@@ -1106,44 +1117,6 @@ def test_bad_chunk_on_the_control_session_ends_the_transfer(node, case,
     finally:
         control.close()
     assert node.registry.lookup(transfer_id) is None
-
-
-def test_pull_offered_without_the_tag_serves_stream_zero_by_connection(
-        node, tmp_path):
-    """A pull offer without X_CONTROL_STREAM sends no chunk on the
-    control session: a data connection dialed for stream 0 moves them."""
-    data = os.urandom(30_000)
-    (storage(node) / "plain.bin").write_bytes(data)
-    params = SessionParams(Mode.FTSM_PULL, SecurityMode.NONSECURE,
-                           buffer_size=65536, stream_count=1)
-    address = ("127.0.0.1", node.port)
-    control = secchan.connect(address, params, "grid", GRID_PSK)
-    transfer_id = os.urandom(16)
-    try:
-        control.send(FrameType.XFER_OFFER, wire.encode_fields({
-            ftsm.X_TRANSFER: transfer_id,
-            ftsm.X_PATH: b"plain.bin",
-            ftsm.X_STREAMS: wire.u8(1),
-            ftsm.X_CHUNK_SIZE: wire.u32(10_000),
-        }))
-        control.expect(FrameType.XFER_ACCEPT)
-        conn = secchan.connect(address, params, "grid", GRID_PSK,
-                               transfer_id=transfer_id, stream_index=0)
-        received = bytearray(len(data))
-        try:
-            for _ in range(3):
-                _, _, offset, payload = unpack_chunk(
-                    conn.expect(FrameType.CHUNK).payload)
-                received[offset:offset + len(payload)] = payload
-        finally:
-            conn.close()
-        control.send(FrameType.XFER_DONE, wire.encode_fields({
-            ftsm.X_TRANSFER: transfer_id}))
-        done = wire.decode_fields(control.expect(FrameType.XFER_DONE).payload)
-    finally:
-        control.close()
-    assert bytes(received) == data
-    assert done[ftsm.X_SHA256] == md5(data)
 
 
 # -- sidecar write policy ---------------------------------------------------

@@ -1,11 +1,15 @@
 """Daemon behavior: config parsing, handshake policy, dispatch, restarts."""
 
+import functools
+import logging
 import os
 import socket
+import threading
+import time
 
 import pytest
 
-from gridfs import secchan, wire
+from gridfs import ftsm, secchan, wire
 from gridfs.dfsm import FsClient
 from gridfs.errors import (
     AuthFailed,
@@ -14,6 +18,7 @@ from gridfs.errors import (
     ModeRejected,
     VersionMismatch,
 )
+from gridfs.ftsm import TransferClient
 from gridfs.node import NodeConfig, NodeServer, load_config, parse_config
 from gridfs.wire import FrameType, Mode, SecurityMode, SessionParams
 
@@ -105,6 +110,63 @@ def test_wrong_version_rejected(node):
     params = SessionParams(Mode.DFSM, SecurityMode.SECURE, version=9)
     with pytest.raises(VersionMismatch):
         secchan.connect(("127.0.0.1", node.port), params, "grid", GRID_PSK)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name)
+def test_version_one_hello_rejected_in_every_mode(node, mode):
+    """Version 2 changed the wire so that a version-1 peer fails, so the
+    node refuses a version-1 HELLO in every mode, before any key is
+    used."""
+    with pytest.raises(VersionMismatch,
+                       match="client speaks version 1, server 2"):
+        connect(node, mode=mode, version=1)
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+def test_client_facing_an_older_node_fails_once(node, sniff_factory,
+                                                tmp_path, monkeypatch,
+                                                direction):
+    """A node that speaks version 1 refuses the client's HELLO: the
+    transfer raises VersionMismatch after that one HELLO, with no retry
+    and no backoff pause."""
+    monkeypatch.setattr(wire, "negotiate",
+                        functools.partial(wire.negotiate, server_version=1))
+    pauses = []
+    monkeypatch.setattr(ftsm.time, "sleep", pauses.append)
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    local = tmp_path / "local.bin"
+    local.write_bytes(os.urandom(10_000))
+    (node.config.storage_root / "remote.bin").write_bytes(b"remote")
+    with TransferClient(proxy.address, "grid", GRID_PSK,
+                        streams=2) as mover:
+        with pytest.raises(VersionMismatch,
+                           match="client speaks version 2, server 1"):
+            if direction == "push":
+                mover.push(local, "remote.bin")
+            else:
+                mover.pull("remote.bin", local)
+    deadline = time.monotonic() + 5
+    while proxy.count(FrameType.HELLO) == 0 and time.monotonic() < deadline:
+        threading.Event().wait(0.01)    # the relay parses after it forwards
+    assert proxy.count(FrameType.HELLO) == 1
+    assert pauses == []
+
+
+def test_refused_hello_is_logged_with_its_cause(node_factory, caplog):
+    node = node_factory("dfsm-only", modes=frozenset({Mode.DFSM}))
+    with caplog.at_level(logging.WARNING, logger="gridfs.node"):
+        with pytest.raises(VersionMismatch):
+            connect(node, version=1)
+        with pytest.raises(ModeRejected):
+            connect(node, mode=Mode.TASK)
+    refusals = [record.getMessage() for record in caplog.records
+                if record.name == "gridfs.node"
+                and record.levelno == logging.WARNING]
+    assert len(refusals) == 2
+    assert all(line.startswith("refused session from ('127.0.0.1', ")
+               for line in refusals)
+    assert refusals[0].endswith(": client speaks version 1, server 2")
+    assert refusals[1].endswith(": mode TASK disabled on this server")
 
 
 def test_disabled_mode_rejected(node_factory):

@@ -11,8 +11,12 @@ then `--trace 1`, in the gridfs checkout DIR (default: the one holding
 this script), for BENCHMARK.json's `run_seconds` and the default seed,
 so that records of different commits compare like with like. It reads
 the `detail` JSON line each run prints, and appends one record per run
-to `BENCH_<W>.json` beside this script's checkout. A record holds the measured commit (suffixed `-dirty` when `src/` or
-`perfbench/` has uncommitted changes), the UTC date, `nproc`, the run's
+to `BENCH_<W>.json` beside this script's checkout. A record holds the
+measured commit (suffixed `-dirty` when `src/` or `perfbench/` has
+uncommitted changes) and, as `tree`, a SHA-256 over the path and bytes of
+every file git lists, tracked or untracked but not ignored, under those
+two directories, so two uncommitted trees on one parent tell apart; the
+UTC date, `nproc`, the run's
 steal share, every end-to-end metric that BENCHMARK.json names with its
 sample count, and, for the traced run, the per-layer split. It also
 holds a machine probe taken just before and just after the run: the
@@ -28,9 +32,10 @@ To compare two commits, run the script once with `--checkout` pointing
 at a clone of the earlier one and once without it, on the same machine.
 `--table` runs nothing: for each workload it prints the end-to-end
 metrics of the trail's latest untraced record beside those of the most
-recent untraced record of another commit, then the per-layer split of
+recent untraced record of another build, then the per-layer split of
 the latest traced record beside that of the most recent traced record
-of another commit, each with their ratio, and, for records that hold
+of another build, each with their ratio; two records are of different
+builds when their commit or their tree differs. For records that hold
 a machine probe, its SHA-256/MD5 time ratios and CPU flag, and its
 loopback round trip.
 
@@ -79,6 +84,24 @@ def commit_of(checkout: Path) -> str:
 
     dirty = git("status", "--porcelain", "--", "src", "perfbench")
     return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
+
+
+def tree_of(checkout: Path) -> str:
+    """SHA-256 over the path and bytes of every file under `src/` and
+    `perfbench/` that git tracks or would track; a tracked file that has
+    been deleted counts by its absence."""
+    listed = subprocess.run(
+        ["git", "-C", str(checkout), "ls-files", "-z", "-co",
+         "--exclude-standard", "--", "src", "perfbench"],
+        capture_output=True, check=True).stdout
+    digest = hashlib.sha256()
+    for name in sorted(set(listed.split(b"\0")) - {b""}):
+        path = checkout / os.fsdecode(name)
+        if path.is_file():
+            data = path.read_bytes()
+            for part in (name, data):
+                digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
 
 
 def run_detail(checkout: Path, workload: str, trace: int,
@@ -154,13 +177,14 @@ def machine_probe() -> dict:
 
 
 def measure(checkout: Path, workload: str, trace: int, contract: dict,
-            commit: str, seed: int | None = None) -> dict:
+            build: tuple[str, str], seed: int | None = None) -> dict:
     """Run the benchmark once and return its record, with a machine probe
-    taken just before and just after the run."""
+    taken just before and just after the run. `build` is the checkout's
+    (commit, tree)."""
     before = machine_probe()
     detail = run_detail(checkout, workload, trace, contract["run_seconds"],
                         seed)
-    record = record_of(detail, contract, commit)
+    record = record_of(detail, contract, *build)
     record["probe"] = {"before": before, "after": machine_probe()}
     return record
 
@@ -185,7 +209,8 @@ def loopback_text(record: dict) -> str:
         for when in ("before", "after"))
 
 
-def record_of(detail: dict, contract: dict, commit: str) -> dict:
+def record_of(detail: dict, contract: dict, commit: str,
+              tree: str | None = None) -> dict:
     end_to_end = {}
     for metric in contract["end_to_end"]:
         name = metric["name"]
@@ -193,6 +218,7 @@ def record_of(detail: dict, contract: dict, commit: str) -> dict:
         end_to_end[name] = {"value": value, "unit": unit, "n": samples}
     record = {
         "commit": commit,
+        "tree": tree,
         "date": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
         "nproc": os.cpu_count(),
@@ -230,15 +256,20 @@ def table(trail: Path) -> list[str]:
     """Per workload, the end-to-end metrics of the trail's latest untraced
     record, then the per-layer split of its latest traced record, each
     beside the most recent record of the same kind from a different
-    commit, metric by metric, with the ratio latest/earlier."""
+    build (commit or tree), metric by metric, with the ratio
+    latest/earlier."""
+    def build(record: dict) -> tuple:
+        return record["commit"], record.get("tree")
+
     def label(record: dict) -> str:
-        commit = record["commit"]
-        return f"{commit[:12]}{commit[40:]} ({record['date'][:10]})"
+        commit, tree = build(record)
+        tree = f" tree {tree[:8]}" if tree else ""
+        return f"{commit[:12]}{commit[40:]}{tree} ({record['date'][:10]})"
 
     def compare(heading: str, records: list[dict], key: str) -> list[str]:
         latest = records[-1]
         earlier = next((record for record in reversed(records)
-                        if record["commit"] != latest["commit"]), None)
+                        if build(record) != build(latest)), None)
         lines = [f"{heading}{label(latest)} against "
                  f"{label(earlier) if earlier else 'no other commit'}"]
         width = max([14, *map(len, latest[key])])
@@ -284,20 +315,22 @@ def run_pairs(parent: Path, change: Path, workload: str, pairs: int,
     records of each pair."""
     stamp = datetime.datetime.now(datetime.timezone.utc) \
         .strftime("%Y%m%dT%H%M%SZ")
-    commits = {parent: commit_of(parent), change: commit_of(change)}
+    builds = {checkout: (commit_of(checkout), tree_of(checkout))
+              for checkout in (parent, change)}
     out = []
     for index in range(pairs):
         records = {}
         order = (parent, change) if index % 2 == 0 else (change, parent)
         for checkout in order:
             record = measure(checkout, workload, 0, contract,
-                             commits[checkout], seed)
+                             builds[checkout], seed)
             record["pair"] = f"{stamp}/{workload}/{index}"
             append(record)
             records[checkout] = record
             print(f"pair {index} {workload} "
                   f"{'parent' if checkout == parent else 'change'} "
-                  f"{record['commit'][:12]}: " + "  ".join(
+                  f"{record['commit'][:12]}{record['commit'][40:]}: "
+                  + "  ".join(
                       f"{name} {metric['value']:.4g}" for name, metric
                       in record["end_to_end"].items()), flush=True)
         out.append((records[parent], records[change]))
@@ -383,10 +416,11 @@ def main(argv=None) -> int:
                                for pair in pairs for record in pair)
         return 0 if healthy else 1
     commit = commit_of(checkout)
+    build = (commit, tree_of(checkout))
     healthy = True
     for workload in workloads:
         for trace in (0, 1):
-            record = measure(checkout, workload, trace, contract, commit)
+            record = measure(checkout, workload, trace, contract, build)
             path = append(record)
             healthy &= not record["failures"]
             metrics = "  ".join(
