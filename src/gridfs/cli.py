@@ -12,6 +12,7 @@ or authentication refused.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from .cryptengine import (
 )
 from .dfsm import FsClient, WHOLE_FILE
 from .errors import AuthFailed, GridfsError, PermissionDenied
-from .ftsm import TransferClient, TransferReport, md5_region
+from .ftsm import TransferClient, TransferReport
 from .node import NodeConfig, load_config, run_node
 from .perms import FLAG_ORDER, AccountStore, PermissionDoc
 from .secchan import connect
@@ -357,7 +358,8 @@ def cmd_crypt_decrypt(args) -> int:
     reassemble(manifest, _cipher_params(args), destination, user, psk,
                security=SECURITY_NAMES[args.security],
                buffer_size=args.buffer)
-    digest = md5_region(destination, 0, destination.stat().st_size).hex()
+    with open(destination, "rb") as rebuilt:
+        digest = hashlib.file_digest(rebuilt, "sha256").hexdigest()
     print(f"rebuilt {destination} sha256={digest}")
     return EX_OK
 

@@ -13,16 +13,19 @@ span is sent as sequential CHUNK frames:
 
 Offsets are absolute file offsets; the receiver writes each payload at
 exactly its offset, so any interleaving of streams reassembles the same
-bytes. The sender's XFER_DONE carries the whole-region SHA-256 (DIGEST,
-under X_SHA256), which a second thread computes while the streams move
-the region (a region of one chunk is hashed after its send, on the
-calling thread). A source whose stat changes while it is read is hashed
-again afterwards, so a torn copy fails. The receiving threads keep one
-SHA-256 over the landed prefix of the region as the chunks land (see
-RegionReceiver), and the receiver compares it before acknowledging; the
-first delivery of a chunk wins, so no duplicate rewrites bytes the digest
-has covered. An XFER_DONE without X_SHA256 is refused with BadRequest
-and not retried.
+bytes. The sender's XFER_DONE carries the region digest under
+X_REGION_DIGEST: DIGEST (SHA-256) over the DIGEST of each chunk in
+ordinal order, a hash list like the pieces of BitTorrent v2 (BEP 52).
+Each side hashes a chunk once, from the bytes in hand: the sender from
+the frame it sends, the receiver from the payload it lands. Only chunks
+that do not move in this session are read back from disk, one at a
+time: on the receiver those that landed in an earlier session of a
+resumed transfer, on the sender those a resume does not send again.
+Each side reads them on stream 0's thread before its first chunk, while
+the other streams run. A source whose stat changes while the streams
+run is hashed again from disk, so a torn copy fails. The first delivery of a chunk wins, so no
+duplicate rewrites bytes whose digest is taken. An XFER_DONE without
+X_REGION_DIGEST is refused with BadRequest and not retried.
 Each sending stream reads its chunks into one reused frame buffer, the
 29-byte header packed in front of the payload, and a receiving channel
 reads frames into one reused buffer too (see secchan.Channel), so a chunk
@@ -123,13 +126,14 @@ X_SINK = 10
 X_TOTAL = 11
 X_TRUNCATE = 12      # whole-file transfer: drop any stale tail on finish
 # tag 13 (X_CONTROL_STREAM, stream 0 on control) is retired; do not reuse it
-X_SHA256 = 14        # XFER_DONE: the region's DIGEST
+# tag 14 (X_SHA256, DIGEST of the region's bytes) is retired; do not reuse it
+X_REGION_DIGEST = 15    # XFER_DONE: DIGEST over the chunk digests
 
 SINK_FILE = 0
 SINK_MEM = 1
 
-# the transfer digest: of the whole region on the sender, of the landed
-# region on the receiver
+# the transfer digest: of each chunk, and of the region over its chunks'
+# digests
 DIGEST = hashlib.sha256
 
 # a pull offer without a region length asks for everything from its offset
@@ -168,26 +172,47 @@ def unpack_chunk(raw: bytes) -> tuple[bytes, int, int, memoryview]:
     return transfer_id, stream_index, offset, payload
 
 
-def md5_region(path: Path, offset: int, length: int,
-               stop: threading.Event | None = None) -> bytes:
-    """DIGEST (SHA-256) of `length` bytes of `path` from `offset`, read in
-    pieces of at most 1 MiB into one reused buffer. Once `stop` is set,
-    the read ends after the current piece and the digest covers only what
-    was read. The name predates the move to SHA-256 and stays until the
-    benchmark's span list, which wraps this function by name, is renamed
-    with it."""
+def chunk_digest(data: bytes | memoryview) -> bytes:
     digest = DIGEST()
-    buffer = memoryview(bytearray(min(1 << 20, length)))
-    remaining = length
-    with open(path, "rb", buffering=0) as handle:
-        handle.seek(offset)
-        while remaining and not (stop is not None and stop.is_set()):
-            got = handle.readinto(buffer[:min(len(buffer), remaining)])
-            if not got:
-                break
-            digest.update(buffer[:got])
-            remaining -= got
+    digest.update(data)
     return digest.digest()
+
+
+def disk_digests(path: Path,
+                 chunks: list[tuple[int, int]]) -> dict[int, bytes]:
+    """The DIGEST of each (offset, length) chunk of `path`, by offset, read
+    back one chunk at a time; a chunk cut short on disk hashes short, so
+    it fails the region digest."""
+    if not chunks:
+        return {}
+    with open(path, "rb", buffering=0) as handle:
+        return {offset: chunk_digest(os.pread(handle.fileno(), length,
+                                              offset))
+                for offset, length in chunks}
+
+
+def md5_region(path: Path, grid: ChunkGrid,
+               digests: Mapping[int, bytes]) -> bytes:
+    """The region digest of `grid`: DIGEST over the DIGEST of each chunk,
+    in ordinal order. `digests` holds chunk digests by offset; any chunk
+    it lacks is read back from `path`. The name predates the hash list
+    and stays until the benchmark's span list, which wraps this function
+    by name, is renamed with it."""
+    read = disk_digests(path, [chunk for chunk in grid._chunks
+                               if chunk[0] not in digests])
+    region = DIGEST()
+    for offset, _ in grid._chunks:
+        region.update(digests.get(offset) or read[offset])
+    return region.digest()
+
+
+def region_digest(data: bytes, grid: ChunkGrid) -> bytes:
+    """The region digest of `data`, the bytes of `grid`'s region."""
+    region = DIGEST()
+    for offset, length in grid._chunks:
+        start = offset - grid.region_offset
+        region.update(chunk_digest(data[start:start + length]))
+    return region.digest()
 
 
 def pwrite_all(fd: int, data: bytes, offset: int) -> None:
@@ -209,40 +234,29 @@ def _stamp(path: Path) -> tuple[int, int, int, int]:
     return stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
 
 
-def run_beside_digest(work: Callable[[], object], src: Path,
-                      grid: ChunkGrid) -> tuple[object, bytes]:
-    """Run `work()` on the calling thread while a second thread computes
-    the DIGEST of `grid`'s region of `src`; return work's result and the
-    digest. A region of at most one chunk is hashed after `work` on this
-    thread instead: a thread costs more than it would overlap. If `work`
-    raises, the hash stops after its current piece; either error is
-    raised once the hashing thread has ended. If the source's stat
-    changed meanwhile, the region is hashed again, so the digest is of
-    what the file holds now and a copy torn by the change fails."""
-    offset, length = grid.region_offset, grid.region_length
-    if length <= grid.chunk_size:
-        result = work()
-        return result, md5_region(src, offset, length)
-    before = _stamp(src)
-    stop = threading.Event()
-    results: list = [None, None]
+def unsent_digests(src: Path, grid: ChunkGrid,
+                 assignments: list[list[tuple[int, int]]]) -> dict[int, bytes]:
+    """The digests of the chunks of `grid` that no stream of `assignments`
+    carries, read back from `src`: on a resume, the chunks the receiver
+    holds from an earlier session."""
+    moving = {offset for chunks in assignments for offset, _ in chunks}
+    return disk_digests(src, [chunk for chunk in grid._chunks
+                              if chunk[0] not in moving])
 
-    def run(index: int) -> None:
-        if index:
-            results[1] = md5_region(src, offset, length, stop)
-            return
-        try:
-            results[0] = work()
-        except BaseException:
-            stop.set()      # nobody will read the digest
-            raise
 
-    for exc in fan_out(run, 2, inline=True):
-        if exc is not None:
-            raise exc
-    if _stamp(src) != before:
-        results[1] = md5_region(src, offset, length)
-    return results[0], results[1]
+def sender_digest(src: Path, grid: ChunkGrid, before: tuple,
+                  unsent: dict[int, bytes],
+                  assignments: list[list[tuple[int, int]]],
+                  sent: list[list[bytes]]) -> bytes:
+    """The region digest a sender sends, folded from `unsent`, the digests
+    of the chunks it did not send, and `sent[i]`, those of stream i's
+    chunks `assignments[i]`. If the source's stat differs from `before`,
+    taken before the streams, the whole region is hashed from what the
+    file holds now instead, so a copy torn by the change fails."""
+    digests = dict(unsent)
+    for chunks, stream in zip(assignments, sent):
+        digests.update(zip((offset for offset, _ in chunks), stream))
+    return md5_region(src, grid, digests if _stamp(src) == before else {})
 
 
 # -- planning ---------------------------------------------------------------
@@ -525,20 +539,18 @@ def pull_assignments(grid: ChunkGrid, bitmap: bytes | None,
 # -- receiving end (either side, depending on direction) --------------------
 
 class RegionReceiver:
-    """Writes validated chunks at their absolute offsets, digests the
-    region as it lands, and records progress in the sidecar.
+    """Writes validated chunks at their absolute offsets, digests each
+    chunk from its payload as it lands, and records progress in the
+    sidecar.
 
     The first delivery of a chunk wins: a chunk whose ordinal has landed,
-    or is being written at that moment, is dropped unwritten, so landed
-    bytes never change under the digest. The receiver keeps one running
-    DIGEST over the landed prefix of the region in ordinal order, which is
-    file order. Once its chunk has landed, a caller takes the front of
-    the unhashed rest, if the front has landed and no other caller holds
-    it, and hashes forward until it meets a chunk that has not landed:
-    the chunk in hand from memory, any other (one that landed out of
-    order, or in an earlier session of a resumed transfer) read back from
-    the file. `finish` takes the digest and reads back only what no
-    caller hashed. No thread is started for this.
+    or is being written at that moment, is dropped unwritten and
+    unhashed, so landed bytes never change under their digest. The
+    chunks that landed in an earlier session of a resumed transfer are
+    read back from the file by `hash_earlier`, which the thread of
+    stream 0 calls before its first chunk, beside the other streams.
+    `finish` folds the chunk digests into the region digest, reading back
+    only a chunk that has none.
 
     The sidecar is replaced on the first chunk, then at most once per
     SIDECAR_INTERVAL, and once more, if any chunk landed since, when the
@@ -554,13 +566,13 @@ class RegionReceiver:
         self.grid = grid
         self.state = state or TransferState.fresh(transfer_id, grid)
         self.truncate_to = truncate_to
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
         self._saved_at: float | None = None   # monotonic, last sidecar write
         self._unsaved = False                 # marks made since then
         self._writing: set[int] = set()       # ordinals being written now
-        self._hash = DIGEST()                 # over ordinals below _hashed
-        self._hashed = 0
-        self._hashing = False                 # a caller holds the front
+        self._digests: dict[int, bytes] = {}  # by offset
+        self._earlier = [chunk for k, chunk in enumerate(grid._chunks)
+                         if self.state.has(k)]
         self.state.transfer_id = transfer_id
         self.dst.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(self.dst, os.O_RDWR | os.O_CREAT, 0o644)
@@ -576,58 +588,26 @@ class RegionReceiver:
             self._writing.add(ordinal)
         try:
             pwrite_all(self._fd, payload, offset)
+            digest = chunk_digest(payload)
         except BaseException:
             with self._lock:
                 self._writing.discard(ordinal)
             raise
         with self._lock:
             self._writing.discard(ordinal)
+            self._digests[offset] = digest
             self.state.mark(ordinal, len(payload))
             self._unsaved = True
             if self._saved_at is None or \
                     time.monotonic() - self._saved_at >= SIDECAR_INTERVAL:
                 self._save()
-            claimed = self._claim_front()
-        if claimed:
-            self._hash_front(ordinal, payload)
 
-    def _claim_front(self) -> bool:
-        """Take the front of the unhashed rest if it has landed and no
-        other caller holds it; the caller holds the lock."""
-        if self._hashing or self._hashed == len(self.grid._chunks) or \
-                not self.state.has(self._hashed):
-            return False
-        self._hashing = True
-        return True
-
-    def _hash_front(self, ordinal: int = -1,
-                    payload: bytes | memoryview = b"") -> None:
-        """Hash landed chunks from the front on, in ordinal order, until
-        one has not landed, then let go of the front, which the caller
-        holds. `payload` is chunk `ordinal`'s bytes; every other chunk is
-        read back from the file, so a chunk cut short on disk fails the
-        digest. The release happens under the same hold of the lock as
-        the check that the next chunk has not landed, so a chunk marked
-        meanwhile is never left for nobody to hash."""
-        chunks = self.grid._chunks
-        try:
-            while True:
-                k = self._hashed
-                offset, length = chunks[k]
-                self._hash.update(payload if k == ordinal
-                                  else os.pread(self._fd, length, offset))
-                with self._lock:
-                    self._hashed = k + 1
-                    if self._hashed == len(chunks) or \
-                            not self.state.has(self._hashed):
-                        self._hashing = False
-                        self._lock.notify_all()
-                        return
-        except BaseException:
-            with self._lock:
-                self._hashing = False
-                self._lock.notify_all()
-            raise
+    def hash_earlier(self) -> None:
+        """Hash the chunks of an earlier session, read back from the
+        file."""
+        digests = disk_digests(self.dst, self._earlier)
+        with self._lock:
+            self._digests.update(digests)
 
     def _save(self) -> None:
         """Replace the sidecar; the caller holds the lock."""
@@ -644,30 +624,17 @@ class RegionReceiver:
         with self._lock:
             return self.state.complete()
 
-    def _digest(self) -> bytes:
-        """The DIGEST of the landed region so far: wait for a caller still
-        hashing, then hash what no caller did."""
-        with self._lock:
-            self._lock.wait_for(lambda: not self._hashing)
-            claimed = self._claim_front()
-        if claimed:
-            self._hash_front()
-        with self._lock:
-            return self._hash.digest()
-
     def finish(self, expected: bytes) -> int:
-        """Verify the region against the sender's digest, which the
-        receiver took as the chunks landed; only what no writer hashed is
-        read back here (the landed chunks of a resumed transfer that
-        received nothing, or the rest after a hashing error). A complete
-        region drops its sidecar, match or not: resuming it would send
-        nothing and fail the same way."""
+        """Verify the region against the sender's digest. A complete region
+        drops its sidecar, match or not: resuming it would send nothing
+        and fail the same way."""
         try:
             if self.truncate_to is not None:
                 # whole-file transfer over a longer predecessor
                 os.ftruncate(self._fd, self.truncate_to)
             os.fsync(self._fd)
-            actual = self._digest() if self.complete() else None
+            actual = (md5_region(self.dst, self.grid, self._digests)
+                      if self.complete() else None)
         finally:
             os.close(self._fd)
             self._fd = -1
@@ -713,6 +680,9 @@ class MemSink:
                 f"sink counted {received} bytes, sender claims {self.claimed}")
         return received
 
+    def hash_earlier(self) -> None:
+        pass
+
     def abort(self) -> None:
         pass
 
@@ -720,24 +690,25 @@ class MemSink:
 # -- streams, both directions -----------------------------------------------
 
 def send_chunks(channel: Channel, transfer_id: bytes, stream_index: int,
-                src: Path, chunks: list[tuple[int, int]]) -> int:
+                src: Path, chunks: list[tuple[int, int]]) -> list[bytes]:
     """Send each (offset, length) chunk of `src` as a CHUNK frame; returns
-    the payload bytes sent. Every chunk is read into one buffer, behind
-    its header, and sent from there."""
+    each chunk's DIGEST, in the order of `chunks`. Every chunk is read
+    into one buffer, behind its header, hashed there and sent from
+    there."""
     head = CHUNK_HEADER.size
     frame = bytearray(head + max((length for _, length in chunks), default=0))
     view = memoryview(frame)
-    sent = 0
+    digests = []
     with open(src, "rb") as handle:
         for offset, length in chunks:
-            if os.preadv(handle.fileno(), [view[head:head + length]],
-                         offset) != length:
+            payload = view[head:head + length]
+            if os.preadv(handle.fileno(), [payload], offset) != length:
                 raise StreamLost("source shrank mid-transfer")
+            digests.append(chunk_digest(payload))
             CHUNK_HEADER.pack_into(frame, 0, transfer_id, stream_index,
                                    offset, length)
             channel.send(FrameType.CHUNK, view[:head + length])
-            sent += length
-    return sent
+    return digests
 
 
 def land_chunk(payload: bytes, transfer_id: bytes, receiver) -> int:
@@ -751,12 +722,13 @@ def land_chunk(payload: bytes, transfer_id: bytes, receiver) -> int:
 
 
 def done_digest(fields: dict[int, bytes]) -> bytes:
-    """The region digest an XFER_DONE carries; one without X_SHA256 is
-    refused, since it cannot be verified and a re-offer would fail too."""
-    digest = fields.get(X_SHA256)
+    """The region digest an XFER_DONE carries; one without
+    X_REGION_DIGEST is refused, since it cannot be verified and a re-offer
+    would fail too."""
+    digest = fields.get(X_REGION_DIGEST)
     if digest is None:
         raise BadRequest("XFER_DONE carries no SHA-256 region digest "
-                         f"(tag {X_SHA256})")
+                         f"(tag {X_REGION_DIGEST})")
     return digest
 
 
@@ -824,7 +796,8 @@ class TransferSession:
         self.direction = direction
         self.security = security
         self.receiver = receiver          # push: RegionReceiver or MemSink
-        self.sender_ctx = sender_ctx      # pull: (src path, assignments)
+        # pull: (src path, assignments, each stream's chunk digests)
+        self.sender_ctx = sender_ctx
         self._cond = threading.Condition()
         self._active = 0
 
@@ -958,6 +931,7 @@ class FtsmService:
                      session: TransferSession) -> None:
         receiver = session.receiver
         try:
+            receiver.hash_earlier()    # beside the data connections
             # stream 0's chunks, if the sender put them on this session,
             # arrive before XFER_DONE and land as they are read
             frame = channel.expect(FrameType.CHUNK, FrameType.XFER_DONE)
@@ -1017,20 +991,26 @@ class FtsmService:
         grid.check_resumable(channel.params.buffer_size)
         assignments = pull_assignments(grid, fields.get(X_BITMAP),
                                        channel.params.stream_count)
+        sent: list[list[bytes]] = [[] for _ in assignments]
 
+        before = _stamp(src)
         session = TransferSession(transfer_id, account, Mode.FTSM_PULL,
                                   channel.params.security,
-                                  sender_ctx=(src, assignments))
+                                  sender_ctx=(src, assignments, sent))
         self._register_and_reply(channel, session, FrameType.XFER_ACCEPT,
                                  grid_fields(grid))
-
-        def serve() -> None:
-            if assignments:
-                send_chunks(channel, transfer_id, 0, src, assignments[0])
-            channel.expect(FrameType.XFER_DONE)
-
         try:
-            _, digest = run_beside_digest(serve, src, grid)
+            unsent = {}
+            if assignments:
+                # beside the data connections, before stream 0's chunks
+                unsent = unsent_digests(src, grid, assignments)
+                sent[0] = send_chunks(channel, transfer_id, 0, src,
+                                      assignments[0])
+            # the client sends XFER_DONE once every stream has drained, so
+            # every stream's digests are stored by now
+            channel.expect(FrameType.XFER_DONE)
+            digest = sender_digest(src, grid, before, unsent, assignments,
+                                   sent)
         except ConnectionLost:
             return
         except OSError as exc:
@@ -1040,7 +1020,7 @@ class FtsmService:
         channel.send(FrameType.XFER_DONE, wire.encode_fields({
             X_TRANSFER: transfer_id,
             X_STATUS: wire.u16(Status.OK),
-            X_SHA256: digest,
+            X_REGION_DIGEST: digest,
             X_TOTAL: wire.u64(grid.region_length),
         }))
 
@@ -1076,9 +1056,10 @@ class FtsmService:
             if session.direction == Mode.FTSM_PUSH:
                 receive_chunks(channel, session.transfer_id, session.receiver)
             else:
-                src, assignments = session.sender_ctx
-                send_chunks(channel, session.transfer_id, stream_index, src,
-                            assignments[stream_index])
+                src, assignments, sent = session.sender_ctx
+                sent[stream_index] = send_chunks(
+                    channel, session.transfer_id, stream_index, src,
+                    assignments[stream_index])
         except ConnectionLost:
             pass    # the peer hung up: nobody is left to tell
         except (GridfsError, OSError) as exc:
@@ -1220,21 +1201,25 @@ class TransferClient:
                                stream_index=stream_index)
 
     def _run_streams(self, control: Channel, transfer_id: bytes, count: int,
-                     body: Callable[[int, Channel], int]) -> list[int]:
+                     body: Callable[[int, Channel], object],
+                     first: Callable[[], object] | None = None) -> list:
         """Run `body(index, channel)` for `count` streams at once: stream 0
         on `control` in this thread, each other stream on a data
-        connection of its own in a thread of its own. Returns the byte
-        count each body returned. Any failed stream raises StreamLost
-        naming the first cause."""
-        per_stream = [0] * count
+        connection of its own in a thread of its own. Stream 0 runs
+        `first()`, if given, before its body, beside the other streams.
+        Returns what each body returned. Any failed stream raises
+        StreamLost naming the first cause."""
+        results: list = [None] * count
 
         def run(index: int) -> None:
             if index == 0:
-                per_stream[0] = body(0, control)
+                if first is not None:
+                    first()
+                results[0] = body(0, control)
                 return
             data = self.dial(control.params.mode, transfer_id, index)
             try:
-                per_stream[index] = body(index, data)
+                results[index] = body(index, data)
             finally:
                 data.close()
 
@@ -1243,7 +1228,7 @@ class TransferClient:
         if failures:
             raise StreamLost(f"{len(failures)} streams failed: "
                              f"{failures[0]}")
-        return per_stream
+        return results
 
     def _chunk_size(self, control: Channel) -> int:
         return min(self.chunk_size or self.buffer_size,
@@ -1284,29 +1269,37 @@ class TransferClient:
         resumed = reply.frame_type == FrameType.XFER_RESUME
         if resumed:
             fields = wire.decode_fields(reply.payload)
-            state = TransferState(transfer_id, grid_from_fields(fields),
+            # the receiver's grid: its chunks make the region digest
+            grid = grid_from_fields(fields)
+            state = TransferState(transfer_id, grid,
                                   bytearray(fields.get(X_BITMAP, b"")))
-            assignments = assign_missing(state.grid, state.missing(),
-                                         self.streams)
+            assignments = assign_missing(grid, state.missing(), self.streams)
         else:
             assignments = grid.chunks_by_span()
 
-        per_stream, digest = run_beside_digest(
-            lambda: self._run_senders(control, transfer_id, local,
-                                      assignments),
-            local, grid)
+        before = _stamp(local)
+        unsent: dict[int, bytes] = {}
+        sent = self._run_senders(control, transfer_id, local, assignments,
+                                 lambda: unsent.update(unsent_digests(
+                                     local, grid, assignments)))
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            X_TRANSFER: transfer_id, X_SHA256: digest}))
+            X_TRANSFER: transfer_id,
+            X_REGION_DIGEST: sender_digest(local, grid, before, unsent,
+                                           assignments, sent)}))
         control.expect(FrameType.XFER_DONE)
+        per_stream = [sum(length for _, length in chunks)
+                      for chunks in assignments]
         return TransferReport(sum(per_stream), time.monotonic() - start,
                               per_stream, resumed)
 
     def _run_senders(self, control: Channel, transfer_id: bytes, local: Path,
-                     assignments: list[list[tuple[int, int]]]) -> list[int]:
+                     assignments: list[list[tuple[int, int]]],
+                     first: Callable[[], object]) -> list[list[bytes]]:
         return self._run_streams(
             control, transfer_id, len(assignments),
             lambda index, data: send_chunks(data, transfer_id, index, local,
-                                            assignments[index]))
+                                            assignments[index]),
+            first)
 
     def pull(self, remote: str, local: Path,
              region: tuple[int, int] | None = None) -> TransferReport:
@@ -1380,7 +1373,8 @@ class TransferClient:
             control, transfer_id, len(assignments),
             lambda index, channel: receive_chunks(
                 channel, transfer_id, receiver,
-                len(assignments[0]) if index == 0 else None))
+                len(assignments[0]) if index == 0 else None),
+            receiver.hash_earlier)
         if not receiver.complete():
             raise StreamLost("streams drained but chunks are missing")
         return per_stream

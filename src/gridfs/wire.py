@@ -29,6 +29,7 @@ any key is used. A change that makes an old peer fail bumps the version:
     1  the original wire
     2  a pull's stream 0 on the control session, the SHA-256 region digest
        (transfer tag 14), sealed AUTH on data connections; tag 13 retired
+    3  hash-list region digest (tag 15); tag 14 retired
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits

@@ -336,6 +336,27 @@ def test_pair_summary_on_synthetic_numbers():
     assert trail.quartiles([3.0]) == (3.0, 3.0, 3.0)
 
 
+def test_pair_summary_reports_each_side_s_steal():
+    """One line per side gives the median and range of the runs' CPU
+    steal share, and the steal decides nothing else in the summary."""
+    trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
+
+    def record(steal):
+        detail = fake_detail("small", 1.0, 40.0)
+        detail["steal"]["share"] = steal
+        return trail.record_of(detail, CONTRACT, "c" * 40)
+
+    parent = [0.20, 0.05, 0.31, 0.18, 0.22]
+    change = [0.29, 0.40, 0.11, 0.30, 0.27]
+    lines = trail.pair_summary(
+        [(record(p), record(c)) for p, c in zip(parent, change)], CONTRACT)
+    assert lines[-2:] == [
+        "  steal parent  median 20.0%  range 5.0% to 31.0%",
+        "  steal change  median 29.0%  range 11.0% to 40.0%"]
+    calm = trail.pair_summary([(record(0.0), record(0.0))] * 5, CONTRACT)
+    assert lines[:-2] == calm[:-2]
+
+
 def test_pairs_need_a_parent_checkout(tmp_path, monkeypatch):
     trail = load_module("bench_trail", ROOT / "tools" / "bench_trail.py")
     monkeypatch.setattr(trail, "run_detail", None)

@@ -40,10 +40,6 @@ from gridfs.wire import FrameType, Mode, SecurityMode, SessionParams
 from conftest import ALICE_PSK, BOB_PSK, GRID_PSK
 
 
-def md5(data: bytes) -> bytes:
-    return ftsm.DIGEST(data).digest()
-
-
 # -- planning ---------------------------------------------------------------
 
 def test_even_split_into_four_spans():
@@ -293,8 +289,9 @@ def test_stream_counts_give_identical_bytes(node, tmp_path):
     digests = set()
     for streams in (1, 2, 5, 8):
         client(node, streams=streams).push(src, f"n{streams}.bin")
-        digests.add(md5((storage(node) / f"n{streams}.bin").read_bytes()))
-    assert digests == {md5(data)}
+        digests.add(hashlib.sha256(
+            (storage(node) / f"n{streams}.bin").read_bytes()).digest())
+    assert digests == {hashlib.sha256(data).digest()}
 
 
 def test_security_modes_give_identical_bytes(node, tmp_path):
@@ -834,7 +831,9 @@ def test_push_missing_a_chunk_is_refused_at_once(node):
         data.close()
         start = time.monotonic()
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            ftsm.X_TRANSFER: transfer_id, ftsm.X_SHA256: md5(bytes(20))}))
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_REGION_DIGEST: ftsm.region_digest(
+                bytes(20), ChunkGrid(0, 20, 1, 10))}))
         with pytest.raises(StreamLost, match="1 chunks never arrived"):
             control.expect(FrameType.XFER_DONE)
         assert time.monotonic() - start < 0.5
@@ -842,11 +841,18 @@ def test_push_missing_a_chunk_is_refused_at_once(node):
         control.close()
 
 
-def test_push_done_without_a_sha256_digest_is_refused_once(node):
-    """Driven by hand, as a peer that omits X_SHA256 pushes: every
-    chunk lands on the control session, but XFER_DONE carries only an
-    MD5 under the retired tag 7. The node refuses the push at once with
-    BadRequest, which no client retries, and forgets the transfer."""
+@pytest.mark.parametrize("tag, digest", [
+    (7, lambda data: hashlib.md5(data).digest()),
+    (14, lambda data: hashlib.sha256(data).digest()),
+], ids=["tag 7", "tag 14"])
+def test_push_done_without_a_sha256_digest_is_refused_once(node, tag,
+                                                           digest):
+    """Driven by hand, as an older peer pushes: every chunk lands on the
+    control session, but XFER_DONE carries only the digest of a retired
+    tag, the MD5 of tag 7 or the whole-data SHA-256 of protocol
+    version 2's tag 14, and no X_REGION_DIGEST. The node refuses the push
+    at once with BadRequest, which no client retries, and forgets the
+    transfer."""
     params = SessionParams(Mode.FTSM_PUSH, SecurityMode.NONSECURE,
                            buffer_size=65536, stream_count=1)
     control = secchan.connect(("127.0.0.1", node.port), params, "grid",
@@ -868,7 +874,7 @@ def test_push_done_without_a_sha256_digest_is_refused_once(node):
                 transfer_id, 0, offset, data[offset:offset + 10]))
         start = time.monotonic()
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            ftsm.X_TRANSFER: transfer_id, 7: hashlib.md5(data).digest()}))
+            ftsm.X_TRANSFER: transfer_id, tag: digest(data)}))
         with pytest.raises(BadRequest, match="no SHA-256 region digest"):
             control.expect(FrameType.XFER_DONE)
         assert time.monotonic() - start < 0.5
@@ -954,7 +960,8 @@ def test_randomized_chunk_interleavings_reassemble(node, tmp_path):
             ftsm.X_CHUNK_SIZE: wire.u32(3000),
         }))
         control.expect(FrameType.XFER_ACCEPT)
-        chunks = ChunkGrid(0, len(data), 2, 3000).chunks()
+        grid = ChunkGrid(0, len(data), 2, 3000)
+        chunks = grid.chunks()
         rng.shuffle(chunks)
         conn = secchan.connect(("127.0.0.1", node.port), params, "grid",
                                GRID_PSK, transfer_id=transfer_id,
@@ -965,7 +972,8 @@ def test_randomized_chunk_interleavings_reassemble(node, tmp_path):
                                  data[offset:offset + length]))
         conn.close()
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            ftsm.X_TRANSFER: transfer_id, ftsm.X_SHA256: md5(data)}))
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_REGION_DIGEST: ftsm.region_digest(data, grid)}))
         control.expect(FrameType.XFER_DONE)
         control.close()
         assert (storage(node) / remote).read_bytes() == data
@@ -1163,7 +1171,8 @@ def test_sidecar_writes_at_most_once_per_interval(tmp_path, monkeypatch):
     elapsed = time.monotonic() - start
     assert saves[0] == 1024      # the first chunk is recorded at once
     assert len(saves) <= 1 + -(-elapsed // ftsm.SIDECAR_INTERVAL)
-    assert receiver.finish(md5(data)) == len(data)
+    assert receiver.finish(
+        ftsm.region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
@@ -1191,7 +1200,7 @@ def test_incomplete_finish_leaves_the_landed_chunks_recorded(tmp_path):
         offset, length = chunks[k]
         receiver.write_chunk(offset, data[offset:offset + length])
     with pytest.raises(ftsm.IncompleteTransfer):
-        receiver.finish(md5(data))
+        receiver.finish(ftsm.region_digest(data, receiver.grid))
     assert_sidecar_marks(dst, receiver.grid, landed, data)
     receiver.abort()
     assert_sidecar_marks(dst, receiver.grid, landed, data)
@@ -1204,7 +1213,8 @@ def test_finished_receiver_leaves_no_sidecar_even_after_abort(
     for offset, length in receiver.grid.chunks():
         receiver.write_chunk(offset, data[offset:offset + length])
     writes = len(saves)
-    assert receiver.finish(md5(data)) == len(data)
+    assert receiver.finish(
+        ftsm.region_digest(data, receiver.grid)) == len(data)
     assert not state_path(dst).exists()
     receiver.abort()
     assert not state_path(dst).exists()
@@ -1269,47 +1279,57 @@ def test_sidecar_on_disk_never_marks_an_unwritten_chunk(
     assert_sidecar_marks(dst, receiver.grid, range(len(chunks)), data)
 
 
-# -- the sender's digest beside the streams ----------------------------------
+# -- the sender's digest, taken as the chunks are sent -----------------------
 
-def test_digest_of_a_source_changed_beside_it_is_of_the_new_bytes(
-        tmp_path, monkeypatch):
-    """The source is rewritten after the overlapped hash has read it: the
-    digest returned is of what the file now holds."""
-    old, new = os.urandom(300_000), os.urandom(300_000)
-    src = tmp_path / "src.bin"
+def test_push_of_a_source_changed_mid_transfer_never_lands_a_wrong_file(
+        node, tmp_path, monkeypatch):
+    """The client's source is rewritten, same size, after stream 0's
+    first chunk: the push either fails its digest or, retried, lands the
+    new bytes exactly."""
+    old, new = os.urandom(1_000_000), os.urandom(1_000_000)
+    src = tmp_path / "moving.bin"
     src.write_bytes(old)
     os.utime(src, ns=(10**9, 10**9))
-    hashed = threading.Event()
-    real_md5_region = ftsm.md5_region
+    real_send_chunks = ftsm.send_chunks
+    rewrites = []
 
-    def md5_region(*args, **kwargs):
-        digest = real_md5_region(*args, **kwargs)
-        hashed.set()
-        return digest
-
-    def work():
-        assert hashed.wait(5.0)
+    def rewriting(channel, transfer_id, stream_index, src, chunks):
+        if rewrites or stream_index:
+            return real_send_chunks(channel, transfer_id, stream_index, src,
+                                    chunks)
+        sent = real_send_chunks(channel, transfer_id, 0, src, chunks[:1])
         src.write_bytes(new)
-        return "sent"
+        rewrites.append(transfer_id)
+        return sent + real_send_chunks(channel, transfer_id, 0, src,
+                                       chunks[1:])
 
-    monkeypatch.setattr(ftsm, "md5_region", md5_region)
-    grid = ChunkGrid(0, len(old), 2, 65536)
-    assert ftsm.run_beside_digest(work, src, grid) == ("sent", md5(new))
+    monkeypatch.setattr(ftsm, "send_chunks", rewriting)
+    try:
+        report = client(node, streams=2, chunk_size=16384).push(
+            src, "moving.bin")
+    except ftsm.IntegrityMismatch:
+        pass
+    else:
+        assert report.bytes_moved == len(new)
+        assert (storage(node) / "moving.bin").read_bytes() == new
+    assert rewrites
 
 
-def test_digest_error_reaches_the_caller(tmp_path, monkeypatch):
+def test_digest_error_reaches_the_caller(node, tmp_path, monkeypatch):
+    """An OSError while the pushing client folds its region digest ends
+    the push with that error, and the push is not retried."""
     src = tmp_path / "src.bin"
     src.write_bytes(os.urandom(300_000))
+    calls = []
 
     def failing(*args, **kwargs):
+        calls.append(args)
         raise OSError("read failed")
 
     monkeypatch.setattr(ftsm, "md5_region", failing)
-    ran = []
-    grid = ChunkGrid(0, 300_000, 1, 65536)
     with pytest.raises(OSError, match="read failed"):
-        ftsm.run_beside_digest(lambda: ran.append("sent"), src, grid)
-    assert ran == ["sent"]
+        client(node, streams=2, chunk_size=65536).push(src, "failed.bin")
+    assert len(calls) == 1
 
 
 def test_pull_of_a_source_changed_mid_transfer_never_lands_a_wrong_file(
@@ -1366,11 +1386,12 @@ def ftsm_threads_started(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("size, threads", [(16384, 0), (16385, 1)])
+@pytest.mark.parametrize("size, threads", [(16384, 0), (16385, 0)])
 def test_one_chunk_region_starts_no_digest_thread(node, tmp_path,
                                                   monkeypatch, size, threads):
-    """A single-stream push or pull of one chunk hashes on the calling
-    thread; one byte more and the sender hashes beside its stream."""
+    """A single-stream push or pull hashes each chunk on the thread that
+    moves it, whether the region is one chunk or two: no thread is
+    started for the digest."""
     started = ftsm_threads_started(monkeypatch)
     data = os.urandom(size)
     src = tmp_path / "one.bin"
@@ -1415,15 +1436,15 @@ def test_failed_push_leaves_no_thread_behind(node, tmp_path, monkeypatch):
             mover.push_on(control, src, "failed.bin")
     finally:
         control.close()
-    assert len(started) == 2       # stream 1 and the digest
+    assert len(started) == 1       # stream 1
     assert not any(thread.is_alive() for thread in started)
     assert settled_threads(baseline) == []
 
 
 def test_vanished_puller_stops_the_node_hashing(node, tmp_path, monkeypatch):
     """The puller hangs up once the node has begun hashing: the node's
-    digest stops within a piece instead of reading the whole region, and
-    its threads end with the session."""
+    hashing, chunk by chunk as it sends, stops soon after instead of
+    covering the whole region, and the node starts no thread for it."""
     length = 64 << 20
     with open(storage(node) / "sparse.bin", "wb") as handle:
         handle.truncate(length)
@@ -1464,8 +1485,7 @@ def test_vanished_puller_stops_the_node_hashing(node, tmp_path, monkeypatch):
     finally:
         control.close()    # vanish: no chunk read, no XFER_DONE
     assert settled_threads(baseline) == []
-    assert len(started) == 1
-    assert not started[0].is_alive()
+    assert started == []
     assert hashed
     assert sum(hashed) < length // 4
     assert node.registry.lookup(transfer_id) is None
@@ -1543,7 +1563,8 @@ def test_late_duplicate_with_other_bytes_leaves_the_first(tmp_path):
     land(receiver, data, range(8))
     offset, length = receiver.grid.chunks()[5]
     receiver.write_chunk(offset, os.urandom(length))
-    assert receiver.finish(md5(data)) == len(data)
+    assert receiver.finish(
+        ftsm.region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
@@ -1577,7 +1598,8 @@ def test_duplicate_of_a_chunk_being_written_is_dropped(tmp_path,
     assert not first.is_alive()
     assert writes.count(offset) == 1
     land(receiver, data, [0, 1, 3])
-    assert receiver.finish(md5(data)) == len(data)
+    assert receiver.finish(
+        ftsm.region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
@@ -1593,15 +1615,17 @@ def test_short_pwrite_raises_from_write_chunk(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "pwrite", real_pwrite)
     assert not receiver.state.has(1)
     land(receiver, data, range(4))
-    assert receiver.finish(md5(data)) == len(data)
+    assert receiver.finish(
+        ftsm.region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
-def test_chunks_landing_in_reverse_over_three_streams_verify(tmp_path):
+def test_chunks_landing_in_reverse_over_three_streams_verify(
+        tmp_path, monkeypatch):
     """Three writers each land their span's chunks last to first, with
-    thread switches forced often: the front lands last, every chunk is
-    hashed by the time the writers are done (none is left for nobody),
-    and the digest covers the region in order."""
+    thread switches forced often: every chunk is hashed as it lands, so
+    `finish` reads nothing back, and the digest covers the region in
+    order."""
     import sys
     grid = ChunkGrid(0, 3 * 40 * 1024 + 123, 3, 1024)
     dst = tmp_path / "dst.bin"
@@ -1619,8 +1643,12 @@ def test_chunks_landing_in_reverse_over_three_streams_verify(tmp_path):
         assert ftsm.fan_out(land_span, 3) == [None] * 3
     finally:
         sys.setswitchinterval(switch)
-    assert receiver._hashed == len(grid.chunks())
-    assert receiver.finish(md5(data)) == len(data)
+    def no_read_back(*args):
+        raise AssertionError("finish read a chunk back")
+
+    monkeypatch.setattr(os, "pread", no_read_back)
+    assert receiver.finish(
+        ftsm.region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
@@ -1649,26 +1677,68 @@ def test_resume_checks_the_earlier_session_chunks_on_disk(node, tmp_path):
     assert dst.read_bytes() == data
 
 
-def test_receiver_finish_reads_nothing_back(node, tmp_path, monkeypatch):
-    """A multi-chunk push and pull verify without a whole-region MD5
-    under `RegionReceiver.finish`: the senders still hash their source."""
+def test_resumed_push_reads_each_earlier_chunk_back_once_per_side(
+        node, tmp_path, monkeypatch):
+    """A resumed push reads each chunk of the earlier session back once on
+    each side, the client from its source and the node from its file,
+    and none under `RegionReceiver.finish`: stream 0 reads them before
+    its first chunk, while the other stream runs."""
+    data = os.urandom(100_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    sent = interrupted_push(node, src, "resumed.bin", fraction=0.5)
+    dst = storage(node) / "resumed.bin"
+    landed = wait_for_state(dst, sent).total_received
     finishing = threading.local()
-    calls = {"sender": 0, "finish": 0}
-    real_md5_region = ftsm.md5_region
+    reads = {"streams": [], "finish": []}
+    real_pread = os.pread
     real_finish = ftsm.RegionReceiver.finish
 
-    def md5_region(*args, **kwargs):
-        calls["finish" if getattr(finishing, "on", False) else "sender"] += 1
-        return real_md5_region(*args, **kwargs)
+    def pread(fd, length, offset):
+        on = "finish" if getattr(finishing, "on", False) else "streams"
+        reads[on].append(length)
+        return real_pread(fd, length, offset)
 
-    def finish(self, expected_md5):
+    def finish(self, expected):
         finishing.on = True
         try:
-            return real_finish(self, expected_md5)
+            return real_finish(self, expected)
         finally:
             finishing.on = False
 
-    monkeypatch.setattr(ftsm, "md5_region", md5_region)
+    monkeypatch.setattr(os, "pread", pread)
+    monkeypatch.setattr(ftsm.RegionReceiver, "finish", finish)
+    report = client(node, streams=2, chunk_size=4096).push(src,
+                                                           "resumed.bin")
+    assert report.resumed
+    assert report.bytes_moved == len(data) - landed
+    assert dst.read_bytes() == data
+    assert reads["finish"] == []
+    assert sum(reads["streams"]) == 2 * landed
+
+
+def test_receiver_finish_reads_nothing_back(node, tmp_path, monkeypatch):
+    """A multi-chunk push and pull verify without reading the region back
+    under `RegionReceiver.finish`: each receiver hashed every chunk as it
+    landed, and only folds the digests there. Neither sender reads its
+    source a second time either."""
+    finishing = threading.local()
+    reads = {"sender": 0, "finish": 0}
+    real_pread = os.pread
+    real_finish = ftsm.RegionReceiver.finish
+
+    def pread(*args):
+        reads["finish" if getattr(finishing, "on", False) else "sender"] += 1
+        return real_pread(*args)
+
+    def finish(self, expected):
+        finishing.on = True
+        try:
+            return real_finish(self, expected)
+        finally:
+            finishing.on = False
+
+    monkeypatch.setattr(os, "pread", pread)
     monkeypatch.setattr(ftsm.RegionReceiver, "finish", finish)
     data = os.urandom(300_000)
     src = tmp_path / "src.bin"
@@ -1678,7 +1748,7 @@ def test_receiver_finish_reads_nothing_back(node, tmp_path, monkeypatch):
     mover.pull("both.bin", tmp_path / "back.bin")
     assert (storage(node) / "both.bin").read_bytes() == data
     assert (tmp_path / "back.bin").read_bytes() == data
-    assert calls == {"sender": 2, "finish": 0}
+    assert reads == {"sender": 0, "finish": 0}
 
 
 # -- the held control session ------------------------------------------------

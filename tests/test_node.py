@@ -114,11 +114,11 @@ def test_wrong_version_rejected(node):
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name)
 def test_version_one_hello_rejected_in_every_mode(node, mode):
-    """Version 2 changed the wire so that a version-1 peer fails, so the
-    node refuses a version-1 HELLO in every mode, before any key is
+    """Versions 2 and 3 changed the wire so that an older peer fails, so
+    the node refuses a version-1 HELLO in every mode, before any key is
     used."""
     with pytest.raises(VersionMismatch,
-                       match="client speaks version 1, server 2"):
+                       match="client speaks version 1, server 3"):
         connect(node, mode=mode, version=1)
 
 
@@ -126,11 +126,11 @@ def test_version_one_hello_rejected_in_every_mode(node, mode):
 def test_client_facing_an_older_node_fails_once(node, sniff_factory,
                                                 tmp_path, monkeypatch,
                                                 direction):
-    """A node that speaks version 1 refuses the client's HELLO: the
+    """A node that speaks version 2 refuses the client's HELLO: the
     transfer raises VersionMismatch after that one HELLO, with no retry
     and no backoff pause."""
     monkeypatch.setattr(wire, "negotiate",
-                        functools.partial(wire.negotiate, server_version=1))
+                        functools.partial(wire.negotiate, server_version=2))
     pauses = []
     monkeypatch.setattr(ftsm.time, "sleep", pauses.append)
     proxy = sniff_factory(("127.0.0.1", node.port))
@@ -140,7 +140,7 @@ def test_client_facing_an_older_node_fails_once(node, sniff_factory,
     with TransferClient(proxy.address, "grid", GRID_PSK,
                         streams=2) as mover:
         with pytest.raises(VersionMismatch,
-                           match="client speaks version 2, server 1"):
+                           match="client speaks version 3, server 2"):
             if direction == "push":
                 mover.push(local, "remote.bin")
             else:
@@ -165,7 +165,7 @@ def test_refused_hello_is_logged_with_its_cause(node_factory, caplog):
     assert len(refusals) == 2
     assert all(line.startswith("refused session from ('127.0.0.1', ")
                for line in refusals)
-    assert refusals[0].endswith(": client speaks version 1, server 2")
+    assert refusals[0].endswith(": client speaks version 1, server 3")
     assert refusals[1].endswith(": mode TASK disabled on this server")
 
 

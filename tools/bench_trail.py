@@ -349,7 +349,9 @@ def pair_summary(pairs: list[tuple[dict, dict]], contract: dict) -> list[str]:
     """Per end-to-end metric of (parent, change) record pairs: each
     side's median [quartiles], the ratio change/parent of the medians,
     the pairs the change won, and the gap of the medians against the
-    parent's interquartile range."""
+    parent's interquartile range; then the failures of each side, and the
+    median and range of each side's CPU steal share, which are reported
+    only and judge nothing."""
     lines = []
     for metric in contract["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -372,6 +374,10 @@ def pair_summary(pairs: list[tuple[dict, dict]], contract: dict) -> list[str]:
                  for side in zip(*pairs)]
     lines.append(f"  failures      parent {failed[0]} of {attempted[0]}"
                  f"  change {failed[1]} of {attempted[1]}")
+    for label, side in zip(("parent", "change"), zip(*pairs)):
+        steal = [record["steal_share"] for record in side]
+        lines.append(f"  steal {label}  median {statistics.median(steal):.1%}"
+                     f"  range {min(steal):.1%} to {max(steal):.1%}")
     return lines
 
 
