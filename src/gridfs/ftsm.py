@@ -30,6 +30,18 @@ Each sending stream reads its chunks into one reused frame buffer, the
 29-byte header packed in front of the payload, and a receiving channel
 reads frames into one reused buffer too (see secchan.Channel), so a chunk
 is copied once on its way from the socket to its pwrite.
+
+The receiver flushes behind its writes: each time WRITE_BEHIND bytes
+have landed since it last did, the chunk that crossed the mark calls
+`start_writeback` on the file (sync_file_range with
+SYNC_FILE_RANGE_WRITE where libc has it), which queues the dirty pages
+for writing and does not wait for them. So by XFER_DONE most of a large
+region is on its way to disk, and the fsync in `RegionReceiver.finish`
+waits only for the rest. That fsync still comes before the digest check
+and before any acknowledgement: a pushing node answers XFER_DONE, and a
+pull returns, only once the whole region is on disk. A region under
+WRITE_BEHIND leaves all its flushing to that fsync.
+
 A whole-file transfer replaces the destination (the offer carries a
 truncate flag, so a shorter file drops any stale tail); an explicit
 region only ever touches its own byte range.
@@ -76,6 +88,7 @@ direction.
 
 from __future__ import annotations
 
+import ctypes
 import errno
 import hashlib
 import logging
@@ -147,6 +160,10 @@ BACKOFF = 0.25
 
 # a receiver replaces its sidecar at most once per this many seconds
 SIDECAR_INTERVAL = 0.05
+
+# a receiver starts writeback of its file each time this many bytes have
+# landed since it last did
+WRITE_BEHIND = 4 << 20
 
 # room an XFER_RESUME, or a resuming pull XFER_OFFER, needs beside its
 # bitmap: the other fields, a path and an AEAD tag
@@ -227,6 +244,37 @@ def pwrite_all(fd: int, data: bytes, offset: int) -> None:
                                      f"{len(data)} unwritten at {offset}")
         view = view[written:]
         offset += written
+
+
+SYNC_FILE_RANGE_WRITE = 2    # <linux/fs.h>
+
+
+def _skip_writeback(fd: int) -> None:
+    """Where libc has no sync_file_range: the fsync at finish flushes
+    everything."""
+
+
+def writeback_from(libc: object) -> Callable[[int], None]:
+    """The `start_writeback` that `libc` supports: sync_file_range with
+    SYNC_FILE_RANGE_WRITE over the whole file, which queues the file's
+    dirty pages for writing and returns without waiting for them, as
+    PostgreSQL's `*_flush_after` and RocksDB's `bytes_per_sync` do; or
+    `_skip_writeback` where `libc` lacks it. A failed call is ignored: it
+    only leaves more for the fsync."""
+    call = getattr(libc, "sync_file_range", None)
+    if call is None:
+        return _skip_writeback
+    call.argtypes = (ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+                     ctypes.c_uint)
+    call.restype = ctypes.c_int
+
+    def start_writeback(fd: int) -> None:
+        call(fd, 0, 0, SYNC_FILE_RANGE_WRITE)
+
+    return start_writeback
+
+
+start_writeback = writeback_from(ctypes.CDLL(None))
 
 
 def _stamp(path: Path) -> tuple[int, int, int, int]:
@@ -552,6 +600,13 @@ class RegionReceiver:
     `finish` folds the chunk digests into the region digest, reading back
     only a chunk that has none.
 
+    Each time WRITE_BEHIND bytes have landed since the last time, the
+    chunk that crossed the mark starts writeback of the file
+    (`start_writeback`), outside the lock, on the descriptor its pwrite
+    used, and does not wait for it. `finish` still fsyncs the file before
+    the fold, so its caller acknowledges only a region that is on disk;
+    the writeback only leaves that fsync less to wait for.
+
     The sidecar is replaced on the first chunk, then at most once per
     SIDECAR_INTERVAL, and once more, if any chunk landed since, when the
     receiver is dropped short of a verified finish (`abort`, or `finish`
@@ -569,6 +624,7 @@ class RegionReceiver:
         self._lock = threading.Lock()
         self._saved_at: float | None = None   # monotonic, last sidecar write
         self._unsaved = False                 # marks made since then
+        self._unflushed = 0                   # bytes landed since writeback
         self._writing: set[int] = set()       # ordinals being written now
         self._digests: dict[int, bytes] = {}  # by offset
         self._earlier = [chunk for k, chunk in enumerate(grid._chunks)
@@ -586,8 +642,9 @@ class RegionReceiver:
             if self.state.has(ordinal) or ordinal in self._writing:
                 return     # a duplicate: the first delivery wins
             self._writing.add(ordinal)
+        fd = self._fd
         try:
-            pwrite_all(self._fd, payload, offset)
+            pwrite_all(fd, payload, offset)
             digest = chunk_digest(payload)
         except BaseException:
             with self._lock:
@@ -601,6 +658,12 @@ class RegionReceiver:
             if self._saved_at is None or \
                     time.monotonic() - self._saved_at >= SIDECAR_INTERVAL:
                 self._save()
+            self._unflushed += len(payload)
+            flush = self._unflushed >= WRITE_BEHIND
+            if flush:
+                self._unflushed = 0
+        if flush:
+            start_writeback(fd)
 
     def hash_earlier(self) -> None:
         """Hash the chunks of an earlier session, read back from the

@@ -409,6 +409,10 @@ def test_each_run_records_a_digest_probe_before_and_after(
         assert probe["md5_s"] > 0 and probe["sha256_s"] > 0
         assert probe["sha_ext"] is True
         assert probe["loopback_rtt_s"] > 0
+        assert probe["disk_write_s"] > 0 and probe["disk_fsync_s"] > 0
+    # the disk probe's scratch file is gone after each probe
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        ["BENCH_small.json", "change", "cpuinfo"]
 
     capsys.readouterr()
     assert trail.main(["--table"]) == 0
@@ -421,6 +425,12 @@ def test_each_run_records_a_digest_probe_before_and_after(
     assert f"  loopback probe: round trip " \
            f"{latest['before']['loopback_rtt_s'] * 1e6:.1f} us before, " \
            f"{latest['after']['loopback_rtt_s'] * 1e6:.1f} us after" in lines
+    assert f"  disk probe: " \
+           f"pwrite {latest['before']['disk_write_s'] * 1e3:.1f} ms + " \
+           f"fsync {latest['before']['disk_fsync_s'] * 1e3:.1f} ms before, " \
+           f"pwrite {latest['after']['disk_write_s'] * 1e3:.1f} ms + " \
+           f"fsync {latest['after']['disk_fsync_s'] * 1e3:.1f} ms after" \
+           in lines
 
 
 def test_sha_extensions_read_from_the_cpu_flags(tmp_path, monkeypatch):

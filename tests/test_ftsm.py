@@ -1751,6 +1751,144 @@ def test_receiver_finish_reads_nothing_back(node, tmp_path, monkeypatch):
     assert reads == {"sender": 0, "finish": 0}
 
 
+# -- write-behind -------------------------------------------------------------
+
+def file_events(monkeypatch):
+    """Record, in one ordered list, each writeback a receiver starts, each
+    receiver's finish, each fsync and each digest fold, as (event, inode
+    of the file it names)."""
+    events = []
+    real_writeback = ftsm.start_writeback
+    real_finish = ftsm.RegionReceiver.finish
+    real_fsync = os.fsync
+    real_fold = ftsm.md5_region
+
+    def writeback(fd):
+        events.append(("writeback", os.fstat(fd).st_ino))
+        real_writeback(fd)
+
+    def finish(self, expected):
+        events.append(("finish", os.fstat(self._fd).st_ino))
+        return real_finish(self, expected)
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def fold(path, grid, digests):
+        events.append(("fold", os.stat(path).st_ino))
+        return real_fold(path, grid, digests)
+
+    monkeypatch.setattr(ftsm, "start_writeback", writeback)
+    monkeypatch.setattr(ftsm.RegionReceiver, "finish", finish)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(ftsm, "md5_region", fold)
+    return events
+
+
+def transfer(node, tmp_path, direction, data):
+    """Push `data` to the node, or pull it from the node, over 2 streams
+    in 64 KiB chunks; returns the file the receiver landed."""
+    remote = storage(node) / "moved.bin"
+    local = tmp_path / "moved.bin"
+    with client(node, streams=2, chunk_size=65536) as mover:
+        if direction == "push":
+            local.write_bytes(data)
+            mover.push(local, "moved.bin")
+            dst = remote
+        else:
+            remote.write_bytes(data)
+            mover.pull("moved.bin", local)
+            dst = local
+    assert dst.read_bytes() == data
+    assert not state_path(dst).exists()
+    return dst
+
+
+@pytest.mark.parametrize("size", [ftsm.WRITE_BEHIND - 1,
+                                  2 * ftsm.WRITE_BEHIND + 1_000_000],
+                         ids=["under", "over"])
+@pytest.mark.parametrize("direction", ["push", "pull"])
+def test_writeback_starts_per_write_behind_before_finish(
+        node, tmp_path, monkeypatch, direction, size):
+    """The node's push receiver and the client's pull receiver start
+    writeback once per WRITE_BEHIND landed, all before finish, so a region
+    under WRITE_BEHIND starts none; finish still fsyncs the data file
+    exactly once, before the fold."""
+    events = file_events(monkeypatch)
+    data = os.urandom(size)
+    inode = transfer(node, tmp_path, direction, data).stat().st_ino
+    assert [event for event in events if event[1] == inode] == \
+        [("writeback", inode)] * (size // ftsm.WRITE_BEHIND) + \
+        [("finish", inode), ("fsync", inode), ("fold", inode)]
+
+
+def test_writeback_follows_the_pwrite_outside_the_lock(tmp_path,
+                                                       monkeypatch):
+    """The chunk that crosses the mark starts writeback on the descriptor
+    its pwrite used, after the pwrite, without holding the receiver's
+    lock, and the count starts again from nothing."""
+    monkeypatch.setattr(ftsm, "WRITE_BEHIND", 3 * 1024)
+    receiver, dst, data = receiver_over(tmp_path, chunks=8)
+    calls = []
+    monkeypatch.setattr(ftsm, "start_writeback", lambda fd: calls.append(
+        (fd, receiver._lock.locked(), dst.stat().st_size)))
+    for offset, length in receiver.grid.chunks():
+        receiver.write_chunk(offset, data[offset:offset + length])
+    assert calls == [(receiver._fd, False, 3 * 1024),
+                     (receiver._fd, False, 6 * 1024)]
+    assert receiver.finish(
+        ftsm.region_digest(data, receiver.grid)) == len(data)
+
+
+def test_parallel_writers_count_every_landed_byte_once(tmp_path,
+                                                       monkeypatch):
+    """Eight writers land 512 chunks at once under a short switch
+    interval: writeback starts exactly once per WRITE_BEHIND, which a
+    lost update of the count would break."""
+    import sys
+    monkeypatch.setattr(ftsm, "WRITE_BEHIND", 4 * 1024)
+    receiver, dst, data = receiver_over(tmp_path, chunks=512)
+    calls = []
+    monkeypatch.setattr(ftsm, "start_writeback", calls.append)
+    chunks = receiver.grid.chunks()
+
+    def writer(index):
+        for offset, length in chunks[index::8]:
+            receiver.write_chunk(offset, data[offset:offset + length])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writers = [threading.Thread(target=writer, args=(index,))
+                   for index in range(8)]
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in writers)
+    assert len(calls) == len(data) // (4 * 1024)
+    assert receiver.finish(
+        ftsm.region_digest(data, receiver.grid)) == len(data)
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+def test_without_sync_file_range_transfers_land_and_verify(
+        node, tmp_path, monkeypatch, direction):
+    """Where libc has no sync_file_range the helper does nothing, and a
+    multi-MiB transfer still lands, verifies and fsyncs once."""
+    events = file_events(monkeypatch)
+    fallback = ftsm.writeback_from(object())
+    assert fallback is ftsm._skip_writeback
+    monkeypatch.setattr(ftsm, "start_writeback", fallback)
+    data = os.urandom(2 * ftsm.WRITE_BEHIND + 12_345)
+    inode = transfer(node, tmp_path, direction, data).stat().st_ino
+    assert [event for event in events if event[1] == inode] == \
+        [("finish", inode), ("fsync", inode), ("fold", inode)]
+
+
 # -- the held control session ------------------------------------------------
 
 def sniffed_client(node, sniff_factory):

@@ -24,7 +24,10 @@ seconds to MD5 and to SHA-256 64 MiB in memory, whether /proc/cpuinfo
 lists the `sha_ni` or `sha2` CPU flag, since the transfer digest
 (SHA-256) outruns MD5 only with such extensions, and the mean seconds
 of a one-byte TCP round trip over loopback, over 1,000 of them: what
-one more handshake step costs. A run that
+one more handshake step costs; and the seconds to pwrite 64 MiB into a
+new scratch file in this script's checkout, then to fsync it, since a
+receiver acknowledges only a region that is on disk (the file is deleted
+afterwards). A run that
 reports failures is still recorded, with its failures, and makes the
 script exit 1; the trail records numbers and gates nothing.
 
@@ -36,8 +39,8 @@ recent untraced record of another build, then the per-layer split of
 the latest traced record beside that of the most recent traced record
 of another build, each with their ratio; two records are of different
 builds when their commit or their tree differs. For records that hold
-a machine probe, its SHA-256/MD5 time ratios and CPU flag, and its
-loopback round trip.
+a machine probe, its SHA-256/MD5 time ratios and CPU flag, its
+loopback round trip, and its disk write and fsync times.
 
 `--pairs N --against DIR` compares two commits on this machine: for each
 workload it runs N pairs of untraced runs, one of the checkout at DIR
@@ -73,6 +76,7 @@ TRAIL = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bulk", "small", "crypt")
 PROBE_BYTES = 64 << 20
 ROUND_TRIPS = 1000
+PROBE_FILE = ".bench-trail-probe.tmp"    # in TRAIL, for the disk probe
 CPUINFO = Path("/proc/cpuinfo")
 
 
@@ -162,9 +166,31 @@ def loopback_round_trip() -> float:
     return elapsed / ROUND_TRIPS
 
 
+def disk_probe() -> tuple[float, float]:
+    """Seconds to pwrite PROBE_BYTES of random bytes into a new scratch
+    file in TRAIL, then seconds to fsync it; the file is deleted
+    afterwards."""
+    data = memoryview(os.urandom(PROBE_BYTES))
+    path = TRAIL / PROBE_FILE
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    try:
+        start = time.perf_counter()
+        written = 0
+        while written < len(data):
+            written += os.pwrite(fd, data[written:], written)
+        landed = time.perf_counter()
+        os.fsync(fd)
+        synced = time.perf_counter()
+    finally:
+        os.close(fd)
+        path.unlink(missing_ok=True)
+    return landed - start, synced - landed
+
+
 def machine_probe() -> dict:
     """Seconds to MD5 and to SHA-256 PROBE_BYTES in memory, whether the
-    CPU has SHA extensions, and the mean loopback round trip."""
+    CPU has SHA extensions, the mean loopback round trip, and the seconds
+    to write PROBE_BYTES to disk and to fsync them."""
     data = bytes(PROBE_BYTES)
     probe = {}
     for name in ("md5", "sha256"):
@@ -173,6 +199,7 @@ def machine_probe() -> dict:
         probe[f"{name}_s"] = time.perf_counter() - start
     probe["sha_ext"] = sha_extensions()
     probe["loopback_rtt_s"] = loopback_round_trip()
+    probe["disk_write_s"], probe["disk_fsync_s"] = disk_probe()
     return probe
 
 
@@ -206,6 +233,16 @@ def loopback_text(record: dict) -> str:
         return "none"
     return "round trip " + ", ".join(
         f"{probe[when]['loopback_rtt_s'] * 1e6:.1f} us {when}"
+        for when in ("before", "after"))
+
+
+def disk_text(record: dict) -> str:
+    probe = record.get("probe")
+    if not probe or "disk_write_s" not in probe["before"]:
+        return "none"
+    return ", ".join(
+        f"pwrite {probe[when]['disk_write_s'] * 1e3:.1f} ms + fsync "
+        f"{probe[when]['disk_fsync_s'] * 1e3:.1f} ms {when}"
         for when in ("before", "after"))
 
 
@@ -288,6 +325,9 @@ def table(trail: Path) -> list[str]:
                             if earlier else ""))
             lines.append(f"  loopback probe: {loopback_text(latest)}"
                          + (f"; against {loopback_text(earlier)}"
+                            if earlier else ""))
+            lines.append(f"  disk probe: {disk_text(latest)}"
+                         + (f"; against {disk_text(earlier)}"
                             if earlier else ""))
         return lines
 
