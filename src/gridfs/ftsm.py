@@ -1,13 +1,14 @@
 """Parallel-stream file transfer with resume and end-to-end integrity.
 
 A transfer is negotiated on the authenticated control connection
-(XFER_OFFER / XFER_ACCEPT, or XFER_RESUME when the receiver holds partial
-state), then the bytes travel over N streams. Stream 0 rides the control
-connection itself, between the reply and XFER_DONE; streams 1..N-1 each
-open a data connection with HELLO(transfer_id, stream_index), so a
-single-stream transfer opens no data connection at all. The planned
-region is ceiling-split into N contiguous spans, one per stream, and each
-span is sent as sequential CHUNK frames:
+(XFER_OFFER / XFER_ACCEPT, or XFER_RESUME when a pushing node holds a
+sidecar that continues the offer), then the bytes travel over N streams.
+Stream 0 rides the control connection itself, between the reply and
+XFER_DONE; streams 1..N-1 each open a data connection with
+HELLO(transfer_id, stream_index), so a single-stream transfer opens no
+data connection at all. The planned region is ceiling-split into N
+contiguous spans, one per stream, and each span is sent as sequential
+CHUNK frames:
 
     transfer_id(16) | stream_index(1) | offset(8 BE) | length(4 BE) | payload
 
@@ -59,7 +60,22 @@ The sidecar is removed once every chunk has landed, whether or not the
 digest then matches: a complete sidecar has nothing left to resume, so the
 sender's retry starts afresh. A transfer whose bitmap would not fit one
 frame at the session's buffer size could never resume, so its offer is
-refused before any chunk is enumerated.
+refused before any chunk is enumerated. Likewise a resume record is
+refused unless its bitmap is as long as its geometry's chunk count,
+worked out without enumerating a chunk, so a record never names more
+chunks than the frame or sidecar that carried it has bits.
+
+The node alone decides whether a sidecar continues a transfer, in both
+directions, by one rule (`continues`: the same region in the same chunk
+size as the grid it plans now). The sidecar's record travels in its own
+encoding under X_STATE. On a push the node holds the sidecar: it answers
+a continuing offer with XFER_RESUME and the record, and deletes any other
+sidecar. On a pull the client holds it: the offer carries the request as
+the caller made it plus the record, the node plans from the request and
+the file as it is now, and it continues the record only if the rule
+holds; otherwise it plans afresh, and the client, seeing another grid in
+XFER_ACCEPT, deletes its sidecar. So a pull whose remote file changed
+size since the record was written receives the whole new file.
 
 A memory-to-memory mode (zero generator into a discarding sink) drives the
 identical protocol path with no disk at either end, for measuring raw
@@ -76,8 +92,8 @@ same connection, and the node lands each one as it reads it.
 
 A pushing node takes CHUNK frames on the control connection, and a data
 connection for any stream index. A pulling node sends stream 0's share of
-its plan (`pull_assignments`, which the client computes too) on the
-control connection, and admits data connections only for streams 1..n-1.
+its plan (`sender_plan`, which the client computes too) on the control
+connection, and admits data connections only for streams 1..n-1.
 
 The node serves offers on a control session one after another until the
 client hangs up, so a client keeps its authenticated session between
@@ -113,7 +129,6 @@ from .errors import (
     NoSuchFile,
     PermissionDenied,
     StateCorrupt,
-    Status,
     StreamLost,
 )
 from .perms import Account, ActionKind, GuardedAction, check
@@ -133,14 +148,16 @@ X_REGION_LENGTH = 4
 X_STREAMS = 5
 X_CHUNK_SIZE = 6
 # tag 7 (X_MD5) is retired: it carried the region's MD5; do not reuse it
-X_STATUS = 8
-X_BITMAP = 9
+# tag 8 (XFER_DONE's status code, which no peer read) is retired; do not
+# reuse it
+# tag 9 (a resume bitmap beside the grid fields) is retired; do not reuse it
 X_SINK = 10
 X_TOTAL = 11
 X_TRUNCATE = 12      # whole-file transfer: drop any stale tail on finish
 # tag 13 (X_CONTROL_STREAM, stream 0 on control) is retired; do not reuse it
 # tag 14 (X_SHA256, DIGEST of the region's bytes) is retired; do not reuse it
 X_REGION_DIGEST = 15    # XFER_DONE: DIGEST over the chunk digests
+X_STATE = 16    # XFER_RESUME, a resuming pull's XFER_OFFER: the sidecar record
 
 SINK_FILE = 0
 SINK_MEM = 1
@@ -166,7 +183,8 @@ SIDECAR_INTERVAL = 0.05
 WRITE_BEHIND = 4 << 20
 
 # room an XFER_RESUME, or a resuming pull XFER_OFFER, needs beside its
-# bitmap: the other fields, a path and an AEAD tag
+# record's bitmap: the record's other fields, the frame's other fields, a
+# path and an AEAD tag
 BITMAP_MARGIN = 512
 
 
@@ -375,10 +393,21 @@ class ChunkGrid:
     def _ordinals(self) -> dict[int, int]:
         return {offset: k for k, (offset, _) in enumerate(self._chunks)}
 
+    @property
+    def chunk_count(self) -> int:
+        """The number of chunks, worked out without enumerating one: every
+        span is a full ceil-split share but the last."""
+        if self.region_length == 0:
+            return 0
+        share = -(-self.region_length // self.stream_count)
+        full, rest = divmod(self.region_length, share)
+        return (full * -(-share // self.chunk_size) +
+                -(-rest // self.chunk_size))
+
     @cached_property
     def _full_bitmap(self) -> bytes:
         """The resume bitmap of a complete transfer."""
-        whole, tail = divmod(len(self._chunks), 8)
+        whole, tail = divmod(self.chunk_count, 8)
         return b"\xff" * whole + (bytes([(1 << tail) - 1]) if tail else b"")
 
     def chunks(self) -> list[tuple[int, int]]:
@@ -394,8 +423,7 @@ class ChunkGrid:
     def check_resumable(self, buffer_size: int) -> None:
         """Refuse, without enumerating a chunk, a grid whose resume bitmap
         would not fit one frame at the negotiated `buffer_size`."""
-        count = sum(-(-span.length // self.chunk_size)
-                    for span in self.spans())
+        count = self.chunk_count
         limit = 8 * (buffer_size - BITMAP_MARGIN)
         if count > limit:
             raise BadRequest(f"{count} chunks exceed the {limit} a resume "
@@ -512,9 +540,11 @@ class TransferState:
                         wire.read_uint(fields, S_TOTAL, 0))
         except GridfsError as exc:
             raise StateCorrupt(f"unreadable transfer state: {exc}") from None
-        full = grid._full_bitmap
-        if len(state.bitmap) != len(full) or len(state.transfer_id) != 16:
+        # the bitmap's length bounds the chunks any later step enumerates
+        if (len(state.bitmap) != -(-grid.chunk_count // 8) or
+                len(state.transfer_id) != 16):
             raise StateCorrupt("transfer state disagrees with its geometry")
+        full = grid._full_bitmap
         if full and state.bitmap[-1] & ~full[-1]:
             raise StateCorrupt("bitmap marks chunks beyond the region")
         if dst_size is not None:
@@ -555,32 +585,38 @@ def readable_state(dst: Path) -> TransferState | None:
         return None
 
 
+def continues(state: TransferState | None, grid: ChunkGrid) -> bool:
+    """Whether the resume record `state` continues the transfer the node
+    plans now, `grid`: the same region in the same chunk size. The record
+    keeps its own stream count, which is geometry. The node alone decides
+    this, for a push and a pull alike."""
+    return state is not None and (
+        state.grid.region_offset, state.grid.region_length,
+        state.grid.chunk_size) == (
+        grid.region_offset, grid.region_length, grid.chunk_size)
+
+
 def resumable_state(dst: Path, grid: ChunkGrid) -> TransferState | None:
-    """The sidecar beside `dst` if it continues a transfer of `grid`'s
-    region in `grid`'s chunk size; any other sidecar is deleted."""
+    """The sidecar beside `dst` if it `continues` `grid`; any other
+    sidecar is deleted."""
     state = readable_state(dst)
-    if state is not None and (
-            state.grid.region_offset == grid.region_offset and
-            state.grid.region_length == grid.region_length and
-            state.grid.chunk_size == grid.chunk_size):
+    if continues(state, grid):
         return state
     # a different transfer's remnant, or none: nothing to resume
     state_path(dst).unlink(missing_ok=True)
     return None
 
 
-def pull_assignments(grid: ChunkGrid, bitmap: bytes | None,
-                     streams: int) -> list[list[tuple[int, int]]]:
-    """The chunks each stream of a pull carries: the grid span by span,
-    or, given the puller's resume bitmap, its missing chunks dealt over
-    the `streams` the session opens (the grid's stream count is then the
-    sidecar's geometry). The node sends by this plan, and the client
-    reads stream 0's share of it on the control session."""
-    if bitmap is None:
+def sender_plan(grid: ChunkGrid, state: TransferState | None,
+                streams: int) -> list[list[tuple[int, int]]]:
+    """The chunks each stream carries: the grid span by span, or, given
+    the receiver's resume record, its missing chunks dealt over the
+    `streams` the session opens (the grid's stream count is then the
+    record's geometry). A pushing client and a pulling node send by this
+    plan, and a pulling client reads stream 0's share of it on the control
+    session."""
+    if state is None:
         return grid.chunks_by_span()
-    state = TransferState(b"", grid, bytearray(bitmap))
-    if len(state.bitmap) != len(grid._full_bitmap):
-        raise StateCorrupt("offered bitmap disagrees with geometry")
     return assign_missing(grid, state.missing(), streams)
 
 
@@ -982,7 +1018,7 @@ class FtsmService:
             if state is not None:
                 grid = state.grid
                 frame_type = FrameType.XFER_RESUME
-                reply = {**grid_fields(grid), X_BITMAP: bytes(state.bitmap)}
+                reply = {X_STATE: state.encode()}
             receiver = RegionReceiver(dst, transfer_id, grid, state,
                                       truncate_to=end if whole_file else None)
         session = TransferSession(transfer_id, account, Mode.FTSM_PUSH,
@@ -1024,10 +1060,7 @@ class FtsmService:
             self.registry.remove(session.transfer_id)
             receiver.abort()    # a no-op once finish has closed the file
         channel.send(FrameType.XFER_DONE, wire.encode_fields({
-            X_TRANSFER: session.transfer_id,
-            X_STATUS: wire.u16(Status.OK),
-            X_TOTAL: wire.u64(total),
-        }))
+            X_TRANSFER: session.transfer_id, X_TOTAL: wire.u64(total)}))
 
     # pull: the peer receives, this node sends
 
@@ -1052,8 +1085,13 @@ class FtsmService:
             grid = plan_transfer(file_size, (region_offset, region_length),
                                  streams, chunk_size)
         grid.check_resumable(channel.params.buffer_size)
-        assignments = pull_assignments(grid, fields.get(X_BITMAP),
-                                       channel.params.stream_count)
+        record = fields.get(X_STATE)
+        state = None if record is None else TransferState.decode(record)
+        if continues(state, grid):
+            grid = state.grid
+        else:
+            state = None    # the puller sees a new grid and starts afresh
+        assignments = sender_plan(grid, state, channel.params.stream_count)
         sent: list[list[bytes]] = [[] for _ in assignments]
 
         before = _stamp(src)
@@ -1081,11 +1119,7 @@ class FtsmService:
         finally:
             self.registry.remove(transfer_id)
         channel.send(FrameType.XFER_DONE, wire.encode_fields({
-            X_TRANSFER: transfer_id,
-            X_STATUS: wire.u16(Status.OK),
-            X_REGION_DIGEST: digest,
-            X_TOTAL: wire.u64(grid.region_length),
-        }))
+            X_TRANSFER: transfer_id, X_REGION_DIGEST: digest}))
 
     # data connections (HELLO carried a transfer_id)
 
@@ -1180,8 +1214,13 @@ class TransferClient:
     """Client engine for push, pull and the memory benchmark.
 
     Transient stream failures are retried with doubling backoff; each
-    retry re-offers the transfer, which the receiving side answers with
-    resume state, so completed chunks are never resent.
+    retry re-offers the transfer, so completed chunks are never resent.
+    The node decides whether a transfer resumes, in both directions: a
+    push's XFER_RESUME carries the node's sidecar record, and a pull's
+    offer carries the client's, which the node continues or replaces by a
+    fresh plan (see `pull_on`). A record travels as the sidecar's own
+    bytes (`TransferState.encode`), and its reader checks the bitmap
+    against the geometry, so a bad record raises StateCorrupt.
 
     The client holds at most one idle authenticated control session per
     mode (FTSM_PUSH, FTSM_PULL), so a run of transfers to one node
@@ -1329,16 +1368,12 @@ class TransferClient:
             offer[X_TRUNCATE] = wire.u8(1)
         control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
         reply = control.expect(FrameType.XFER_ACCEPT, FrameType.XFER_RESUME)
-        resumed = reply.frame_type == FrameType.XFER_RESUME
-        if resumed:
-            fields = wire.decode_fields(reply.payload)
-            # the receiver's grid: its chunks make the region digest
-            grid = grid_from_fields(fields)
-            state = TransferState(transfer_id, grid,
-                                  bytearray(fields.get(X_BITMAP, b"")))
-            assignments = assign_missing(grid, state.missing(), self.streams)
-        else:
-            assignments = grid.chunks_by_span()
+        state = None
+        if reply.frame_type == FrameType.XFER_RESUME:
+            state = TransferState.decode(
+                wire.decode_fields(reply.payload).get(X_STATE, b""))
+            grid = state.grid    # its chunks make the region digest
+        assignments = sender_plan(grid, state, self.streams)
 
         before = _stamp(local)
         unsent: dict[int, bytes] = {}
@@ -1353,7 +1388,7 @@ class TransferClient:
         per_stream = [sum(length for _, length in chunks)
                       for chunks in assignments]
         return TransferReport(sum(per_stream), time.monotonic() - start,
-                              per_stream, resumed)
+                              per_stream, state is not None)
 
     def _run_senders(self, control: Channel, transfer_id: bytes, local: Path,
                      assignments: list[list[tuple[int, int]]],
@@ -1377,9 +1412,17 @@ class TransferClient:
     def pull_on(self, control: Channel, remote: str, local: Path,
                 region: tuple[int, int] | None = None) -> TransferReport:
         """Run one pull over an already established control channel. The
-        channel stays open afterwards; the caller owns it."""
+        channel stays open afterwards; the caller owns it.
+
+        The offer carries the request as the caller made it (a region only
+        if `region` is given), and the sidecar's record if `local` has a
+        readable one. The node plans the grid from the request and the
+        remote file as it is now, and continues the record only if it
+        `continues` that grid. So the XFER_ACCEPT grid is the answer: if it
+        equals the record's, the pull resumes; if not, the sidecar is
+        deleted and the whole plan is received, as when the remote file
+        changed size since the record was written."""
         local = Path(local)
-        chunk_size = self._chunk_size(control)
         start = time.monotonic()
         state = readable_state(local)
         transfer_id = os.urandom(16)
@@ -1387,30 +1430,23 @@ class TransferClient:
             X_TRANSFER: transfer_id,
             X_PATH: remote.encode("utf-8"),
             X_STREAMS: wire.u8(self.streams),
-            X_CHUNK_SIZE: wire.u32(chunk_size),
+            X_CHUNK_SIZE: wire.u32(self._chunk_size(control)),
         }
         if region is not None:
             offer[X_REGION_OFFSET] = wire.u64(region[0])
             offer[X_REGION_LENGTH] = wire.u64(region[1])
         if state is not None:
-            # only reuse state that matches what we are asking for now
-            if state.grid.chunk_size == chunk_size and (
-                    region is None or
-                    (state.grid.region_offset, state.grid.region_length)
-                    == region):
-                offer.update(grid_fields(state.grid))
-                offer[X_BITMAP] = bytes(state.bitmap)
-            else:
-                state_path(local).unlink(missing_ok=True)
-                state = None
-        resumed = state is not None
+            offer[X_STATE] = state.encode()
         control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
         grid = grid_from_fields(wire.decode_fields(
             control.expect(FrameType.XFER_ACCEPT).payload))
+        if state is not None and state.grid != grid:
+            # the node planned afresh: the sidecar does not continue it
+            state_path(local).unlink(missing_ok=True)
+            state = None
         # the node's plan: stream 0's share arrives on `control`, and an
         # empty region has nothing to send
-        assignments = pull_assignments(grid, offer.get(X_BITMAP),
-                                       control.params.stream_count)
+        assignments = sender_plan(grid, state, control.params.stream_count)
         end = grid.region_offset + grid.region_length
         receiver = RegionReceiver(local, transfer_id, grid, state,
                                   truncate_to=end if region is None
@@ -1426,7 +1462,7 @@ class TransferClient:
         finally:
             receiver.abort()    # a no-op once finish has closed the file
         return TransferReport(sum(per_stream), time.monotonic() - start,
-                              per_stream, resumed)
+                              per_stream, state is not None)
 
     def _run_receivers(self, control: Channel, transfer_id: bytes,
                        receiver: RegionReceiver,

@@ -394,6 +394,7 @@ def test_each_run_records_a_digest_probe_before_and_after(
     monkeypatch.setattr(trail, "CPUINFO", cpuinfo)
     monkeypatch.setattr(trail, "PROBE_BYTES", 1 << 20)
     monkeypatch.setattr(trail, "ROUND_TRIPS", 50)
+    monkeypatch.setattr(trail, "LOOP_STEPS", 10_000)
     monkeypatch.setattr(trail, "machine_probe", counted_probe)
     monkeypatch.setattr(trail, "run_detail", fake_run)
     monkeypatch.setattr(trail, "commit_of", lambda checkout: "d" * 40)
@@ -410,6 +411,7 @@ def test_each_run_records_a_digest_probe_before_and_after(
         assert probe["sha_ext"] is True
         assert probe["loopback_rtt_s"] > 0
         assert probe["disk_write_s"] > 0 and probe["disk_fsync_s"] > 0
+        assert probe["seal_s"] > 0 and probe["loop_s"] > 0
     # the disk probe's scratch file is gone after each probe
     assert sorted(path.name for path in tmp_path.iterdir()) == \
         ["BENCH_small.json", "change", "cpuinfo"]
@@ -431,6 +433,11 @@ def test_each_run_records_a_digest_probe_before_and_after(
            f"pwrite {latest['after']['disk_write_s'] * 1e3:.1f} ms + " \
            f"fsync {latest['after']['disk_fsync_s'] * 1e3:.1f} ms after" \
            in lines
+    assert f"  cpu probe: " \
+           f"seal {latest['before']['seal_s'] * 1e3:.1f} ms, " \
+           f"loop {latest['before']['loop_s'] * 1e3:.1f} ms before, " \
+           f"seal {latest['after']['seal_s'] * 1e3:.1f} ms, " \
+           f"loop {latest['after']['loop_s'] * 1e3:.1f} ms after" in lines
 
 
 def test_sha_extensions_read_from_the_cpu_flags(tmp_path, monkeypatch):

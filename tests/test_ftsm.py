@@ -625,6 +625,123 @@ def test_pull_resume_over_fewer_streams_than_the_sidecar(node, tmp_path):
     assert not state_path(local).exists()
 
 
+def interrupted_pull(node, remote, local, keep, monkeypatch):
+    """Run a 1-stream whole-file pull in 4 KiB chunks that loses its
+    connection once `keep` chunks have landed, leaving them recorded in
+    the sidecar beside `local`."""
+    real_write_chunk = ftsm.RegionReceiver.write_chunk
+    landed = []
+
+    def cut(receiver, offset, payload):
+        if len(landed) == keep:
+            raise ConnectionLost("connection cut")
+        real_write_chunk(receiver, offset, payload)
+        landed.append(offset)
+
+    mover = client(node, chunk_size=4096)
+    control = mover.dial(Mode.FTSM_PULL)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(ftsm.RegionReceiver, "write_chunk", cut)
+            with pytest.raises(StreamLost):
+                mover.pull_on(control, remote, local)
+    finally:
+        control.close()
+    assert load_state(local).total_received == keep * 4096
+
+
+@pytest.mark.parametrize("new_chunks", [3, 16], ids=["shrunk", "grown"])
+def test_pull_after_the_remote_file_changed_size_gets_the_new_file(
+        node, tmp_path, monkeypatch, new_chunks):
+    """An interrupted whole-file pull of 8 chunks, then the remote file is
+    replaced by one of another size that keeps the old prefix. The
+    sidecar does not continue the node's new plan, so the next pull
+    starts afresh and returns exactly the new file, not a failure or the
+    old length."""
+    old = os.urandom(8 * 4096)
+    remote = storage(node) / "resized.bin"
+    remote.write_bytes(old)
+    local = tmp_path / "resized.bin"
+    interrupted_pull(node, "resized.bin", local, 4, monkeypatch)
+    new = (old + os.urandom(8 * 4096))[:new_chunks * 4096]
+    remote.write_bytes(new)
+
+    with client(node, chunk_size=4096) as mover:
+        report = mover.pull("resized.bin", local)
+    assert not report.resumed
+    assert report.bytes_moved == len(new)
+    assert local.read_bytes() == new
+    assert not state_path(local).exists()
+
+
+def test_a_resume_record_with_a_short_bitmap_is_state_corrupt(
+        node, tmp_path, monkeypatch):
+    """A node whose XFER_RESUME record has a bitmap short of its geometry:
+    the push raises StateCorrupt, a GridfsError, and sends no chunk."""
+    data = os.urandom(20 * 4096)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    record = TransferState(os.urandom(16), ChunkGrid(0, len(data), 1, 4096),
+                           bytearray(2)).encode()    # 20 chunks need 3 bytes
+    chunks = []
+
+    def resume_with_the_record(service, channel, account, mode, raw):
+        channel.send(FrameType.XFER_RESUME, wire.encode_fields({
+            ftsm.X_TRANSFER: wire.decode_fields(raw)[ftsm.X_TRANSFER],
+            ftsm.X_STATE: record}))
+        while True:
+            chunks.append(channel.expect(FrameType.CHUNK))
+
+    monkeypatch.setattr(ftsm.FtsmService, "offer", resume_with_the_record)
+    with client(node, chunk_size=4096) as mover:
+        with pytest.raises(StateCorrupt):
+            mover.push(src, "short.bin")
+    assert chunks == []
+
+
+def test_a_pull_record_naming_a_vast_grid_is_refused_unlisted(node):
+    """A pull offer whose record names a 2^62-byte region in 1-byte
+    chunks, with a bitmap of a few bytes: the node refuses it as
+    StateCorrupt at once, from the chunk count alone, without listing the
+    record's chunks, and the session serves the next offer."""
+    (storage(node) / "small.bin").write_bytes(bytes(4096))
+    record = wire.encode_fields({
+        ftsm.S_TRANSFER: os.urandom(16),
+        ftsm.S_REGION_OFFSET: wire.u64(0),
+        ftsm.S_REGION_LENGTH: wire.u64(1 << 62),
+        ftsm.S_CHUNK_SIZE: wire.u32(1),
+        ftsm.S_STREAMS: wire.u8(1),
+        ftsm.S_BITMAP: bytes(8),
+        ftsm.S_TOTAL: wire.u64(0),
+    })
+    params = SessionParams(Mode.FTSM_PULL, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    control = secchan.connect(("127.0.0.1", node.port), params, "grid",
+                              GRID_PSK)
+    offer = {ftsm.X_PATH: b"small.bin", ftsm.X_STREAMS: wire.u8(1),
+             ftsm.X_CHUNK_SIZE: wire.u32(4096)}
+    try:
+        start = time.monotonic()
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: os.urandom(16), ftsm.X_STATE: record, **offer}))
+        with pytest.raises(StateCorrupt):
+            control.expect(FrameType.XFER_ACCEPT)
+        assert time.monotonic() - start < 2.0
+        control.send(FrameType.XFER_OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: os.urandom(16), **offer}))
+        control.expect(FrameType.XFER_ACCEPT)
+    finally:
+        control.close()
+
+
+@given(length=st.integers(0, 10_000), streams=st.integers(1, 300),
+       chunk=st.integers(1, 700))
+@settings(max_examples=300)
+def test_chunk_count_agrees_with_the_enumeration(length, streams, chunk):
+    grid = ChunkGrid(5, length, streams, chunk)
+    assert grid.chunk_count == len(grid.chunks())
+
+
 def test_offer_beyond_one_frame_of_bitmap_is_refused(node, tmp_path):
     """A region whose resume bitmap cannot fit one frame at the session's
     buffer size is refused before the node enumerates its chunks, in

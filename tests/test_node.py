@@ -114,11 +114,12 @@ def test_wrong_version_rejected(node):
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name)
 def test_version_one_hello_rejected_in_every_mode(node, mode):
-    """Versions 2 and 3 changed the wire so that an older peer fails, so
-    the node refuses a version-1 HELLO in every mode, before any key is
-    used."""
+    """Every version since 1 changed the wire so that an older peer
+    fails, so the node refuses a version-1 HELLO in every mode, before any
+    key is used."""
     with pytest.raises(VersionMismatch,
-                       match="client speaks version 1, server 3"):
+                       match="client speaks version 1, server "
+                             f"{wire.PROTOCOL_VERSION}"):
         connect(node, mode=mode, version=1)
 
 
@@ -126,11 +127,13 @@ def test_version_one_hello_rejected_in_every_mode(node, mode):
 def test_client_facing_an_older_node_fails_once(node, sniff_factory,
                                                 tmp_path, monkeypatch,
                                                 direction):
-    """A node that speaks version 2 refuses the client's HELLO: the
-    transfer raises VersionMismatch after that one HELLO, with no retry
-    and no backoff pause."""
+    """A node that speaks the previous version refuses the client's
+    HELLO: the transfer raises VersionMismatch after that one HELLO, with
+    no retry and no backoff pause."""
+    older = wire.PROTOCOL_VERSION - 1
     monkeypatch.setattr(wire, "negotiate",
-                        functools.partial(wire.negotiate, server_version=2))
+                        functools.partial(wire.negotiate,
+                                          server_version=older))
     pauses = []
     monkeypatch.setattr(ftsm.time, "sleep", pauses.append)
     proxy = sniff_factory(("127.0.0.1", node.port))
@@ -140,7 +143,8 @@ def test_client_facing_an_older_node_fails_once(node, sniff_factory,
     with TransferClient(proxy.address, "grid", GRID_PSK,
                         streams=2) as mover:
         with pytest.raises(VersionMismatch,
-                           match="client speaks version 3, server 2"):
+                           match=f"client speaks version "
+                                 f"{wire.PROTOCOL_VERSION}, server {older}"):
             if direction == "push":
                 mover.push(local, "remote.bin")
             else:
@@ -165,7 +169,8 @@ def test_refused_hello_is_logged_with_its_cause(node_factory, caplog):
     assert len(refusals) == 2
     assert all(line.startswith("refused session from ('127.0.0.1', ")
                for line in refusals)
-    assert refusals[0].endswith(": client speaks version 1, server 3")
+    assert refusals[0].endswith(": client speaks version 1, server "
+                                f"{wire.PROTOCOL_VERSION}")
     assert refusals[1].endswith(": mode TASK disabled on this server")
 
 

@@ -27,7 +27,9 @@ of a one-byte TCP round trip over loopback, over 1,000 of them: what
 one more handshake step costs; and the seconds to pwrite 64 MiB into a
 new scratch file in this script's checkout, then to fsync it, since a
 receiver acknowledges only a region that is on disk (the file is deleted
-afterwards). A run that
+afterwards); and the seconds to seal 64 MiB with AES-128-GCM, the cipher
+of a sealed session, and to run a fixed plain-Python loop, since every
+chunk also passes through interpreted Python. A run that
 reports failures is still recorded, with its failures, and makes the
 script exit 1; the trail records numbers and gates nothing.
 
@@ -40,7 +42,8 @@ the latest traced record beside that of the most recent traced record
 of another build, each with their ratio; two records are of different
 builds when their commit or their tree differs. For records that hold
 a machine probe, its SHA-256/MD5 time ratios and CPU flag, its
-loopback round trip, and its disk write and fsync times.
+loopback round trip, its disk write and fsync times, and its seal and
+loop times.
 
 `--pairs N --against DIR` compares two commits on this machine: for each
 workload it runs N pairs of untraced runs, one of the checkout at DIR
@@ -54,7 +57,8 @@ the change won, and the gap between the medians against the parent's
 interquartile range; and the failed operations of each side. `--seed`
 runs the pairs on another seed than the benchmark's default, to check
 that a gain found on one seed holds on another.
-Only the standard library is used.
+Beside the standard library, only `cryptography`, which gridfs itself
+needs, is used.
 """
 
 from __future__ import annotations
@@ -72,10 +76,13 @@ import threading
 import time
 from pathlib import Path
 
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 TRAIL = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bulk", "small", "crypt")
 PROBE_BYTES = 64 << 20
 ROUND_TRIPS = 1000
+LOOP_STEPS = 5_000_000
 PROBE_FILE = ".bench-trail-probe.tmp"    # in TRAIL, for the disk probe
 CPUINFO = Path("/proc/cpuinfo")
 
@@ -187,10 +194,28 @@ def disk_probe() -> tuple[float, float]:
     return landed - start, synced - landed
 
 
+def seal_probe(data: bytes) -> float:
+    """Seconds to seal `data` with AES-128-GCM in one call."""
+    aead = AESGCM(bytes(16))
+    start = time.perf_counter()
+    aead.encrypt(bytes(12), data, None)
+    return time.perf_counter() - start
+
+
+def loop_probe() -> float:
+    """Seconds to run LOOP_STEPS steps of a fixed plain-Python loop."""
+    start = time.perf_counter()
+    total = 0
+    for step in range(LOOP_STEPS):
+        total += step & 7
+    return time.perf_counter() - start
+
+
 def machine_probe() -> dict:
     """Seconds to MD5 and to SHA-256 PROBE_BYTES in memory, whether the
-    CPU has SHA extensions, the mean loopback round trip, and the seconds
-    to write PROBE_BYTES to disk and to fsync them."""
+    CPU has SHA extensions, the mean loopback round trip, the seconds to
+    write PROBE_BYTES to disk and to fsync them, and the seconds to seal
+    PROBE_BYTES with AES-128-GCM and to run the plain loop."""
     data = bytes(PROBE_BYTES)
     probe = {}
     for name in ("md5", "sha256"):
@@ -200,6 +225,8 @@ def machine_probe() -> dict:
     probe["sha_ext"] = sha_extensions()
     probe["loopback_rtt_s"] = loopback_round_trip()
     probe["disk_write_s"], probe["disk_fsync_s"] = disk_probe()
+    probe["seal_s"] = seal_probe(data)
+    probe["loop_s"] = loop_probe()
     return probe
 
 
@@ -227,23 +254,33 @@ def probe_text(record: dict) -> str:
     return f"sha256/md5 time {ratios}, SHA extensions {flag}"
 
 
-def loopback_text(record: dict) -> str:
+def before_and_after(record: dict, key: str, text) -> str:
+    """`text` of the probe taken before the run and of the one after, or
+    "none" if the record's probe has no `key`, as an older record's may
+    not."""
     probe = record.get("probe")
-    if not probe or "loopback_rtt_s" not in probe["before"]:
+    if not probe or key not in probe["before"]:
         return "none"
-    return "round trip " + ", ".join(
-        f"{probe[when]['loopback_rtt_s'] * 1e6:.1f} us {when}"
-        for when in ("before", "after"))
+    return ", ".join(f"{text(probe[when])} {when}"
+                     for when in ("before", "after"))
+
+
+def loopback_text(record: dict) -> str:
+    text = before_and_after(record, "loopback_rtt_s", lambda probe:
+                            f"{probe['loopback_rtt_s'] * 1e6:.1f} us")
+    return text if text == "none" else "round trip " + text
 
 
 def disk_text(record: dict) -> str:
-    probe = record.get("probe")
-    if not probe or "disk_write_s" not in probe["before"]:
-        return "none"
-    return ", ".join(
-        f"pwrite {probe[when]['disk_write_s'] * 1e3:.1f} ms + fsync "
-        f"{probe[when]['disk_fsync_s'] * 1e3:.1f} ms {when}"
-        for when in ("before", "after"))
+    return before_and_after(record, "disk_write_s", lambda probe:
+                            f"pwrite {probe['disk_write_s'] * 1e3:.1f} ms + "
+                            f"fsync {probe['disk_fsync_s'] * 1e3:.1f} ms")
+
+
+def cpu_text(record: dict) -> str:
+    return before_and_after(record, "seal_s", lambda probe:
+                            f"seal {probe['seal_s'] * 1e3:.1f} ms, "
+                            f"loop {probe['loop_s'] * 1e3:.1f} ms")
 
 
 def record_of(detail: dict, contract: dict, commit: str,
@@ -320,15 +357,12 @@ def table(trail: Path) -> list[str]:
                 row += f" {before['value']:>10.4g}  x{ratio:.3f}"
             lines.append(row.rstrip())
         if "probe" in latest:
-            lines.append(f"  digest probe: {probe_text(latest)}"
-                         + (f"; against {probe_text(earlier)}"
-                            if earlier else ""))
-            lines.append(f"  loopback probe: {loopback_text(latest)}"
-                         + (f"; against {loopback_text(earlier)}"
-                            if earlier else ""))
-            lines.append(f"  disk probe: {disk_text(latest)}"
-                         + (f"; against {disk_text(earlier)}"
-                            if earlier else ""))
+            for name, text in (("digest", probe_text),
+                               ("loopback", loopback_text),
+                               ("disk", disk_text), ("cpu", cpu_text)):
+                lines.append(f"  {name} probe: {text(latest)}"
+                             + (f"; against {text(earlier)}"
+                                if earlier else ""))
         return lines
 
     lines = []
