@@ -435,7 +435,6 @@ class FsClient:
             self.close()
         except (GridfsError, OSError):
             pass
-        self.channel.close()
 
     def _call(self, op: Op, extra: dict[int, bytes] | None = None) -> dict[int, bytes]:
         request_id = self._next_request_id
@@ -514,4 +513,9 @@ class FsClient:
                                     F_SIZE: wire.u64(size)})
 
     def close(self) -> None:
-        self._call(Op.CLOSE)
+        """End the session: send CLOSE, then close the connection, even
+        when CLOSE gets no answer."""
+        try:
+            self._call(Op.CLOSE)
+        finally:
+            self.channel.close()

@@ -1,5 +1,10 @@
 """Parallel-stream file transfer with resume and end-to-end integrity.
 
+Each transfer has one sending end, a `RegionSender`, and one receiving
+end, a `RegionReceiver` (or, in the memory benchmark, a `MemSink`), and
+either side of a connection holds either end: on a push the client sends
+and the node receives, on a pull the node sends and the client receives.
+
 A transfer is negotiated on the authenticated control connection
 (XFER_OFFER / XFER_ACCEPT, or XFER_RESUME when a pushing node holds a
 sidecar that continues the offer), then the bytes travel over N streams.
@@ -300,31 +305,6 @@ def _stamp(path: Path) -> tuple[int, int, int, int]:
     return stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
 
 
-def unsent_digests(src: Path, grid: ChunkGrid,
-                 assignments: list[list[tuple[int, int]]]) -> dict[int, bytes]:
-    """The digests of the chunks of `grid` that no stream of `assignments`
-    carries, read back from `src`: on a resume, the chunks the receiver
-    holds from an earlier session."""
-    moving = {offset for chunks in assignments for offset, _ in chunks}
-    return disk_digests(src, [chunk for chunk in grid._chunks
-                              if chunk[0] not in moving])
-
-
-def sender_digest(src: Path, grid: ChunkGrid, before: tuple,
-                  unsent: dict[int, bytes],
-                  assignments: list[list[tuple[int, int]]],
-                  sent: list[list[bytes]]) -> bytes:
-    """The region digest a sender sends, folded from `unsent`, the digests
-    of the chunks it did not send, and `sent[i]`, those of stream i's
-    chunks `assignments[i]`. If the source's stat differs from `before`,
-    taken before the streams, the whole region is hashed from what the
-    file holds now instead, so a copy torn by the change fails."""
-    digests = dict(unsent)
-    for chunks, stream in zip(assignments, sent):
-        digests.update(zip((offset for offset, _ in chunks), stream))
-    return md5_region(src, grid, digests if _stamp(src) == before else {})
-
-
 # -- planning ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -620,6 +600,16 @@ def sender_plan(grid: ChunkGrid, state: TransferState | None,
     return assign_missing(grid, state.missing(), streams)
 
 
+def earlier_chunks(grid: ChunkGrid,
+                   state: TransferState | None) -> list[tuple[int, int]]:
+    """The chunks of `grid` that an earlier session landed, by the resume
+    record `state`: the chunks `sender_plan` gives no stream, which each
+    end reads back from its file to fold the region digest."""
+    if state is None:
+        return []
+    return [chunk for k, chunk in enumerate(grid._chunks) if state.has(k)]
+
+
 # -- receiving end (either side, depending on direction) --------------------
 
 class RegionReceiver:
@@ -663,8 +653,7 @@ class RegionReceiver:
         self._unflushed = 0                   # bytes landed since writeback
         self._writing: set[int] = set()       # ordinals being written now
         self._digests: dict[int, bytes] = {}  # by offset
-        self._earlier = [chunk for k, chunk in enumerate(grid._chunks)
-                         if self.state.has(k)]
+        self._earlier = earlier_chunks(grid, state)
         self.state.transfer_id = transfer_id
         self.dst.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(self.dst, os.O_RDWR | os.O_CREAT, 0o644)
@@ -786,6 +775,52 @@ class MemSink:
         pass
 
 
+# -- sending end (either side, depending on direction) ----------------------
+
+class RegionSender:
+    """Sends the chunks of `src` by `sender_plan`, keeps the digest each
+    stream takes of each chunk it sends, and folds the region digest.
+
+    `send(index, channel)` sends stream `index`'s share, `assignments[index]`,
+    and stores its digests in that stream's own slot, so no two streams
+    write one object. The chunks that an earlier session of a resumed
+    transfer landed at the receiver are sent by no stream; `hash_earlier`
+    reads them back from `src`, and the thread of stream 0 calls it before
+    its first chunk, beside the other streams. `digest` folds the chunk
+    digests once every stream has returned. The stat of `src` is taken
+    when the sender is made: if it differs at `digest`, the whole region
+    is hashed from what the file holds then instead, so a copy torn by the
+    change fails."""
+
+    def __init__(self, src: Path, transfer_id: bytes, grid: ChunkGrid,
+                 state: TransferState | None, streams: int):
+        self.src = src
+        self.transfer_id = transfer_id
+        self.grid = grid
+        self.assignments = sender_plan(grid, state, streams)
+        self._earlier = earlier_chunks(grid, state)
+        self._before = _stamp(src)
+        self._sent: list[list[bytes]] = [[] for _ in self.assignments]
+        self._read: dict[int, bytes] = {}    # the earlier chunks, by offset
+
+    def send(self, index: int, channel: Channel) -> None:
+        self._sent[index] = send_chunks(channel, self.transfer_id, index,
+                                        self.src, self.assignments[index])
+
+    def hash_earlier(self) -> None:
+        """Hash the chunks of an earlier session, read back from `src`."""
+        self._read = disk_digests(self.src, self._earlier)
+
+    def digest(self) -> bytes:
+        """The region digest, to be taken once every stream has returned."""
+        if _stamp(self.src) != self._before:
+            return md5_region(self.src, self.grid, {})
+        digests = dict(self._read)
+        for chunks, sent in zip(self.assignments, self._sent):
+            digests.update(zip((offset for offset, _ in chunks), sent))
+        return md5_region(self.src, self.grid, digests)
+
+
 # -- streams, both directions -----------------------------------------------
 
 def send_chunks(channel: Channel, transfer_id: bytes, stream_index: int,
@@ -885,18 +920,21 @@ def fan_out(work: Callable[[int], object], count: int,
 
 class TransferSession:
     """Server-side rendezvous record joining control and data connections.
-    Only data connections attach: stream 0's chunks on the control
-    connection are handled by the thread that serves it."""
+    It holds the node's end of the transfer, one of the two: on a push
+    the receiving end (`receiver`, a RegionReceiver or MemSink), on a pull
+    the sending end (`sender`, a RegionSender); which one it holds says
+    which way the transfer runs. Only data connections attach: stream 0's
+    chunks on the control connection are handled by the thread that
+    serves it."""
 
-    def __init__(self, transfer_id: bytes, account: Account, direction: Mode,
-                 security: SecurityMode, receiver=None, sender_ctx=None):
+    def __init__(self, transfer_id: bytes, account: Account,
+                 security: SecurityMode, receiver=None,
+                 sender: RegionSender | None = None):
         self.transfer_id = transfer_id
         self.account = account
-        self.direction = direction
         self.security = security
-        self.receiver = receiver          # push: RegionReceiver or MemSink
-        # pull: (src path, assignments, each stream's chunk digests)
-        self.sender_ctx = sender_ctx
+        self.receiver = receiver
+        self.sender = sender
         self._cond = threading.Condition()
         self._active = 0
 
@@ -1021,7 +1059,7 @@ class FtsmService:
                 reply = {X_STATE: state.encode()}
             receiver = RegionReceiver(dst, transfer_id, grid, state,
                                       truncate_to=end if whole_file else None)
-        session = TransferSession(transfer_id, account, Mode.FTSM_PUSH,
+        session = TransferSession(transfer_id, account,
                                   channel.params.security, receiver=receiver)
         self._register_and_reply(channel, session, frame_type, reply)
         self._finish_push(channel, session)
@@ -1091,27 +1129,21 @@ class FtsmService:
             grid = state.grid
         else:
             state = None    # the puller sees a new grid and starts afresh
-        assignments = sender_plan(grid, state, channel.params.stream_count)
-        sent: list[list[bytes]] = [[] for _ in assignments]
-
-        before = _stamp(src)
-        session = TransferSession(transfer_id, account, Mode.FTSM_PULL,
-                                  channel.params.security,
-                                  sender_ctx=(src, assignments, sent))
+        sender = RegionSender(src, transfer_id, grid, state,
+                              channel.params.stream_count)
+        session = TransferSession(transfer_id, account,
+                                  channel.params.security, sender=sender)
         self._register_and_reply(channel, session, FrameType.XFER_ACCEPT,
                                  grid_fields(grid))
         try:
-            unsent = {}
-            if assignments:
-                # beside the data connections, before stream 0's chunks
-                unsent = unsent_digests(src, grid, assignments)
-                sent[0] = send_chunks(channel, transfer_id, 0, src,
-                                      assignments[0])
+            # beside the data connections, before stream 0's chunks
+            sender.hash_earlier()
+            if sender.assignments:
+                sender.send(0, channel)
             # the client sends XFER_DONE once every stream has drained, so
             # every stream's digests are stored by now
             channel.expect(FrameType.XFER_DONE)
-            digest = sender_digest(src, grid, before, unsent, assignments,
-                                   sent)
+            digest = sender.digest()
         except ConnectionLost:
             return
         except OSError as exc:
@@ -1138,8 +1170,8 @@ class FtsmService:
         if username != session.account.username:
             raise BadRequest(
                 "data connection user differs from the transfer owner")
-        if session.direction == Mode.FTSM_PULL and \
-                not 0 < stream_index < len(session.sender_ctx[1]):
+        if session.sender is not None and \
+                not 0 < stream_index < len(session.sender.assignments):
             raise BadRequest(f"pull stream {stream_index} takes no data "
                              "connection")
         session.attach()
@@ -1150,13 +1182,10 @@ class FtsmService:
         """Move one joined data connection's chunks: receive them for a
         push, send this stream's share for a pull."""
         try:
-            if session.direction == Mode.FTSM_PUSH:
-                receive_chunks(channel, session.transfer_id, session.receiver)
+            if session.sender is not None:
+                session.sender.send(stream_index, channel)
             else:
-                src, assignments, sent = session.sender_ctx
-                sent[stream_index] = send_chunks(
-                    channel, session.transfer_id, stream_index, src,
-                    assignments[stream_index])
+                receive_chunks(channel, session.transfer_id, session.receiver)
         except ConnectionLost:
             pass    # the peer hung up: nobody is left to tell
         except (GridfsError, OSError) as exc:
@@ -1373,31 +1402,20 @@ class TransferClient:
             state = TransferState.decode(
                 wire.decode_fields(reply.payload).get(X_STATE, b""))
             grid = state.grid    # its chunks make the region digest
-        assignments = sender_plan(grid, state, self.streams)
-
-        before = _stamp(local)
-        unsent: dict[int, bytes] = {}
-        sent = self._run_senders(control, transfer_id, local, assignments,
-                                 lambda: unsent.update(unsent_digests(
-                                     local, grid, assignments)))
+        sender = RegionSender(local, transfer_id, grid, state, self.streams)
+        self._run_senders(control, sender)
         control.send(FrameType.XFER_DONE, wire.encode_fields({
-            X_TRANSFER: transfer_id,
-            X_REGION_DIGEST: sender_digest(local, grid, before, unsent,
-                                           assignments, sent)}))
+            X_TRANSFER: transfer_id, X_REGION_DIGEST: sender.digest()}))
         control.expect(FrameType.XFER_DONE)
         per_stream = [sum(length for _, length in chunks)
-                      for chunks in assignments]
+                      for chunks in sender.assignments]
         return TransferReport(sum(per_stream), time.monotonic() - start,
                               per_stream, state is not None)
 
-    def _run_senders(self, control: Channel, transfer_id: bytes, local: Path,
-                     assignments: list[list[tuple[int, int]]],
-                     first: Callable[[], object]) -> list[list[bytes]]:
-        return self._run_streams(
-            control, transfer_id, len(assignments),
-            lambda index, data: send_chunks(data, transfer_id, index, local,
-                                            assignments[index]),
-            first)
+    def _run_senders(self, control: Channel, sender: RegionSender) -> None:
+        self._run_streams(control, sender.transfer_id,
+                          len(sender.assignments), sender.send,
+                          sender.hash_earlier)
 
     def pull(self, remote: str, local: Path,
              region: tuple[int, int] | None = None) -> TransferReport:

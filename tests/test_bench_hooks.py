@@ -13,6 +13,7 @@ import importlib.util
 import inspect
 import json
 import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -452,3 +453,48 @@ def test_sha_extensions_read_from_the_cpu_flags(tmp_path, monkeypatch):
             ("model name\t: sha_ni lookalike\nflags\t: fpu\n", False)):
         cpuinfo.write_text(text)
         assert trail.sha_extensions() is expected, text
+
+
+CODE_SAMPLE = '''"""A module docstring
+over two lines."""
+
+import os   # a comment after code counts
+
+# a comment line
+
+
+def f(a, b):
+    """A function docstring."""
+    total = max(a,
+                b)   # a call over two lines: two lines
+    text = """a string, not a docstring,
+
+over three lines"""
+    return total, text
+
+
+class C:
+    """A class
+    docstring."""
+    x = 1
+'''
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    """`tools/code_lines.py` counts the lines that are not blank, not
+    comments and not part of a docstring, per file and in total."""
+    sample = tmp_path / "sample.py"
+    sample.write_text(CODE_SAMPLE)
+    other = tmp_path / "other.py"
+    other.write_text("x = 1\n\n\ny = 2\n")
+    script = ROOT / "tools" / "code_lines.py"
+    out = subprocess.run(
+        [sys.executable, str(script), str(sample), str(other)],
+        capture_output=True, text=True, check=True).stdout
+    # import; def, total, b), text, blank, over, return; class, x
+    assert out.splitlines() == [f"     10  {sample}", f"      2  {other}",
+                                "     12  total"]
+    refused = subprocess.run(
+        [sys.executable, str(script), "--total", str(other)],
+        capture_output=True, text=True)
+    assert refused.returncode == 2 and refused.stdout == ""

@@ -247,6 +247,23 @@ def test_throughput_zero_bytes_is_zero():
 
 # -- loopback transfers -----------------------------------------------------
 
+@pytest.fixture(autouse=True)
+def close_clients(monkeypatch):
+    """Close every TransferClient a test makes, and so its held sessions,
+    when the test ends."""
+    made = []
+    real_init = TransferClient.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(TransferClient, "__init__", init)
+    yield
+    for mover in made:
+        mover.close()
+
+
 def client(node, streams=1, security=SecurityMode.NONSECURE, username="grid",
            psk=GRID_PSK, chunk_size=None, buffer_size=65536):
     return TransferClient(("127.0.0.1", node.port), username, psk,
@@ -1831,6 +1848,55 @@ def test_resumed_push_reads_each_earlier_chunk_back_once_per_side(
     assert report.bytes_moved == len(data) - landed
     assert dst.read_bytes() == data
     assert reads["finish"] == []
+    assert sum(reads["streams"]) == 2 * landed
+
+
+def test_resumed_pull_reads_each_earlier_chunk_back_once_per_side(
+        node, tmp_path, monkeypatch):
+    """A resumed pull reads each chunk of the earlier session back once on
+    each side, the node from its source and the client from its file, and
+    none in either side's fold (`md5_region`, which `RegionReceiver.finish`
+    calls): each side's stream 0 reads them before its first chunk, while
+    the other stream runs."""
+    data = os.urandom(100_000)
+    (storage(node) / "resumed.bin").write_bytes(data)
+    local = tmp_path / "resumed.bin"
+    grid = ChunkGrid(0, len(data), 2, 4096)
+    state = TransferState.fresh(os.urandom(16), grid)
+    landed = 0
+    with open(local, "wb") as handle:
+        for ordinal, (offset, length) in enumerate(grid.chunks()):
+            if ordinal % 2 == 0:
+                handle.seek(offset)
+                handle.write(data[offset:offset + length])
+                state.mark(ordinal, length)
+                landed += length
+    save_state(local, state)
+    folding = threading.local()
+    reads = {"streams": [], "fold": []}
+    real_pread = os.pread
+    real_fold = ftsm.md5_region
+
+    def pread(fd, length, offset):
+        reads["fold" if getattr(folding, "on", False) else "streams"].append(
+            length)
+        return real_pread(fd, length, offset)
+
+    def fold(path, grid, digests):
+        folding.on = True
+        try:
+            return real_fold(path, grid, digests)
+        finally:
+            folding.on = False
+
+    monkeypatch.setattr(os, "pread", pread)
+    monkeypatch.setattr(ftsm, "md5_region", fold)
+    report = client(node, streams=2, chunk_size=4096).pull("resumed.bin",
+                                                           local)
+    assert report.resumed
+    assert report.bytes_moved == len(data) - landed
+    assert local.read_bytes() == data
+    assert reads["fold"] == []
     assert sum(reads["streams"]) == 2 * landed
 
 

@@ -239,6 +239,19 @@ def test_dfs_session_over_loopback(node, tmp_path):
         b"hello over tcp"
 
 
+def test_fs_close_closes_the_connection_answered_or_not(node):
+    """`FsClient.close` closes its socket once CLOSE is answered, and also
+    when CLOSE cannot be sent."""
+    fs = FsClient(connect(node, mode=Mode.DFSM))
+    fs.close()
+    assert fs.channel.sock.fileno() == -1
+    fs = FsClient(connect(node, mode=Mode.DFSM))
+    fs.channel.sock.shutdown(socket.SHUT_WR)
+    with pytest.raises((GridfsError, OSError)):
+        fs.close()
+    assert fs.channel.sock.fileno() == -1
+
+
 def test_sandboxed_user_lands_in_home(node):
     channel = connect(node, username="alice", psk=ALICE_PSK)
     fs = FsClient(channel)
