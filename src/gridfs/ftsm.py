@@ -9,9 +9,10 @@ A transfer is negotiated on the authenticated control connection
 (XFER_OFFER / XFER_ACCEPT, or XFER_RESUME when a pushing node holds a
 sidecar that continues the offer), then the bytes travel over N streams.
 Stream 0 rides the control connection itself, between the reply and
-XFER_DONE; streams 1..N-1 each open a data connection with
-HELLO(transfer_id, stream_index), so a single-stream transfer opens no
-data connection at all. The planned region is ceiling-split into N
+XFER_DONE; streams 1..N-1 each open an FTSM session of their own, in the
+transfer's direction, that joins the transfer with XFER_JOIN(transfer_id,
+stream_index), so a single-stream transfer opens no second session at
+all. The planned region is ceiling-split into N
 contiguous spans, one per stream, and each span is sent as sequential
 CHUNK frames:
 
@@ -86,19 +87,23 @@ A memory-to-memory mode (zero generator into a discarding sink) drives the
 identical protocol path with no disk at either end, for measuring raw
 protocol throughput.
 
-A data connection authenticates like any other connection, then joins
-its transfer before the node answers its AUTH with AUTH_OK; the sender
-sends no chunk before AUTH_OK and no XFER_DONE before its data
-connections have closed. So on XFER_DONE the receiving node waits
-only until every joined connection has drained and detached; whatever
-the region then lacks was never sent, and the push is refused at once.
-The chunks of stream 0 need no such wait: they precede XFER_DONE on the
-same connection, and the node lands each one as it reads it.
+A data stream is an ordinary authenticated FTSM session whose first
+request is XFER_JOIN; the node attaches it to the transfer before it
+answers with XFER_JOIN, and the sender sends no chunk before that answer
+and no XFER_DONE before its data sessions have closed. So on XFER_DONE
+the receiving node waits only until every joined stream has drained and
+detached; whatever the region then lacks was never sent, and the push is
+refused at once. The chunks of stream 0 need no such wait: they precede
+XFER_DONE on the same connection, and the node lands each one as it
+reads it. A joined session ends with its stream.
 
-A pushing node takes CHUNK frames on the control connection, and a data
-connection for any stream index. A pulling node sends stream 0's share of
-its plan (`sender_plan`, which the client computes too) on the control
-connection, and admits data connections only for streams 1..n-1.
+A join is admitted only with the transfer's id, security mode and owner,
+and in its direction: an FTSM_PUSH session joins a push, an FTSM_PULL
+session a pull. A pushing node takes CHUNK frames on the control
+connection, and a joined stream for any stream index. A pulling node
+sends stream 0's share of its plan (`sender_plan`, which the client
+computes too) on the control connection, and admits joins only for
+streams 1..n-1.
 
 The node serves offers on a control session one after another until the
 client hangs up, so a client keeps its authenticated session between
@@ -109,7 +114,6 @@ direction.
 
 from __future__ import annotations
 
-import ctypes
 import errno
 import hashlib
 import logging
@@ -119,7 +123,7 @@ import threading
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from types import MappingProxyType
 
@@ -287,6 +291,7 @@ def writeback_from(libc: object) -> Callable[[int], None]:
     call = getattr(libc, "sync_file_range", None)
     if call is None:
         return _skip_writeback
+    import ctypes
     call.argtypes = (ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
                      ctypes.c_uint)
     call.restype = ctypes.c_int
@@ -297,7 +302,17 @@ def writeback_from(libc: object) -> Callable[[int], None]:
     return start_writeback
 
 
-start_writeback = writeback_from(ctypes.CDLL(None))
+@cache
+def _libc_writeback() -> Callable[[int], None]:
+    import ctypes
+    return writeback_from(ctypes.CDLL(None))
+
+
+def start_writeback(fd: int) -> None:
+    """Start writeback of `fd` by `writeback_from` this process's libc,
+    which `ctypes` loads and resolves on the first call and not before:
+    a process that never lands WRITE_BEHIND bytes never loads it."""
+    _libc_writeback()(fd)
 
 
 def _stamp(path: Path) -> tuple[int, int, int, int]:
@@ -923,7 +938,7 @@ class TransferSession:
     It holds the node's end of the transfer, one of the two: on a push
     the receiving end (`receiver`, a RegionReceiver or MemSink), on a pull
     the sending end (`sender`, a RegionSender); which one it holds says
-    which way the transfer runs. Only data connections attach: stream 0's
+    which way the transfer runs. Only joined streams attach: stream 0's
     chunks on the control connection are handled by the thread that
     serves it."""
 
@@ -948,9 +963,10 @@ class TransferSession:
             self._cond.notify_all()
 
     def wait_quiesce(self, timeout: float) -> None:
-        """Block until no data connection is attached, or `timeout`
-        expires. A data connection attaches before its AUTH_OK, so once
-        none is attached, none has a chunk in flight."""
+        """Block until no joined stream is attached, or `timeout`
+        expires. A stream attaches before the node answers its XFER_JOIN,
+        and its sender sends no chunk before that answer, so once none is
+        attached, none has a chunk in flight."""
         with self._cond:
             self._cond.wait_for(lambda: self._active == 0, timeout)
 
@@ -976,7 +992,8 @@ class TransferRegistry:
 
 
 class FtsmService:
-    """Handles FTSM control sessions and their data connections.
+    """Handles FTSM sessions: control sessions, and the data sessions
+    that join their transfers.
 
     `resolver(account, relative) -> Path` maps an offered path to a local
     destination; the default confines it to the account sandbox behind the
@@ -1001,11 +1018,13 @@ class FtsmService:
         return target
 
     def serve(self, channel: Channel, account: Account, mode: Mode) -> None:
-        """Serve a control connection in FTSM_PUSH mode (the peer sends,
-        this node receives) or FTSM_PULL mode, one offer at a time."""
-        channel.serve(
-            lambda frame: self.offer(channel, account, mode, frame.payload),
-            FrameType.XFER_OFFER)
+        """Serve a session in FTSM_PUSH mode (the peer sends, this node
+        receives) or FTSM_PULL mode: one offer at a time, or the one stream
+        that an XFER_JOIN joins."""
+        answer = {FrameType.XFER_OFFER: self.offer,
+                  FrameType.XFER_JOIN: self.join}
+        channel.serve(lambda frame: answer[frame.frame_type](
+            channel, account, mode, frame.payload), *answer)
 
     def offer(self, channel: Channel, account: Account, mode: Mode,
               offer_raw: bytes) -> None:
@@ -1153,45 +1172,50 @@ class FtsmService:
         channel.send(FrameType.XFER_DONE, wire.encode_fields({
             X_TRANSFER: transfer_id, X_REGION_DIGEST: digest}))
 
-    # data connections (HELLO carried a transfer_id)
+    # data sessions: XFER_JOIN
 
-    def join(self, transfer_id: bytes, username: str,
-             security: SecurityMode, stream_index: int) -> TransferSession:
-        """Admit an authenticated data connection to its live transfer
-        and attach it, before its AUTH_OK; the caller detaches it when the
-        connection ends. Only the transfer's id, security mode and owner
-        are admitted, and for a pull only streams 1..n-1 of its plan."""
+    def join(self, channel: Channel, account: Account, mode: Mode,
+             payload: bytes) -> None:
+        """Admit this session to a live transfer as one of its streams,
+        move that stream, and end the session: receive its chunks for a
+        push, send its share for a pull. Only the transfer's id, security
+        mode, owner and direction are admitted, and for a pull only
+        streams 1..n-1 of its plan. The stream attaches before the reply,
+        and detaches once it has moved."""
+        transfer_id, stream_index = wire.parse_join(payload)
         session = self.registry.lookup(transfer_id)
         if session is None:
             raise BadRequest("unknown transfer")
-        if security != session.security:
+        if channel.params.security != session.security:
             raise BadRequest("data connection security differs from the "
                              "control session")
-        if username != session.account.username:
+        if account.username != session.account.username:
             raise BadRequest(
                 "data connection user differs from the transfer owner")
-        if session.sender is not None and \
-                not 0 < stream_index < len(session.sender.assignments):
+        sender = session.sender
+        if mode != (Mode.FTSM_PUSH if sender is None else Mode.FTSM_PULL):
+            raise BadRequest(f"an {mode.name} session cannot join a "
+                             f"{'push' if sender is None else 'pull'}")
+        if sender is not None and \
+                not 0 < stream_index < len(sender.assignments):
             raise BadRequest(f"pull stream {stream_index} takes no data "
                              "connection")
         session.attach()
-        return session
-
-    def serve_data(self, channel: Channel, session: TransferSession,
-                   stream_index: int) -> None:
-        """Move one joined data connection's chunks: receive them for a
-        push, send this stream's share for a pull."""
         try:
-            if session.sender is not None:
-                session.sender.send(stream_index, channel)
+            channel.send(FrameType.XFER_JOIN)
+            if sender is not None:
+                sender.send(stream_index, channel)
             else:
-                receive_chunks(channel, session.transfer_id, session.receiver)
+                receive_chunks(channel, transfer_id, session.receiver)
         except ConnectionLost:
             pass    # the peer hung up: nobody is left to tell
         except (GridfsError, OSError) as exc:
             log.debug("data stream %d failed: %s", stream_index, exc)
             channel.send_error(exc if isinstance(exc, GridfsError)
                                else StreamLost(f"local file error: {exc}"))
+        finally:
+            session.detach()
+            channel.close()
 
 
 # -- client side ------------------------------------------------------------
@@ -1322,8 +1346,9 @@ class TransferClient:
     def dial(self, mode: Mode, transfer_id: bytes | None = None,
              stream_index: int = 0) -> Channel:
         """Open an authenticated control session in `mode` (task sessions
-        dial through here too), or, given a transfer id, the authenticated
-        data connection of one of that transfer's streams 1..n-1."""
+        dial through here too), or, given a transfer id, the session of one
+        of that transfer's streams 1..n-1, joined to it; its `mode` is the
+        transfer's direction."""
         params = SessionParams(mode, self.security,
                                buffer_size=self.buffer_size,
                                stream_count=self.streams)
@@ -1331,12 +1356,13 @@ class TransferClient:
                                transfer_id=transfer_id,
                                stream_index=stream_index)
 
-    def _run_streams(self, control: Channel, transfer_id: bytes, count: int,
-                     body: Callable[[int, Channel], object],
+    def _run_streams(self, control: Channel, mode: Mode, transfer_id: bytes,
+                     count: int, body: Callable[[int, Channel], object],
                      first: Callable[[], object] | None = None) -> list:
         """Run `body(index, channel)` for `count` streams at once: stream 0
-        on `control` in this thread, each other stream on a data
-        connection of its own in a thread of its own. Stream 0 runs
+        on `control` in this thread, each other stream on a data session of
+        its own, dialled in `mode`, the transfer's direction, whatever the
+        mode of `control`, in a thread of its own. Stream 0 runs
         `first()`, if given, before its body, beside the other streams.
         Returns what each body returned. Any failed stream raises
         StreamLost naming the first cause."""
@@ -1348,7 +1374,7 @@ class TransferClient:
                     first()
                 results[0] = body(0, control)
                 return
-            data = self.dial(control.params.mode, transfer_id, index)
+            data = self.dial(mode, transfer_id, index)
             try:
                 results[index] = body(index, data)
             finally:
@@ -1413,7 +1439,7 @@ class TransferClient:
                               per_stream, state is not None)
 
     def _run_senders(self, control: Channel, sender: RegionSender) -> None:
-        self._run_streams(control, sender.transfer_id,
+        self._run_streams(control, Mode.FTSM_PUSH, sender.transfer_id,
                           len(sender.assignments), sender.send,
                           sender.hash_earlier)
 
@@ -1487,7 +1513,7 @@ class TransferClient:
                        assignments: list[list[tuple[int, int]]]
                        ) -> list[int]:
         per_stream = self._run_streams(
-            control, transfer_id, len(assignments),
+            control, Mode.FTSM_PULL, transfer_id, len(assignments),
             lambda index, channel: receive_chunks(
                 channel, transfer_id, receiver,
                 len(assignments[0]) if index == 0 else None),
@@ -1524,8 +1550,8 @@ class TransferClient:
                     sent += chunk_size
                 return sent
 
-            per_stream = self._run_streams(control, transfer_id, self.streams,
-                                           flood)
+            per_stream = self._run_streams(control, Mode.FTSM_PUSH,
+                                           transfer_id, self.streams, flood)
             control.send(FrameType.XFER_DONE, wire.encode_fields({
                 X_TRANSFER: transfer_id,
                 X_TOTAL: wire.u64(sum(per_stream)),

@@ -6,10 +6,8 @@ service the negotiated mode selects: remote file access, parallel transfer
 (either direction), task execution, or block cryptography. Every
 connection takes that one way in; a HELLO of another protocol version
 or a disabled mode gets an ERROR frame and a warning naming the peer. A
-data connection carries its transfer id and stream index in its HELLO;
-once its AUTH has verified, the transfer admits it before AUTH_OK: a
-push for any stream, a pull for streams 1..n-1 (stream 0 rides the
-control session).
+transfer's data stream is an FTSM session like any other: the transfer
+service admits it when it sends XFER_JOIN (see ftsm).
 
 Configuration is a flat `key = value` file. Unknown keys warn and are
 ignored so configs can be shared across versions; a known key with an
@@ -30,7 +28,6 @@ from pathlib import Path
 from . import secchan, wire
 from .dfsm import DfsServer, LockTable
 from .errors import (
-    BadRequest,
     BindFailed,
     GridfsError,
     IntegrityFailure,
@@ -251,8 +248,7 @@ class NodeServer:
         username = fields.get(secchan.T_USER, b"").decode("utf-8",
                                                           errors="replace")
         try:
-            requested, client_nonce, transfer_id, stream_index = \
-                wire.parse_hello(frame.payload)
+            requested, client_nonce = wire.parse_hello(frame.payload)
             agreed = wire.negotiate(requested, self.config.buffer_cap,
                                     self.config.modes)
         except (VersionMismatch, ModeRejected) as exc:
@@ -285,25 +281,9 @@ class NodeServer:
                 not secrets.compare_digest(proof, expected):
             channel.send(FrameType.AUTH_FAIL, b"")
             return
-        if transfer_id is None:
-            channel.send(FrameType.AUTH_OK, b"")
-            conn.settimeout(None)
-            self._dispatch(channel, account, agreed.mode)
-            return
-        # join before AUTH_OK: the client sends no chunk until it has
-        # AUTH_OK, so a push with no joined connection has none in flight
-        try:
-            session = self.ftsm.join(transfer_id, username, agreed.security,
-                                     stream_index)
-        except BadRequest as refusal:
-            channel.send_error(refusal)
-            return
-        try:
-            channel.send(FrameType.AUTH_OK, b"")
-            conn.settimeout(None)
-            self.ftsm.serve_data(channel, session, stream_index)
-        finally:
-            session.detach()
+        channel.send(FrameType.AUTH_OK, b"")
+        conn.settimeout(None)
+        self._dispatch(channel, account, agreed.mode)
 
     def _dispatch(self, channel: Channel, account, mode: Mode) -> None:
         if mode == Mode.DFSM:

@@ -186,6 +186,7 @@ class Channel:
         self.params = params
         self.keys = keys
         self.frames_received = 0    # tells a reply from a dead session
+        self.closed = False
         self._rbuf = bytearray(RECV_START)
         self._start = 0             # unread bytes are _rbuf[_start:_end]
         self._end = 0
@@ -195,6 +196,7 @@ class Channel:
         return self.params.max_frame_payload()
 
     def close(self) -> None:
+        self.closed = True
         try:
             self.sock.close()
         except OSError:
@@ -265,7 +267,8 @@ class Channel:
     def serve(self, handle: Callable[[Frame], None],
               *frame_types: int) -> None:
         """Answer each frame of `frame_types` the peer sends with
-        `handle(frame)`, until the peer hangs up.
+        `handle(frame)`, until the peer hangs up or a handler closes the
+        channel.
 
         One error policy for every control session: a ProtocolError means
         the peer broke the frame choreography (a frame of another type, an
@@ -274,7 +277,7 @@ class Channel:
         request, so it goes back to the peer as an ERROR frame and the
         session takes the next frame.
         """
-        while True:
+        while not self.closed:
             try:
                 frame = self.recv()
             except ConnectionLost:
@@ -363,13 +366,16 @@ def connect(address: tuple[str, int], params: SessionParams,
             timeout: float | None = 30.0) -> Channel:
     """Dial a node: HELLO/WELCOME negotiation, key derivation, then AUTH.
 
-    Every connection authenticates. A data connection (transfer_id given)
-    is one stream of a live transfer; after its AUTH verifies, the node
-    admits it to that transfer before AUTH_OK, or answers AUTH with an
-    ERROR frame, raised here, saying why not. A transfer's client dials
-    one only for streams 1..n-1: stream 0 rides the control session, so
-    a single-stream transfer dials none. The node admits a push's data
-    connection for any index, but a pull's only for streams 1..n-1.
+    Every connection authenticates. Given a transfer id, the session is
+    one stream of that live transfer: XFER_JOIN (the id and
+    `stream_index`) follows AUTH at once, without waiting for AUTH_OK,
+    so the dial still takes two round trips. The node reads it only once
+    AUTH has verified, and answers it with XFER_JOIN once the stream has
+    joined, or with an ERROR frame, raised here, saying why not. The
+    session's mode must be the transfer's direction. A transfer's client
+    dials one only for streams 1..n-1: stream 0 rides the control
+    session, so a single-stream transfer dials none. The node admits a
+    push's stream for any index, but a pull's only for streams 1..n-1.
     """
     if len(username.encode("utf-8")) > MAX_USERNAME:
         raise AuthFailed("username too long")
@@ -377,8 +383,7 @@ def connect(address: tuple[str, int], params: SessionParams,
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
         client_nonce = os.urandom(NONCE_SIZE)
-        hello = wire.decode_fields(
-            wire.hello_payload(params, client_nonce, transfer_id, stream_index))
+        hello = wire.decode_fields(wire.hello_payload(params, client_nonce))
         hello[T_USER] = username.encode("utf-8")
         raw = wire.encode_frame(Frame(FrameType.HELLO,
                                       wire.encode_fields(hello)))
@@ -395,9 +400,14 @@ def connect(address: tuple[str, int], params: SessionParams,
             A_USER: username.encode("utf-8"),
             A_PROOF: proof,
         }))
+        if transfer_id is not None:
+            channel.send(FrameType.XFER_JOIN,
+                         wire.join_payload(transfer_id, stream_index))
         reply = channel.expect(FrameType.AUTH_OK, FrameType.AUTH_FAIL)
         if reply.frame_type == FrameType.AUTH_FAIL:
             raise AuthFailed("server rejected credentials")
+        if transfer_id is not None:
+            channel.expect(FrameType.XFER_JOIN)
         sock.settimeout(None)
         return channel
     except BaseException:

@@ -9,10 +9,12 @@ their context. Results come back as an array with one slot per task, in
 submission order; produced output files can then be pulled back over the
 same session.
 
-Authentication happens exactly once per set, on the control session.
-Each transfer's first stream rides that session too, so a single-stream
-set stages and collects over one connection; the data connections of any
-further streams ride the transfer rendezvous.
+Authentication happens once per set on the control session, and once
+per data session. Each transfer's first stream rides the control session,
+so a single-stream set stages and collects over one connection. Any
+further stream is a data session of its own: an FTSM session in the
+transfer's direction (FTSM_PUSH to stage, FTSM_PULL to collect) that
+joins the transfer with XFER_JOIN, so it needs no TASK mode.
 
 The pi built-in extracts hexadecimal digits of pi with a BBP-family series
 using pure integer arithmetic; any digit range is computable without its
@@ -423,8 +425,9 @@ class TaskService:
     task session.
 
     Staging and collection transfers register in `registry`, which the
-    node shares with its own FtsmService: every data connection goes to
-    that service, which finds the transfer there."""
+    node shares with its own FtsmService: every data session that joins
+    one is an FTSM session, served by that service, which finds the
+    transfer there."""
 
     def __init__(self, registry: TransferRegistry, drain_timeout: float,
                  workers: int = 4, retention: float = 600.0):

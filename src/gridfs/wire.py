@@ -16,21 +16,25 @@ Frame type registry:
     0x01 HELLO        0x02 WELCOME      0x03 AUTH         0x04 AUTH_OK
     0x05 AUTH_FAIL    0x10 DFS_REQ      0x11 DFS_RESP     0x20 XFER_OFFER
     0x21 XFER_ACCEPT  0x22 CHUNK        0x23 XFER_DONE    0x24 XFER_RESUME
-    0x30 TASK_SUBMIT  0x31 TASK_STATUS  0x32 TASK_RESULT  0x40 CRYPT_TASK
-    0x7F ERROR
+    0x25 XFER_JOIN    0x30 TASK_SUBMIT  0x31 TASK_STATUS  0x32 TASK_RESULT
+    0x40 CRYPT_TASK   0x7F ERROR
 
 A session starts with the client's HELLO and the server's WELCOME. Those
 two frames negotiate the operating mode, the security mode and the network
 buffer size (the negotiated buffer is min(requested, server cap), floored
 at 4096 bytes), and exchange the random nonces the security channel derives
-its keys from. A node refuses a HELLO of another PROTOCOL_VERSION before
-any key is used. A change that makes an old peer fail bumps the version:
+its keys from. A HELLO names no transfer: a data stream joins its
+transfer with XFER_JOIN once keys exist. A node refuses a HELLO of
+another PROTOCOL_VERSION before any key is used. A change that makes an
+old peer fail bumps the version:
 
     1  the original wire
     2  a pull's stream 0 on the control session, the SHA-256 region digest
        (transfer tag 14), sealed AUTH on data connections; tag 13 retired
     3  hash-list region digest (tag 15); tag 14 retired
     4  resume state as one record (tag 16); tag 9 retired
+    5  a data stream is an FTSM session that joins its transfer with
+       XFER_JOIN; HELLO tags 8 and 9 retired
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits
@@ -77,6 +81,7 @@ class FrameType(IntEnum):
     CHUNK = 0x22
     XFER_DONE = 0x23
     XFER_RESUME = 0x24
+    XFER_JOIN = 0x25
     TASK_SUBMIT = 0x30
     TASK_STATUS = 0x31
     TASK_RESULT = 0x32
@@ -282,18 +287,20 @@ T_BUFFER = 4
 T_STREAMS = 5
 T_SESSION = 6
 T_NONCE = 7
-T_TRANSFER = 8
-T_STREAM_INDEX = 9
+# tags 8 and 9 (a data connection's transfer id and stream index) are
+# retired: XFER_JOIN carries them now; do not reuse them
+
+# XFER_JOIN field tags
+J_TRANSFER = 1
+J_STREAM_INDEX = 2
 
 # ERROR frame field tags
 E_CODE = 1
 E_MESSAGE = 2
 
 
-def hello_payload(params: SessionParams, nonce: bytes,
-                  transfer_id: bytes | None = None,
-                  stream_index: int | None = None) -> bytes:
-    fields = {
+def hello_payload(params: SessionParams, nonce: bytes) -> bytes:
+    return encode_fields({
         T_VERSION: u16(params.version),
         T_MODE: u8(params.mode),
         T_SECURITY: u8(params.security),
@@ -301,15 +308,11 @@ def hello_payload(params: SessionParams, nonce: bytes,
         T_STREAMS: u8(params.stream_count),
         T_SESSION: params.session_id,
         T_NONCE: nonce,
-    }
-    if transfer_id is not None:
-        fields[T_TRANSFER] = transfer_id
-        fields[T_STREAM_INDEX] = u8(stream_index or 0)
-    return encode_fields(fields)
+    })
 
 
-def parse_hello(payload: bytes) -> tuple[SessionParams, bytes, bytes | None, int]:
-    """Returns (params, nonce, transfer_id or None, stream_index)."""
+def parse_hello(payload: bytes) -> tuple[SessionParams, bytes]:
+    """Returns (params, nonce)."""
     fields = decode_fields(payload)
     nonce = fields.get(T_NONCE, b"")
     session_id = fields.get(T_SESSION, b"")
@@ -328,17 +331,23 @@ def parse_hello(payload: bytes) -> tuple[SessionParams, bytes, bytes | None, int
         version=read_uint(fields, T_VERSION),
         session_id=session_id,
     )
-    transfer_id = fields.get(T_TRANSFER)
-    stream_index = read_uint(fields, T_STREAM_INDEX, 0)
-    return params, nonce, transfer_id, stream_index
+    return params, nonce
 
 
 welcome_payload = hello_payload
+parse_welcome = parse_hello
 
 
-def parse_welcome(payload: bytes) -> tuple[SessionParams, bytes]:
-    params, nonce, _, _ = parse_hello(payload)
-    return params, nonce
+def join_payload(transfer_id: bytes, stream_index: int) -> bytes:
+    """An XFER_JOIN request: the transfer a session joins and its stream."""
+    return encode_fields({J_TRANSFER: transfer_id,
+                          J_STREAM_INDEX: u8(stream_index)})
+
+
+def parse_join(payload: bytes) -> tuple[bytes, int]:
+    """Returns (transfer_id, stream_index)."""
+    fields = decode_fields(payload)
+    return fields.get(J_TRANSFER, b""), read_uint(fields, J_STREAM_INDEX, 0)
 
 
 def error_payload(code: int, message: str) -> bytes:

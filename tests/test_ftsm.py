@@ -872,11 +872,12 @@ def test_data_connection_admission_refusals(node, case, message):
                          ids=["NONSECURE", "SEMISECURE"])
 def test_forged_data_hello_is_refused_at_auth(node, sniff_factory, tmp_path,
                                               monkeypatch, security, psk):
-    """A data HELLO travels clear, so a watcher of a 2-stream push learns
-    a live transfer id and its owner's name. A data connection dialled
-    with them but without the owner's PSK fails AUTH; one that sends a
-    CHUNK where its AUTH belongs is dropped. Nothing they send lands: the
-    owner's push completes with its own bytes on its first offer."""
+    """A watcher of a 2-stream push learns a live transfer id, its stream
+    and its owner's name: from the clear XFER_JOIN under NONSECURE, from a
+    clear CHUNK header under SEMISECURE. A data session dialled with them
+    but without the owner's PSK fails AUTH; one that sends a CHUNK or an
+    XFER_JOIN where its AUTH belongs is dropped. Nothing they send lands:
+    the owner's push completes with its own bytes on its first offer."""
     proxy = sniff_factory(("127.0.0.1", node.port))
     address = ("127.0.0.1", node.port)
     stream_1_joined, forged = threading.Event(), threading.Event()
@@ -900,14 +901,15 @@ def test_forged_data_hello_is_refused_at_auth(node, sniff_factory, tmp_path,
     pusher.start()
     try:
         assert stream_1_joined.wait(10)
+        clear, read = ((FrameType.XFER_JOIN, wire.parse_join)
+                       if security == SecurityMode.NONSECURE else
+                       (FrameType.CHUNK, lambda raw: unpack_chunk(raw)[:2]))
         deadline = time.monotonic() + 5
-        while not (data_hellos := [
-                hello for hello in map(wire.parse_hello,
-                                       proxy.payloads(FrameType.HELLO))
-                if hello[2] is not None]):
-            assert time.monotonic() < deadline, "no data HELLO captured"
+        while not (seen := proxy.payloads(clear)):
+            assert time.monotonic() < deadline, "no transfer id captured"
             time.sleep(0.01)
-        [(params, _, transfer_id, stream_index)] = data_hellos
+        transfer_id, stream_index = read(seen[0])
+        params, _ = wire.parse_hello(proxy.payloads(FrameType.HELLO)[0])
         with pytest.raises(AuthFailed):
             secchan.connect(address, params, "grid", psk,
                             transfer_id=transfer_id,
@@ -915,21 +917,25 @@ def test_forged_data_hello_is_refused_at_auth(node, sniff_factory, tmp_path,
 
         offset, length = ChunkGrid(0, len(data), 2, 4096) \
             .chunks_by_span()[stream_index][0]
-        hello = wire.decode_fields(wire.hello_payload(
-            params, os.urandom(16), transfer_id, stream_index))
+        hello = wire.decode_fields(wire.hello_payload(params, os.urandom(16)))
         hello[secchan.T_USER] = b"grid"
-        sock = socket.create_connection(address, timeout=5)
-        forger = secchan.Channel(sock, params, keys=None)
-        try:
-            sock.sendall(wire.encode_frame(wire.Frame(
-                FrameType.HELLO, wire.encode_fields(hello))))
-            forger.expect(FrameType.WELCOME)
-            forger.send(FrameType.CHUNK, pack_chunk(
-                transfer_id, stream_index, offset, os.urandom(length)))
-            with pytest.raises(ConnectionLost, match="peer closed"):
-                forger.recv()
-        finally:
-            forger.close()
+        for frame_type, payload in (
+                (FrameType.CHUNK, pack_chunk(transfer_id, stream_index,
+                                             offset, os.urandom(length))),
+                (FrameType.XFER_JOIN, wire.join_payload(transfer_id,
+                                                        stream_index))):
+            sock = socket.create_connection(address, timeout=5)
+            forger = secchan.Channel(sock, params, keys=None)
+            try:
+                sock.sendall(wire.encode_frame(wire.Frame(
+                    FrameType.HELLO, wire.encode_fields(hello))))
+                forger.expect(FrameType.WELCOME)
+                sock.sendall(wire.encode_frame(wire.Frame(frame_type,
+                                                          payload)))
+                with pytest.raises(ConnectionLost, match="peer closed"):
+                    forger.recv()
+            finally:
+                forger.close()
     finally:
         forged.set()
         pusher.join(10)
@@ -938,6 +944,90 @@ def test_forged_data_hello_is_refused_at_auth(node, sniff_factory, tmp_path,
     assert [report.bytes_moved for report in reports] == [len(data)]
     assert proxy.count(FrameType.XFER_OFFER) == 1
     assert (storage(node) / "owned.bin").read_bytes() == data
+
+
+def test_secure_transfers_show_no_transfer_id(node, sniff_factory, tmp_path,
+                                              monkeypatch):
+    """Under SECURE a data session names its transfer only in its sealed
+    XFER_JOIN, so a watcher of a 2-stream push and a 2-stream pull sees
+    neither transfer's id anywhere on the wire."""
+    transfer_ids = []
+    real_init = ftsm.RegionSender.__init__
+
+    def recording_init(self, src, transfer_id, *args):
+        transfer_ids.append(transfer_id)
+        real_init(self, src, transfer_id, *args)
+
+    monkeypatch.setattr(ftsm.RegionSender, "__init__", recording_init)
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    data = os.urandom(40_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    with TransferClient(proxy.address, "grid", GRID_PSK,
+                        security=SecurityMode.SECURE, streams=2,
+                        buffer_size=65536, chunk_size=4096) as mover:
+        mover.push(src, "sealed.bin")
+        mover.pull("sealed.bin", tmp_path / "back.bin")
+    assert (tmp_path / "back.bin").read_bytes() == data
+    assert len(transfer_ids) == 2          # the push's, then the pull's
+    assert proxy.count(FrameType.XFER_JOIN) == 4    # ask and reply, twice
+    raw = proxy.raw()
+    assert [tid for tid in transfer_ids if tid in raw] == []
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+def test_join_in_the_wrong_direction_is_refused(node, sniff_factory,
+                                                tmp_path, monkeypatch,
+                                                direction):
+    """A data session joins only in its transfer's direction: an
+    FTSM_PULL session that joins a live push is refused with BadRequest,
+    and so is an FTSM_PUSH session that joins a pull. The owner's
+    transfer still completes with its own bytes on its first offer."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    stream_1_running, tried = threading.Event(), threading.Event()
+    seen = []
+    real_send_chunks = ftsm.send_chunks
+
+    def held_send_chunks(channel, transfer_id, index, *args):
+        if index == 1:
+            seen.append(transfer_id)
+            stream_1_running.set()
+            tried.wait(10)
+        return real_send_chunks(channel, transfer_id, index, *args)
+
+    monkeypatch.setattr(ftsm, "send_chunks", held_send_chunks)
+    data = os.urandom(40_000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    (storage(node) / "owned.bin").write_bytes(data)
+    mover = TransferClient(proxy.address, "grid", GRID_PSK, streams=2,
+                           buffer_size=65536, chunk_size=4096)
+    reports = []
+    owner = threading.Thread(target=lambda: reports.append(
+        mover.push(src, "owned.bin") if direction == "push"
+        else mover.pull("owned.bin", tmp_path / "back.bin")))
+    owner.start()
+    wrong, name = ((Mode.FTSM_PULL, "push") if direction == "push"
+                   else (Mode.FTSM_PUSH, "pull"))
+    try:
+        assert stream_1_running.wait(10)
+        with pytest.raises(BadRequest) as refused:
+            secchan.connect(("127.0.0.1", node.port), SessionParams(
+                wrong, SecurityMode.NONSECURE, buffer_size=65536,
+                stream_count=2), "grid", GRID_PSK,
+                transfer_id=seen[0], stream_index=1)
+        assert str(refused.value) == \
+            f"an {wrong.name} session cannot join a {name}"
+    finally:
+        tried.set()
+        owner.join(10)
+        mover.close()
+    assert not owner.is_alive()
+    assert [report.bytes_moved for report in reports] == [len(data)]
+    assert proxy.count(FrameType.XFER_OFFER) == 1
+    landed = (storage(node) / "owned.bin" if direction == "push"
+              else tmp_path / "back.bin")
+    assert landed.read_bytes() == data
 
 
 def test_push_missing_a_chunk_is_refused_at_once(node):

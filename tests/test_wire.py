@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -211,21 +212,20 @@ class TestHello:
                           buffer_size=65536, stream_count=2)
         nonce = bytes(range(16))
         payload = wire.hello_payload(p, nonce)
-        q, n2, transfer, _ = wire.parse_hello(payload)
+        q, n2 = wire.parse_hello(payload)
         assert n2 == nonce
-        assert transfer is None
         assert (q.mode, q.security, q.buffer_size, q.stream_count) == \
             (p.mode, p.security, p.buffer_size, p.stream_count)
         assert q.session_id == p.session_id
 
     def test_data_connection_marker(self):
-        p = SessionParams(Mode.FTSM_PUSH)
-        tid = bytes(16)
-        payload = wire.hello_payload(p, bytes(16), transfer_id=tid,
-                                     stream_index=3)
-        _, _, transfer, index = wire.parse_hello(payload)
-        assert transfer == tid
-        assert index == 3
+        """A HELLO names no transfer: tags 8 and 9 are retired, and a data
+        session names its transfer and stream in XFER_JOIN instead."""
+        fields = decode_fields(wire.hello_payload(
+            SessionParams(Mode.FTSM_PUSH, stream_count=2), bytes(16)))
+        assert not {8, 9} & fields.keys()
+        tid = bytes(range(16))
+        assert wire.parse_join(wire.join_payload(tid, 3)) == (tid, 3)
 
     def test_unknown_mode_rejected(self):
         fields = decode_fields(wire.hello_payload(SessionParams(Mode.DFSM),
@@ -237,3 +237,18 @@ class TestHello:
     def test_error_payload(self):
         payload = wire.error_payload(4, "locked out")
         assert wire.parse_error(payload) == (4, "locked out")
+
+
+def test_docstring_records_every_frame_type_and_version():
+    """The module docstring is the wire's record: its frame type registry
+    names every FrameType, and its version history has one entry for each
+    version from 1 to PROTOCOL_VERSION, so a wire change that bumps the
+    version must also say what changed."""
+    doc = wire.__doc__
+    registry = doc[doc.index("Frame type registry:"):
+                   doc.index("A session starts")]
+    missing = [member.name for member in FrameType
+               if f"0x{member.value:02X} {member.name}" not in registry]
+    assert missing == []
+    history = [int(n) for n in re.findall(r"^    (\d+)  \S", doc, re.M)]
+    assert history == list(range(1, wire.PROTOCOL_VERSION + 1))
