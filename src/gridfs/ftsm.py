@@ -21,18 +21,25 @@ CHUNK frames:
 Offsets are absolute file offsets; the receiver writes each payload at
 exactly its offset, so any interleaving of streams reassembles the same
 bytes. The sender's XFER_DONE carries the region digest under
-X_REGION_DIGEST: DIGEST (SHA-256) over the DIGEST of each chunk in
-ordinal order, a hash list like the pieces of BitTorrent v2 (BEP 52).
-Each side hashes a chunk once, from the bytes in hand: the sender from
-the frame it sends, the receiver from the payload it lands. Only chunks
-that do not move in this session are read back from disk, one at a
-time: on the receiver those that landed in an earlier session of a
-resumed transfer, on the sender those a resume does not send again.
-Each side reads them on stream 0's thread before its first chunk, while
-the other streams run. A source whose stat changes while the streams
-run is hashed again from disk, so a torn copy fails. The first delivery of a chunk wins, so no
-duplicate rewrites bytes whose digest is taken. An XFER_DONE without
-X_REGION_DIGEST is refused with BadRequest and not retried.
+X_REGION_DIGEST: DIGEST (SHA-256) over one entry per chunk in ordinal
+order, a hash list like the pieces of BitTorrent v2 (BEP 52). Each byte
+moved is checked once. A chunk that moves in this session takes its
+entry from the frame that carried it, on both sides: under SECURE the
+frame's AEAD tag (see secchan), which the receiver's open has already
+checked, so neither side hashes it; in the clear modes, whose CHUNKs
+nothing else checks, the DIGEST of its bytes, which the sender takes
+from the frame it sends and the receiver from the payload it lands. A
+chunk that does not move in this session is read back from disk and
+hashed, one at a time: on the receiver those that landed in an earlier
+session of a resumed transfer, on the sender those a resume does not
+send again. Each side reads them on stream 0's thread before its first
+chunk, while the other streams run. A source whose stat changes while
+the streams run is hashed again from disk, so a torn copy fails; under
+SECURE such a region fails even if its bytes did not change, as a hash
+never equals a tag, and the client's retry sends it afresh. The first
+delivery of a chunk wins, so no duplicate replaces bytes whose entry is
+taken. An XFER_DONE without X_REGION_DIGEST is refused with BadRequest
+and not retried.
 Each sending stream reads its chunks into one reused frame buffer, the
 29-byte header packed in front of the payload, and a receiving channel
 reads frames into one reused buffer too (see secchan.Channel), so a chunk
@@ -125,7 +132,6 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
-from types import MappingProxyType
 
 from . import secchan, wire
 from .errors import (
@@ -142,7 +148,7 @@ from .errors import (
 )
 from .perms import Account, ActionKind, GuardedAction, check
 from .secchan import Channel
-from .wire import FrameType, Mode, SecurityMode, SessionParams
+from .wire import Frame, FrameType, Mode, SecurityMode, SessionParams
 
 log = logging.getLogger("gridfs.ftsm")
 
@@ -237,25 +243,16 @@ def disk_digests(path: Path,
 
 def md5_region(path: Path, grid: ChunkGrid,
                digests: Mapping[int, bytes]) -> bytes:
-    """The region digest of `grid`: DIGEST over the DIGEST of each chunk,
-    in ordinal order. `digests` holds chunk digests by offset; any chunk
-    it lacks is read back from `path`. The name predates the hash list
-    and stays until the benchmark's span list, which wraps this function
-    by name, is renamed with it."""
+    """The region digest of `grid`: DIGEST over each chunk's hash-list
+    entry, in ordinal order. `digests` holds entries by offset; any chunk
+    it lacks is read back from `path` and hashed. The name predates the
+    hash list and stays until the benchmark's span list, which wraps this
+    function by name, is renamed with it."""
     read = disk_digests(path, [chunk for chunk in grid._chunks
                                if chunk[0] not in digests])
     region = DIGEST()
     for offset, _ in grid._chunks:
         region.update(digests.get(offset) or read[offset])
-    return region.digest()
-
-
-def region_digest(data: bytes, grid: ChunkGrid) -> bytes:
-    """The region digest of `data`, the bytes of `grid`'s region."""
-    region = DIGEST()
-    for offset, length in grid._chunks:
-        start = offset - grid.region_offset
-        region.update(chunk_digest(data[start:start + length]))
     return region.digest()
 
 
@@ -411,9 +408,6 @@ class ChunkGrid:
 
     def chunks_by_span(self) -> list[list[tuple[int, int]]]:
         return [list(group) for group in self._by_span]
-
-    def ordinal_of(self) -> Mapping[int, int]:
-        return MappingProxyType(self._ordinals)
 
     def check_resumable(self, buffer_size: int) -> None:
         """Refuse, without enumerating a chunk, a grid whose resume bitmap
@@ -628,8 +622,8 @@ def earlier_chunks(grid: ChunkGrid,
 # -- receiving end (either side, depending on direction) --------------------
 
 class RegionReceiver:
-    """Writes validated chunks at their absolute offsets, digests each
-    chunk from its payload as it lands, and records progress in the
+    """Writes validated chunks at their absolute offsets, keeps each
+    chunk's hash-list entry as it lands, and records progress in the
     sidecar.
 
     The first delivery of a chunk wins: a chunk whose ordinal has landed,
@@ -673,7 +667,11 @@ class RegionReceiver:
         self.dst.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(self.dst, os.O_RDWR | os.O_CREAT, 0o644)
 
-    def write_chunk(self, offset: int, payload: bytes | memoryview) -> None:
+    def write_chunk(self, offset: int, payload: bytes | memoryview,
+                    digest: bytes | None = None) -> None:
+        """Land one chunk, with `digest` as its hash-list entry: the AEAD
+        tag of the sealed frame that carried it, or, given None, the
+        DIGEST of `payload`, taken after the pwrite."""
         ordinal = self.grid._ordinals.get(offset)
         if ordinal is None or \
                 self.grid._chunks[ordinal][1] != len(payload):
@@ -685,7 +683,8 @@ class RegionReceiver:
         fd = self._fd
         try:
             pwrite_all(fd, payload, offset)
-            digest = chunk_digest(payload)
+            if digest is None:
+                digest = chunk_digest(payload)
         except BaseException:
             with self._lock:
                 self._writing.discard(ordinal)
@@ -771,7 +770,8 @@ class MemSink:
         self.total_received = 0
         self.claimed: int | None = None    # X_TOTAL of the sender's DONE
 
-    def write_chunk(self, offset: int, payload: bytes | memoryview) -> None:
+    def write_chunk(self, offset: int, payload: bytes | memoryview,
+                    digest: bytes | None = None) -> None:
         with self._lock:
             self.total_received += len(payload)
 
@@ -793,19 +793,20 @@ class MemSink:
 # -- sending end (either side, depending on direction) ----------------------
 
 class RegionSender:
-    """Sends the chunks of `src` by `sender_plan`, keeps the digest each
-    stream takes of each chunk it sends, and folds the region digest.
+    """Sends the chunks of `src` by `sender_plan`, keeps the hash-list
+    entry `send_chunks` returns for each chunk, and folds the region
+    digest.
 
     `send(index, channel)` sends stream `index`'s share, `assignments[index]`,
-    and stores its digests in that stream's own slot, so no two streams
+    and stores its entries in that stream's own slot, so no two streams
     write one object. The chunks that an earlier session of a resumed
     transfer landed at the receiver are sent by no stream; `hash_earlier`
     reads them back from `src`, and the thread of stream 0 calls it before
-    its first chunk, beside the other streams. `digest` folds the chunk
-    digests once every stream has returned. The stat of `src` is taken
-    when the sender is made: if it differs at `digest`, the whole region
-    is hashed from what the file holds then instead, so a copy torn by the
-    change fails."""
+    its first chunk, beside the other streams. `digest` folds the entries
+    once every stream has returned. The stat of `src` is taken when the
+    sender is made: if it differs at `digest`, the whole region is hashed
+    from what the file holds then instead, so a copy torn by the change
+    fails, and under SECURE, whose entries were tags, any such copy."""
 
     def __init__(self, src: Path, transfer_id: bytes, grid: ChunkGrid,
                  state: TransferState | None, streams: int):
@@ -841,9 +842,10 @@ class RegionSender:
 def send_chunks(channel: Channel, transfer_id: bytes, stream_index: int,
                 src: Path, chunks: list[tuple[int, int]]) -> list[bytes]:
     """Send each (offset, length) chunk of `src` as a CHUNK frame; returns
-    each chunk's DIGEST, in the order of `chunks`. Every chunk is read
-    into one buffer, behind its header, hashed there and sent from
-    there."""
+    each chunk's hash-list entry, in the order of `chunks`: the AEAD tag
+    of its sealed frame, or, for a clear frame, its DIGEST. Every chunk
+    is read into one buffer, behind its header, and sent from there; a
+    clear one is hashed there after it is sent."""
     head = CHUNK_HEADER.size
     frame = bytearray(head + max((length for _, length in chunks), default=0))
     view = memoryview(frame)
@@ -853,20 +855,20 @@ def send_chunks(channel: Channel, transfer_id: bytes, stream_index: int,
             payload = view[head:head + length]
             if os.preadv(handle.fileno(), [payload], offset) != length:
                 raise StreamLost("source shrank mid-transfer")
-            digests.append(chunk_digest(payload))
             CHUNK_HEADER.pack_into(frame, 0, transfer_id, stream_index,
                                    offset, length)
-            channel.send(FrameType.CHUNK, view[:head + length])
+            tag = channel.send(FrameType.CHUNK, view[:head + length])
+            digests.append(tag or chunk_digest(payload))
     return digests
 
 
-def land_chunk(payload: bytes, transfer_id: bytes, receiver) -> int:
-    """Hand one CHUNK frame's payload to `receiver.write_chunk`; returns
-    its payload bytes."""
-    chunk_transfer, _, offset, data = unpack_chunk(payload)
+def land_chunk(frame: Frame, transfer_id: bytes, receiver) -> int:
+    """Hand one CHUNK frame's payload, and its AEAD tag if it was sealed,
+    to `receiver.write_chunk`; returns its payload bytes."""
+    chunk_transfer, _, offset, data = unpack_chunk(frame.payload)
     if chunk_transfer != transfer_id:
         raise BadRequest("chunk for a different transfer")
-    receiver.write_chunk(offset, data)
+    receiver.write_chunk(offset, data, frame.tag)
     return len(data)
 
 
@@ -895,7 +897,7 @@ def receive_chunks(channel: Channel, transfer_id: bytes, receiver,
             if count is not None:
                 raise
             return received
-        received += land_chunk(frame.payload, transfer_id, receiver)
+        received += land_chunk(frame, transfer_id, receiver)
         if count is not None:
             count -= 1
     return received
@@ -1092,7 +1094,7 @@ class FtsmService:
             # arrive before XFER_DONE and land as they are read
             frame = channel.expect(FrameType.CHUNK, FrameType.XFER_DONE)
             while frame.frame_type == FrameType.CHUNK:
-                land_chunk(frame.payload, session.transfer_id, receiver)
+                land_chunk(frame, session.transfer_id, receiver)
                 frame = channel.expect(FrameType.CHUNK, FrameType.XFER_DONE)
             fields = wire.decode_fields(frame.payload)
             if isinstance(receiver, MemSink):

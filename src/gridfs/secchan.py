@@ -18,7 +18,11 @@ Sealing is AES-128-GCM. Nonces are lockstep counters (never transmitted):
 each side keeps a send and a receive counter, and a frame sealed out of
 order or replayed simply fails to open. The frame type is bound in as
 associated data, so a sealed payload cannot be replayed under a different
-type either.
+type either. A sealed frame's 16-byte tag, which `Channel.send` returns
+and `Channel.recv` puts on the frame it opened, is a MAC of its plaintext
+that both ends hold once the frame has opened; ftsm takes a sealed
+CHUNK's tag as that chunk's hash-list entry, so a SECURE chunk is checked
+once, by the open, and never hashed.
 
 Mode policy:
   SECURE      every payload sealed.
@@ -58,6 +62,7 @@ from .wire import Frame, FrameType, Mode, SecurityMode, SessionParams
 
 KEY_SIZE = 16
 NONCE_SIZE = 16
+TAG_SIZE = 16    # the AES-GCM tag that ends every seal
 MAX_USERNAME = 64
 
 # Extra clear HELLO/WELCOME tag: username for key selection.
@@ -205,19 +210,22 @@ class Channel:
     # frame transmit/receive
 
     def send(self, frame_type: int,
-             payload: bytes | memoryview = b"") -> None:
+             payload: bytes | memoryview = b"") -> bytes | None:
+        """Send one frame under the mode's policy; returns the AEAD tag of
+        a sealed frame, the last TAG_SIZE bytes of its seal, or None for a
+        frame that is not sealed whole."""
         cls = classify_frame(frame_type, self.params.security)
         # size-check before sealing: a seal consumes a nonce counter, and a
         # frame that then fails to encode would desync the channel for good
-        overhead = 16 if cls != CLEAR else 0
+        overhead = TAG_SIZE if cls != CLEAR else 0
         if len(payload) + overhead > self.max_payload:
             raise OversizedPayload(
                 f"payload of {len(payload)} bytes cannot fit the "
                 f"negotiated frame cap {self.max_payload}")
-        flags = 0
+        flags, tag = 0, None
         if cls == SEALED:
             payload = self._require_keys().seal(payload, bytes([frame_type]))
-            flags = wire.FLAG_SEALED
+            flags, tag = wire.FLAG_SEALED, payload[-TAG_SIZE:]
         elif cls == FIELD_SEALED:
             payload = self._walk_fields(frame_type, payload, seal=True)
         try:
@@ -225,8 +233,11 @@ class Channel:
                                                 self.max_payload))
         except OSError as exc:
             raise ConnectionLost(str(exc)) from None
+        return tag
 
     def recv(self) -> Frame:
+        """The next frame, opened under the mode's policy; a sealed frame
+        comes back with its AEAD tag as `tag`, a clear one with None."""
         frame = self._read_frame()    # its payload is a view of _rbuf
         cls = classify_frame(frame.frame_type, self.params.security)
         if cls == SEALED:
@@ -236,7 +247,8 @@ class Channel:
                     f"policy requires sealed")
             payload = self._require_keys().open(frame.payload,
                                                 bytes([frame.frame_type]))
-            return Frame(frame.frame_type, payload, 0)
+            return Frame(frame.frame_type, payload, 0,
+                         bytes(frame.payload[-TAG_SIZE:]))
         if frame.flags & wire.FLAG_SEALED:
             raise ProtocolError(
                 f"frame type 0x{frame.frame_type:02x} arrived sealed, "

@@ -35,6 +35,7 @@ old peer fail bumps the version:
     4  resume state as one record (tag 16); tag 9 retired
     5  a data stream is an FTSM session that joins its transfer with
        XFER_JOIN; HELLO tags 8 and 9 retired
+    6  under SECURE a moved chunk's hash-list entry is its AEAD tag
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits
@@ -108,6 +109,7 @@ class Frame:
     frame_type: int
     payload: bytes = b""
     flags: int = 0
+    tag: bytes | None = None    # a sealed frame's AEAD tag, once opened
 
 
 def encode_frame(frame: Frame, max_payload: int = DEFAULT_MAX_PAYLOAD) -> bytes:

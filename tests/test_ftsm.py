@@ -39,6 +39,24 @@ from gridfs.wire import FrameType, Mode, SecurityMode, SessionParams
 
 from conftest import ALICE_PSK, BOB_PSK, GRID_PSK
 
+ALL_MODES = [SecurityMode.NONSECURE, SecurityMode.SEMISECURE,
+             SecurityMode.SECURE]
+
+
+def ordinal_of(grid):
+    """Each chunk's ordinal in `grid`, by its offset."""
+    return {offset: k for k, (offset, _) in enumerate(grid.chunks())}
+
+
+def region_digest(data, grid):
+    """The region digest of `data`, the bytes of `grid`'s region, as the
+    clear modes take it: DIGEST over the DIGEST of each chunk."""
+    region = ftsm.DIGEST()
+    for offset, length in grid.chunks():
+        start = offset - grid.region_offset
+        region.update(ftsm.chunk_digest(data[start:start + length]))
+    return region.digest()
+
 
 # -- planning ---------------------------------------------------------------
 
@@ -106,7 +124,7 @@ def test_spans_and_chunks_partition_the_region(file_size, streams, chunk,
     assert covered == set(range(file_size))
 
     assert [c for group in grid.chunks_by_span() for c in group] == chunks
-    ordinals = grid.ordinal_of()
+    ordinals = ordinal_of(grid)
     assert len(ordinals) == len(chunks)
     assert all(ordinals[offset] == k for k, (offset, _) in enumerate(chunks))
 
@@ -126,7 +144,7 @@ def test_spans_and_chunks_partition_the_region(file_size, streams, chunk,
 def test_chunk_ordinals_are_span_major():
     grid = ChunkGrid(0, 10, 3, 3)    # spans 4,4,2 -> chunks 3+1, 3+1, 2
     assert grid.chunks() == [(0, 3), (3, 1), (4, 3), (7, 1), (8, 2)]
-    assert grid.ordinal_of() == {0: 0, 3: 1, 4: 2, 7: 3, 8: 4}
+    assert ordinal_of(grid) == {0: 0, 3: 1, 4: 2, 7: 3, 8: 4}
 
 
 # -- chunk frame codec ------------------------------------------------------
@@ -649,10 +667,10 @@ def interrupted_pull(node, remote, local, keep, monkeypatch):
     real_write_chunk = ftsm.RegionReceiver.write_chunk
     landed = []
 
-    def cut(receiver, offset, payload):
+    def cut(receiver, offset, payload, digest=None):
         if len(landed) == keep:
             raise ConnectionLost("connection cut")
-        real_write_chunk(receiver, offset, payload)
+        real_write_chunk(receiver, offset, payload, digest)
         landed.append(offset)
 
     mover = client(node, chunk_size=4096)
@@ -1056,7 +1074,7 @@ def test_push_missing_a_chunk_is_refused_at_once(node):
         start = time.monotonic()
         control.send(FrameType.XFER_DONE, wire.encode_fields({
             ftsm.X_TRANSFER: transfer_id,
-            ftsm.X_REGION_DIGEST: ftsm.region_digest(
+            ftsm.X_REGION_DIGEST: region_digest(
                 bytes(20), ChunkGrid(0, 20, 1, 10))}))
         with pytest.raises(StreamLost, match="1 chunks never arrived"):
             control.expect(FrameType.XFER_DONE)
@@ -1137,7 +1155,10 @@ def test_data_connection_slow_to_join_lands_its_chunks(node, tmp_path,
     assert (storage(node) / "slow.bin").read_bytes() == data
 
 
-def test_push_after_the_landed_part_changed_starts_afresh(node, tmp_path):
+@pytest.mark.parametrize("security", ALL_MODES,
+                         ids=[mode.name for mode in ALL_MODES])
+def test_push_after_the_landed_part_changed_starts_afresh(node, tmp_path,
+                                                         security):
     """A resume whose already-landed chunks no longer match the source
     fails its digest; the node drops the full sidecar and the client's
     retry pushes the whole file again."""
@@ -1150,8 +1171,8 @@ def test_push_after_the_landed_part_changed_starts_afresh(node, tmp_path):
     new = os.urandom(sent) + old[sent:]
     src.write_bytes(new)
 
-    report = client(node, streams=2, chunk_size=4096).push(src,
-                                                         "changed.bin")
+    report = client(node, streams=2, security=security,
+                    chunk_size=4096).push(src, "changed.bin")
     assert not report.resumed
     assert report.bytes_moved == len(new)
     assert dst.read_bytes() == new
@@ -1197,16 +1218,13 @@ def test_randomized_chunk_interleavings_reassemble(node, tmp_path):
         conn.close()
         control.send(FrameType.XFER_DONE, wire.encode_fields({
             ftsm.X_TRANSFER: transfer_id,
-            ftsm.X_REGION_DIGEST: ftsm.region_digest(data, grid)}))
+            ftsm.X_REGION_DIGEST: region_digest(data, grid)}))
         control.expect(FrameType.XFER_DONE)
         control.close()
         assert (storage(node) / remote).read_bytes() == data
 
 
 # -- stream 0 on the control session ----------------------------------------
-
-ALL_MODES = [SecurityMode.NONSECURE, SecurityMode.SEMISECURE,
-             SecurityMode.SECURE]
 
 
 @pytest.mark.parametrize("security", ALL_MODES,
@@ -1396,7 +1414,7 @@ def test_sidecar_writes_at_most_once_per_interval(tmp_path, monkeypatch):
     assert saves[0] == 1024      # the first chunk is recorded at once
     assert len(saves) <= 1 + -(-elapsed // ftsm.SIDECAR_INTERVAL)
     assert receiver.finish(
-        ftsm.region_digest(data, receiver.grid)) == len(data)
+        region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
@@ -1424,7 +1442,7 @@ def test_incomplete_finish_leaves_the_landed_chunks_recorded(tmp_path):
         offset, length = chunks[k]
         receiver.write_chunk(offset, data[offset:offset + length])
     with pytest.raises(ftsm.IncompleteTransfer):
-        receiver.finish(ftsm.region_digest(data, receiver.grid))
+        receiver.finish(region_digest(data, receiver.grid))
     assert_sidecar_marks(dst, receiver.grid, landed, data)
     receiver.abort()
     assert_sidecar_marks(dst, receiver.grid, landed, data)
@@ -1438,7 +1456,7 @@ def test_finished_receiver_leaves_no_sidecar_even_after_abort(
         receiver.write_chunk(offset, data[offset:offset + length])
     writes = len(saves)
     assert receiver.finish(
-        ftsm.region_digest(data, receiver.grid)) == len(data)
+        region_digest(data, receiver.grid)) == len(data)
     assert not state_path(dst).exists()
     receiver.abort()
     assert not state_path(dst).exists()
@@ -1589,6 +1607,176 @@ def test_pull_of_a_source_changed_mid_transfer_never_lands_a_wrong_file(
         assert report.bytes_moved == len(new)
         assert local.read_bytes() == new
     assert rewrites
+
+
+@pytest.mark.parametrize("security", ALL_MODES,
+                         ids=[mode.name for mode in ALL_MODES])
+def test_only_clear_chunks_are_hashed(node, tmp_path, monkeypatch,
+                                      security):
+    """A 2-stream push and a 2-stream pull of 64 chunks each. Under SECURE
+    each chunk's hash-list entry is the AEAD tag of the frame that
+    carried it, so no side hashes a moved chunk; in the clear modes each
+    side hashes each chunk once."""
+    data = os.urandom(64 * 4096)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    hashed = []
+    real_chunk_digest = ftsm.chunk_digest
+
+    def counted(payload):
+        hashed.append(len(payload))
+        return real_chunk_digest(payload)
+
+    monkeypatch.setattr(ftsm, "chunk_digest", counted)
+    with client(node, streams=2, security=security,
+                chunk_size=4096) as mover:
+        mover.push(src, "hashed.bin")
+        pushed = len(hashed)
+        mover.pull("hashed.bin", tmp_path / "back.bin")
+    per_side = 0 if security == SecurityMode.SECURE else 64
+    assert (pushed, len(hashed) - pushed) == (2 * per_side, 2 * per_side)
+    assert (storage(node) / "hashed.bin").read_bytes() == data
+    assert (tmp_path / "back.bin").read_bytes() == data
+
+
+class BitFlipRelay:
+    """TCP relay that flips one bit in the payload of the first CHUNK a
+    client sends on the first connection it relays, and passes every
+    other byte through unchanged. The client-to-node direction is
+    forwarded one whole frame at a time."""
+
+    def __init__(self, target, at=ftsm.CHUNK_HEADER.size + 100):
+        self.target = target
+        self.at = at                   # byte of the frame payload flipped
+        self.flipped = threading.Event()
+        self._first = True
+        self._socks = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                near, _ = self._listener.accept()
+            except OSError:
+                return
+            far = socket.create_connection(self.target)
+            self._socks += [near, far]
+            flip, self._first = self._first, False
+            threading.Thread(target=self._pump, args=(near, far, flip),
+                             daemon=True).start()
+            threading.Thread(target=self._pump, args=(far, near, False),
+                             daemon=True).start()
+
+    def _pump(self, src, dst, flip):
+        buffer = bytearray()
+        while True:
+            try:
+                data = src.recv(65536)
+            except OSError:
+                data = b""
+            if not data:
+                break
+            buffer += data
+            if not flip:
+                dst.sendall(buffer)
+                del buffer[:]
+                continue
+            while len(buffer) >= wire.HEADER_SIZE:
+                _, ftype, _, length = struct.unpack_from(wire.HEADER_FMT,
+                                                         buffer)
+                end = wire.HEADER_SIZE + length
+                if len(buffer) < end:
+                    break
+                if ftype == FrameType.CHUNK and not self.flipped.is_set():
+                    buffer[wire.HEADER_SIZE + self.at] ^= 0x01
+                    self.flipped.set()
+                dst.sendall(buffer[:end])
+                del buffer[:end]
+        for sock in (src, dst):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    def close(self):
+        self._listener.close()
+        for sock in self._socks:
+            sock.close()
+
+
+@pytest.mark.parametrize("security", ALL_MODES,
+                         ids=[mode.name for mode in ALL_MODES])
+def test_a_chunk_changed_in_flight_never_lands_a_wrong_file(
+        node, tmp_path, monkeypatch, security):
+    """A relay flips one bit inside a CHUNK's payload on the control
+    connection. Under SECURE the frame fails to open; in the clear modes
+    the region digest fails. Either way the push fails or, retried, lands
+    the exact bytes."""
+    monkeypatch.setattr(ftsm.time, "sleep", lambda seconds: None)
+    data = os.urandom(32 * 4096)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    relay = BitFlipRelay(("127.0.0.1", node.port))
+    try:
+        with TransferClient(relay.address, "grid", GRID_PSK,
+                            security=security, streams=2,
+                            buffer_size=65536, chunk_size=4096) as mover:
+            try:
+                mover.push(src, "flipped.bin")
+            except (ftsm.GridfsError, OSError):
+                pass
+            else:
+                assert (storage(node) / "flipped.bin").read_bytes() == data
+    finally:
+        relay.close()
+    assert relay.flipped.is_set()
+
+
+@pytest.mark.parametrize("security, offers", [
+    (SecurityMode.SECURE, 2), (SecurityMode.NONSECURE, 1),
+], ids=["SECURE", "NONSECURE"])
+def test_a_source_touched_mid_push_is_sent_again_only_under_secure(
+        node, tmp_path, monkeypatch, security, offers):
+    """The source's times change after stream 0's first chunk, its bytes
+    do not. The sender hashes the region again from disk. Under SECURE
+    those hashes cannot equal the receiver's entries, the chunks' AEAD
+    tags, so the first offer fails its digest and the re-offer lands the
+    file; in the clear modes the hashes agree and the first offer
+    lands it."""
+    data = os.urandom(16 * 4096)
+    src = tmp_path / "touched.bin"
+    src.write_bytes(data)
+    os.utime(src, ns=(10**9, 10**9))
+    real_send_chunks = ftsm.send_chunks
+    real_offer = ftsm.FtsmService.offer
+    touched, offered = [], []
+
+    def touching(channel, transfer_id, stream_index, src, chunks):
+        if touched or stream_index:
+            return real_send_chunks(channel, transfer_id, stream_index, src,
+                                    chunks)
+        sent = real_send_chunks(channel, transfer_id, 0, src, chunks[:1])
+        os.utime(src, ns=(2 * 10**9, 2 * 10**9))
+        touched.append(transfer_id)
+        return sent + real_send_chunks(channel, transfer_id, 0, src,
+                                       chunks[1:])
+
+    def offer(self, *args):
+        offered.append(args)
+        return real_offer(self, *args)
+
+    monkeypatch.setattr(ftsm, "send_chunks", touching)
+    monkeypatch.setattr(ftsm.FtsmService, "offer", offer)
+    monkeypatch.setattr(ftsm.time, "sleep", lambda seconds: None)
+    report = client(node, streams=2, security=security,
+                    chunk_size=4096).push(src, "touched.bin")
+    assert len(touched) == 1
+    assert len(offered) == offers
+    assert not report.resumed
+    assert report.bytes_moved == len(data)
+    assert (storage(node) / "touched.bin").read_bytes() == data
 
 
 def ftsm_threads_started(monkeypatch):
@@ -1788,7 +1976,7 @@ def test_late_duplicate_with_other_bytes_leaves_the_first(tmp_path):
     offset, length = receiver.grid.chunks()[5]
     receiver.write_chunk(offset, os.urandom(length))
     assert receiver.finish(
-        ftsm.region_digest(data, receiver.grid)) == len(data)
+        region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
@@ -1823,7 +2011,7 @@ def test_duplicate_of_a_chunk_being_written_is_dropped(tmp_path,
     assert writes.count(offset) == 1
     land(receiver, data, [0, 1, 3])
     assert receiver.finish(
-        ftsm.region_digest(data, receiver.grid)) == len(data)
+        region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
@@ -1840,7 +2028,7 @@ def test_short_pwrite_raises_from_write_chunk(tmp_path, monkeypatch):
     assert not receiver.state.has(1)
     land(receiver, data, range(4))
     assert receiver.finish(
-        ftsm.region_digest(data, receiver.grid)) == len(data)
+        region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
@@ -1872,11 +2060,14 @@ def test_chunks_landing_in_reverse_over_three_streams_verify(
 
     monkeypatch.setattr(os, "pread", no_read_back)
     assert receiver.finish(
-        ftsm.region_digest(data, receiver.grid)) == len(data)
+        region_digest(data, receiver.grid)) == len(data)
     assert dst.read_bytes() == data
 
 
-def test_resume_checks_the_earlier_session_chunks_on_disk(node, tmp_path):
+@pytest.mark.parametrize("security", ALL_MODES,
+                         ids=[mode.name for mode in ALL_MODES])
+def test_resume_checks_the_earlier_session_chunks_on_disk(node, tmp_path,
+                                                          security):
     """A chunk that landed before the interruption and was changed on
     disk since fails the resumed push's digest; the retry starts afresh."""
     data = os.urandom(100_000)
@@ -1889,7 +2080,7 @@ def test_resume_checks_the_earlier_session_chunks_on_disk(node, tmp_path):
         handle.seek(4096 + 17)
         handle.write(b"\x00" if data[4096 + 17] else b"\x01")
 
-    mover = client(node, streams=2, chunk_size=4096)
+    mover = client(node, streams=2, security=security, chunk_size=4096)
     control = mover.dial(Mode.FTSM_PUSH)
     try:
         with pytest.raises(ftsm.IntegrityMismatch):
@@ -2111,7 +2302,7 @@ def test_writeback_follows_the_pwrite_outside_the_lock(tmp_path,
     assert calls == [(receiver._fd, False, 3 * 1024),
                      (receiver._fd, False, 6 * 1024)]
     assert receiver.finish(
-        ftsm.region_digest(data, receiver.grid)) == len(data)
+        region_digest(data, receiver.grid)) == len(data)
 
 
 def test_parallel_writers_count_every_landed_byte_once(tmp_path,
@@ -2144,7 +2335,7 @@ def test_parallel_writers_count_every_landed_byte_once(tmp_path,
     assert not any(thread.is_alive() for thread in writers)
     assert len(calls) == len(data) // (4 * 1024)
     assert receiver.finish(
-        ftsm.region_digest(data, receiver.grid)) == len(data)
+        region_digest(data, receiver.grid)) == len(data)
 
 
 @pytest.mark.parametrize("direction", ["push", "pull"])

@@ -123,6 +123,16 @@ def test_version_one_hello_rejected_in_every_mode(node, mode):
         connect(node, mode=mode, version=1)
 
 
+def test_version_five_hello_rejected(node):
+    """Version 6 made a SECURE chunk's hash-list entry its AEAD tag, so a
+    version-5 peer would fail every SECURE digest: the node refuses its
+    HELLO."""
+    with pytest.raises(VersionMismatch,
+                       match="client speaks version 5, server "
+                             f"{wire.PROTOCOL_VERSION}"):
+        connect(node, version=5)
+
+
 @pytest.mark.parametrize("direction", ["push", "pull"])
 def test_client_facing_an_older_node_fails_once(node, sniff_factory,
                                                 tmp_path, monkeypatch,

@@ -397,3 +397,37 @@ def test_received_payload_outlives_the_next_receive(security):
     assert type(frame.payload) is bytes
     assert frame.payload == first
     client.close(), server.close()
+
+
+@pytest.mark.parametrize("security", list(SecurityMode),
+                         ids=lambda mode: mode.name)
+def test_a_sealed_chunk_gives_both_ends_its_tag(security):
+    """`send` returns a sealed frame's AEAD tag, the last 16 bytes of its
+    seal, and `recv` puts the same tag on the frame it opened; a clear
+    CHUNK has None at both ends. The received tag outlives the next
+    receive."""
+    client, server = channel_pair(security)
+    sent = [client.send(FrameType.CHUNK, bytes([n]) * 3000) for n in (1, 2)]
+    received = [server.recv() for _ in sent]
+    if security == SecurityMode.SECURE:
+        assert [len(tag) for tag in sent] == [secchan.TAG_SIZE] * 2
+        assert sent[0] != sent[1]
+    else:
+        assert sent == [None, None]
+    assert [frame.tag for frame in received] == sent
+    assert [frame.payload for frame in received] == [b"\x01" * 3000,
+                                                     b"\x02" * 3000]
+    client.close(), server.close()
+
+
+def test_a_field_sealed_frame_carries_no_tag():
+    """A NONSECURE frame that seals only its path field is not sealed
+    whole: neither end gets a tag."""
+    client, server = channel_pair(SecurityMode.NONSECURE)
+    payload = wire.encode_fields({3: b"some/path", 4: b"clear"})
+    assert client.send(FrameType.DFS_REQ, payload) is None
+    frame = server.recv()
+    assert frame.tag is None
+    assert frame.payload == payload
+    client.close(), server.close()
+
