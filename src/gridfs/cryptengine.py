@@ -2,8 +2,10 @@
 
 A file is cut into fixed-size blocks. Each block becomes one task: a worker
 node reads its plaintext range over the session that carried the task (the
-distributor answers reads of that one file only), encrypts it, and keeps
-the headed block in its own store or streams it to a collector node. A
+distributor answers reads of that one file only), sending every read of the
+range ahead so that it encrypts one piece while the next is on its way. It
+encodes the block in one buffer, header and ciphertext, and keeps the
+headed block in its own store or streams it to a collector node. A
 manifest records where every block ended up; the reverse path pulls the
 blocks back from all their holders at once, verifies each block, and
 rebuilds the file bit for bit.
@@ -196,36 +198,47 @@ def _cipher(params: CipherParams) -> Cipher:
 # -- block codec ------------------------------------------------------------
 
 def encrypt_block_stream(pieces: Iterable[bytes], params: CipherParams,
-                         part_num: int) -> bytes:
-    """Encrypt one block fed as plaintext pieces; returns header followed
-    by ciphertext. Only the growing ciphertext and the current piece are
-    ever held."""
+                         part_num: int, length: int) -> bytearray:
+    """Encrypt one block of `length` plaintext bytes fed as pieces; returns
+    header followed by ciphertext. The block is built in one buffer: each
+    piece is encrypted straight into it, PKCS#7 padding is one more pass
+    of the cipher, and the header is packed in front once the digest is
+    known. Only that buffer and the current piece are ever held."""
     if part_num < 0:
         raise BadRequest("block numbers are 0-based")
     spec = params.spec()
     encryptor = _cipher(params).encryptor()
-    padder = padding.PKCS7(spec.block_bits).padder()
+    cipher_block = spec.block_bits // 8
     digest = hashlib.md5()
-    parts = []
-    held = 0
-    for piece in pieces:
-        digest.update(piece)
-        out = encryptor.update(padder.update(piece))
-        parts.append(out)
-        held += len(out)
-        gauge.note(held + len(piece))
-    out = encryptor.update(padder.finalize()) + encryptor.finalize()
-    parts.append(out)
-    held += len(out)
-    gauge.note(held)
-    ciphertext = b"".join(parts)
-    header = BlockHeader(part_num, len(ciphertext), digest.digest())
-    return header.encode() + ciphertext
+    # update_into wants room for one cipher block beyond its input
+    block = bytearray(HEADER_SIZE + length + 2 * cipher_block)
+    end = HEADER_SIZE
+    fed = 0
+    with memoryview(block) as view:
+        for piece in pieces:
+            fed += len(piece)
+            if fed > length:
+                raise BadRequest(f"block {part_num}: pieces exceed its "
+                                 f"{length} plaintext bytes")
+            digest.update(piece)
+            end += encryptor.update_into(piece, view[end:])
+            gauge.note(len(block) + len(piece))
+        if fed != length:
+            raise BadRequest(f"block {part_num}: pieces hold {fed} of its "
+                             f"{length} plaintext bytes")
+        pad = cipher_block - length % cipher_block
+        end += encryptor.update_into(bytes([pad]) * pad, view[end:])
+        encryptor.finalize()
+    struct.pack_into(HEADER_FMT, block, 0, part_num, end - HEADER_SIZE,
+                     digest.digest())
+    del block[end:]
+    return block
 
 
 def encrypt_block(plaintext: bytes, params: CipherParams,
-                  part_num: int) -> bytes:
-    return encrypt_block_stream((plaintext,), params, part_num)
+                  part_num: int) -> bytearray:
+    return encrypt_block_stream((plaintext,), params, part_num,
+                                len(plaintext))
 
 
 def stream_decrypt(source, header: BlockHeader, params: CipherParams,
@@ -263,30 +276,6 @@ def stream_decrypt(source, header: BlockHeader, params: CipherParams,
         raise IntegrityMismatch(
             f"block {header.part_num}: content digest mismatch")
     return position
-
-
-class _BytesReader:
-    def __init__(self, data: bytes):
-        self._view = memoryview(data)
-        self._pos = 0
-
-    def read(self, want: int) -> bytes:
-        piece = self._view[self._pos:self._pos + want]
-        self._pos += len(piece)
-        return bytes(piece)
-
-
-def decrypt_block(block: bytes, params: CipherParams) -> tuple[int, bytes]:
-    """Inverse of encrypt_block: returns (part_num, plaintext)."""
-    header = decode_block_header(block)
-    if len(block) - HEADER_SIZE < header.length:
-        raise BadRequest(f"block {header.part_num}: block file shorter "
-                         f"than its header claims")
-    out = []
-    source = _BytesReader(block[HEADER_SIZE:HEADER_SIZE + header.length])
-    stream_decrypt(source, header, params,
-                   lambda piece, _pos: out.append(piece))
-    return header.part_num, b"".join(out)
 
 
 # -- planning ---------------------------------------------------------------
@@ -338,7 +327,8 @@ def sequential_blocks(path: Path, params: CipherParams,
                         raise BadRequest("file shrank while encrypting")
                     remaining -= len(piece)
                     yield piece
-            yield part, encrypt_block_stream(pieces(), params, part)
+            yield part, encrypt_block_stream(pieces(), params, part,
+                                             length)
 
 
 # -- placement manifest -----------------------------------------------------
@@ -429,9 +419,13 @@ def _flat_name(name: str) -> bool:
 class CryptWorker:
     """Server side of CRYPT mode: executes one encrypt task per request.
 
-    A task reads its plaintext range with DFS READs over the same session,
-    piece by piece, so neither side holds the whole range in memory. Blocks
-    are decrypted where they are reassembled, never on a worker.
+    A task reads its plaintext range with DFS READs over the same session:
+    it sends the READ of every piece of the range ahead, then takes the
+    replies in order and encrypts each piece into the block's one buffer
+    as it arrives, so hashing and encryption overlap the distributor's
+    answers. A task that fails with replies still in flight takes them
+    and ends its session. Blocks are decrypted where they are reassembled,
+    never on a worker.
     """
 
     def serve(self, channel: Channel, account: Account) -> None:
@@ -470,30 +464,43 @@ class CryptWorker:
         offset = wire.read_uint(fields, C_OFFSET)
         length = wire.read_uint(fields, C_LENGTH)
         collector = fields.get(C_COLLECTOR, b"").decode("utf-8")
-        self._encrypt(channel, account, params, username, psk, part,
-                      path, offset, length, name, collector, movers)
+        # not a context manager: its close would end the crypt session
+        fs = FsClient(channel)
+        try:
+            self._encrypt(channel, fs, account, params, username, psk, part,
+                          path, offset, length, name, collector, movers)
+        except GridfsError as exc:
+            if not fs.reads_ahead():
+                raise
+            # the distributor still answers the reads sent ahead: report
+            # the failure, take their replies, and end the session, so
+            # that none of them is read as a frame of the next task
+            try:
+                channel.send_error(exc)
+                fs.drain()
+            finally:
+                channel.close()
+            return
         channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
             C_PART: wire.u64(part), C_DONE: wire.u8(1)}))
 
-    def _encrypt(self, channel: Channel, account: Account,
+    def _encrypt(self, channel: Channel, fs: FsClient, account: Account,
                  params: CipherParams, username: str, psk: bytes, part: int,
                  path: str, offset: int, length: int, name: str,
                  collector: str,
                  movers: dict[tuple, TransferClient]) -> None:
         piece_size = channel.params.buffer_size
-        # not a context manager: its close would end the crypt session
-        fs = FsClient(channel)
+        fs.read_ahead(path, offset, length)
+
         def pieces():
-            done = 0
-            while done < length:
-                piece = fs.read(path, offset + done,
-                                min(piece_size, length - done))
-                if not piece:
+            for start in range(offset, offset + length, piece_size):
+                want = min(piece_size, offset + length - start)
+                piece = fs.read(path, start, want)
+                if len(piece) < want:
                     raise BadRequest(
                         "source file ends inside the block range")
-                done += len(piece)
                 yield piece
-        block = encrypt_block_stream(pieces(), params, part)
+        block = encrypt_block_stream(pieces(), params, part, length)
 
         destination = account.sandbox_root / BLOCK_SUBDIR / name
         destination.parent.mkdir(parents=True, exist_ok=True)

@@ -33,6 +33,7 @@ import errno
 import logging
 import os
 import threading
+from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -203,12 +204,6 @@ class LockTable:
             if gone and self.audit:
                 self.audit("release_session", tuple(self._locks.values()))
 
-    def conflicts(self, path: str, offset: int, length: int,
-                  session: bytes) -> bool:
-        """True when [offset, offset+length) overlaps a foreign lock."""
-        with self._lock:
-            return self._foreign_overlap(path, offset, length, session)
-
     @contextmanager
     def guard(self, path: str, offset: int, length: int,
               session: bytes) -> Iterator[None]:
@@ -227,10 +222,6 @@ class LockTable:
         return length > 0 and any(
             l.path == path and l.owner_session != session
             and l.overlaps(offset, length) for l in self._locks.values())
-
-    def live_locks(self) -> tuple[RangeLock, ...]:
-        with self._lock:
-            return tuple(self._locks.values())
 
 
 # -- server side ------------------------------------------------------------
@@ -419,13 +410,18 @@ class FsClient:
     """Client handle for one DFSM session; bound to a single connection.
 
     Tracks a position purely for CURRENT_HINT seeks; the server never
-    sees it.
+    sees it. Requests wait for their replies one at a time, except reads
+    sent ahead: a crypt worker sends the reads of its block's whole range
+    with `read_ahead`, and `read` takes their replies in order and
+    returns each piece's data as decoded, with no further copy.
     """
 
     def __init__(self, channel: Channel):
         self.channel = channel
         self.position = 0
         self._next_request_id = 1
+        # (request id, path, offset, length) of each read sent ahead
+        self._ahead: deque[tuple[int, str, int, int]] = deque()
 
     def __enter__(self):
         return self
@@ -436,13 +432,18 @@ class FsClient:
         except (GridfsError, OSError):
             pass
 
-    def _call(self, op: Op, extra: dict[int, bytes] | None = None) -> dict[int, bytes]:
+    def _send(self, op: Op, extra: dict[int, bytes] | None = None) -> int:
+        """Send one request and return its id, without waiting."""
         request_id = self._next_request_id
         self._next_request_id += 1
         fields = {F_OP: wire.u8(op), F_REQUEST_ID: wire.u64(request_id)}
         if extra:
             fields.update(extra)
         self.channel.send(FrameType.DFS_REQ, wire.encode_fields(fields))
+        return request_id
+
+    def _reply(self, op: Op, request_id: int) -> dict[int, bytes]:
+        """Take the next reply, which must answer `request_id`."""
         reply = wire.decode_fields(
             self.channel.expect(FrameType.DFS_RESP).payload)
         if wire.read_uint(reply, F_REQUEST_ID) != request_id:
@@ -452,20 +453,60 @@ class FsClient:
             raise error_for_status(status, f"{op.name} failed")
         return reply
 
-    def read(self, path: str, offset: int, length: int) -> bytes:
-        out = bytearray()
+    def _call(self, op: Op, extra: dict[int, bytes] | None = None) -> dict[int, bytes]:
+        if self._ahead:
+            raise BadRequest("reads sent ahead are still unanswered")
+        return self._reply(op, self._send(op, extra))
+
+    def _read_request(self, path: str, offset: int, length: int) -> int:
+        return self._send(Op.READ, {F_PATH: path.encode("utf-8"),
+                                    F_OFFSET: wire.u64(offset),
+                                    F_LENGTH: wire.u64(length)})
+
+    def read_ahead(self, path: str, offset: int, length: int) -> None:
+        """Send the READ requests of [offset, offset+length), one per
+        buffer step, without waiting for their replies. `read` then takes
+        them in order, one step per call; no other request may be made
+        until it has taken them all."""
         step = self.channel.params.buffer_size
-        while len(out) < length:
-            want = min(step, length - len(out))
-            reply = self._call(Op.READ, {
-                F_PATH: path.encode("utf-8"),
-                F_OFFSET: wire.u64(offset + len(out)),
-                F_LENGTH: wire.u64(want)})
-            data = reply.get(F_DATA, b"")
-            out += data
+        for start in range(offset, offset + length, step):
+            want = min(step, offset + length - start)
+            self._ahead.append((self._read_request(path, start, want),
+                                path, start, want))
+
+    def reads_ahead(self) -> int:
+        """The number of reads sent ahead whose replies `read` has not
+        taken."""
+        return len(self._ahead)
+
+    def drain(self) -> None:
+        """Take and drop the reply of every read still sent ahead."""
+        while self._ahead:
+            self._ahead.popleft()
+            self.channel.expect(FrameType.DFS_RESP)
+
+    def read(self, path: str, offset: int, length: int) -> bytes:
+        """Up to `length` bytes of `path` from `offset`, shorter only at
+        the end of the file. With reads sent ahead, the call must name the
+        oldest of them exactly, and returns its reply's data."""
+        if self._ahead:
+            request_id, *planned = self._ahead[0]
+            if planned != [path, offset, length]:
+                raise BadRequest("a read must take the oldest read ahead")
+            self._ahead.popleft()
+            return self._reply(Op.READ, request_id).get(F_DATA, b"")
+        parts = []
+        got = 0
+        step = self.channel.params.buffer_size
+        while got < length:
+            want = min(step, length - got)
+            data = self._reply(Op.READ, self._read_request(
+                path, offset + got, want)).get(F_DATA, b"")
+            parts.append(data)
+            got += len(data)
             if len(data) < want:
                 break    # clean EOF
-        return bytes(out)
+        return b"".join(parts)
 
     def write(self, path: str, offset: int, data: bytes) -> int:
         step = max(1024, self.channel.params.buffer_size - REQUEST_MARGIN)

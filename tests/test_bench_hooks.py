@@ -413,6 +413,7 @@ def test_each_run_records_a_digest_probe_before_and_after(
         assert probe["loopback_rtt_s"] > 0
         assert probe["disk_write_s"] > 0 and probe["disk_fsync_s"] > 0
         assert probe["seal_s"] > 0 and probe["loop_s"] > 0
+        assert probe["cbc_s"] > 0
     # the disk probe's scratch file is gone after each probe
     assert sorted(path.name for path in tmp_path.iterdir()) == \
         ["BENCH_small.json", "change", "cpuinfo"]
@@ -436,8 +437,10 @@ def test_each_run_records_a_digest_probe_before_and_after(
            in lines
     assert f"  cpu probe: " \
            f"seal {latest['before']['seal_s'] * 1e3:.1f} ms, " \
+           f"cbc {latest['before']['cbc_s'] * 1e3:.1f} ms, " \
            f"loop {latest['before']['loop_s'] * 1e3:.1f} ms before, " \
            f"seal {latest['after']['seal_s'] * 1e3:.1f} ms, " \
+           f"cbc {latest['after']['cbc_s'] * 1e3:.1f} ms, " \
            f"loop {latest['after']['loop_s'] * 1e3:.1f} ms after" in lines
 
 

@@ -2,6 +2,7 @@
 test vectors, planning, and the distributed encrypt/reassemble path over
 live nodes."""
 
+import hashlib
 import os
 import random
 import socket
@@ -13,6 +14,9 @@ import time
 from collections import Counter
 
 import pytest
+from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+from cryptography.hazmat.primitives import padding
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +26,7 @@ from gridfs import wire
 from gridfs.errors import (
     BadPadding,
     BadRequest,
+    GridfsError,
     IntegrityMismatch,
     MissingBlock,
     NoWorkers,
@@ -34,6 +39,46 @@ KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 PARAMS = ce.CipherParams("aes128", KEY, IV)
 TDES_PARAMS = ce.CipherParams("tdes", b"0123456789abcdef", b"12345678")
+
+
+class _BytesReader:
+    def __init__(self, data: bytes):
+        self._view = memoryview(data)
+        self._pos = 0
+
+    def read(self, want: int) -> bytes:
+        piece = self._view[self._pos:self._pos + want]
+        self._pos += len(piece)
+        return bytes(piece)
+
+
+def decrypt_block(block: bytes, params: ce.CipherParams) -> tuple[int, bytes]:
+    """Inverse of encrypt_block: returns (part_num, plaintext)."""
+    header = ce.decode_block_header(block)
+    if len(block) - ce.HEADER_SIZE < header.length:
+        raise BadRequest(f"block {header.part_num}: block file shorter "
+                         f"than its header claims")
+    out = []
+    source = _BytesReader(
+        block[ce.HEADER_SIZE:ce.HEADER_SIZE + header.length])
+    ce.stream_decrypt(source, header, params,
+                      lambda piece, _pos: out.append(piece))
+    return header.part_num, b"".join(out)
+
+
+def reference_block(plaintext: bytes, params: ce.CipherParams,
+                    part: int) -> bytes:
+    """A block built the plain way: PKCS#7 padding, one CBC pass, and the
+    header in front."""
+    algorithm = {"aes128": algorithms.AES,
+                 "tdes": lambda key: TripleDES(key + key[:8])}[params.cipher]
+    cipher = algorithm(params.key)
+    padder = padding.PKCS7(cipher.block_size).padder()
+    padded = padder.update(plaintext) + padder.finalize()
+    encryptor = Cipher(cipher, modes.CBC(params.iv)).encryptor()
+    ciphertext = encryptor.update(padded) + encryptor.finalize()
+    return struct.pack(">QQ16s", part, len(ciphertext),
+                       hashlib.md5(plaintext).digest()) + ciphertext
 
 
 # -- planning ---------------------------------------------------------------
@@ -138,9 +183,16 @@ def test_block_layout_pinned():
 def test_round_trip_sizes(params, size):
     plaintext = bytes(range(256)) * (size // 256 + 1)
     plaintext = plaintext[:size]
-    part, out = ce.decrypt_block(ce.encrypt_block(plaintext, params, 9),
-                                 params)
+    block = ce.encrypt_block(plaintext, params, 9)
+    assert block == reference_block(plaintext, params, 9)
+    part, out = decrypt_block(block, params)
     assert (part, out) == (9, plaintext)
+
+
+def test_pieces_must_add_up_to_the_block_length():
+    for pieces in ((b"a" * 16, b"b" * 5), (b"a" * 16,), ()):
+        with pytest.raises(BadRequest):
+            ce.encrypt_block_stream(pieces, PARAMS, 0, 20)
 
 
 def test_ciphertext_is_block_aligned():
@@ -157,14 +209,14 @@ def test_tampering_is_detected():
         copy = bytearray(block)
         copy[position] ^= 0x01
         with pytest.raises((IntegrityMismatch, BadPadding)):
-            ce.decrypt_block(bytes(copy), PARAMS)
+            decrypt_block(bytes(copy), PARAMS)
 
 
 def test_wrong_key_is_detected():
     block = ce.encrypt_block(b"y" * 64, PARAMS, 0)
     wrong = ce.CipherParams("aes128", b"w" * 16, IV)
     with pytest.raises((IntegrityMismatch, BadPadding)):
-        ce.decrypt_block(block, wrong)
+        decrypt_block(block, wrong)
 
 
 def test_parameter_validation():
@@ -282,6 +334,48 @@ def test_three_workers_equal_sequential_sealed(node_factory, tmp_path):
     for node in nodes:
         gathered.update(stored_blocks(node))
     assert gathered == dict(ce.sequential_blocks(source, PARAMS, 64 * 1024))
+
+
+def test_source_ending_inside_a_block_fails_and_frees_the_worker(
+        node_factory, tmp_path, monkeypatch):
+    """The source shrinks after planning, inside the first block, while the
+    worker still has that block's later 253 reads in flight. The run
+    fails soon with an error that names the cause, not with a reset
+    connection, and the same worker then serves a fresh run correctly."""
+    worker = node_factory("w1")
+    payload = os.urandom(2 * 2 ** 20)
+    source = tmp_path / "data.bin"
+    source.write_bytes(payload)
+    real_plan = ce.plan_blocks
+
+    def plan_then_truncate(file_size, block_size):
+        plan = real_plan(file_size, block_size)
+        os.truncate(source, 10_000)
+        return plan
+
+    monkeypatch.setattr(ce, "plan_blocks", plan_then_truncate)
+    outcome = []
+
+    def run():
+        try:
+            ce.distribute(source, [endpoint(worker)], PARAMS, "alice",
+                          ALICE_PSK, block_size=2 ** 20, buffer_size=4096)
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(5)
+    assert not thread.is_alive(), "distribute hung"
+    assert isinstance(outcome[0], GridfsError)
+    assert "source file ends inside the block range" in str(outcome[0])
+
+    monkeypatch.setattr(ce, "plan_blocks", real_plan)
+    source.write_bytes(payload)
+    ce.distribute(source, [endpoint(worker)], PARAMS, "alice", ALICE_PSK,
+                  block_size=2 ** 20, buffer_size=4096)
+    assert stored_blocks(worker) == dict(
+        ce.sequential_blocks(source, PARAMS, 2 ** 20))
 
 
 def test_collector_holds_every_block(node_factory, tmp_path):

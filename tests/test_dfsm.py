@@ -59,6 +59,17 @@ def dfs_pair(account, locks=None, security=SecurityMode.SECURE):
     return FsClient(client), thread
 
 
+def live_locks(table):
+    with table._lock:
+        return tuple(table._locks.values())
+
+
+def conflicts(table, path, offset, length, session):
+    """True when [offset, offset+length) overlaps a foreign lock."""
+    with table._lock:
+        return table._foreign_overlap(path, offset, length, session)
+
+
 class TestSeekArithmetic:
     def test_begin(self):
         assert resolve_seek(SeekOrigin.BEGIN, 100, FileStat(0, False)) == 100
@@ -112,7 +123,7 @@ class TestLockTable:
         table = LockTable()
         table.acquire("f", 0, 10, b"A" * 16)
         table.acquire("f", 10, 10, b"B" * 16)
-        assert len(table.live_locks()) == 2
+        assert len(live_locks(table)) == 2
 
     def test_different_paths_independent(self):
         table = LockTable()
@@ -154,9 +165,9 @@ class TestLockTable:
     def test_conflicts_ignores_own_locks(self):
         table = LockTable()
         table.acquire("f", 0, 10, b"A" * 16)
-        assert not table.conflicts("f", 0, 10, b"A" * 16)
-        assert table.conflicts("f", 0, 10, b"B" * 16)
-        assert not table.conflicts("f", 10, 5, b"B" * 16)
+        assert not conflicts(table, "f", 0, 10, b"A" * 16)
+        assert conflicts(table, "f", 0, 10, b"B" * 16)
+        assert not conflicts(table, "f", 10, 5, b"B" * 16)
 
     def test_audit_sees_every_transition(self):
         events = []
@@ -258,6 +269,32 @@ class TestFileOps:
             assert client.read("big.bin", 0, len(blob)) == blob
         assert (account.sandbox_root / "big.bin").read_bytes() == blob
 
+    def test_read_ahead_takes_replies_in_order(self, tmp_path):
+        """Reads sent ahead come back one step per read, in order; any
+        other request before the last is taken is refused before it is
+        sent."""
+        account = make_account(tmp_path)
+        blob = random.Random(8).randbytes(600_000)
+        (account.sandbox_root / "big.bin").write_bytes(blob)
+        client, _ = dfs_pair(account)
+        step = client.channel.params.buffer_size
+        with client:
+            client.read_ahead("big.bin", 1000, 2 * step + 5)
+            assert client.reads_ahead() == 3
+            sent = client._next_request_id
+            for refused in (lambda: client.read("big.bin", 1000 + step, step),
+                            lambda: client.read("big.bin", 1000, 2 * step),
+                            lambda: client.stat("big.bin")):
+                with pytest.raises(BadRequest):
+                    refused()
+            assert client._next_request_id == sent
+            assert client.read("big.bin", 1000, step) == blob[1000:1000 + step]
+            client.drain()
+            assert client.reads_ahead() == 0
+            assert client.read("big.bin", 0, 4) == blob[:4]
+            client.read_ahead("big.bin", len(blob) - 10, 20)
+            assert client.read("big.bin", len(blob) - 10, 20) == blob[-10:]
+
     def test_setlength_truncate_and_extend(self, tmp_path):
         account = make_account(tmp_path)
         (account.sandbox_root / "t.bin").write_bytes(b"abcdef")
@@ -313,7 +350,7 @@ class TestFileOps:
             alice.write("f.bin", 0, bytes(10))
             alice.lock("f.bin", 0, 10)
         thread.join(timeout=5)
-        assert locks.live_locks() == ()
+        assert live_locks(locks) == ()
 
     def test_unlock_wrong_session(self, tmp_path):
         account = make_account(tmp_path)

@@ -28,7 +28,8 @@ one more handshake step costs; and the seconds to pwrite 64 MiB into a
 new scratch file in this script's checkout, then to fsync it, since a
 receiver acknowledges only a region that is on disk (the file is deleted
 afterwards); and the seconds to seal 64 MiB with AES-128-GCM, the cipher
-of a sealed session, and to run a fixed plain-Python loop, since every
+of a sealed session, to encrypt 64 MiB with AES-128-CBC, the cipher of
+the `crypt` workload, and to run a fixed plain-Python loop, since every
 chunk also passes through interpreted Python. A run that
 reports failures is still recorded, with its failures, and makes the
 script exit 1; the trail records numbers and gates nothing.
@@ -42,8 +43,8 @@ the latest traced record beside that of the most recent traced record
 of another build, each with their ratio; two records are of different
 builds when their commit or their tree differs. For records that hold
 a machine probe, its SHA-256/MD5 time ratios and CPU flag, its
-loopback round trip, its disk write and fsync times, and its seal and
-loop times.
+loopback round trip, its disk write and fsync times, and its seal, CBC
+and loop times.
 
 `--pairs N --against DIR` compares two commits on this machine: for each
 workload it runs N pairs of untraced runs, one of the checkout at DIR
@@ -76,6 +77,7 @@ import threading
 import time
 from pathlib import Path
 
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 TRAIL = Path(__file__).resolve().parent.parent
@@ -202,6 +204,16 @@ def seal_probe(data: bytes) -> float:
     return time.perf_counter() - start
 
 
+def cbc_probe(data: bytes) -> float:
+    """Seconds to encrypt `data` with AES-128-CBC in one call."""
+    encryptor = Cipher(algorithms.AES128(bytes(16)),
+                       modes.CBC(bytes(16))).encryptor()
+    start = time.perf_counter()
+    encryptor.update(data)
+    encryptor.finalize()
+    return time.perf_counter() - start
+
+
 def loop_probe() -> float:
     """Seconds to run LOOP_STEPS steps of a fixed plain-Python loop."""
     start = time.perf_counter()
@@ -214,8 +226,9 @@ def loop_probe() -> float:
 def machine_probe() -> dict:
     """Seconds to MD5 and to SHA-256 PROBE_BYTES in memory, whether the
     CPU has SHA extensions, the mean loopback round trip, the seconds to
-    write PROBE_BYTES to disk and to fsync them, and the seconds to seal
-    PROBE_BYTES with AES-128-GCM and to run the plain loop."""
+    write PROBE_BYTES to disk and to fsync them, the seconds to seal
+    PROBE_BYTES with AES-128-GCM and to encrypt them with AES-128-CBC, and
+    the seconds to run the plain loop."""
     data = bytes(PROBE_BYTES)
     probe = {}
     for name in ("md5", "sha256"):
@@ -226,6 +239,7 @@ def machine_probe() -> dict:
     probe["loopback_rtt_s"] = loopback_round_trip()
     probe["disk_write_s"], probe["disk_fsync_s"] = disk_probe()
     probe["seal_s"] = seal_probe(data)
+    probe["cbc_s"] = cbc_probe(data)
     probe["loop_s"] = loop_probe()
     return probe
 
@@ -278,9 +292,13 @@ def disk_text(record: dict) -> str:
 
 
 def cpu_text(record: dict) -> str:
-    return before_and_after(record, "seal_s", lambda probe:
-                            f"seal {probe['seal_s'] * 1e3:.1f} ms, "
-                            f"loop {probe['loop_s'] * 1e3:.1f} ms")
+    def text(probe: dict) -> str:
+        # a record from before the CBC probe has no `cbc_s`
+        cbc = f"cbc {probe['cbc_s'] * 1e3:.1f} ms, " if "cbc_s" in probe \
+            else ""
+        return (f"seal {probe['seal_s'] * 1e3:.1f} ms, {cbc}"
+                f"loop {probe['loop_s'] * 1e3:.1f} ms")
+    return before_and_after(record, "seal_s", text)
 
 
 def record_of(detail: dict, contract: dict, commit: str,
