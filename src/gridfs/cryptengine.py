@@ -2,10 +2,10 @@
 
 A file is cut into fixed-size blocks. Each block becomes one task: a worker
 node reads its plaintext range over the session that carried the task (the
-distributor answers reads of that one file only), sending every read of the
-range ahead so that it encrypts one piece while the next is on its way. It
-encodes the block in one buffer, header and ciphertext, and keeps the
-headed block in its own store or streams it to a collector node. A
+distributor answers reads of that one file only), keeping a window of
+reads of the range ahead so that it encrypts one piece while the next are
+on their way. It encodes the block in one buffer, header and ciphertext,
+and keeps the headed block in its own store or streams it to a collector node. A
 manifest records where every block ended up; the reverse path pulls the
 blocks back from all their holders at once, verifies each block, and
 rebuilds the file bit for bit.
@@ -62,6 +62,9 @@ from .secchan import Channel
 from .wire import FrameType, Mode, SecurityMode, SessionParams
 
 DEFAULT_BLOCK_SIZE = 20 * 2 ** 20
+# The largest block a worker encrypts: it holds the whole block in memory,
+# and allocates it when the task arrives, before any plaintext does.
+MAX_BLOCK_SIZE = 256 * 2 ** 20
 HEADER_FMT = ">QQ16s"      # part_num | ciphertext length | plaintext md5
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
 PIECE_SIZE = 262144        # streaming granularity for local block files
@@ -229,8 +232,8 @@ def encrypt_block_stream(pieces: Iterable[bytes], params: CipherParams,
         pad = cipher_block - length % cipher_block
         end += encryptor.update_into(bytes([pad]) * pad, view[end:])
         encryptor.finalize()
-    struct.pack_into(HEADER_FMT, block, 0, part_num, end - HEADER_SIZE,
-                     digest.digest())
+    block[:HEADER_SIZE] = BlockHeader(part_num, end - HEADER_SIZE,
+                                      digest.digest()).encode()
     del block[end:]
     return block
 
@@ -420,12 +423,12 @@ class CryptWorker:
     """Server side of CRYPT mode: executes one encrypt task per request.
 
     A task reads its plaintext range with DFS READs over the same session:
-    it sends the READ of every piece of the range ahead, then takes the
-    replies in order and encrypts each piece into the block's one buffer
-    as it arrives, so hashing and encryption overlap the distributor's
-    answers. A task that fails with replies still in flight takes them
-    and ends its session. Blocks are decrypted where they are reassembled,
-    never on a worker.
+    it keeps a window of the range's READs in flight, takes the replies
+    in order and encrypts each piece into the block's one buffer as it
+    arrives, so hashing and encryption overlap the distributor's answers.
+    A task that fails with replies still in flight takes them before its
+    error is reported, and the session goes on. Blocks are decrypted where
+    they are reassembled, never on a worker.
     """
 
     def serve(self, channel: Channel, account: Account) -> None:
@@ -463,24 +466,19 @@ class CryptWorker:
             raise BadRequest("block names are flat file names")
         offset = wire.read_uint(fields, C_OFFSET)
         length = wire.read_uint(fields, C_LENGTH)
+        if length > MAX_BLOCK_SIZE:
+            raise BadRequest(f"blocks are at most {MAX_BLOCK_SIZE} bytes")
         collector = fields.get(C_COLLECTOR, b"").decode("utf-8")
         # not a context manager: its close would end the crypt session
         fs = FsClient(channel)
         try:
             self._encrypt(channel, fs, account, params, username, psk, part,
                           path, offset, length, name, collector, movers)
-        except GridfsError as exc:
-            if not fs.reads_ahead():
-                raise
-            # the distributor still answers the reads sent ahead: report
-            # the failure, take their replies, and end the session, so
-            # that none of them is read as a frame of the next task
-            try:
-                channel.send_error(exc)
-                fs.drain()
-            finally:
-                channel.close()
-            return
+        except GridfsError:
+            # the distributor answers the reads in flight before it reads
+            # the ERROR this becomes, so none is left for the next task
+            fs.drain()
+            raise
         channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
             C_PART: wire.u64(part), C_DONE: wire.u8(1)}))
 
@@ -599,6 +597,8 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
         raise NoWorkers("no workers given")
     if not file.is_file():
         raise BadRequest(f"no such file: {file}")
+    if block_size > MAX_BLOCK_SIZE:
+        raise BadRequest(f"blocks are at most {MAX_BLOCK_SIZE} bytes")
     plan = plan_blocks(os.path.getsize(file), block_size)
     manifest = PlacementMap(file.name, os.path.getsize(file), block_size,
                             params.cipher)

@@ -64,6 +64,11 @@ WHOLE_FILE = 0xFFFFFFFFFFFFFFFF
 MAX_PATH_BYTES = 255
 # Room a WRITE request needs beside its data: fixed fields plus path.
 REQUEST_MARGIN = 512
+# Reads a client keeps in flight when it reads a range ahead. The server
+# answers one request at a time and stops reading requests while a reply
+# waits to be sent, so the requests in flight must fit in the socket
+# buffers on their own: 16 of them take about 1 KiB.
+READ_WINDOW = 16
 
 
 class Op(IntEnum):
@@ -411,9 +416,10 @@ class FsClient:
 
     Tracks a position purely for CURRENT_HINT seeks; the server never
     sees it. Requests wait for their replies one at a time, except reads
-    sent ahead: a crypt worker sends the reads of its block's whole range
-    with `read_ahead`, and `read` takes their replies in order and
-    returns each piece's data as decoded, with no further copy.
+    sent ahead: a crypt worker plans the reads of its block's whole range
+    with `read_ahead`, which keeps READ_WINDOW of them in flight, and
+    `read` takes their replies in order and returns each piece's data as
+    decoded, with no further copy.
     """
 
     def __init__(self, channel: Channel):
@@ -422,6 +428,8 @@ class FsClient:
         self._next_request_id = 1
         # (request id, path, offset, length) of each read sent ahead
         self._ahead: deque[tuple[int, str, int, int]] = deque()
+        # (path, offset, end) of the planned reads not yet sent
+        self._unsent = ("", 0, 0)
 
     def __enter__(self):
         return self
@@ -464,23 +472,30 @@ class FsClient:
                                     F_LENGTH: wire.u64(length)})
 
     def read_ahead(self, path: str, offset: int, length: int) -> None:
-        """Send the READ requests of [offset, offset+length), one per
-        buffer step, without waiting for their replies. `read` then takes
-        them in order, one step per call; no other request may be made
-        until it has taken them all."""
+        """Plan the READ requests of [offset, offset+length), one per
+        buffer step, and send the first READ_WINDOW of them without
+        waiting. `read` then takes their replies in order, one step per
+        call, and sends the next planned READ after each; no other request
+        may be made until it has taken them all."""
+        if self._ahead:
+            raise BadRequest("reads sent ahead are still unanswered")
+        self._unsent = (path, offset, offset + length)
+        self._send_ahead()
+
+    def _send_ahead(self) -> None:
+        path, start, end = self._unsent
         step = self.channel.params.buffer_size
-        for start in range(offset, offset + length, step):
-            want = min(step, offset + length - start)
+        while start < end and len(self._ahead) < READ_WINDOW:
+            want = min(step, end - start)
             self._ahead.append((self._read_request(path, start, want),
                                 path, start, want))
-
-    def reads_ahead(self) -> int:
-        """The number of reads sent ahead whose replies `read` has not
-        taken."""
-        return len(self._ahead)
+            start += want
+            self._unsent = (path, start, end)
 
     def drain(self) -> None:
-        """Take and drop the reply of every read still sent ahead."""
+        """Take and drop the reply of every read sent ahead, and send no
+        more of the planned ones."""
+        self._unsent = ("", 0, 0)
         while self._ahead:
             self._ahead.popleft()
             self.channel.expect(FrameType.DFS_RESP)
@@ -494,7 +509,9 @@ class FsClient:
             if planned != [path, offset, length]:
                 raise BadRequest("a read must take the oldest read ahead")
             self._ahead.popleft()
-            return self._reply(Op.READ, request_id).get(F_DATA, b"")
+            data = self._reply(Op.READ, request_id).get(F_DATA, b"")
+            self._send_ahead()
+            return data
         parts = []
         got = 0
         step = self.channel.params.buffer_size

@@ -339,8 +339,8 @@ def test_three_workers_equal_sequential_sealed(node_factory, tmp_path):
 def test_source_ending_inside_a_block_fails_and_frees_the_worker(
         node_factory, tmp_path, monkeypatch):
     """The source shrinks after planning, inside the first block, while the
-    worker still has that block's later 253 reads in flight. The run
-    fails soon with an error that names the cause, not with a reset
+    worker still has a window of that block's later reads in flight. The
+    run fails soon with an error that names the cause, not with a reset
     connection, and the same worker then serves a fresh run correctly."""
     worker = node_factory("w1")
     payload = os.urandom(2 * 2 ** 20)
@@ -376,6 +376,81 @@ def test_source_ending_inside_a_block_fails_and_frees_the_worker(
                   block_size=2 ** 20, buffer_size=4096)
     assert stored_blocks(worker) == dict(
         ce.sequential_blocks(source, PARAMS, 2 ** 20))
+
+
+def test_read_ahead_finishes_over_small_socket_buffers(node_factory,
+                                                      tmp_path, monkeypatch):
+    """A block of 1,024 reads, over sockets whose buffers hold a few
+    KiB each way. The distributor answers one read at a time and stops
+    reading requests while a reply waits to be sent, so a worker that sent
+    every read of the range at once would block in sending with it, and
+    both would hang. With a window of reads in flight the run finishes."""
+    worker = node_factory("w1")
+    small = ((socket.SOL_SOCKET, socket.SO_SNDBUF, 4096),
+             (socket.SOL_SOCKET, socket.SO_RCVBUF, 4096))
+    for option in small:
+        worker._listener.setsockopt(*option)    # accepted sockets inherit
+
+    def small_buffered_connection(address, timeout=None, *args, **kwargs):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        for option in small:
+            sock.setsockopt(*option)
+        sock.settimeout(timeout)
+        sock.connect(address)
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection",
+                        small_buffered_connection)
+    source = tmp_path / "data.bin"
+    source.write_bytes(os.urandom(4 * 2 ** 20))
+    outcome = []
+
+    def run():
+        try:
+            ce.distribute(source, [endpoint(worker)], PARAMS, "alice",
+                          ALICE_PSK, block_size=4 * 2 ** 20,
+                          buffer_size=4096)
+        except Exception as exc:
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(20)
+    assert not thread.is_alive(), "distribute hung"
+    assert outcome == [None]
+    assert stored_blocks(worker) == dict(
+        ce.sequential_blocks(source, PARAMS, 4 * 2 ** 20))
+
+
+def test_oversized_block_refused_before_any_read(node_factory, tmp_path,
+                                                 monkeypatch):
+    """A task whose length exceeds the largest block is refused as it
+    arrives: no read is sent and no buffer allocated. The distributor
+    refuses such a block size before it contacts any worker."""
+    worker = node_factory("w1")
+    source = tmp_path / "data.bin"
+    source.write_bytes(b"x" * 64)
+    huge = ce._encrypt_task_fields(0, 0, 2 ** 62, PARAMS, "alice",
+                                   ALICE_PSK, "data.bin", "data.blk0", None)
+    served = []
+    real_handle = ce.FileShare._handle
+    start = time.monotonic()
+    monkeypatch.setattr(ce.FileShare, "_handle",
+                        lambda share, payload: served.append(payload)
+                        or real_handle(share, payload))
+    completed, error = ce._run_queue(endpoint(worker), [huge], "alice",
+                                     ALICE_PSK, SecurityMode.NONSECURE,
+                                     65536, source)
+    assert time.monotonic() - start < 5
+    assert completed == [] and served == []
+    assert isinstance(error, BadRequest)
+    assert "at most" in str(error)
+    assert stored_blocks(worker) == {}
+    with pytest.raises(BadRequest):
+        ce.distribute(source, [endpoint(worker)], PARAMS, "alice",
+                      ALICE_PSK, block_size=ce.MAX_BLOCK_SIZE + 1)
 
 
 def test_collector_holds_every_block(node_factory, tmp_path):

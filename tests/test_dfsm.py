@@ -45,10 +45,11 @@ def make_account(tmp_path, admin=True, **flags):
     return Account("user", PSK, sandbox.resolve(), PermissionDoc.others(**flags))
 
 
-def dfs_pair(account, locks=None, security=SecurityMode.SECURE):
+def dfs_pair(account, locks=None, security=SecurityMode.SECURE,
+             buffer_size=wire.DEFAULT_MAX_PAYLOAD):
     """FsClient talking to a DfsServer thread over a socketpair."""
     a, b = socket.socketpair()
-    params = SessionParams(Mode.DFSM, security)
+    params = SessionParams(Mode.DFSM, security, buffer_size=buffer_size)
     cn, sn = b"c" * 16, b"s" * 16
     client = Channel(a, params, ChannelKeys.for_role(PSK, cn, sn, True))
     server = Channel(b, params, ChannelKeys.for_role(PSK, cn, sn, False))
@@ -279,21 +280,46 @@ class TestFileOps:
         client, _ = dfs_pair(account)
         step = client.channel.params.buffer_size
         with client:
+            sent = client._next_request_id
             client.read_ahead("big.bin", 1000, 2 * step + 5)
-            assert client.reads_ahead() == 3
+            assert client._next_request_id - sent == 3
             sent = client._next_request_id
             for refused in (lambda: client.read("big.bin", 1000 + step, step),
                             lambda: client.read("big.bin", 1000, 2 * step),
-                            lambda: client.stat("big.bin")):
+                            lambda: client.stat("big.bin"),
+                            lambda: client.read_ahead("big.bin", 0, 4)):
                 with pytest.raises(BadRequest):
                     refused()
             assert client._next_request_id == sent
             assert client.read("big.bin", 1000, step) == blob[1000:1000 + step]
             client.drain()
-            assert client.reads_ahead() == 0
             assert client.read("big.bin", 0, 4) == blob[:4]
             client.read_ahead("big.bin", len(blob) - 10, 20)
             assert client.read("big.bin", len(blob) - 10, 20) == blob[-10:]
+
+    def test_read_ahead_keeps_a_window_in_flight(self, tmp_path):
+        """A range of many steps has READ_WINDOW reads in flight at most:
+        each reply taken sends the next planned read, and a drain sends
+        none of the rest."""
+        account = make_account(tmp_path)
+        blob = random.Random(9).randbytes(3 * dfsm.READ_WINDOW * 4096)
+        (account.sandbox_root / "big.bin").write_bytes(blob)
+        client, _ = dfs_pair(account, buffer_size=4096)
+        steps = len(blob) // 4096
+        with client:
+            first = client._next_request_id
+            client.read_ahead("big.bin", 0, len(blob))
+            for taken in range(steps):
+                in_flight = client._next_request_id - first - taken
+                assert in_flight == min(dfsm.READ_WINDOW, steps - taken)
+                assert client.read("big.bin", taken * 4096, 4096) == \
+                    blob[taken * 4096:(taken + 1) * 4096]
+            client.read_ahead("big.bin", 0, len(blob))
+            client.read("big.bin", 0, 4096)
+            sent = client._next_request_id
+            client.drain()
+            assert client._next_request_id == sent
+            assert client.read("big.bin", 5, 4) == blob[5:9]
 
     def test_setlength_truncate_and_extend(self, tmp_path):
         account = make_account(tmp_path)
