@@ -5,7 +5,10 @@ node reads its plaintext range over the session that carried the task (the
 distributor answers reads of that one file only), keeping a window of
 reads of the range ahead so that it encrypts one piece while the next are
 on their way. It encodes the block in one buffer, header and ciphertext,
-and keeps the headed block in its own store or streams it to a collector node. A
+and keeps the headed block in its own store. When a collector node is to
+hold the blocks, the worker sends each block back over the same session
+instead, and the distributor pushes it on to the collector: a worker only
+serves, and holds no credentials but those of its own session. A
 manifest records where every block ended up; the reverse path pulls the
 blocks back from all their holders at once, verifies each block, and
 rebuilds the file bit for bit.
@@ -21,12 +24,13 @@ be checked against a sequential one. Reusing the IV across blocks leaks
 whether two blocks begin with the same plaintext; callers who care should
 encrypt each file under a fresh IV.
 
-Ciphers live in a small registry keyed by name. AES-128 and two-key
-triple DES ship by default; both run CBC with PKCS#7 padding.
+Ciphers live in a table keyed by name: AES-128 and two-key triple DES,
+both run CBC with PKCS#7 padding.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -52,6 +56,7 @@ from .errors import (
     NoSuchFile,
     NoWorkers,
     PermissionDenied,
+    ProtocolError,
     StreamLost,
     TruncatedHeader,
     WorkerFailed,
@@ -69,26 +74,23 @@ HEADER_FMT = ">QQ16s"      # part_num | ciphertext length | plaintext md5
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
 PIECE_SIZE = 262144        # streaming granularity for local block files
 
-DIR_ENCRYPT = 0            # the only direction a worker serves
-
-# CRYPT_TASK request fields; tag 2 is the sealed one, keep secrets there
+# CRYPT_TASK fields; tag 2 is the sealed one, keep secrets there. Tags 4
+# (a direction), 5 (a node serving the plaintext) and 10 (a collector's
+# address) are retired; do not reuse them.
 C_PART = 1
-C_SECRETS = 2              # nested map: key, iv, credentials for a collector
+C_SECRETS = 2              # nested map: key and IV
 C_CIPHER = 3
-C_DIRECTION = 4
-# tag 5 is retired: it named a node serving the plaintext; do not reuse it
 C_PATH = 6                 # name the distributor shares the plaintext under
 C_OFFSET = 7
 C_LENGTH = 8
 C_BLOCK = 9                # block file name in the worker's store
-C_COLLECTOR = 10           # "host:port"; block is pushed there when present
 C_DONE = 11                # reply: completion marker
+C_RELAY = 12               # 1: send the block back instead of storing it
+C_PIECE = 13               # reply: one piece of a block sent back
 
-# nested secret-map tags
+# nested secret-map tags; 3 and 4 (a user name and PSK) are retired
 SEC_KEY = 1
 SEC_IV = 2
-SEC_USER = 3
-SEC_PSK = 4
 
 # manifest fields
 M_BASE = 1
@@ -151,7 +153,7 @@ def decode_block_header(data: bytes) -> BlockHeader:
     return BlockHeader(part_num, length, md5)
 
 
-# -- cipher registry --------------------------------------------------------
+# -- ciphers ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CipherSpec:
@@ -162,17 +164,12 @@ class CipherSpec:
     factory: Callable[[bytes], object]
 
 
-CIPHERS: dict[str, CipherSpec] = {}
-
-
-def register_cipher(spec: CipherSpec) -> None:
-    CIPHERS[spec.name] = spec
-
-
-register_cipher(CipherSpec("aes128", 16, 16, 128, algorithms.AES128))
-# 16-byte keying: K1|K2 expanded to K1|K2|K1 (two-key triple DES)
-register_cipher(CipherSpec("tdes", 16, 8, 64,
-                           lambda key: TripleDES(key + key[:8])))
+CIPHERS: dict[str, CipherSpec] = {
+    "aes128": CipherSpec("aes128", 16, 16, 128, algorithms.AES128),
+    # 16-byte keying: K1|K2 expanded to K1|K2|K1 (two-key triple DES)
+    "tdes": CipherSpec("tdes", 16, 8, 64,
+                       lambda key: TripleDES(key + key[:8])),
+}
 
 
 @dataclass(frozen=True)
@@ -427,24 +424,21 @@ class CryptWorker:
     in order and encrypts each piece into the block's one buffer as it
     arrives, so hashing and encryption overlap the distributor's answers.
     A task that fails with replies still in flight takes them before its
-    error is reported, and the session goes on. Blocks are decrypted where
-    they are reassembled, never on a worker.
+    error is reported, and the session goes on. The block goes into the
+    worker's store, or, for a relayed task, back over the session as
+    CRYPT_TASK frames of one piece each, ahead of the task's C_DONE
+    reply. A worker dials no node: it needs no credentials but its own
+    session's. Blocks are decrypted where they are reassembled, never on
+    a worker.
     """
 
     def serve(self, channel: Channel, account: Account) -> None:
-        # the session's collector pushes share one client per collector
-        # and credentials, so its blocks reuse one FTSM_PUSH session
-        movers: dict[tuple, TransferClient] = {}
-        try:
-            channel.serve(lambda frame: self._one(channel, account,
-                                                  frame.payload, movers),
-                          FrameType.CRYPT_TASK)
-        finally:
-            for mover in movers.values():
-                mover.close()
+        channel.serve(lambda frame: self._one(channel, account,
+                                              frame.payload),
+                      FrameType.CRYPT_TASK)
 
-    def _one(self, channel: Channel, account: Account, payload: bytes,
-             movers: dict[tuple, TransferClient]) -> None:
+    def _one(self, channel: Channel, account: Account,
+             payload: bytes) -> None:
         denial = check(account, GuardedAction(ActionKind.EXECUTION))
         if denial is not None:
             raise PermissionDenied(denial)
@@ -455,11 +449,6 @@ class CryptWorker:
             fields.get(C_CIPHER, b"").decode("utf-8"),
             secret.get(SEC_KEY, b""), secret.get(SEC_IV, b""))
         params.spec()
-        username = secret.get(SEC_USER, b"").decode("utf-8")
-        psk = secret.get(SEC_PSK, b"")
-        direction = wire.read_uint(fields, C_DIRECTION, DIR_ENCRYPT)
-        if direction != DIR_ENCRYPT:
-            raise BadRequest(f"unknown direction {direction}")
         path = fields.get(C_PATH, b"").decode("utf-8")
         name = fields.get(C_BLOCK, b"").decode("utf-8")
         if not _flat_name(name):
@@ -468,26 +457,32 @@ class CryptWorker:
         length = wire.read_uint(fields, C_LENGTH)
         if length > MAX_BLOCK_SIZE:
             raise BadRequest(f"blocks are at most {MAX_BLOCK_SIZE} bytes")
-        collector = fields.get(C_COLLECTOR, b"").decode("utf-8")
         # not a context manager: its close would end the crypt session
         fs = FsClient(channel)
         try:
-            self._encrypt(channel, fs, account, params, username, psk, part,
-                          path, offset, length, name, collector, movers)
+            block = self._encrypt(fs, params, part, path, offset, length)
         except GridfsError:
             # the distributor answers the reads in flight before it reads
             # the ERROR this becomes, so none is left for the next task
             fs.drain()
             raise
+        if wire.read_uint(fields, C_RELAY, 0):
+            piece_size = channel.params.buffer_size
+            for start in range(0, len(block), piece_size):
+                channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
+                    C_PIECE: block[start:start + piece_size]}))
+        else:
+            destination = account.sandbox_root / BLOCK_SUBDIR / name
+            destination.parent.mkdir(parents=True, exist_ok=True)
+            scratch = destination.with_name(destination.name + ".tmp")
+            scratch.write_bytes(block)
+            os.replace(scratch, destination)
         channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
             C_PART: wire.u64(part), C_DONE: wire.u8(1)}))
 
-    def _encrypt(self, channel: Channel, fs: FsClient, account: Account,
-                 params: CipherParams, username: str, psk: bytes, part: int,
-                 path: str, offset: int, length: int, name: str,
-                 collector: str,
-                 movers: dict[tuple, TransferClient]) -> None:
-        piece_size = channel.params.buffer_size
+    def _encrypt(self, fs: FsClient, params: CipherParams, part: int,
+                 path: str, offset: int, length: int) -> bytearray:
+        piece_size = fs.channel.params.buffer_size
         fs.read_ahead(path, offset, length)
 
         def pieces():
@@ -498,59 +493,56 @@ class CryptWorker:
                     raise BadRequest(
                         "source file ends inside the block range")
                 yield piece
-        block = encrypt_block_stream(pieces(), params, part, length)
-
-        destination = account.sandbox_root / BLOCK_SUBDIR / name
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        scratch = destination.with_name(destination.name + ".tmp")
-        scratch.write_bytes(block)
-        if collector:
-            security = channel.params.security
-            try:
-                key = (collector, username, psk, security)
-                if key not in movers:
-                    movers[key] = TransferClient(
-                        parse_endpoint(collector), username, psk,
-                        security=security,
-                        buffer_size=channel.params.buffer_size)
-                movers[key].push(scratch, f"{BLOCK_SUBDIR}/{name}")
-            finally:
-                scratch.unlink(missing_ok=True)
-        else:
-            os.replace(scratch, destination)
+        return encrypt_block_stream(pieces(), params, part, length)
 
 
 # -- distributor ------------------------------------------------------------
 
 def _encrypt_task_fields(part: int, offset: int, length: int,
-                         params: CipherParams, username: str, psk: bytes,
-                         path: str, name: str,
-                         collector: str | None) -> dict[int, bytes]:
-    secret = {SEC_KEY: params.key, SEC_IV: params.iv}
-    fields = {
+                         params: CipherParams, path: str, name: str,
+                         relay: bool) -> dict[int, bytes]:
+    return {
         C_PART: wire.u64(part),
+        C_SECRETS: wire.encode_fields({SEC_KEY: params.key,
+                                       SEC_IV: params.iv}),
         C_CIPHER: params.cipher.encode("utf-8"),
-        C_DIRECTION: wire.u8(DIR_ENCRYPT),
         C_PATH: path.encode("utf-8"),
         C_OFFSET: wire.u64(offset),
         C_LENGTH: wire.u64(length),
         C_BLOCK: name.encode("utf-8"),
+        C_RELAY: wire.u8(relay),
     }
-    if collector:
-        secret.update({SEC_USER: username.encode("utf-8"), SEC_PSK: psk})
-        fields[C_COLLECTOR] = collector.encode("utf-8")
-    fields[C_SECRETS] = wire.encode_fields(secret)
-    return fields
+
+
+def _answer_task(channel: Channel, fields: dict[int, bytes], source: Path,
+                 spool) -> int:
+    """Send one task, answer its reads of `source`, and write the pieces
+    of a relayed block to `spool`; returns the part the worker reports
+    done."""
+    channel.send(FrameType.CRYPT_TASK, wire.encode_fields(fields))
+    # the worker's request ids start over with each task
+    share = FileShare(channel, source, source.name)
+    while True:
+        reply = wire.decode_fields(
+            share.answer_until(FrameType.CRYPT_TASK).payload)
+        if C_PIECE not in reply:
+            return wire.read_uint(reply, C_PART)
+        if spool is None:
+            raise ProtocolError("a piece of a block that is not relayed")
+        spool.write(reply[C_PIECE])
 
 
 def _run_queue(address: str, tasks: list[dict[int, bytes]],
                username: str, psk: bytes, security: SecurityMode,
-               buffer_size: int, source: Path
+               buffer_size: int, source: Path,
+               collector: TransferClient | None = None
                ) -> tuple[list[int], GridfsError | None]:
     """Feed one worker its task queue over a single crypt session, and
-    answer the worker's reads of `source` while each task runs. Returns
-    the completed part numbers and the error that stopped the queue, if
-    any."""
+    answer the worker's reads of `source` while each task runs. Given a
+    `collector`, each block comes back over the session into a spool file,
+    which is pushed to the collector before the next task goes out.
+    Returns the completed part numbers and the error that stopped the
+    queue, if any; a failed push raises."""
     completed: list[int] = []
     try:
         channel = secchan.connect(
@@ -563,15 +555,19 @@ def _run_queue(address: str, tasks: list[dict[int, bytes]],
         return completed, ConnectionLost(str(exc))
     try:
         for fields in tasks:
-            channel.send(FrameType.CRYPT_TASK, wire.encode_fields(fields))
-            # the worker's request ids start over with each task
-            share = FileShare(channel, source, source.name)
-            reply = wire.decode_fields(
-                share.answer_until(FrameType.CRYPT_TASK).payload)
-            completed.append(wire.read_uint(reply, C_PART))
+            with (tempfile.NamedTemporaryFile(prefix="gridfs-relay-")
+                  if collector is not None
+                  else contextlib.nullcontext()) as spool:
+                try:
+                    part = _answer_task(channel, fields, source, spool)
+                except GridfsError as exc:
+                    return completed, exc
+                if collector is not None:
+                    spool.flush()
+                    collector.push(Path(spool.name), f"{BLOCK_SUBDIR}/"
+                                   f"{fields[C_BLOCK].decode('utf-8')}")
+            completed.append(part)
         return completed, None
-    except GridfsError as exc:
-        return completed, exc
     finally:
         channel.close()
 
@@ -587,9 +583,17 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
 
     Each worker reads its plaintext ranges over the crypt session that
     carries its tasks, and this process answers those reads: READ of this
-    one file, by its name, and nothing else. No port is opened. A worker
-    that dies forfeits all its blocks (they die with its store) and the
-    run redistributes them over the survivors.
+    one file, by its name, and nothing else. No port is opened. Without a
+    `collector`, each worker keeps its blocks. With one, each worker sends
+    its blocks back over its session, and this process pushes them to the
+    collector over one transfer client that lives as long as the run.
+
+    A worker that fails forfeits the blocks it kept (they die with its
+    store), but not those the collector holds, and the run redistributes
+    the rest over the survivors. A fault that is not the worker's ends
+    the run at once with its own error: a task the worker answers with
+    BadRequest, such as a source that ends inside a block range, and a
+    failed push to the collector.
     """
     file = Path(file)
     params.spec()
@@ -610,53 +614,54 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
 
     lengths = {part: length for part, _, length in plan}
     offsets = {part: offset for part, offset, _ in plan}
+    mover = (TransferClient(parse_endpoint(collector), username, psk,
+                            security=security, buffer_size=buffer_size)
+             if collector else None)
     alive = list(workers)
     pending = [part for part, _, _ in plan]
-    while pending:
-        queues = assign_round_robin(pending, len(alive))
-        outcomes = [([], None)] * len(alive)
+    with mover or contextlib.nullcontext():
+        while pending:
+            queues = assign_round_robin(pending, len(alive))
+            outcomes = [([], None)] * len(alive)
 
-        def run(index: int) -> None:
-            tasks = [
-                _encrypt_task_fields(
-                    part, offsets[part], lengths[part], params,
-                    username, psk, file.name,
-                    block_name(file.name, part), collector)
-                for part in queues[index]]
-            outcomes[index] = _run_queue(alive[index], tasks, username,
-                                         psk, security, buffer_size, file)
+            def run(index: int) -> None:
+                tasks = [
+                    _encrypt_task_fields(
+                        part, offsets[part], lengths[part], params,
+                        file.name, block_name(file.name, part),
+                        mover is not None)
+                    for part in queues[index]]
+                outcomes[index] = _run_queue(alive[index], tasks, username,
+                                             psk, security, buffer_size,
+                                             file, mover)
 
-        for index, exc in enumerate(fan_out(run, len(alive))):
-            if exc is not None:
-                outcomes[index] = ([], WorkerFailed(str(exc)))
+            faults = [exc for exc in fan_out(run, len(alive)) if exc]
+            faults += [error for _, error in outcomes
+                       if isinstance(error, BadRequest)]
+            if faults:
+                raise faults[0]
 
-        errors = []
-        survivors = []
-        still_pending = []
-        for address, queue, (completed, error) in zip(alive, queues, outcomes):
-            if error is None:
-                survivors.append(address)
-                holder = collector or address
-                for part in completed:
+            errors = [error for _, error in outcomes if error is not None]
+            survivors = []
+            still_pending = []
+            for address, queue, (completed, error) in zip(alive, queues,
+                                                          outcomes):
+                # a failed worker's store is lost, the collector's is not
+                placed = completed if error is None or collector else []
+                for part in placed:
                     manifest.placements[part] = Placement(
-                        part, holder, block_name(file.name, part))
-                continue
-            errors.append(error)
-            # a dead worker's store is gone: blocks it already wrote
-            # are lost too, unless they went to the collector
-            if collector:
-                for part in completed:
-                    manifest.placements[part] = Placement(
-                        part, collector, block_name(file.name, part))
-                still_pending += [p for p in queue if p not in completed]
-            else:
-                still_pending += queue
-        alive = survivors
-        pending = still_pending
-        if pending and not alive:
-            if errors and all(isinstance(e, PermissionDenied) for e in errors):
-                raise errors[-1]
-            raise WorkerFailed(f"{len(pending)} blocks unplaced: {errors[-1]}")
+                        part, collector or address,
+                        block_name(file.name, part))
+                still_pending += [p for p in queue if p not in placed]
+                if error is None:
+                    survivors.append(address)
+            alive = survivors
+            pending = still_pending
+            if pending and not alive:
+                if all(isinstance(e, PermissionDenied) for e in errors):
+                    raise errors[-1]
+                raise WorkerFailed(
+                    f"{len(pending)} blocks unplaced: {errors[-1]}")
 
     for part, _, _ in plan:
         if part not in manifest.placements:

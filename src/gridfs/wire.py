@@ -36,6 +36,9 @@ old peer fail bumps the version:
     5  a data stream is an FTSM session that joins its transfer with
        XFER_JOIN; HELLO tags 8 and 9 retired
     6  under SECURE a moved chunk's hash-list entry is its AEAD tag
+    7  a crypt worker sends a collector's block back over its session
+       (CRYPT_TASK tags 12 and 13) and gets no credentials; CRYPT_TASK
+       tags 4 and 10 and secret tags 3 and 4 retired
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits

@@ -432,8 +432,8 @@ def test_oversized_block_refused_before_any_read(node_factory, tmp_path,
     worker = node_factory("w1")
     source = tmp_path / "data.bin"
     source.write_bytes(b"x" * 64)
-    huge = ce._encrypt_task_fields(0, 0, 2 ** 62, PARAMS, "alice",
-                                   ALICE_PSK, "data.bin", "data.blk0", None)
+    huge = ce._encrypt_task_fields(0, 0, 2 ** 62, PARAMS, "data.bin",
+                                   "data.blk0", False)
     served = []
     real_handle = ce.FileShare._handle
     start = time.monotonic()
@@ -453,7 +453,10 @@ def test_oversized_block_refused_before_any_read(node_factory, tmp_path,
                       ALICE_PSK, block_size=ce.MAX_BLOCK_SIZE + 1)
 
 
-def test_collector_holds_every_block(node_factory, tmp_path):
+@pytest.mark.parametrize("security", list(SecurityMode),
+                         ids=lambda mode: mode.name)
+def test_collector_holds_every_block(node_factory, tmp_path, security):
+    """Relayed pieces travel clear under NONSECURE and sealed otherwise."""
     workers = [node_factory("w1"), node_factory("w2")]
     collector = node_factory("coll")
     payload = os.urandom(160 * 1024)
@@ -462,7 +465,8 @@ def test_collector_holds_every_block(node_factory, tmp_path):
 
     manifest = ce.distribute(
         source, [endpoint(w) for w in workers], PARAMS, "alice", ALICE_PSK,
-        block_size=32 * 1024, collector=endpoint(collector))
+        block_size=32 * 1024, collector=endpoint(collector),
+        security=security)
     assert sorted(stored_blocks(collector)) == [0, 1, 2, 3, 4]
     assert stored_blocks(workers[0]) == {}
     assert stored_blocks(workers[1]) == {}
@@ -470,8 +474,58 @@ def test_collector_holds_every_block(node_factory, tmp_path):
                for p in manifest.placements.values())
 
     rebuilt = tmp_path / "back.bin"
-    ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK)
+    ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK,
+                  security=security)
     assert rebuilt.read_bytes() == payload
+
+
+def test_source_fault_ends_the_run_after_one_round(node_factory, tmp_path,
+                                                   monkeypatch):
+    """The source shrinks after planning, inside the last block. The
+    worker that meets it answers BadRequest, and the run ends with that
+    error after one round: the fault is the source's, so the block is not
+    handed to the other worker to fail the same way."""
+    workers = [node_factory("w1"), node_factory("w2")]
+    source = tmp_path / "data.bin"
+    source.write_bytes(os.urandom(256 * 1024))
+    real_plan = ce.plan_blocks
+    real_run_queue = ce._run_queue
+    queues_run = []
+
+    def plan_then_truncate(file_size, block_size):
+        plan = real_plan(file_size, block_size)
+        os.truncate(source, 3 * 64 * 1024 + 100)
+        return plan
+
+    monkeypatch.setattr(ce, "plan_blocks", plan_then_truncate)
+    monkeypatch.setattr(ce, "_run_queue", lambda *args: queues_run.append(
+        args[0]) or real_run_queue(*args))
+    with pytest.raises(BadRequest) as raised:
+        ce.distribute(source, [endpoint(w) for w in workers], PARAMS,
+                      "alice", ALICE_PSK, block_size=64 * 1024)
+    assert "source file ends inside the block range" in str(raised.value)
+    assert sorted(queues_run) == sorted(endpoint(w) for w in workers)
+    assert not ce.manifest_path_for(source).exists()
+
+
+def test_dead_collector_ends_the_run_with_its_own_error(node_factory,
+                                                        tmp_path):
+    """A push to the collector that fails is not the worker's fault: the
+    run ends with the push's error, and no worker is retired for it."""
+    workers = [node_factory("w1"), node_factory("w2")]
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    dead = f"127.0.0.1:{probe.getsockname()[1]}"
+    probe.close()
+    source = tmp_path / "data.bin"
+    source.write_bytes(os.urandom(128 * 1024))
+    with pytest.raises(ConnectionRefusedError):
+        ce.distribute(source, [endpoint(w) for w in workers], PARAMS,
+                      "alice", ALICE_PSK, block_size=32 * 1024,
+                      collector=dead)
+    assert stored_blocks(workers[0]) == {}
+    assert stored_blocks(workers[1]) == {}
+    assert not ce.manifest_path_for(source).exists()
 
 
 def test_unreachable_worker_blocks_reassigned(node_factory, tmp_path):
@@ -788,32 +842,33 @@ def test_no_workers_refused(tmp_path):
         ce.distribute(source, [], PARAMS, "alice", ALICE_PSK)
 
 
-def test_worker_refuses_any_direction_but_encrypt(node_factory, tmp_path):
-    worker = node_factory("w1")
-    task = ce._encrypt_task_fields(0, 0, 16, PARAMS, "alice", ALICE_PSK,
-                                   "data.bin", "data.blk0", None)
-    task[ce.C_DIRECTION] = b"\x01"
-    completed, error = ce._run_queue(endpoint(worker), [task], "alice",
-                                     ALICE_PSK, SecurityMode.NONSECURE,
-                                     65536, tmp_path / "data.bin")
-    assert completed == []
-    assert isinstance(error, BadRequest)
-    assert "direction" in str(error)
+def test_collector_run_gives_workers_no_credentials(node_factory, tmp_path,
+                                                    monkeypatch):
+    """A worker of a collector run gets the key and the IV as its only
+    secrets: no user name and no PSK. A stand-in worker records each
+    CRYPT_TASK as its node decoded it, then runs the real task."""
+    tasks = []
+    real_one = ce.CryptWorker._one
 
+    def stand_in(worker, channel, account, payload, *rest):
+        tasks.append(wire.decode_fields(payload))
+        return real_one(worker, channel, account, payload, *rest)
 
-def test_credentials_travel_only_to_reach_a_collector():
-    """A worker needs the user's credentials only to push its block to a
-    collector; without one, the task's secrets carry the key and IV
-    alone."""
-    def secrets(collector):
-        task = ce._encrypt_task_fields(0, 0, 16, PARAMS, "alice", ALICE_PSK,
-                                       "data.bin", "data.blk0", collector)
-        return wire.decode_fields(task[ce.C_SECRETS])
-
-    assert secrets(None) == {ce.SEC_KEY: KEY, ce.SEC_IV: IV}
-    assert secrets("127.0.0.1:2525") == {
-        ce.SEC_KEY: KEY, ce.SEC_IV: IV,
-        ce.SEC_USER: b"alice", ce.SEC_PSK: ALICE_PSK}
+    monkeypatch.setattr(ce.CryptWorker, "_one", stand_in)
+    workers = [node_factory("w1"), node_factory("w2")]
+    collector = node_factory("coll")
+    source = tmp_path / "data.bin"
+    source.write_bytes(os.urandom(96 * 1024))
+    ce.distribute(source, [endpoint(w) for w in workers], PARAMS, "alice",
+                  ALICE_PSK, block_size=32 * 1024,
+                  collector=endpoint(collector))
+    assert sorted(stored_blocks(collector)) == [0, 1, 2]
+    assert sorted(wire.read_uint(task, ce.C_PART) for task in tasks) == [
+        0, 1, 2]
+    for task in tasks:
+        assert wire.decode_fields(task[ce.C_SECRETS]) == {
+            ce.SEC_KEY: KEY, ce.SEC_IV: IV}
+        assert not any(ALICE_PSK in value for value in task.values())
 
 
 def test_empty_file_round_trip(node_factory, tmp_path):
@@ -841,9 +896,9 @@ def open_sessions(node, timeout=5.0):
 
 def test_collector_pushes_and_holder_pulls_each_ride_one_session(
         node_factory, sniff_factory, tmp_path):
-    """A worker pushes its blocks to the collector over one FTSM_PUSH
-    session, reassembly pulls them back over one FTSM_PULL session, and
-    both are closed once their run ends."""
+    """The distributor pushes the blocks its worker sends back to the
+    collector over one FTSM_PUSH session, reassembly pulls them back over
+    one FTSM_PULL session, and both are closed once their run ends."""
     worker = node_factory("w1")
     collector = node_factory("coll")
     proxy = sniff_factory(("127.0.0.1", collector.port))
