@@ -511,7 +511,8 @@ def test_source_fault_ends_the_run_after_one_round(node_factory, tmp_path,
 def test_dead_collector_ends_the_run_with_its_own_error(node_factory,
                                                         tmp_path):
     """A push to the collector that fails is not the worker's fault: the
-    run ends with the push's error, and no worker is retired for it."""
+    run ends at once with the push's error, not with WorkerFailed after
+    every worker has been retired for it."""
     workers = [node_factory("w1"), node_factory("w2")]
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
