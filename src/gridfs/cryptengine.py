@@ -74,8 +74,8 @@ HEADER_FMT = ">QQ16s"      # part_num | ciphertext length | plaintext md5
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
 PIECE_SIZE = 262144        # streaming granularity for local block files
 
-# CRYPT_TASK fields; tag 2 is the sealed one, keep secrets there. Tags 4
-# (a direction), 5 (a node serving the plaintext) and 10 (a collector's
+# CRYPT_TASK fields; the frame is sealed whole in every mode. Tags 4 (a
+# direction), 5 (a node serving the plaintext) and 10 (a collector's
 # address) are retired; do not reuse them.
 C_PART = 1
 C_SECRETS = 2              # nested map: key and IV
@@ -235,12 +235,6 @@ def encrypt_block_stream(pieces: Iterable[bytes], params: CipherParams,
     return block
 
 
-def encrypt_block(plaintext: bytes, params: CipherParams,
-                  part_num: int) -> bytearray:
-    return encrypt_block_stream((plaintext,), params, part_num,
-                                len(plaintext))
-
-
 def stream_decrypt(source, header: BlockHeader, params: CipherParams,
                    sink: Callable[[bytes, int], None]) -> int:
     """Decrypt `header.length` ciphertext bytes from the readable `source`,
@@ -347,9 +341,6 @@ class PlacementMap:
     block_size: int
     cipher: str
     placements: dict[int, Placement] = field(default_factory=dict)
-
-    def part_count(self) -> int:
-        return len(plan_blocks(self.file_size, self.block_size))
 
 
 def encode_manifest(manifest: PlacementMap) -> bytes:
@@ -542,17 +533,18 @@ def _run_queue(address: str, tasks: list[dict[int, bytes]],
     `collector`, each block comes back over the session into a spool file,
     which is pushed to the collector before the next task goes out.
     Returns the completed part numbers and the error that stopped the
-    queue, if any; a failed push raises."""
+    queue, if any; one that names the worker if it cannot be dialled. A
+    failed push raises ConnectionLost naming the collector."""
     completed: list[int] = []
     try:
         channel = secchan.connect(
             parse_endpoint(address),
             SessionParams(Mode.CRYPT, security, buffer_size=buffer_size),
             username, psk)
-    except (GridfsError, OSError) as exc:
-        if isinstance(exc, GridfsError):
-            return completed, exc
-        return completed, ConnectionLost(str(exc))
+    except GridfsError as exc:
+        return completed, exc
+    except OSError as exc:
+        return completed, ConnectionLost(f"worker {address}: {exc}")
     try:
         for fields in tasks:
             with (tempfile.NamedTemporaryFile(prefix="gridfs-relay-")
@@ -564,8 +556,13 @@ def _run_queue(address: str, tasks: list[dict[int, bytes]],
                     return completed, exc
                 if collector is not None:
                     spool.flush()
-                    collector.push(Path(spool.name), f"{BLOCK_SUBDIR}/"
-                                   f"{fields[C_BLOCK].decode('utf-8')}")
+                    try:
+                        collector.push(Path(spool.name), f"{BLOCK_SUBDIR}/"
+                                       f"{fields[C_BLOCK].decode('utf-8')}")
+                    except (ConnectionLost, StreamLost, OSError) as exc:
+                        host, port = collector.address
+                        raise ConnectionLost(
+                            f"collector {host}:{port}: {exc}") from exc
             completed.append(part)
         return completed, None
     finally:
@@ -590,10 +587,12 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
 
     A worker that fails forfeits the blocks it kept (they die with its
     store), but not those the collector holds, and the run redistributes
-    the rest over the survivors. A fault that is not the worker's ends
-    the run at once with its own error: a task the worker answers with
-    BadRequest, such as a source that ends inside a block range, and a
-    failed push to the collector.
+    the rest over the survivors; once none is left, WorkerFailed names
+    the last worker's error, and a worker that cannot be dialled is named
+    by its address. A fault that is not the worker's ends the run at once
+    with its own error: a task the worker answers with BadRequest, such as
+    a source that ends inside a block range, and a failed push to the
+    collector, a ConnectionLost that names the collector.
     """
     file = Path(file)
     params.spec()

@@ -27,9 +27,10 @@ once, by the open, and never hashed.
 Mode policy:
   SECURE      every payload sealed.
   SEMISECURE  control frames sealed, CHUNK payloads clear.
-  NONSECURE   AUTH/AUTH_OK sealed; path-carrying fields of DFS_REQ,
-              XFER_OFFER and TASK_SUBMIT sealed inside an otherwise clear
-              FieldMap; everything else clear.
+  NONSECURE   AUTH/AUTH_OK sealed, and the frames that carry a path, a
+              name or key material: DFS_REQ, XFER_OFFER, TASK_SUBMIT,
+              TASK_RESULT and CRYPT_TASK; everything else clear.
+A sealed frame is sealed whole in every mode.
 HELLO, WELCOME, AUTH_FAIL and ERROR are clear in every mode: the first two
 happen before keys exist, and the last two must stay readable to a peer
 whose keys are wrong. None of them ever carries a secret.
@@ -130,36 +131,25 @@ class ChannelKeys:
 
 CLEAR = 0
 SEALED = 1
-FIELD_SEALED = 2
 
 _ALWAYS_CLEAR = frozenset({FrameType.HELLO, FrameType.WELCOME,
                            FrameType.AUTH_FAIL, FrameType.ERROR})
-_ALWAYS_SEALED = frozenset({FrameType.AUTH, FrameType.AUTH_OK})
-
-# NONSECURE: the path-bearing field of each control frame travels sealed
-# inside an otherwise clear FieldMap.
-_NONSECURE_FIELDS: dict[int, tuple[int, ...]] = {
-    FrameType.DFS_REQ: (3,),       # path
-    FrameType.XFER_OFFER: (2,),    # path
-    FrameType.TASK_SUBMIT: (3,),   # task descriptors (carry dep/out names)
-    FrameType.CRYPT_TASK: (2,),    # cipher key material
-}
+# NONSECURE: AUTH and AUTH_OK, and the frames that carry a path, a name or
+# key material
+_NONSECURE_SEALED = frozenset({
+    FrameType.AUTH, FrameType.AUTH_OK, FrameType.DFS_REQ,
+    FrameType.XFER_OFFER, FrameType.TASK_SUBMIT, FrameType.TASK_RESULT,
+    FrameType.CRYPT_TASK})
 
 
 def classify_frame(frame_type: int, mode: SecurityMode) -> int:
     if frame_type in _ALWAYS_CLEAR:
         return CLEAR
-    if frame_type in _ALWAYS_SEALED:
-        return SEALED
-    if mode == SecurityMode.SECURE:
-        return SEALED
-    if mode == SecurityMode.SEMISECURE:
-        return CLEAR if frame_type == FrameType.CHUNK else SEALED
-    return FIELD_SEALED if frame_type in _NONSECURE_FIELDS else CLEAR
-
-
-def sealed_field_tags(frame_type: int) -> tuple[int, ...]:
-    return _NONSECURE_FIELDS.get(frame_type, ())
+    if mode == SecurityMode.NONSECURE:
+        return SEALED if frame_type in _NONSECURE_SEALED else CLEAR
+    if mode == SecurityMode.SEMISECURE and frame_type == FrameType.CHUNK:
+        return CLEAR
+    return SEALED
 
 
 # -- framed channel over a socket -------------------------------------------
@@ -213,21 +203,19 @@ class Channel:
              payload: bytes | memoryview = b"") -> bytes | None:
         """Send one frame under the mode's policy; returns the AEAD tag of
         a sealed frame, the last TAG_SIZE bytes of its seal, or None for a
-        frame that is not sealed whole."""
-        cls = classify_frame(frame_type, self.params.security)
+        clear one."""
+        sealed = classify_frame(frame_type, self.params.security) == SEALED
         # size-check before sealing: a seal consumes a nonce counter, and a
         # frame that then fails to encode would desync the channel for good
-        overhead = TAG_SIZE if cls != CLEAR else 0
+        overhead = TAG_SIZE if sealed else 0
         if len(payload) + overhead > self.max_payload:
             raise OversizedPayload(
                 f"payload of {len(payload)} bytes cannot fit the "
                 f"negotiated frame cap {self.max_payload}")
         flags, tag = 0, None
-        if cls == SEALED:
+        if sealed:
             payload = self._require_keys().seal(payload, bytes([frame_type]))
             flags, tag = wire.FLAG_SEALED, payload[-TAG_SIZE:]
-        elif cls == FIELD_SEALED:
-            payload = self._walk_fields(frame_type, payload, seal=True)
         try:
             self.sock.sendall(wire.encode_frame(Frame(frame_type, payload, flags),
                                                 self.max_payload))
@@ -239,8 +227,7 @@ class Channel:
         """The next frame, opened under the mode's policy; a sealed frame
         comes back with its AEAD tag as `tag`, a clear one with None."""
         frame = self._read_frame()    # its payload is a view of _rbuf
-        cls = classify_frame(frame.frame_type, self.params.security)
-        if cls == SEALED:
+        if classify_frame(frame.frame_type, self.params.security) == SEALED:
             if not frame.flags & wire.FLAG_SEALED:
                 raise ProtocolError(
                     f"frame type 0x{frame.frame_type:02x} arrived clear, "
@@ -253,12 +240,7 @@ class Channel:
             raise ProtocolError(
                 f"frame type 0x{frame.frame_type:02x} arrived sealed, "
                 f"policy says clear")
-        payload = bytes(frame.payload)
-        if cls == FIELD_SEALED:
-            return Frame(frame.frame_type,
-                         self._walk_fields(frame.frame_type, payload,
-                                           seal=False), 0)
-        return Frame(frame.frame_type, payload, frame.flags)
+        return Frame(frame.frame_type, bytes(frame.payload), frame.flags)
 
     def expect(self, *frame_types: int) -> Frame:
         """Receive a frame, converting ERROR frames into raised exceptions."""
@@ -304,20 +286,6 @@ class Channel:
                 raise
             except GridfsError as exc:
                 self.send_error(exc)
-
-    # sealed fields: the tag set is fixed per frame type, both peers walk
-    # it in ascending order so the counters stay in step.
-
-    def _walk_fields(self, frame_type: int, payload: bytes,
-                     seal: bool) -> bytes:
-        """Seal (or open) the frame type's sealed fields of `payload`."""
-        fields = wire.decode_fields(payload)
-        for tag in sorted(sealed_field_tags(frame_type)):
-            if tag in fields:
-                keys = self._require_keys()
-                transform = keys.seal if seal else keys.open
-                fields[tag] = transform(fields[tag], bytes([frame_type, tag]))
-        return wire.encode_fields(fields)
 
     def _require_keys(self) -> ChannelKeys:
         if self.keys is None:

@@ -39,6 +39,8 @@ old peer fail bumps the version:
     7  a crypt worker sends a collector's block back over its session
        (CRYPT_TASK tags 12 and 13) and gets no credentials; CRYPT_TASK
        tags 4 and 10 and secret tags 3 and 4 retired
+    8  NONSECURE seals DFS_REQ, XFER_OFFER, TASK_SUBMIT, TASK_RESULT and
+       CRYPT_TASK whole; no frame seals single fields
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits

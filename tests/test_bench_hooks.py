@@ -501,3 +501,19 @@ def test_code_lines_counts_code_only(tmp_path):
         [sys.executable, str(script), "--total", str(other)],
         capture_output=True, text=True)
     assert refused.returncode == 2 and refused.stdout == ""
+
+
+def test_collector_probe_runs_on_a_tiny_file():
+    """`tools/collector_probe.py` distributes a seeded file to the two
+    compute nodes of a four-node cluster with its collector, prints each
+    round's rate and their median, and checks the rebuilt file's MD5."""
+    script = ROOT / "tools" / "collector_probe.py"
+    run = subprocess.run(
+        [sys.executable, str(script), "--size", "65536", "--block-size",
+         "16384", "--rounds", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "round 0", "round 1", "median", "md5"]
+    assert lines[-1] == "md5: rebuilt file matches the source"

@@ -298,6 +298,23 @@ def test_crypt_encrypt_decrypt_roundtrip(node_factory, tmp_path, capsys):
     assert rebuilt.read_bytes() == payload
 
 
+def test_crypt_encrypt_names_a_dead_collector(node_factory, tmp_path,
+                                              capsys):
+    worker = node_factory("w0")
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    dead = f"127.0.0.1:{probe.getsockname()[1]}"
+    probe.close()
+    plain = tmp_path / "f.bin"
+    plain.write_bytes(os.urandom(1000))
+    code = main(["crypt", "encrypt", str(plain), "--workers",
+                 endpoint(worker), "--collector", dead,
+                 "--key", "00" * 16, "--iv", "00" * 16,
+                 "--user", "alice", "--psk", ALICE_PSK.hex()])
+    assert code == EX_FAILURE
+    assert f"collector {dead}" in capsys.readouterr().err
+
+
 def test_crypt_bad_key_hex_is_usage_error(tmp_path):
     plain = tmp_path / "f.bin"
     plain.write_bytes(b"x")

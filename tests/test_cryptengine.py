@@ -26,12 +26,14 @@ from gridfs import wire
 from gridfs.errors import (
     BadPadding,
     BadRequest,
+    ConnectionLost,
     GridfsError,
     IntegrityMismatch,
     MissingBlock,
     NoWorkers,
     PermissionDenied,
     TruncatedHeader,
+    WorkerFailed,
 )
 from gridfs.wire import FrameType, SecurityMode
 
@@ -53,7 +55,7 @@ class _BytesReader:
 
 
 def decrypt_block(block: bytes, params: ce.CipherParams) -> tuple[int, bytes]:
-    """Inverse of encrypt_block: returns (part_num, plaintext)."""
+    """Inverse of encrypt_block_stream: returns (part_num, plaintext)."""
     header = ce.decode_block_header(block)
     if len(block) - ce.HEADER_SIZE < header.length:
         raise BadRequest(f"block {header.part_num}: block file shorter "
@@ -161,8 +163,8 @@ def test_header_round_trip_bulk():
 def test_aes_cbc_known_answer():
     # SP 800-38A CBC-AES128 vector: one plaintext block, first
     # ciphertext block checked; the rest is padding
-    block = ce.encrypt_block(
-        bytes.fromhex("6bc1bee22e409f96e93d7e117393172a"), PARAMS, 0)
+    plaintext = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
+    block = ce.encrypt_block_stream((plaintext,), PARAMS, 0, len(plaintext))
     assert block[32:48] == bytes.fromhex(
         "7649abac8119b246cee98e9b12e9197d")
 
@@ -170,7 +172,7 @@ def test_aes_cbc_known_answer():
 def test_block_layout_pinned():
     import hashlib
     plaintext = b"attack at dawn"
-    block = ce.encrypt_block(plaintext, PARAMS, 5)
+    block = ce.encrypt_block_stream((plaintext,), PARAMS, 5, len(plaintext))
     part, length, md5 = struct.unpack(">QQ16s", block[:32])
     assert part == 5
     assert length == len(block) - 32 == 16    # padded to one cipher block
@@ -183,7 +185,7 @@ def test_block_layout_pinned():
 def test_round_trip_sizes(params, size):
     plaintext = bytes(range(256)) * (size // 256 + 1)
     plaintext = plaintext[:size]
-    block = ce.encrypt_block(plaintext, params, 9)
+    block = ce.encrypt_block_stream((plaintext,), params, 9, len(plaintext))
     assert block == reference_block(plaintext, params, 9)
     part, out = decrypt_block(block, params)
     assert (part, out) == (9, plaintext)
@@ -197,14 +199,14 @@ def test_pieces_must_add_up_to_the_block_length():
 
 def test_ciphertext_is_block_aligned():
     for size in (1, 16, 17):
-        block = ce.encrypt_block(b"p" * size, PARAMS, 0)
+        block = ce.encrypt_block_stream((b"p" * size,), PARAMS, 0, size)
         assert (len(block) - 32) % 16 == 0
-        tdes = ce.encrypt_block(b"p" * size, TDES_PARAMS, 0)
+        tdes = ce.encrypt_block_stream((b"p" * size,), TDES_PARAMS, 0, size)
         assert (len(tdes) - 32) % 8 == 0
 
 
 def test_tampering_is_detected():
-    block = bytearray(ce.encrypt_block(b"x" * 100, PARAMS, 0))
+    block = ce.encrypt_block_stream((b"x" * 100,), PARAMS, 0, 100)
     for position in (32, 48, len(block) - 1):
         copy = bytearray(block)
         copy[position] ^= 0x01
@@ -213,7 +215,7 @@ def test_tampering_is_detected():
 
 
 def test_wrong_key_is_detected():
-    block = ce.encrypt_block(b"y" * 64, PARAMS, 0)
+    block = ce.encrypt_block_stream((b"y" * 64,), PARAMS, 0, 64)
     wrong = ce.CipherParams("aes128", b"w" * 16, IV)
     with pytest.raises((IntegrityMismatch, BadPadding)):
         decrypt_block(block, wrong)
@@ -237,8 +239,8 @@ def test_sequential_blocks_match_single_shot(tmp_path):
     blocks = list(ce.sequential_blocks(source, PARAMS, 16 * 1024))
     assert [part for part, _ in blocks] == list(range(7))
     for part, offset, length in ce.plan_blocks(len(payload), 16 * 1024):
-        expected = ce.encrypt_block(payload[offset:offset + length],
-                                    PARAMS, part)
+        expected = ce.encrypt_block_stream(
+            (payload[offset:offset + length],), PARAMS, part, length)
         assert blocks[part][1] == expected
 
 
@@ -262,7 +264,7 @@ def test_manifest_round_trip(tmp_path):
     ce.save_manifest(manifest, path)
     loaded = ce.load_manifest(path)
     assert loaded == manifest
-    assert loaded.part_count() == 5
+    assert len(ce.plan_blocks(loaded.file_size, loaded.block_size)) == 5
 
 
 def test_endpoint_parsing():
@@ -456,7 +458,8 @@ def test_oversized_block_refused_before_any_read(node_factory, tmp_path,
 @pytest.mark.parametrize("security", list(SecurityMode),
                          ids=lambda mode: mode.name)
 def test_collector_holds_every_block(node_factory, tmp_path, security):
-    """Relayed pieces travel clear under NONSECURE and sealed otherwise."""
+    """Relayed pieces travel sealed whole in every mode, as every
+    CRYPT_TASK does."""
     workers = [node_factory("w1"), node_factory("w2")]
     collector = node_factory("coll")
     payload = os.urandom(160 * 1024)
@@ -511,8 +514,8 @@ def test_source_fault_ends_the_run_after_one_round(node_factory, tmp_path,
 def test_dead_collector_ends_the_run_with_its_own_error(node_factory,
                                                         tmp_path):
     """A push to the collector that fails is not the worker's fault: the
-    run ends at once with the push's error, not with WorkerFailed after
-    every worker has been retired for it."""
+    run ends at once with ConnectionLost naming the collector, not with
+    WorkerFailed after every worker has been retired for it."""
     workers = [node_factory("w1"), node_factory("w2")]
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -520,13 +523,29 @@ def test_dead_collector_ends_the_run_with_its_own_error(node_factory,
     probe.close()
     source = tmp_path / "data.bin"
     source.write_bytes(os.urandom(128 * 1024))
-    with pytest.raises(ConnectionRefusedError):
+    with pytest.raises(ConnectionLost) as raised:
         ce.distribute(source, [endpoint(w) for w in workers], PARAMS,
                       "alice", ALICE_PSK, block_size=32 * 1024,
                       collector=dead)
+    assert f"collector {dead}" in str(raised.value)
     assert stored_blocks(workers[0]) == {}
     assert stored_blocks(workers[1]) == {}
     assert not ce.manifest_path_for(source).exists()
+
+
+def test_unreachable_worker_is_named_in_the_run_error(tmp_path):
+    """A worker that cannot be dialled becomes ConnectionLost naming its
+    address, so the WorkerFailed that ends the run names it too."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    dead = f"127.0.0.1:{probe.getsockname()[1]}"
+    probe.close()
+    source = tmp_path / "data.bin"
+    source.write_bytes(os.urandom(64 * 1024))
+    with pytest.raises(WorkerFailed) as raised:
+        ce.distribute(source, [dead], PARAMS, "alice", ALICE_PSK,
+                      block_size=32 * 1024)
+    assert f"worker {dead}" in str(raised.value)
 
 
 def test_unreachable_worker_blocks_reassigned(node_factory, tmp_path):
@@ -579,6 +598,25 @@ def test_worker_lost_mid_run(node_factory, sniff_factory, tmp_path):
     assert KEY not in raw
     assert IV not in raw
     assert ALICE_PSK not in raw
+
+
+def test_nonsecure_distribute_shows_no_name_or_key(node_factory,
+                                                   sniff_factory, tmp_path):
+    """Under NONSECURE every CRYPT_TASK and every READ of the source is
+    sealed whole: the source file's name, the block names and the key
+    never cross the wire in the clear."""
+    worker = node_factory("w1")
+    proxy = sniff_factory(("127.0.0.1", worker.port))
+    source = tmp_path / "quarterly-ledger.bin"
+    source.write_bytes(os.urandom(64 * 1024))
+    ce.distribute(source, [f"127.0.0.1:{proxy.port}"], PARAMS, "alice",
+                  ALICE_PSK, block_size=32 * 1024,
+                  security=SecurityMode.NONSECURE)
+    assert sorted(stored_blocks(worker)) == [0, 1]
+    raw = proxy.raw()
+    assert source.name.encode() not in raw
+    assert ce.block_name(source.name, 1).encode() not in raw
+    assert KEY not in raw
 
 
 def test_corrupted_block_refused(node_factory, tmp_path):

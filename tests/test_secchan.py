@@ -16,7 +16,6 @@ from gridfs.errors import (
 )
 from gridfs.secchan import (
     CLEAR,
-    FIELD_SEALED,
     SEALED,
     Channel,
     ChannelKeys,
@@ -29,6 +28,10 @@ from gridfs.wire import FrameType, Mode, SecurityMode, SessionParams
 PSK = bytes(range(32))
 CN = b"c" * 16
 SN = b"s" * 16
+# the frame types NONSECURE seals, each whole
+NONSECURE_SEALED = {FrameType.AUTH, FrameType.AUTH_OK, FrameType.DFS_REQ,
+                    FrameType.XFER_OFFER, FrameType.TASK_SUBMIT,
+                    FrameType.TASK_RESULT, FrameType.CRYPT_TASK}
 
 
 class TestDerivation:
@@ -155,12 +158,25 @@ class TestClassification:
                    FrameType.XFER_DONE, FrameType.TASK_SUBMIT):
             assert classify_frame(ft, SecurityMode.SEMISECURE) == SEALED
 
-    def test_nonsecure_path_fields_sealed(self):
-        assert classify_frame(FrameType.DFS_REQ,
-                              SecurityMode.NONSECURE) == FIELD_SEALED
-        assert secchan.sealed_field_tags(FrameType.DFS_REQ) == (3,)
-        assert classify_frame(FrameType.CHUNK, SecurityMode.NONSECURE) == CLEAR
-        assert classify_frame(FrameType.DFS_RESP, SecurityMode.NONSECURE) == CLEAR
+    def test_sealed_modes_clear_only_bootstrap_and_semisecure_chunks(self):
+        bootstrap = {FrameType.HELLO, FrameType.WELCOME,
+                     FrameType.AUTH_FAIL, FrameType.ERROR}
+        for mode, clear in ((SecurityMode.SECURE, bootstrap),
+                            (SecurityMode.SEMISECURE,
+                             bootstrap | {FrameType.CHUNK})):
+            assert {ft for ft in FrameType
+                    if classify_frame(ft, mode) == CLEAR} == clear
+            assert all(classify_frame(ft, mode) == SEALED
+                       for ft in set(FrameType) - clear)
+
+    def test_nonsecure_seals_frames_that_carry_names_or_keys(self):
+        """Under NONSECURE exactly AUTH, AUTH_OK and the frames that carry
+        a path, a name or key material are sealed, each whole."""
+        sealed = {ft for ft in FrameType
+                  if classify_frame(ft, SecurityMode.NONSECURE) == SEALED}
+        assert sealed == NONSECURE_SEALED
+        assert all(classify_frame(ft, SecurityMode.NONSECURE) == CLEAR
+                   for ft in set(FrameType) - sealed)
 
 
 def channel_pair(security):
@@ -197,27 +213,6 @@ class TestChannel:
         client.sock.sendall(raw)
         with pytest.raises(ProtocolError):
             server.recv()
-        client.close(), server.close()
-
-    def test_nonsecure_seals_only_path_field(self):
-        client, server = channel_pair(SecurityMode.NONSECURE)
-        payload = wire.encode_fields({1: wire.u8(1), 2: wire.u64(7),
-                                      3: b"secret/path.bin"})
-        client.send(FrameType.DFS_REQ, payload)
-        client.sock.shutdown(socket.SHUT_WR)
-        # inspect the raw bytes: op and request_id visible, path not
-        raw = b""
-        while True:
-            chunk = server.sock.recv(65536)
-            if not chunk:
-                break
-            raw += chunk
-        frame, rest = wire.decode_frame(raw)
-        assert rest == b""
-        assert b"secret/path.bin" not in frame.payload
-        fields = wire.decode_fields(frame.payload)
-        assert fields[1] == wire.u8(1)
-        assert fields[2] == wire.u64(7)
         client.close(), server.close()
 
     def test_nonsecure_field_round_trip(self):
@@ -420,14 +415,51 @@ def test_a_sealed_chunk_gives_both_ends_its_tag(security):
     client.close(), server.close()
 
 
-def test_a_field_sealed_frame_carries_no_tag():
-    """A NONSECURE frame that seals only its path field is not sealed
-    whole: neither end gets a tag."""
+def raw_frames(client, server, count):
+    """The next `count` frames as they crossed the socket, undecoded."""
+    client.sock.shutdown(socket.SHUT_WR)
+    raw = b""
+    while chunk := server.sock.recv(65536):
+        raw += chunk
+    frames = []
+    for _ in range(count):
+        frame, raw = wire.decode_frame(raw)
+        frames.append(frame)
+    assert raw == b""
+    return frames
+
+
+@pytest.mark.parametrize("frame_type", sorted(
+    NONSECURE_SEALED - {FrameType.AUTH, FrameType.AUTH_OK}),
+    ids=lambda ft: FrameType(ft).name)
+def test_nonsecure_seals_a_named_frame_whole(frame_type):
+    """Under NONSECURE a frame that carries a path travels whole under
+    FLAG_SEALED: `send` returns its tag, the path is absent from the raw
+    bytes, and the receiver's keys open it."""
     client, server = channel_pair(SecurityMode.NONSECURE)
-    payload = wire.encode_fields({3: b"some/path", 4: b"clear"})
-    assert client.send(FrameType.DFS_REQ, payload) is None
-    frame = server.recv()
-    assert frame.tag is None
-    assert frame.payload == payload
+    payload = wire.encode_fields({1: wire.u8(1), 2: b"secret/path.bin",
+                                  3: b"secret/path.bin"})
+    tag = client.send(frame_type, payload)
+    assert len(tag) == secchan.TAG_SIZE
+    [frame] = raw_frames(client, server, 1)
+    assert frame.flags & wire.FLAG_SEALED
+    assert b"secret/path.bin" not in frame.payload
+    assert frame.payload[-secchan.TAG_SIZE:] == tag
+    assert server.keys.open(bytes(frame.payload),
+                            bytes([frame_type])) == payload
+    client.close(), server.close()
+
+
+def test_nonsecure_data_frames_stay_clear():
+    """Under NONSECURE, DFS_RESP, CHUNK and XFER_DONE carry no name: they
+    travel clear, and `send` returns no tag for them."""
+    client, server = channel_pair(SecurityMode.NONSECURE)
+    clear_types = (FrameType.DFS_RESP, FrameType.CHUNK, FrameType.XFER_DONE)
+    payload = b"visible bytes"
+    assert [client.send(ft, payload) for ft in clear_types] == [None] * 3
+    frames = raw_frames(client, server, 3)
+    assert [frame.frame_type for frame in frames] == list(clear_types)
+    assert all(frame.flags == 0 and frame.payload == payload
+               for frame in frames)
     client.close(), server.close()
 

@@ -288,6 +288,28 @@ def test_mixed_statuses_come_back(node):
     assert "launch" in results[3].message
 
 
+def test_nonsecure_results_show_no_output_name(node, sniff_factory):
+    """Under NONSECURE the TASK_RESULT that answers a collect is sealed
+    whole, as the TASK_SUBMIT that declared its names is: neither a
+    declared output name nor the command of a task that cannot launch
+    crosses the wire in the clear."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    client = TaskClient(proxy.address, "alice", ALICE_PSK,
+                        security=SecurityMode.NONSECURE)
+    handle = client.submit([
+        process_task(SH, ["-c", "echo x > payroll-summary.txt"],
+                     outputs=["payroll-summary.txt"]),
+        process_task("/no/such/payroll-launcher"),
+    ])
+    results = client.collect(handle)
+    client.close(handle)
+    assert results[0].outputs == ("payroll-summary.txt",)
+    assert "payroll-launcher" in results[1].message
+    raw = proxy.raw()
+    assert b"payroll-summary.txt" not in raw
+    assert b"payroll-launcher" not in raw
+
+
 def test_denied_before_any_staging(node, tmp_path):
     source = tmp_path / "data.bin"
     source.write_bytes(b"secret")
