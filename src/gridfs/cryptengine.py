@@ -533,8 +533,8 @@ def _run_queue(address: str, tasks: list[dict[int, bytes]],
     `collector`, each block comes back over the session into a spool file,
     which is pushed to the collector before the next task goes out.
     Returns the completed part numbers and the error that stopped the
-    queue, if any; one that names the worker if it cannot be dialled. A
-    failed push raises ConnectionLost naming the collector."""
+    queue, if any. A failed push raises ConnectionLost naming the
+    collector."""
     completed: list[int] = []
     try:
         channel = secchan.connect(
@@ -544,7 +544,7 @@ def _run_queue(address: str, tasks: list[dict[int, bytes]],
     except GridfsError as exc:
         return completed, exc
     except OSError as exc:
-        return completed, ConnectionLost(f"worker {address}: {exc}")
+        return completed, ConnectionLost(str(exc))
     try:
         for fields in tasks:
             with (tempfile.NamedTemporaryFile(prefix="gridfs-relay-")
@@ -588,11 +588,11 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
     A worker that fails forfeits the blocks it kept (they die with its
     store), but not those the collector holds, and the run redistributes
     the rest over the survivors; once none is left, WorkerFailed names
-    the last worker's error, and a worker that cannot be dialled is named
-    by its address. A fault that is not the worker's ends the run at once
-    with its own error: a task the worker answers with BadRequest, such as
-    a source that ends inside a block range, and a failed push to the
-    collector, a ConnectionLost that names the collector.
+    the last worker that failed, by its address, and its error. A fault
+    that is not the worker's ends the run at once with its own error: a
+    task the worker answers with BadRequest, such as a source that ends
+    inside a block range, and a failed push to the collector, a
+    ConnectionLost that names the collector.
     """
     file = Path(file)
     params.spec()
@@ -640,7 +640,7 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
             if faults:
                 raise faults[0]
 
-            errors = [error for _, error in outcomes if error is not None]
+            errors = []
             survivors = []
             still_pending = []
             for address, queue, (completed, error) in zip(alive, queues,
@@ -654,13 +654,16 @@ def distribute(file: Path, workers: Sequence[str], params: CipherParams,
                 still_pending += [p for p in queue if p not in placed]
                 if error is None:
                     survivors.append(address)
+                else:
+                    errors.append((address, error))
             alive = survivors
             pending = still_pending
             if pending and not alive:
-                if all(isinstance(e, PermissionDenied) for e in errors):
-                    raise errors[-1]
-                raise WorkerFailed(
-                    f"{len(pending)} blocks unplaced: {errors[-1]}")
+                address, error = errors[-1]
+                if all(isinstance(e, PermissionDenied) for _, e in errors):
+                    raise error
+                raise WorkerFailed(f"{len(pending)} blocks unplaced: "
+                                   f"worker {address}: {error}")
 
     for part, _, _ in plan:
         if part not in manifest.placements:

@@ -30,7 +30,8 @@ Mode policy:
   NONSECURE   AUTH/AUTH_OK sealed, and the frames that carry a path, a
               name or key material: DFS_REQ, XFER_OFFER, TASK_SUBMIT,
               TASK_RESULT and CRYPT_TASK; everything else clear.
-A sealed frame is sealed whole in every mode.
+A sealed frame is sealed whole in every mode, so a NONSECURE DFSM WRITE
+seals its data along with its path, while a READ's reply stays clear.
 HELLO, WELCOME, AUTH_FAIL and ERROR are clear in every mode: the first two
 happen before keys exist, and the last two must stay readable to a peer
 whose keys are wrong. None of them ever carries a secret.

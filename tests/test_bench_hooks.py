@@ -506,7 +506,7 @@ def test_code_lines_counts_code_only(tmp_path):
 def test_collector_probe_runs_on_a_tiny_file():
     """`tools/collector_probe.py` distributes a seeded file to the two
     compute nodes of a four-node cluster with its collector, prints each
-    round's rate and their median, and checks the rebuilt file's MD5."""
+    round's rate and their median, and checks the rebuilt file."""
     script = ROOT / "tools" / "collector_probe.py"
     run = subprocess.run(
         [sys.executable, str(script), "--size", "65536", "--block-size",
@@ -515,5 +515,5 @@ def test_collector_probe_runs_on_a_tiny_file():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "round 0", "round 1", "median", "md5"]
-    assert lines[-1] == "md5: rebuilt file matches the source"
+        "round 0", "round 1", "median", "check"]
+    assert lines[-1] == "check: rebuilt file matches the source"

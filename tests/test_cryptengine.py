@@ -534,8 +534,8 @@ def test_dead_collector_ends_the_run_with_its_own_error(node_factory,
 
 
 def test_unreachable_worker_is_named_in_the_run_error(tmp_path):
-    """A worker that cannot be dialled becomes ConnectionLost naming its
-    address, so the WorkerFailed that ends the run names it too."""
+    """The WorkerFailed that ends the run names, by its address, a worker
+    that cannot be dialled."""
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     dead = f"127.0.0.1:{probe.getsockname()[1]}"
@@ -598,6 +598,23 @@ def test_worker_lost_mid_run(node_factory, sniff_factory, tmp_path):
     assert KEY not in raw
     assert IV not in raw
     assert ALICE_PSK not in raw
+
+
+def test_worker_lost_mid_queue_is_named_in_the_run_error(node_factory,
+                                                        sniff_factory,
+                                                        tmp_path):
+    """A lone worker that drops after its first block leaves the run with
+    no survivor, and the WorkerFailed that ends it names the worker."""
+    worker = node_factory("w1")
+    proxy = sniff_factory(("127.0.0.1", worker.port))
+    proxy.kill_s2c_after = (FrameType.CRYPT_TASK, 1)
+    address = f"127.0.0.1:{proxy.port}"
+    source = tmp_path / "data.bin"
+    source.write_bytes(os.urandom(64 * 1024))
+    with pytest.raises(WorkerFailed) as raised:
+        ce.distribute(source, [address], PARAMS, "alice", ALICE_PSK,
+                      block_size=16 * 1024)
+    assert f"worker {address}: " in str(raised.value)
 
 
 def test_nonsecure_distribute_shows_no_name_or_key(node_factory,
