@@ -12,7 +12,14 @@ Stream 0 rides the control connection itself, between the reply and
 XFER_DONE; streams 1..N-1 each open an FTSM session of their own, in the
 transfer's direction, that joins the transfer with XFER_JOIN(transfer_id,
 stream_index), so a single-stream transfer opens no second session at
-all. The planned region is ceiling-split into N
+all. A small transfer takes one round trip. A push whose grid has at
+most one chunk sends XFER_OFFER, the CHUNK and XFER_DONE back to back
+and only then reads XFER_ACCEPT and XFER_DONE; a node that refuses it
+first reads and drops that CHUNK and XFER_DONE, then answers with one
+ERROR, so the session stays in step. A pull whose plan has at most one
+stream gets XFER_ACCEPT, stream 0's chunks and XFER_DONE from the node
+without sending an XFER_DONE of its own. The planned region is
+ceiling-split into N
 contiguous spans, one per stream, and each span is sent as sequential
 CHUNK frames:
 
@@ -63,7 +70,9 @@ region only ever touches its own byte range.
 The receiver persists progress beside the destination in `<dst>.xferstate`:
 the transfer geometry plus a chunk-granularity bitmap, replaced atomically
 on the first chunk, then at most once per SIDECAR_INTERVAL, and once more
-when the receiver is dropped short of a verified finish. Data lands before
+when the receiver is dropped short of a verified finish. A region of one
+chunk keeps no sidecar: resuming it means sending it again, so a pushing
+node deletes any sidecar beside it and accepts it afresh. Data lands before
 its mark, so a sidecar never claims an unwritten chunk; a receiving
 process killed outright loses at most one interval of marks, and those
 chunks are sent again. An interrupted transfer resumes from the
@@ -642,12 +651,14 @@ class RegionReceiver:
     the fold, so its caller acknowledges only a region that is on disk;
     the writeback only leaves that fsync less to wait for.
 
-    The sidecar is replaced on the first chunk, then at most once per
-    SIDECAR_INTERVAL, and once more, if any chunk landed since, when the
-    receiver is dropped short of a verified finish (`abort`, or `finish`
-    of an incomplete region). Data lands before the bitmap marks it, so a
-    sidecar never claims unwritten bytes; a process killed outright loses
-    at most one interval of marks, and those chunks are sent again."""
+    A region of more than one chunk replaces its sidecar on the first
+    chunk, then at most once per SIDECAR_INTERVAL, and once more, if any
+    chunk landed since, when the receiver is dropped short of a verified
+    finish (`abort`, or `finish` of an incomplete region). Data lands
+    before the bitmap marks it, so a sidecar never claims unwritten bytes;
+    a process killed outright loses at most one interval of marks, and
+    those chunks are sent again. A region of one chunk writes no sidecar,
+    since resuming it means sending it again."""
 
     def __init__(self, dst: Path, transfer_id: bytes, grid: ChunkGrid,
                  state: TransferState | None = None,
@@ -657,6 +668,7 @@ class RegionReceiver:
         self.state = state or TransferState.fresh(transfer_id, grid)
         self.truncate_to = truncate_to
         self._lock = threading.Lock()
+        self._resumable = grid.chunk_count > 1  # keeps a sidecar
         self._saved_at: float | None = None   # monotonic, last sidecar write
         self._unsaved = False                 # marks made since then
         self._unflushed = 0                   # bytes landed since writeback
@@ -693,9 +705,10 @@ class RegionReceiver:
             self._writing.discard(ordinal)
             self._digests[offset] = digest
             self.state.mark(ordinal, len(payload))
-            self._unsaved = True
-            if self._saved_at is None or \
-                    time.monotonic() - self._saved_at >= SIDECAR_INTERVAL:
+            self._unsaved = self._resumable
+            if self._unsaved and (
+                    self._saved_at is None or
+                    time.monotonic() - self._saved_at >= SIDECAR_INTERVAL):
                 self._save()
             self._unflushed += len(payload)
             flush = self._unflushed >= WRITE_BEHIND
@@ -883,6 +896,15 @@ def done_digest(fields: dict[int, bytes]) -> bytes:
     return digest
 
 
+def drop_pushed(channel: Channel) -> None:
+    """Read and drop the rest of a push whose sender did not wait for the
+    reply, through its XFER_DONE, so that an ERROR sent next answers the
+    whole push and the session stays in step."""
+    while channel.expect(FrameType.CHUNK, FrameType.XFER_DONE).frame_type \
+            == FrameType.CHUNK:
+        pass
+
+
 def receive_chunks(channel: Channel, transfer_id: bytes, receiver,
                    count: int | None = None) -> int:
     """Hand each CHUNK frame to `receiver.write_chunk` until the peer
@@ -1031,7 +1053,8 @@ class FtsmService:
     def offer(self, channel: Channel, account: Account, mode: Mode,
               offer_raw: bytes) -> None:
         """Run one offered transfer to its end: reply to the XFER_OFFER,
-        serve its data connections, and answer the peer's XFER_DONE."""
+        serve its data connections, and end with XFER_DONE, which answers
+        the peer's own except on a pull planned on one stream."""
         fields = wire.decode_fields(offer_raw)
         transfer_id = fields.get(X_TRANSFER, b"")
         if len(transfer_id) != 16:
@@ -1059,34 +1082,53 @@ class FtsmService:
     def _receive(self, channel: Channel, account: Account,
                  transfer_id: bytes, fields: dict[int, bytes]) -> None:
         frame_type, reply = FrameType.XFER_ACCEPT, {}
-        if wire.read_uint(fields, X_SINK, SINK_FILE) == SINK_MEM:
-            receiver = MemSink()
-        else:
-            dst = self._resolve(account,
-                                fields.get(X_PATH, b"").decode("utf-8"))
+        grid = None
+        if wire.read_uint(fields, X_SINK, SINK_FILE) == SINK_FILE:
             grid = ChunkGrid(
                 wire.read_uint(fields, X_REGION_OFFSET, 0),
                 wire.read_uint(fields, X_REGION_LENGTH),
                 max(1, wire.read_uint(fields, X_STREAMS, 1)),
                 wire.read_uint(fields, X_CHUNK_SIZE,
                                channel.params.buffer_size))
-            grid.check_resumable(channel.params.buffer_size)
-            end = grid.region_offset + grid.region_length
-            whole_file = bool(wire.read_uint(fields, X_TRUNCATE, 0))
-            state = resumable_state(dst, grid)
-            if state is not None:
-                grid = state.grid
-                frame_type = FrameType.XFER_RESUME
-                reply = {X_STATE: state.encode()}
-            receiver = RegionReceiver(dst, transfer_id, grid, state,
-                                      truncate_to=end if whole_file else None)
-        session = TransferSession(transfer_id, account,
-                                  channel.params.security, receiver=receiver)
-        self._register_and_reply(channel, session, frame_type, reply)
-        self._finish_push(channel, session)
+        # the sender of a grid of at most one chunk has sent its chunk and
+        # XFER_DONE behind the offer without waiting for the reply
+        pipelined = grid is not None and grid.chunk_count <= 1
+        try:
+            if grid is None:
+                receiver = MemSink()
+            else:
+                dst = self._resolve(account,
+                                    fields.get(X_PATH, b"").decode("utf-8"))
+                grid.check_resumable(channel.params.buffer_size)
+                end = grid.region_offset + grid.region_length
+                whole_file = bool(wire.read_uint(fields, X_TRUNCATE, 0))
+                if pipelined:
+                    # resuming one chunk would send it whole again
+                    state_path(dst).unlink(missing_ok=True)
+                    state = None
+                else:
+                    state = resumable_state(dst, grid)
+                if state is not None:
+                    grid = state.grid
+                    frame_type = FrameType.XFER_RESUME
+                    reply = {X_STATE: state.encode()}
+                receiver = RegionReceiver(dst, transfer_id, grid, state,
+                                          truncate_to=end if whole_file
+                                          else None)
+            session = TransferSession(transfer_id, account,
+                                      channel.params.security,
+                                      receiver=receiver)
+            self._register_and_reply(channel, session, frame_type, reply)
+        except ConnectionLost:
+            raise
+        except GridfsError:
+            if pipelined:
+                drop_pushed(channel)    # the refusal answers it all
+            raise
+        self._finish_push(channel, session, pipelined)
 
-    def _finish_push(self, channel: Channel,
-                     session: TransferSession) -> None:
+    def _finish_push(self, channel: Channel, session: TransferSession,
+                     pipelined: bool) -> None:
         receiver = session.receiver
         try:
             receiver.hash_earlier()    # beside the data connections
@@ -1094,7 +1136,12 @@ class FtsmService:
             # arrive before XFER_DONE and land as they are read
             frame = channel.expect(FrameType.CHUNK, FrameType.XFER_DONE)
             while frame.frame_type == FrameType.CHUNK:
-                land_chunk(frame, session.transfer_id, receiver)
+                try:
+                    land_chunk(frame, session.transfer_id, receiver)
+                except (GridfsError, OSError):
+                    if pipelined:
+                        drop_pushed(channel)
+                    raise
                 frame = channel.expect(FrameType.CHUNK, FrameType.XFER_DONE)
             fields = wire.decode_fields(frame.payload)
             if isinstance(receiver, MemSink):
@@ -1161,9 +1208,11 @@ class FtsmService:
             sender.hash_earlier()
             if sender.assignments:
                 sender.send(0, channel)
-            # the client sends XFER_DONE once every stream has drained, so
-            # every stream's digests are stored by now
-            channel.expect(FrameType.XFER_DONE)
+            # with more than one stream, the client sends XFER_DONE once
+            # every stream has drained, so every stream's digests are
+            # stored by then; with one, stream 0's are stored now
+            if len(sender.assignments) > 1:
+                channel.expect(FrameType.XFER_DONE)
             digest = sender.digest()
         except ConnectionLost:
             return
@@ -1269,7 +1318,8 @@ class TransferClient:
     """Client engine for push, pull and the memory benchmark.
 
     Transient stream failures are retried with doubling backoff; each
-    retry re-offers the transfer, so completed chunks are never resent.
+    retry re-offers the transfer, so completed chunks are never resent,
+    except that a one-chunk transfer is resent whole.
     The node decides whether a transfer resumes, in both directions: a
     push's XFER_RESUME carries the node's sidecar record, and a pull's
     offer carries the client's, which the node continues or replaces by a
@@ -1334,7 +1384,10 @@ class TransferClient:
             report = transfer(control)
         except BaseException as exc:
             control.close()
-            if reused and isinstance(exc, ConnectionLost) \
+            # a one-chunk push may find the session dead while its chunk
+            # goes out on stream 0, before it reads any reply
+            lost = exc if isinstance(exc, ConnectionLost) else exc.__cause__
+            if reused and isinstance(lost, ConnectionLost) \
                     and control.frames_received == replies:
                 raise StaleSession(str(exc)) from exc
             raise
@@ -1367,7 +1420,7 @@ class TransferClient:
         mode of `control`, in a thread of its own. Stream 0 runs
         `first()`, if given, before its body, beside the other streams.
         Returns what each body returned. Any failed stream raises
-        StreamLost naming the first cause."""
+        StreamLost naming, and chained from, the first cause."""
         results: list = [None] * count
 
         def run(index: int) -> None:
@@ -1386,7 +1439,7 @@ class TransferClient:
                     if exc is not None]
         if failures:
             raise StreamLost(f"{len(failures)} streams failed: "
-                             f"{failures[0]}")
+                             f"{failures[0]}") from failures[0]
         return results
 
     def _chunk_size(self, control: Channel) -> int:
@@ -1408,7 +1461,13 @@ class TransferClient:
     def push_on(self, control: Channel, local: Path, remote: str,
                 region: tuple[int, int] | None = None) -> TransferReport:
         """Run one push over an already established control channel. The
-        channel stays open afterwards; the caller owns it."""
+        channel stays open afterwards; the caller owns it.
+
+        A grid of at most one chunk takes one round trip: the offer, the
+        chunk and XFER_DONE go out back to back, and only then are the
+        node's XFER_ACCEPT (such a grid never resumes) and XFER_DONE read.
+        A node that refuses it reads all three before its ERROR, so the
+        channel stays in step for its next request."""
         local = Path(local)
         file_size = local.stat().st_size
         offset, length = region if region is not None else (0, file_size)
@@ -1416,6 +1475,7 @@ class TransferClient:
             raise BadRequest("region lies outside the file")
         grid = ChunkGrid(offset, length, self.streams,
                          self._chunk_size(control))
+        pipelined = grid.chunk_count <= 1
         transfer_id = os.urandom(16)
         start = time.monotonic()
         offer = {X_TRANSFER: transfer_id, X_PATH: remote.encode("utf-8"),
@@ -1424,16 +1484,20 @@ class TransferClient:
             # replace semantics: a shorter file must not keep the old tail
             offer[X_TRUNCATE] = wire.u8(1)
         control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
-        reply = control.expect(FrameType.XFER_ACCEPT, FrameType.XFER_RESUME)
         state = None
-        if reply.frame_type == FrameType.XFER_RESUME:
-            state = TransferState.decode(
-                wire.decode_fields(reply.payload).get(X_STATE, b""))
-            grid = state.grid    # its chunks make the region digest
+        if not pipelined:
+            reply = control.expect(FrameType.XFER_ACCEPT,
+                                   FrameType.XFER_RESUME)
+            if reply.frame_type == FrameType.XFER_RESUME:
+                state = TransferState.decode(
+                    wire.decode_fields(reply.payload).get(X_STATE, b""))
+                grid = state.grid    # its chunks make the region digest
         sender = RegionSender(local, transfer_id, grid, state, self.streams)
         self._run_senders(control, sender)
         control.send(FrameType.XFER_DONE, wire.encode_fields({
             X_TRANSFER: transfer_id, X_REGION_DIGEST: sender.digest()}))
+        if pipelined:
+            control.expect(FrameType.XFER_ACCEPT)
         control.expect(FrameType.XFER_DONE)
         per_stream = [sum(length for _, length in chunks)
                       for chunks in sender.assignments]
@@ -1467,7 +1531,12 @@ class TransferClient:
         `continues` that grid. So the XFER_ACCEPT grid is the answer: if it
         equals the record's, the pull resumes; if not, the sidecar is
         deleted and the whole plan is received, as when the remote file
-        changed size since the record was written."""
+        changed size since the record was written.
+
+        When that plan has at most one stream, the node sends XFER_DONE
+        right behind stream 0's chunks, and this end sends none: the pull
+        takes one round trip. With more streams, this end sends XFER_DONE
+        once every stream has drained, and the node answers it."""
         local = Path(local)
         start = time.monotonic()
         state = readable_state(local)
@@ -1500,8 +1569,9 @@ class TransferClient:
         try:
             per_stream = self._run_receivers(control, transfer_id, receiver,
                                              assignments)
-            control.send(FrameType.XFER_DONE,
-                         wire.encode_fields({X_TRANSFER: transfer_id}))
+            if len(assignments) > 1:
+                control.send(FrameType.XFER_DONE,
+                             wire.encode_fields({X_TRANSFER: transfer_id}))
             done = wire.decode_fields(
                 control.expect(FrameType.XFER_DONE).payload)
             receiver.finish(done_digest(done))

@@ -30,6 +30,7 @@ import shutil
 import subprocess
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -40,6 +41,7 @@ from .errors import (
     BadRequest,
     GridfsError,
     LaunchFailed,
+    NoSuchFile,
     PermissionDenied,
     SetExpired,
     StagingFailed,
@@ -401,14 +403,18 @@ class TaskSetRecord:
     def done_count(self) -> int:
         return sum(1 for result in self.results if result is not None)
 
-    def record(self, result: TaskResult, retention: float) -> None:
+    def record(self, result: TaskResult, retention: float) -> bool:
+        """Store `result`; returns whether it completed the set, which
+        then expires `retention` seconds from now."""
         with self.cond:
             self.results[result.index] = result
             self.produced.update(result.outputs)
-            if all(entry is not None for entry in self.results):
+            done = all(entry is not None for entry in self.results)
+            if done:
                 self.phase = PH_DONE
                 self.expiry = time.monotonic() + retention
             self.cond.notify_all()
+        return done
 
     def status_payload(self) -> bytes:
         with self.cond:
@@ -419,6 +425,44 @@ class TaskSetRecord:
                 ST_TOTAL: wire.u16(len(self.specs)),
             })
 
+    def result_payload(self) -> bytes:
+        """The TASK_RESULT payload, once every task is terminal."""
+        with self.cond:
+            if self.phase == PH_STAGING:
+                raise BadRequest("set was never started")
+            self.cond.wait_for(lambda: self.phase == PH_DONE)
+            results = list(self.results)
+        return wire.encode_fields({
+            RES_SET: self.set_id,
+            RES_RESULTS: wire.pack_blobs(
+                [encode_result(result) for result in results]),
+        })
+
+
+@dataclass(slots=True, eq=False)
+class FinishedSet:
+    """What a node keeps of a set from ACT_FINISH until it expires: whose
+    it is, when it expires, and its results as the TASK_RESULT payload
+    that answers a collect. Its work directory, outputs and all, is
+    gone."""
+    set_id: bytes
+    account: Account
+    expiry: float
+    results: bytes
+
+    def status_payload(self) -> bytes:
+        total = len(wire.unpack_blobs(
+            wire.decode_fields(self.results).get(RES_RESULTS, b"")))
+        return wire.encode_fields({
+            ST_SET: self.set_id,
+            ST_PHASE: wire.u8(PH_DONE),
+            ST_DONE: wire.u16(total),
+            ST_TOTAL: wire.u16(total),
+        })
+
+    def result_payload(self) -> bytes:
+        return self.results
+
 
 class TaskService:
     """Server side of TASK mode; one instance per node, shared by every
@@ -427,7 +471,12 @@ class TaskService:
     Staging and collection transfers register in `registry`, which the
     node shares with its own FtsmService: every data session that joins
     one is an FTSM session, served by that service, which finds the
-    transfer there."""
+    transfer there.
+
+    A set is kept for `retention` seconds after its last task ends, to be
+    collected or reattached. Once ACT_FINISH has collected it, only a
+    `FinishedSet` stays. Sets expire in the order they completed, so the
+    sweep pops them from the front of a queue and never scans the rest."""
 
     def __init__(self, registry: TransferRegistry, drain_timeout: float,
                  workers: int = 4, retention: float = 600.0):
@@ -437,7 +486,9 @@ class TaskService:
         self.registry = registry
         self.drain_timeout = drain_timeout
         self._lock = threading.Lock()
-        self._sets: dict[bytes, TaskSetRecord] = {}
+        self._sets: dict[bytes, TaskSetRecord | FinishedSet] = {}
+        # (expiry, set id) of each completed set, in the order they completed
+        self._expiring: deque[tuple[float, bytes]] = deque()
 
     def serve(self, channel: Channel, account: Account) -> None:
         """Serve one task session. A set the session leaves still in
@@ -460,27 +511,36 @@ class TaskService:
             channel.serve(handle, FrameType.TASK_SUBMIT, FrameType.XFER_OFFER,
                           FrameType.TASK_STATUS, FrameType.TASK_RESULT)
         finally:
-            if current is not None:
+            if isinstance(current, TaskSetRecord):
                 with current.cond:
                     staging = current.phase == PH_STAGING
                 if staging:
                     self._drop(current)
 
-    def _drop(self, record: TaskSetRecord) -> None:
-        """Forget `record` and delete its work directory."""
+    def _drop(self, record: TaskSetRecord | FinishedSet) -> None:
+        """Forget `record` and delete its work directory, if it still has
+        one."""
         with self._lock:
             self._sets.pop(record.set_id, None)
-        shutil.rmtree(record.workdir, ignore_errors=True)
+        if isinstance(record, TaskSetRecord):
+            shutil.rmtree(record.workdir, ignore_errors=True)
 
     def _sweep(self) -> None:
+        """Forget the sets whose retention has run out, oldest first; an
+        entry whose set was dropped, or whose id a newer set took, is
+        skipped."""
         now = time.monotonic()
+        expired = []
         with self._lock:
-            expired = [record for record in self._sets.values()
-                       if record.expiry is not None and now > record.expiry]
-            for record in expired:
-                del self._sets[record.set_id]
+            while self._expiring and self._expiring[0][0] < now:
+                expiry, set_id = self._expiring.popleft()
+                record = self._sets.get(set_id)
+                if record is not None and record.expiry == expiry:
+                    del self._sets[set_id]
+                    expired.append(record)
         for record in expired:
-            shutil.rmtree(record.workdir, ignore_errors=True)
+            if isinstance(record, TaskSetRecord):
+                shutil.rmtree(record.workdir, ignore_errors=True)
 
     def _submit(self, channel: Channel, account: Account,
                 payload: bytes) -> TaskSetRecord:
@@ -519,9 +579,12 @@ class TaskService:
         return record
 
     def _offer(self, channel: Channel, account: Account,
-               record: TaskSetRecord | None, payload: bytes) -> None:
+               record: TaskSetRecord | FinishedSet | None,
+               payload: bytes) -> None:
         if record is None:
             raise BadRequest("no task set on this session")
+        if isinstance(record, FinishedSet):
+            raise NoSuchFile("the set is finished: its outputs are gone")
         with record.cond:
             phase = record.phase
         if phase == PH_RUNNING:
@@ -530,8 +593,8 @@ class TaskService:
         record.ftsm.offer(channel, account, mode, payload)
 
     def _status(self, channel: Channel, account: Account,
-                record: TaskSetRecord | None,
-                payload: bytes) -> TaskSetRecord | None:
+                record: TaskSetRecord | FinishedSet | None,
+                payload: bytes) -> TaskSetRecord | FinishedSet | None:
         fields = wire.decode_fields(payload)
         action = wire.read_uint(fields, ST_ACTION, ACT_QUERY)
         if action == ACT_ATTACH:
@@ -541,22 +604,34 @@ class TaskService:
 
         if action == ACT_RUN:
             self._start(record)
-        elif action == ACT_FINISH:
-            with record.cond:
-                if record.phase != PH_DONE:
-                    raise BadRequest("set is not finished")
-            shutil.rmtree(record.workdir, ignore_errors=True)
+        elif action == ACT_FINISH and isinstance(record, TaskSetRecord):
+            record = self._finish(record)
         elif action == ACT_ABORT:
             self._drop(record)
-            with record.cond:
-                record.phase = PH_DONE
-                record.expiry = time.monotonic()    # nothing to retain
+            if isinstance(record, TaskSetRecord):
+                with record.cond:
+                    record.phase = PH_DONE
             channel.send(FrameType.TASK_STATUS, record.status_payload())
             return None
         channel.send(FrameType.TASK_STATUS, record.status_payload())
         return record
 
-    def _attach(self, account: Account, set_id: bytes) -> TaskSetRecord:
+    def _finish(self, record: TaskSetRecord) -> FinishedSet:
+        """Delete the work directory of a collected set and keep only its
+        `FinishedSet` in its place."""
+        with record.cond:
+            if record.phase != PH_DONE:
+                raise BadRequest("set is not finished")
+        shutil.rmtree(record.workdir, ignore_errors=True)
+        finished = FinishedSet(record.set_id, record.account, record.expiry,
+                               record.result_payload())
+        with self._lock:
+            if self._sets.get(record.set_id) is record:
+                self._sets[record.set_id] = finished
+        return finished
+
+    def _attach(self, account: Account,
+                set_id: bytes) -> TaskSetRecord | FinishedSet:
         self._sweep()
         with self._lock:
             record = self._sets.get(set_id)
@@ -566,7 +641,9 @@ class TaskService:
             raise PermissionDenied("not your task set")
         return record
 
-    def _start(self, record: TaskSetRecord) -> None:
+    def _start(self, record: TaskSetRecord | FinishedSet) -> None:
+        if isinstance(record, FinishedSet):
+            raise BadRequest("set already started")
         with record.cond:
             if record.phase != PH_STAGING:
                 raise BadRequest("set already started")
@@ -596,25 +673,18 @@ class TaskService:
             log.exception("task %d crashed the runner", index)
             result = TaskResult(index, TaskStatus.FAILED,
                                 message=f"internal: {exc}")
-        record.record(result, self.retention)
+        if record.record(result, self.retention):
+            with self._lock:
+                self._expiring.append((record.expiry, record.set_id))
 
-    def _collect(self, channel: Channel, record: TaskSetRecord | None,
+    def _collect(self, channel: Channel,
+                 record: TaskSetRecord | FinishedSet | None,
                  payload: bytes) -> None:
         fields = wire.decode_fields(payload)
         set_id = fields.get(RES_SET, b"")
         if record is None or (set_id and set_id != record.set_id):
             raise BadRequest("no task set on this session")
-        with record.cond:
-            if record.phase == PH_STAGING:
-                raise BadRequest("set was never started")
-            while record.phase != PH_DONE:
-                record.cond.wait()
-            results = list(record.results)
-        channel.send(FrameType.TASK_RESULT, wire.encode_fields({
-            RES_SET: record.set_id,
-            RES_RESULTS: wire.pack_blobs(
-                [encode_result(result) for result in results]),
-        }))
+        channel.send(FrameType.TASK_RESULT, record.result_payload())
 
 
 # -- client -----------------------------------------------------------------

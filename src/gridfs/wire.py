@@ -41,6 +41,9 @@ old peer fail bumps the version:
        tags 4 and 10 and secret tags 3 and 4 retired
     8  NONSECURE seals DFS_REQ, XFER_OFFER, TASK_SUBMIT, TASK_RESULT and
        CRYPT_TASK whole; no frame seals single fields
+    9  a push of at most one chunk sends its CHUNK and XFER_DONE behind
+       the offer, unanswered; a pull planned on at most one stream gets
+       XFER_DONE behind its chunks and sends none
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits

@@ -62,8 +62,11 @@ class SniffProxy:
     def __init__(self, target):
         self.target = target
         self.frames = []            # (direction, frame_type, flags, payload)
-        self.kill_s2c_after = None  # (frame_type, count): drop the
-        self._kill_count = 0        # connection once n have passed back
+        # (frame_type, count): cut the connection right behind the n-th
+        # server-to-client frame of that type, or of any type given None;
+        # the count runs over every connection, and a cut clears the trigger
+        self.kill_s2c_after = None
+        self._kill_count = 0
         self._chunks = []
         self._lock = threading.Lock()
         self._conns = []
@@ -119,15 +122,18 @@ class SniffProxy:
                 data = b""
             if not data:
                 break
+            buffer += data
+            rest = self._parse(buffer, direction)
+            if rest is not None:    # kill trigger fired for this connection
+                data = data[:len(data) - rest]
             with self._lock:
                 self._chunks.append(data)
-            buffer += data
             try:
                 dst.sendall(data)
             except OSError:
                 break
-            if self._parse(buffer, direction):
-                break               # kill trigger fired for this connection
+            if rest is not None:
+                break
         for sock in (src, dst):
             try:
                 sock.shutdown(socket.SHUT_RDWR)
@@ -135,26 +141,30 @@ class SniffProxy:
                 pass
 
     def _parse(self, buffer, direction):
-        kill = False
+        """Record each whole frame in `buffer` and take it out; returns
+        None, or, once the kill trigger fires, the count of bytes left
+        behind the frame that fired it, which are not to be relayed."""
         while len(buffer) >= HEADER_SIZE:
             magic, ftype, flags, length = struct.unpack_from(
                 HEADER_FMT, buffer)
             if magic != MAGIC:
                 del buffer[:]        # not a framed stream; stop parsing
-                return kill
+                return None
             if len(buffer) < HEADER_SIZE + length:
-                return kill
+                return None
             payload = bytes(buffer[HEADER_SIZE:HEADER_SIZE + length])
             with self._lock:
                 self.frames.append((direction, ftype, flags, payload))
             del buffer[:HEADER_SIZE + length]
             trigger = self.kill_s2c_after
-            if trigger and direction == "s2c" and ftype == trigger[0]:
+            if trigger and direction == "s2c" and \
+                    trigger[0] in (None, ftype):
                 self._kill_count += 1
                 if self._kill_count >= trigger[1]:
                     self.kill_s2c_after = None    # one kill per trigger
-                    kill = True
-        return kill
+                    self._kill_count = 0
+                    return len(buffer)
+        return None
 
     def drop_connections(self):
         """Cut every relayed connection, as a restarted node would, and

@@ -107,7 +107,8 @@ def test_unknown_user_rejected_like_bad_password(node):
 
 
 def test_wrong_version_rejected(node):
-    params = SessionParams(Mode.DFSM, SecurityMode.SECURE, version=9)
+    params = SessionParams(Mode.DFSM, SecurityMode.SECURE,
+                           version=wire.PROTOCOL_VERSION + 1)
     with pytest.raises(VersionMismatch):
         secchan.connect(("127.0.0.1", node.port), params, "grid", GRID_PSK)
 

@@ -1,0 +1,396 @@
+"""One round trip for a small transfer: a push of at most one chunk sends
+its offer, chunk and XFER_DONE back to back, and a pull planned on one
+stream gets XFER_DONE behind its chunks without sending one. Covers the
+frame order on each side, the sidecar a one-chunk region never writes,
+the refusals that must leave the session in step, and a sweep that cuts
+the connection after each frame the node sends."""
+
+import os
+import time
+
+import pytest
+
+from gridfs import ftsm, taskexec, wire
+from gridfs.errors import GridfsError, PermissionDenied, StreamLost
+from gridfs.ftsm import TransferClient, state_path
+from gridfs.wire import FrameType, Mode, SecurityMode
+
+from conftest import ALICE_PSK, BOB_PSK, GRID_PSK
+
+ALL_MODES = [SecurityMode.NONSECURE, SecurityMode.SEMISECURE,
+             SecurityMode.SECURE]
+CHUNK = 16384
+OFFER, ACCEPT, DATA, DONE = (FrameType.XFER_OFFER, FrameType.XFER_ACCEPT,
+                             FrameType.CHUNK, FrameType.XFER_DONE)
+
+
+def storage(node):
+    return node.config.storage_root
+
+
+def mover_for(address, security=SecurityMode.NONSECURE, username="grid",
+              psk=GRID_PSK, streams=1):
+    return TransferClient(address, username, psk, security=security,
+                          streams=streams, buffer_size=65536,
+                          chunk_size=CHUNK)
+
+
+def record_frames(channel):
+    """Log each frame `channel` sends and receives, in order, as
+    ("send" | "recv", frame_type)."""
+    events = []
+    send, recv = channel.send, channel.recv
+
+    def sending(frame_type, payload=b""):
+        events.append(("send", frame_type))
+        return send(frame_type, payload)
+
+    def receiving():
+        frame = recv()
+        events.append(("recv", frame.frame_type))
+        return frame
+
+    channel.send, channel.recv = sending, receiving
+    return events
+
+
+def frames_of(proxy, direction):
+    """The frame types one direction carried after authentication."""
+    types = [ftype for side, ftype, _, _ in proxy.frames if side == direction]
+    return types[2:]    # HELLO and AUTH, or WELCOME and AUTH_OK
+
+
+def wait_until_idle(node, timeout=5.0):
+    """Wait until the node holds no transfer and no session; returns
+    whether it got there."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with node._sessions_lock:
+            sessions = len(node._conns)
+        if not sessions and not node.registry._sessions:
+            return True
+        time.sleep(0.005)
+    return False
+
+
+# -- frame order -------------------------------------------------------------
+
+@pytest.mark.parametrize("security", ALL_MODES,
+                         ids=[mode.name for mode in ALL_MODES])
+def test_one_chunk_push_sends_everything_before_the_first_reply(
+        node, sniff_factory, tmp_path, security):
+    """The client sends OFFER, CHUNK and DONE before it reads the node's
+    ACCEPT and DONE, and the file lands exactly."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    mover = mover_for(proxy.address, security)
+    data = os.urandom(CHUNK)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    control = mover.dial(Mode.FTSM_PUSH)
+    events = record_frames(control)
+    try:
+        report = mover.push_on(control, src, "one.bin")
+    finally:
+        control.close()
+    assert events == [("send", OFFER), ("send", DATA), ("send", DONE),
+                      ("recv", ACCEPT), ("recv", DONE)]
+    assert frames_of(proxy, "c2s") == [OFFER, DATA, DONE]
+    assert frames_of(proxy, "s2c") == [ACCEPT, DONE]
+    assert (storage(node) / "one.bin").read_bytes() == data
+    assert report.per_stream == [len(data)] and not report.resumed
+
+
+def test_empty_push_sends_offer_and_done_back_to_back(node, tmp_path):
+    mover = mover_for(("127.0.0.1", node.port))
+    src = tmp_path / "empty.bin"
+    src.write_bytes(b"")
+    (storage(node) / "empty.bin").write_bytes(b"old bytes")
+    control = mover.dial(Mode.FTSM_PUSH)
+    events = record_frames(control)
+    try:
+        mover.push_on(control, src, "empty.bin")
+    finally:
+        control.close()
+    assert events == [("send", OFFER), ("send", DONE),
+                      ("recv", ACCEPT), ("recv", DONE)]
+    assert (storage(node) / "empty.bin").read_bytes() == b""
+
+
+def test_two_chunk_push_waits_for_the_accept(node, sniff_factory, tmp_path):
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    mover = mover_for(proxy.address)
+    data = os.urandom(CHUNK + 1)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    control = mover.dial(Mode.FTSM_PUSH)
+    events = record_frames(control)
+    try:
+        mover.push_on(control, src, "two.bin")
+    finally:
+        control.close()
+    assert events == [("send", OFFER), ("recv", ACCEPT), ("send", DATA),
+                      ("send", DATA), ("send", DONE), ("recv", DONE)]
+    assert frames_of(proxy, "c2s") == [OFFER, DATA, DATA, DONE]
+    assert frames_of(proxy, "s2c") == [ACCEPT, DONE]
+    assert (storage(node) / "two.bin").read_bytes() == data
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_single_stream_pull_sends_one_offer_and_no_done(
+        node, sniff_factory, tmp_path, chunks):
+    """The node sends ACCEPT, the chunks and DONE without waiting; the
+    client sends its offer and nothing else."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    mover = mover_for(proxy.address)
+    data = os.urandom((chunks - 1) * CHUNK + 1000)
+    (storage(node) / "pulled.bin").write_bytes(data)
+    back = tmp_path / "back.bin"
+    control = mover.dial(Mode.FTSM_PULL)
+    events = record_frames(control)
+    try:
+        mover.pull_on(control, "pulled.bin", back)
+    finally:
+        control.close()
+    assert events == [("send", OFFER), ("recv", ACCEPT)] + \
+        [("recv", DATA)] * chunks + [("recv", DONE)]
+    assert frames_of(proxy, "c2s") == [OFFER]
+    assert frames_of(proxy, "s2c") == [ACCEPT] + [DATA] * chunks + [DONE]
+    assert back.read_bytes() == data
+
+
+def test_two_stream_pull_still_ends_with_the_clients_done(node, tmp_path):
+    mover = mover_for(("127.0.0.1", node.port), streams=2)
+    data = os.urandom(4 * CHUNK)
+    (storage(node) / "wide.bin").write_bytes(data)
+    back = tmp_path / "back.bin"
+    control = mover.dial(Mode.FTSM_PULL)
+    events = record_frames(control)
+    try:
+        mover.pull_on(control, "wide.bin", back)
+    finally:
+        control.close()
+    assert events == [("send", OFFER), ("recv", ACCEPT), ("recv", DATA),
+                      ("recv", DATA), ("send", DONE), ("recv", DONE)]
+    assert back.read_bytes() == data
+
+
+# -- no sidecar for one chunk --------------------------------------------------
+
+@pytest.fixture
+def sidecar_writes(monkeypatch):
+    saved = []
+    real_save = ftsm.save_state
+
+    def counting(dst, state):
+        saved.append(dst)
+        real_save(dst, state)
+
+    monkeypatch.setattr(ftsm, "save_state", counting)
+    return saved
+
+
+def test_one_chunk_transfers_write_no_sidecar(node, tmp_path,
+                                              sidecar_writes):
+    """Neither end of a one-chunk push or pull ever writes a sidecar,
+    while a three-chunk pull still does."""
+    mover = mover_for(("127.0.0.1", node.port))
+    data = os.urandom(CHUNK)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    mover.push(src, "one.bin")
+    mover.pull("one.bin", tmp_path / "back.bin")
+    assert sidecar_writes == []
+    assert (tmp_path / "back.bin").read_bytes() == data
+    assert not state_path(storage(node) / "one.bin").exists()
+    (storage(node) / "three.bin").write_bytes(os.urandom(3 * CHUNK))
+    mover.pull("three.bin", tmp_path / "three.bin")
+    assert sidecar_writes == [tmp_path / "three.bin"]
+
+
+def test_one_chunk_push_drops_a_sidecar_it_finds(node, tmp_path,
+                                                 sidecar_writes):
+    """A sidecar left beside the destination by an earlier transfer of the
+    same one-chunk region is deleted, and the push is accepted afresh."""
+    data = os.urandom(1000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    dst = storage(node) / "stale.bin"
+    dst.write_bytes(bytes(1000))
+    grid = ftsm.ChunkGrid(0, 1000, 1, CHUNK)
+    state_path(dst).write_bytes(
+        ftsm.TransferState.fresh(os.urandom(16), grid).encode())
+    report = mover_for(("127.0.0.1", node.port)).push(src, "stale.bin")
+    assert not report.resumed
+    assert dst.read_bytes() == data
+    assert not state_path(dst).exists()
+    assert sidecar_writes == []
+
+
+# -- refusals keep the session in step ----------------------------------------
+
+def test_refused_one_chunk_push_raises_the_refusal(node, tmp_path):
+    """bob may write nowhere: his one-chunk push is refused with
+    PermissionDenied, not a broken session, and the same session then
+    carries a push that is accepted."""
+    mover = mover_for(("127.0.0.1", node.port), username="bob", psk=BOB_PSK)
+    src = tmp_path / "src.bin"
+    src.write_bytes(b"x" * 100)
+    control = mover.dial(Mode.FTSM_PUSH)
+    try:
+        for _ in range(2):
+            with pytest.raises(PermissionDenied):
+                mover.push_on(control, src, "nope.bin")
+        assert not node.registry._sessions
+        assert not (storage(node) / "home" / "bob" / "nope.bin").exists()
+    finally:
+        control.close()
+
+
+def test_chunk_that_fails_to_land_answers_after_the_done(
+        node, tmp_path, monkeypatch):
+    """The node's disk fails under a one-chunk push: the client gets
+    StreamLost, and its next push on the same session lands."""
+    mover = mover_for(("127.0.0.1", node.port))
+    data = os.urandom(5000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    real_write = ftsm.RegionReceiver.write_chunk
+    failures = [OSError(28, "No space left on device")]
+
+    def failing(receiver, offset, payload, digest=None):
+        if failures:
+            raise failures.pop()
+        real_write(receiver, offset, payload, digest)
+
+    monkeypatch.setattr(ftsm.RegionReceiver, "write_chunk", failing)
+    control = mover.dial(Mode.FTSM_PUSH)
+    try:
+        with pytest.raises(StreamLost, match="No space left"):
+            mover.push_on(control, src, "full.bin")
+        assert not node.registry._sessions
+        mover.push_on(control, src, "full.bin")
+    finally:
+        control.close()
+    assert (storage(node) / "full.bin").read_bytes() == data
+
+
+def test_staging_an_undeclared_dependency_keeps_the_task_session(
+        node, tmp_path):
+    """A one-chunk staging push of a name the set never declared raises
+    PermissionDenied, and the same task session then answers ACT_ABORT."""
+    mover = mover_for(("127.0.0.1", node.port), username="alice",
+                      psk=ALICE_PSK)
+    src = tmp_path / "dep.bin"
+    src.write_bytes(b"dependency")
+    set_id = os.urandom(16)
+    task = taskexec.process_task("/bin/true",
+                                 dependencies=[("declared.bin", str(src))])
+    channel = mover.dial(Mode.TASK)
+    try:
+        channel.send(FrameType.TASK_SUBMIT, wire.encode_fields({
+            taskexec.SUB_SET: set_id,
+            taskexec.SUB_COUNT: wire.u16(1),
+            taskexec.SUB_TASKS: wire.pack_blobs([taskexec.encode_spec(task)]),
+        }))
+        channel.expect(FrameType.TASK_STATUS)
+        with pytest.raises(PermissionDenied):
+            mover.push_on(channel, src, "undeclared.bin")
+        assert not node.registry._sessions
+        status = taskexec._set_action(channel, set_id, taskexec.ACT_ABORT)
+        assert wire.read_uint(status, taskexec.ST_PHASE) == taskexec.PH_DONE
+    finally:
+        channel.close()
+    assert set_id not in node.tasks._sets
+
+
+def test_a_stale_session_under_a_one_chunk_push_is_dialled_again(
+        node, tmp_path, monkeypatch):
+    """The node closes the held session while it sits idle; the next
+    one-chunk push finds it dead only while sending, before any reply,
+    and dials afresh without a backoff pause."""
+    mover = mover_for(("127.0.0.1", node.port))
+    data = os.urandom(3000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    pauses = []
+    with mover:
+        mover.push(src, "first.bin")
+        with node._sessions_lock:
+            conns = list(node._conns)
+        for conn in conns:
+            conn.close()    # the node's end, as an idle timeout would
+        time.sleep(0.05)
+        monkeypatch.setattr(ftsm.time, "sleep", pauses.append)
+        report = mover.push(src, "second.bin")
+    assert (storage(node) / "second.bin").read_bytes() == data
+    assert report.bytes_moved == len(data)
+    assert pauses == []
+
+
+# -- a cut after each frame the node sends -------------------------------------
+
+def one_chunk_push(mover, tmp_path, node):
+    data = os.urandom(CHUNK - 100)
+    src = tmp_path / "push.bin"
+    src.write_bytes(data)
+    dst = storage(node) / "cut" / "push.bin"
+
+    def run():
+        mover.push(src, "cut/push.bin")
+        return dst.read_bytes(), data
+    return run
+
+
+def single_stream_pull(chunks):
+    def scenario(mover, tmp_path, node):
+        data = os.urandom((chunks - 1) * CHUNK + 777)
+        (storage(node) / "cut").mkdir(exist_ok=True)
+        (storage(node) / "cut" / "pull.bin").write_bytes(data)
+        back = tmp_path / "pull.bin"
+
+        def run():
+            back.unlink(missing_ok=True)
+            state_path(back).unlink(missing_ok=True)
+            mover.pull("cut/pull.bin", back)
+            return back.read_bytes(), data
+        return run
+    return scenario
+
+
+SCENARIOS = {"push-1": one_chunk_push, "pull-1": single_stream_pull(1),
+             "pull-3": single_stream_pull(3)}
+
+
+@pytest.mark.parametrize("security", ALL_MODES,
+                         ids=[mode.name for mode in ALL_MODES])
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_a_cut_after_any_node_frame_recovers_or_names_its_cause(
+        node, sniff_factory, tmp_path, monkeypatch, security, scenario):
+    """Count the frames the node sends in a clean run, then cut the
+    connection right behind each of them in turn. A run may only fail
+    with a named GridfsError, which the outcomes list; with one cut per
+    run, each must in fact deliver the exact bytes after its own retries.
+    Every run leaves the node holding no transfer and no session."""
+    monkeypatch.setattr(ftsm, "BACKOFF", 0.0)
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    (storage(node) / "cut").mkdir(exist_ok=True)
+    outcomes = []
+    for cut in [None, *range(1, 99)]:
+        before = len(proxy.frames)
+        proxy.kill_s2c_after = None if cut is None else (None, cut)
+        with mover_for(proxy.address, security) as mover:
+            run = SCENARIOS[scenario](mover, tmp_path, node)
+            try:
+                got, want = run()
+                outcomes.append((cut, got == want))
+            except GridfsError as exc:
+                assert type(exc) is not GridfsError
+                outcomes.append((cut, type(exc).__name__))
+        assert wait_until_idle(node), f"cut after node frame {cut}"
+        if cut is None:
+            clean = sum(1 for side, *_ in proxy.frames[before:]
+                        if side == "s2c")
+        elif cut == clean:
+            break
+    assert clean >= 4
+    assert outcomes == [(cut, True) for cut in [None, *range(1, clean + 1)]]

@@ -2,7 +2,10 @@
 staged dependencies, and the full submit/run/collect lifecycle over a
 live node."""
 
+import gc
+import threading
 import time
+import types
 
 import mpmath
 import pytest
@@ -14,10 +17,12 @@ from gridfs import ftsm, secchan, taskexec, wire
 from gridfs.errors import (
     BadRequest,
     LaunchFailed,
+    NoSuchFile,
     PermissionDenied,
     SetExpired,
     StagingFailed,
 )
+from gridfs.perms import Account
 from gridfs.taskexec import (
     TaskClient,
     TaskStatus,
@@ -447,6 +452,67 @@ def test_results_expire(node_factory):
     time.sleep(0.7)
     with pytest.raises(SetExpired):
         client.reattach(handle.set_id)
+
+
+def held_objects(root, stop=(Account,)):
+    """Every object reachable from `root`, not walking into shared
+    objects of the types in `stop`, nor into classes or modules."""
+    seen, todo, found = set(), [root], []
+    while todo:
+        item = todo.pop()
+        if id(item) in seen or isinstance(item, (type, types.ModuleType)):
+            continue
+        seen.add(id(item))
+        found.append(item)
+        if not isinstance(item, stop):
+            todo.extend(gc.get_referents(item))
+    return found
+
+
+def test_collected_sets_keep_only_their_results(node, tmp_path):
+    """Once a set is collected, the node keeps only whose it is, when it
+    expires and its encoded results: no spec, Condition or FtsmService
+    stays reachable from any retained record, and the results can still
+    be collected again."""
+    client = alice_client(node)
+    handles = []
+    for start in range(1, 6):
+        handle = client.submit([builtin_task(
+            "pi_hex_digits", {1: wire.u64(start), 2: wire.u32(4)},
+            dependencies=())])
+        client.collect(handle)
+        client.close(handle)
+        handles.append(handle)
+    retained = list(node.tasks._sets.values())
+    assert len(retained) == 5
+    heavy = (taskexec.TaskSpec, type(threading.Condition()),
+             ftsm.FtsmService)
+    assert [obj for record in retained for obj in held_objects(record)
+            if isinstance(obj, heavy)] == []
+    again = client.reattach(handles[2].set_id)
+    assert client.status(again) == (taskexec.PH_DONE, 1, 1)
+    with pytest.raises(NoSuchFile):
+        client.mover.pull_on(again.channel, "out.bin", tmp_path / "out.bin")
+    assert client.collect(again)[0].result == {1: pi_hex_digits(3, 4).encode()}
+    client.close(again)
+
+
+def test_expired_sets_are_swept_by_the_next_submit(node_factory):
+    """Collected or not, sets past their retention are forgotten, in the
+    order they completed, when the next set is submitted."""
+    node = node_factory(task_retention=0.2)
+    client = alice_client(node)
+    kept = client.submit([builtin_task("echo", {1: b"never collected"})])
+    for _ in range(3):
+        handle = client.submit([builtin_task("echo", {1: b"x"})])
+        client.collect(handle)
+        client.close(handle)
+    assert len(node.tasks._sets) == 4
+    time.sleep(0.4)
+    client.close(client.submit([process_task("/bin/sleep", ["0.2"])]))
+    assert len(node.tasks._sets) == 1
+    assert not tasksets_dir(node, "alice").joinpath(kept.set_id.hex()).exists()
+    client.close(kept)
 
 
 def test_reattach_after_lost_connection(node):
