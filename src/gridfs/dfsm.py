@@ -22,9 +22,13 @@ request. The SEEK wire op is answered exactly like STAT so a client can
 fold the size fetch into the same round trip.
 
 Operation failures (missing file, lock conflict, denial) come back as a
-DFS_RESP with a non-zero status and leave the session usable; only framing
-violations kill the connection. Error statuses carry no path text: DFS
-responses may cross a transport whose policy leaves them clear.
+DFS_RESP with a non-zero status and leave the session usable. A request
+whose fields cannot be decoded has no request id to answer under, so it
+gets an ERROR frame, as a failed request of any other session does, and
+the session goes on too. The session ends when the client hangs up, after
+the reply to its CLOSE, or on a frame of another type than DFS_REQ. Error
+statuses carry no path text: DFS responses may cross a transport whose
+policy leaves them clear.
 """
 
 from __future__ import annotations
@@ -134,6 +138,16 @@ def resolve_path(sandbox_root: Path, relative: str) -> Path:
     if pure.is_absolute() or ".." in pure.parts:
         raise PermissionDenied("path escapes the sandbox")
     return (sandbox_root / pure).resolve()
+
+
+def sandboxed(account: Account, relative: str) -> Path:
+    """The sandbox gate for a path a peer offers, in DFSM and FTSM alike:
+    `resolve_path` in the account's sandbox, then the FILE_IO check."""
+    path = resolve_path(account.sandbox_root, relative)
+    denial = check(account, GuardedAction(ActionKind.FILE_IO, path))
+    if denial is not None:
+        raise PermissionDenied(denial)
+    return path
 
 
 # -- byte-range lock table --------------------------------------------------
@@ -253,10 +267,11 @@ def _opened(path: Path, flags: int) -> Iterator[int]:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise _map_os_error(exc) from None
+        raise map_os_error(exc) from None
 
 
-def _map_os_error(exc: OSError) -> GridfsError:
+def map_os_error(exc: OSError) -> GridfsError:
+    """The GridfsError that a failed file operation reports as."""
     if isinstance(exc, FileNotFoundError):
         return NoSuchFile("no such file")
     if exc.errno == errno.ENOSPC:
@@ -269,7 +284,9 @@ def _map_os_error(exc: OSError) -> GridfsError:
 
 
 class DfsServer:
-    """Per-connection request loop over an authenticated DFSM channel."""
+    """Answers the requests of one authenticated DFSM session, each as it
+    arrives, through `Channel.serve`; the reply to a CLOSE closes the
+    channel. The session's locks are released when it ends."""
 
     def __init__(self, channel: Channel, account: Account,
                  locks: LockTable):
@@ -281,28 +298,23 @@ class DfsServer:
 
     def serve(self) -> None:
         try:
-            while True:
-                try:
-                    frame = self.channel.expect(FrameType.DFS_REQ)
-                except ConnectionLost:
-                    return
-                if not self._handle(frame.payload):
-                    return
+            self.channel.serve(lambda frame: self._handle(frame.payload),
+                               FrameType.DFS_REQ)
         finally:
             self.locks.release_session(self.session)
 
-    def _handle(self, payload: bytes) -> bool:
+    def _handle(self, payload: bytes) -> None:
         fields = wire.decode_fields(payload)
         request_id = wire.read_uint(fields, F_REQUEST_ID)
         reply: dict[int, bytes] = {F_REQUEST_ID: wire.u64(request_id)}
-        keep_going = True
+        op = None
         try:
             if self._last_request_id is not None and \
                     request_id <= self._last_request_id:
                 raise BadRequest("request ids must strictly increase")
             self._last_request_id = request_id
             op = Op(wire.read_uint(fields, F_OP))
-            keep_going = self._dispatch(op, fields, reply)
+            self._dispatch(op, fields, reply)
             reply[F_STATUS] = wire.u16(Status.OK)
         except GridfsError as exc:
             log.debug("dfs op failed: %s", exc)
@@ -310,22 +322,19 @@ class DfsServer:
         except ValueError:
             reply[F_STATUS] = wire.u16(Status.BAD_REQUEST)
         self.channel.send(FrameType.DFS_RESP, wire.encode_fields(reply))
-        return keep_going
+        if op == Op.CLOSE:
+            self.channel.close()
 
     def _dispatch(self, op: Op, fields: dict[int, bytes],
-                  reply: dict[int, bytes]) -> bool:
+                  reply: dict[int, bytes]) -> None:
         if op == Op.CLOSE:
             self.locks.release_session(self.session)
-            return False
+            return
 
         path_raw = fields.get(F_PATH)
         if path_raw is None:
             raise BadRequest("missing path")
-        relative = path_raw.decode("utf-8")
-        path = resolve_path(self.account.sandbox_root, relative)
-        denial = check(self.account, GuardedAction(ActionKind.FILE_IO, path))
-        if denial is not None:
-            raise PermissionDenied(denial)
+        path = sandboxed(self.account, path_raw.decode("utf-8"))
         key = str(path)
         offset = wire.read_uint(fields, F_OFFSET, 0)
 
@@ -368,7 +377,6 @@ class DfsServer:
             reply[F_LENGTH] = wire.u64(1 if st.exists else 0)
         else:
             raise BadRequest(f"unhandled op {op}")
-        return True
 
 
 class FileShare(DfsServer):
@@ -392,7 +400,7 @@ class FileShare(DfsServer):
             self._handle(frame.payload)
 
     def _dispatch(self, op: Op, fields: dict[int, bytes],
-                  reply: dict[int, bytes]) -> bool:
+                  reply: dict[int, bytes]) -> None:
         if op != Op.READ or fields.get(F_PATH) != self.name:
             raise PermissionDenied("the share serves READ of one file")
         length = min(wire.read_uint(fields, F_LENGTH, 0),
@@ -400,7 +408,6 @@ class FileShare(DfsServer):
         with _opened(self.path, os.O_RDONLY) as fd:
             reply[F_DATA] = os.pread(fd, length,
                                      wire.read_uint(fields, F_OFFSET, 0))
-        return True
 
 
 # -- client side ------------------------------------------------------------

@@ -164,10 +164,6 @@ class LaunchFailed(GridfsError):
     status = Status.LAUNCH_FAILED
 
 
-class TaskTimeout(GridfsError):
-    status = Status.TIMEOUT
-
-
 class SetExpired(GridfsError):
     status = Status.SET_EXPIRED
 
@@ -227,7 +223,6 @@ _STATUS_DEFAULT = {
     Status.STATE_CORRUPT: StateCorrupt,
     Status.STAGING_FAILED: StagingFailed,
     Status.LAUNCH_FAILED: LaunchFailed,
-    Status.TIMEOUT: TaskTimeout,
     Status.SET_EXPIRED: SetExpired,
     Status.VERSION_MISMATCH: VersionMismatch,
     Status.MODE_REJECTED: ModeRejected,

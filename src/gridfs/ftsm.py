@@ -77,7 +77,9 @@ its mark, so a sidecar never claims an unwritten chunk; a receiving
 process killed outright loses at most one interval of marks, and those
 chunks are sent again. An interrupted transfer resumes from the
 sidecar — the original chunk grid is preserved and only missing chunks are
-resent, round-robin across however many streams the resuming session opens.
+resent, dealt in ordinal order into one share per stream the resuming
+session opens, the shares differing in size by at most one chunk
+(`assign_missing`), so a gap that forms one run still uses every stream.
 The sidecar is removed once every chunk has landed, whether or not the
 digest then matches: a complete sidecar has nothing left to resume, so the
 sender's retry starts afresh. A transfer whose bitmap would not fit one
@@ -143,6 +145,7 @@ from functools import cache, cached_property
 from pathlib import Path
 
 from . import secchan, wire
+from .dfsm import map_os_error, sandboxed
 from .errors import (
     BadRequest,
     ConnectionLost,
@@ -151,11 +154,10 @@ from .errors import (
     IncompleteTransfer,
     IntegrityMismatch,
     NoSuchFile,
-    PermissionDenied,
     StateCorrupt,
     StreamLost,
 )
-from .perms import Account, ActionKind, GuardedAction, check
+from .perms import Account
 from .secchan import Channel
 from .wire import Frame, FrameType, Mode, SecurityMode, SessionParams
 
@@ -444,20 +446,16 @@ def plan_transfer(file_size: int, region: tuple[int, int] | None,
 
 def assign_missing(grid: ChunkGrid, missing: list[int],
                    streams: int) -> list[list[tuple[int, int]]]:
-    """Group missing ordinals into consecutive runs, dealt round-robin."""
-    chunks = grid._chunks
-    runs: list[list[tuple[int, int]]] = []
-    previous = None
-    for ordinal in missing:
-        if previous is not None and ordinal == previous + 1:
-            runs[-1].append(chunks[ordinal])
-        else:
-            runs.append([chunks[ordinal]])
-        previous = ordinal
-    assignment: list[list[tuple[int, int]]] = [[] for _ in range(streams)]
-    for k, run in enumerate(runs):
-        assignment[k % streams].extend(run)
-    return [chunks_i for chunks_i in assignment if chunks_i]
+    """Deal the missing ordinals, in order, into at most `streams`
+    consecutive slices whose sizes differ by at most one, none empty."""
+    share, extra = divmod(len(missing), streams)
+    slices = []
+    start = 0
+    for index in range(min(streams, len(missing))):
+        end = start + share + (index < extra)
+        slices.append([grid._chunks[k] for k in missing[start:end]])
+        start = end
+    return slices
 
 
 def grid_fields(grid: ChunkGrid) -> dict[int, bytes]:
@@ -1016,30 +1014,20 @@ class TransferRegistry:
 
 
 class FtsmService:
-    """Handles FTSM sessions: control sessions, and the data sessions
-    that join their transfers.
+    """A node's one transfer service: it serves FTSM sessions, control
+    sessions and the data sessions that join their transfers, and the
+    offers that task sessions hand it to stage and collect a set's files.
 
-    `resolver(account, relative) -> Path` maps an offered path to a local
-    destination; the default confines it to the account sandbox behind the
-    file permission gate. The task runner substitutes its own resolver to
-    stage into per-set work directories.
+    Every transfer registers in `registry` under its id, whichever session
+    offered it, so a data session finds it there. An offer resolves its
+    path by the `resolve(account, relative) -> Path` it is given: the
+    sandbox gate (`dfsm.sandboxed`) for an FTSM session, a task set's own
+    work directory for a task session.
     """
 
-    def __init__(self, registry: TransferRegistry, drain_timeout: float = 30.0,
-                 resolver=None):
+    def __init__(self, registry: TransferRegistry, drain_timeout: float = 30.0):
         self.registry = registry
         self.drain_timeout = drain_timeout
-        self.resolver = resolver
-
-    def _resolve(self, account: Account, relative: str) -> Path:
-        if self.resolver is not None:
-            return self.resolver(account, relative)
-        from .dfsm import resolve_path    # local import: avoids a cycle
-        target = resolve_path(account.sandbox_root, relative)
-        denial = check(account, GuardedAction(ActionKind.FILE_IO, target))
-        if denial is not None:
-            raise PermissionDenied(denial)
-        return target
 
     def serve(self, channel: Channel, account: Account, mode: Mode) -> None:
         """Serve a session in FTSM_PUSH mode (the peer sends, this node
@@ -1051,28 +1039,36 @@ class FtsmService:
             channel, account, mode, frame.payload), *answer)
 
     def offer(self, channel: Channel, account: Account, mode: Mode,
-              offer_raw: bytes) -> None:
+              offer_raw: bytes,
+              resolve: Callable[[Account, str], Path] = sandboxed) -> None:
         """Run one offered transfer to its end: reply to the XFER_OFFER,
         serve its data connections, and end with XFER_DONE, which answers
-        the peer's own except on a pull planned on one stream."""
+        the peer's own except on a pull planned on one stream. `resolve`
+        maps the offered path to the local file."""
         fields = wire.decode_fields(offer_raw)
         transfer_id = fields.get(X_TRANSFER, b"")
         if len(transfer_id) != 16:
             raise BadRequest("transfer id must be 16 bytes")
         if mode == Mode.FTSM_PUSH:
-            self._receive(channel, account, transfer_id, fields)
+            self._receive(channel, account, transfer_id, fields, resolve)
         else:
-            self._send(channel, account, transfer_id, fields)
+            self._send(channel, account, transfer_id, fields, resolve)
 
     def _register_and_reply(self, channel: Channel, session: TransferSession,
                             frame_type: FrameType,
                             fields: dict[int, bytes]) -> None:
-        self.registry.register(session)
+        """Register `session` and send the reply; if either fails, drop
+        the session's receiver, and unregister it only if it registered:
+        a refused duplicate id belongs to a live transfer."""
+        registered = False
         try:
+            self.registry.register(session)
+            registered = True
             channel.send(frame_type, wire.encode_fields(
                 {X_TRANSFER: session.transfer_id, **fields}))
         except BaseException:
-            self.registry.remove(session.transfer_id)
+            if registered:
+                self.registry.remove(session.transfer_id)
             if session.receiver is not None:
                 session.receiver.abort()
             raise
@@ -1080,7 +1076,8 @@ class FtsmService:
     # push: the peer sends, this node receives
 
     def _receive(self, channel: Channel, account: Account,
-                 transfer_id: bytes, fields: dict[int, bytes]) -> None:
+                 transfer_id: bytes, fields: dict[int, bytes],
+                 resolve: Callable[[Account, str], Path]) -> None:
         frame_type, reply = FrameType.XFER_ACCEPT, {}
         grid = None
         if wire.read_uint(fields, X_SINK, SINK_FILE) == SINK_FILE:
@@ -1097,8 +1094,7 @@ class FtsmService:
             if grid is None:
                 receiver = MemSink()
             else:
-                dst = self._resolve(account,
-                                    fields.get(X_PATH, b"").decode("utf-8"))
+                dst = resolve(account, fields.get(X_PATH, b"").decode("utf-8"))
                 grid.check_resumable(channel.params.buffer_size)
                 end = grid.region_offset + grid.region_length
                 whole_file = bool(wire.read_uint(fields, X_TRUNCATE, 0))
@@ -1121,9 +1117,13 @@ class FtsmService:
             self._register_and_reply(channel, session, frame_type, reply)
         except ConnectionLost:
             raise
-        except GridfsError:
+        except (GridfsError, OSError) as exc:
             if pipelined:
                 drop_pushed(channel)    # the refusal answers it all
+            if isinstance(exc, OSError):
+                # the destination could not be opened, as when a parent
+                # on its path is a regular file
+                raise map_os_error(exc) from None
             raise
         self._finish_push(channel, session, pipelined)
 
@@ -1171,9 +1171,9 @@ class FtsmService:
     # pull: the peer receives, this node sends
 
     def _send(self, channel: Channel, account: Account, transfer_id: bytes,
-              fields: dict[int, bytes]) -> None:
-        relative = fields.get(X_PATH, b"").decode("utf-8")
-        src = self._resolve(account, relative)
+              fields: dict[int, bytes],
+              resolve: Callable[[Account, str], Path]) -> None:
+        src = resolve(account, fields.get(X_PATH, b"").decode("utf-8"))
         if not src.is_file():
             raise NoSuchFile("source does not exist")
         file_size = src.stat().st_size

@@ -134,8 +134,7 @@ class NodeServer:
         self.registry = TransferRegistry()
         self.ftsm = FtsmService(self.registry,
                                 drain_timeout=config.drain_timeout)
-        self.tasks = TaskService(self.registry, config.drain_timeout,
-                                 workers=config.task_workers,
+        self.tasks = TaskService(self.ftsm, workers=config.task_workers,
                                  retention=config.task_retention)
         self.crypt = CryptWorker()
         self._listener: socket.socket | None = None
@@ -226,7 +225,7 @@ class NodeServer:
     def _session(self, conn: socket.socket, peer) -> None:
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.settimeout(30)    # guards the handshake only
+            conn.settimeout(secchan.HANDSHAKE_TIMEOUT)
             self._handle_session(conn, peer)
         except (GridfsError, OSError, socket.timeout) as exc:
             log.debug("session from %s ended: %s", peer, exc)

@@ -64,7 +64,6 @@ class ActionKind(Enum):
 class GuardedAction:
     kind: ActionKind
     path: Path | None = None       # FILE_IO: absolute, already resolved
-    detail: str = ""
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,10 @@ _COUNTER_LIMIT = 2**64
 # a channel's receive buffer starts this large and grows to its largest frame
 RECV_START = 4096
 
+# seconds either end of a dial waits on the socket until AUTH has settled;
+# after it, a session waits on its peer without a limit
+HANDSHAKE_TIMEOUT = 30.0
+
 
 def derive_keys(psk: bytes, client_nonce: bytes, server_nonce: bytes) -> tuple[bytes, bytes]:
     """Returns (client_key, server_key), each 16 bytes, same on both peers."""
@@ -343,8 +347,8 @@ class Channel:
 
 def connect(address: tuple[str, int], params: SessionParams,
             username: str, psk: bytes,
-            transfer_id: bytes | None = None, stream_index: int = 0,
-            timeout: float | None = 30.0) -> Channel:
+            transfer_id: bytes | None = None,
+            stream_index: int = 0) -> Channel:
     """Dial a node: HELLO/WELCOME negotiation, key derivation, then AUTH.
 
     Every connection authenticates. Given a transfer id, the session is
@@ -360,7 +364,7 @@ def connect(address: tuple[str, int], params: SessionParams,
     """
     if len(username.encode("utf-8")) > MAX_USERNAME:
         raise AuthFailed("username too long")
-    sock = socket.create_connection(address, timeout=timeout)
+    sock = socket.create_connection(address, timeout=HANDSHAKE_TIMEOUT)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
         client_nonce = os.urandom(NONCE_SIZE)

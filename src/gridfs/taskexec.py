@@ -47,7 +47,7 @@ from .errors import (
     StagingFailed,
     WorkerFailed,
 )
-from .ftsm import FtsmService, TransferClient, TransferRegistry
+from .ftsm import FtsmService, TransferClient
 from .perms import Account, ActionKind, GuardedAction, check
 from .secchan import Channel
 from .wire import FrameType, Mode, SecurityMode
@@ -368,9 +368,12 @@ def run_builtin_task(spec: TaskSpec, index: int = 0) -> TaskResult:
 # -- server -----------------------------------------------------------------
 
 class TaskSetRecord:
+    """A set from its submission until ACT_FINISH: its tasks, its work
+    directory, its results so far and its phase. `resolve` is the path
+    gate of the offers that stage and collect the set's files."""
+
     def __init__(self, set_id: bytes, account: Account, workdir: Path,
-                 specs: list[TaskSpec], registry: TransferRegistry,
-                 drain_timeout: float):
+                 specs: list[TaskSpec]):
         self.set_id = set_id
         self.account = account
         self.workdir = workdir
@@ -382,10 +385,11 @@ class TaskSetRecord:
         self.phase = PH_STAGING
         self.expiry: float | None = None
         self.cond = threading.Condition()
-        self.ftsm = FtsmService(registry, drain_timeout=drain_timeout,
-                                resolver=self._resolve)
 
-    def _resolve(self, account: Account, relative: str) -> Path:
+    def resolve(self, account: Account, relative: str) -> Path:
+        """The work directory's file `relative` names: a declared
+        dependency while the set stages, a produced output once it is
+        done, and nothing while it runs."""
         if not _safe_name(relative):
             raise BadRequest("staging names are flat file names")
         with self.cond:
@@ -468,23 +472,22 @@ class TaskService:
     """Server side of TASK mode; one instance per node, shared by every
     task session.
 
-    Staging and collection transfers register in `registry`, which the
-    node shares with its own FtsmService: every data session that joins
-    one is an FTSM session, served by that service, which finds the
-    transfer there.
+    Staging and collection transfers are offers to the node's one
+    FtsmService, `ftsm`, each resolved by its set's `TaskSetRecord.resolve`
+    rather than by the sandbox gate; every data session that joins one is
+    an FTSM session, which that service admits like any other.
 
     A set is kept for `retention` seconds after its last task ends, to be
     collected or reattached. Once ACT_FINISH has collected it, only a
     `FinishedSet` stays. Sets expire in the order they completed, so the
     sweep pops them from the front of a queue and never scans the rest."""
 
-    def __init__(self, registry: TransferRegistry, drain_timeout: float,
-                 workers: int = 4, retention: float = 600.0):
+    def __init__(self, ftsm: FtsmService, workers: int = 4,
+                 retention: float = 600.0):
         self.pool = ThreadPoolExecutor(max_workers=max(1, workers),
                                        thread_name_prefix="task")
         self.retention = retention
-        self.registry = registry
-        self.drain_timeout = drain_timeout
+        self.ftsm = ftsm
         self._lock = threading.Lock()
         self._sets: dict[bytes, TaskSetRecord | FinishedSet] = {}
         # (expiry, set id) of each completed set, in the order they completed
@@ -568,8 +571,7 @@ class TaskService:
                     raise BadRequest("output names are flat file names")
 
         workdir = account.sandbox_root / ".tasksets" / set_id.hex()
-        record = TaskSetRecord(set_id, account, workdir, specs,
-                               self.registry, self.drain_timeout)
+        record = TaskSetRecord(set_id, account, workdir, specs)
         with self._lock:
             if set_id in self._sets:
                 raise BadRequest("set id already in use")
@@ -590,7 +592,7 @@ class TaskService:
         if phase == PH_RUNNING:
             raise BadRequest("no transfers while the set is running")
         mode = Mode.FTSM_PUSH if phase == PH_STAGING else Mode.FTSM_PULL
-        record.ftsm.offer(channel, account, mode, payload)
+        self.ftsm.offer(channel, account, mode, payload, record.resolve)
 
     def _status(self, channel: Channel, account: Account,
                 record: TaskSetRecord | FinishedSet | None,

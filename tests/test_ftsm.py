@@ -239,11 +239,15 @@ def test_state_claiming_bytes_beyond_destination_is_corrupt(tmp_path):
 
 
 def test_assign_missing_deals_runs_round_robin():
+    """The missing ordinals are dealt in order into even consecutive
+    slices, whatever runs they form."""
     grid = ChunkGrid(0, 1000, 2, 100)    # chunks k at offset 100k
     missing = [0, 1, 2, 5, 6, 9]         # runs [0,1,2] [5,6] [9]
     first, second = assign_missing(grid, missing, 2)
-    assert first == [(0, 100), (100, 100), (200, 100), (900, 100)]
-    assert second == [(500, 100), (600, 100)]
+    assert first == [(0, 100), (100, 100), (200, 100)]
+    assert second == [(500, 100), (600, 100), (900, 100)]
+    assert [len(s) for s in assign_missing(grid, list(range(10)), 4)] == \
+        [3, 3, 2, 2]
 
 
 def test_assign_missing_drops_idle_streams():
@@ -709,6 +713,40 @@ def test_pull_after_the_remote_file_changed_size_gets_the_new_file(
     assert not state_path(local).exists()
 
 
+def test_resumed_push_of_a_one_run_gap_uses_every_stream(node, tmp_path):
+    """4 MiB cut at half over 2 streams leaves a gap of one run, span 1;
+    resumed with 4 streams, every stream carries a share of it."""
+    data = os.urandom(4 * 2 ** 20)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    sent = interrupted_push(node, src, "gap.bin", chunk_size=65536)
+    dst = storage(node) / "gap.bin"
+    wait_for_state(dst, sent)
+
+    report = client(node, streams=4, chunk_size=65536,
+                    buffer_size=262144).push(src, "gap.bin")
+    assert report.resumed
+    assert len(report.per_stream) == 4
+    assert report.bytes_moved == len(data) - sent
+    assert dst.read_bytes() == data
+
+
+def test_resumed_pull_of_a_one_run_gap_uses_every_stream(node, tmp_path,
+                                                         monkeypatch):
+    """A 1-stream pull cut after 8 of 32 chunks leaves one run missing;
+    resumed with 4 streams, every stream carries a share of it."""
+    data = os.urandom(32 * 4096)
+    (storage(node) / "gap.bin").write_bytes(data)
+    local = tmp_path / "gap.bin"
+    interrupted_pull(node, "gap.bin", local, 8, monkeypatch)
+
+    report = client(node, streams=4, chunk_size=4096).pull("gap.bin", local)
+    assert report.resumed
+    assert len(report.per_stream) == 4
+    assert report.bytes_moved == len(data) - 8 * 4096
+    assert local.read_bytes() == data
+
+
 def test_a_resume_record_with_a_short_bitmap_is_state_corrupt(
         node, tmp_path, monkeypatch):
     """A node whose XFER_RESUME record has a bitmap short of its geometry:
@@ -1133,6 +1171,75 @@ def test_push_done_without_a_sha256_digest_is_refused_once(node, tag,
     with pytest.raises(BadRequest):
         ftsm._with_retries(refused)
     assert len(attempts) == 1
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_a_refused_duplicate_transfer_id_closes_its_file(node):
+    """Driven by hand: with one multi-chunk push offer held open, 20
+    offers of its transfer id on fresh sessions are each refused. Each
+    refusal closes the file its offer opened, so the node's open
+    descriptors settle back to their count before them, and the held
+    push, whose registration the refusals leave alone, still lands."""
+    params = SessionParams(Mode.FTSM_PUSH, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    address = ("127.0.0.1", node.port)
+    data = os.urandom(3 * 4096)
+    grid = ChunkGrid(0, len(data), 1, 4096)
+    transfer_id = os.urandom(16)
+    offer = wire.encode_fields({ftsm.X_TRANSFER: transfer_id,
+                                ftsm.X_PATH: b"held.bin",
+                                **ftsm.grid_fields(grid)})
+    control = secchan.connect(address, params, "grid", GRID_PSK)
+    try:
+        control.send(FrameType.XFER_OFFER, offer)
+        control.expect(FrameType.XFER_ACCEPT)
+        before = open_descriptors()
+        for _ in range(20):
+            duplicate = secchan.connect(address, params, "grid", GRID_PSK)
+            try:
+                duplicate.send(FrameType.XFER_OFFER, offer)
+                with pytest.raises(BadRequest, match="already in use"):
+                    duplicate.expect(FrameType.XFER_ACCEPT)
+            finally:
+                duplicate.close()
+        deadline = time.monotonic() + 5
+        while open_descriptors() > before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert open_descriptors() <= before
+
+        for offset, length in grid.chunks():
+            control.send(FrameType.CHUNK, pack_chunk(
+                transfer_id, 0, offset, data[offset:offset + length]))
+        control.send(FrameType.XFER_DONE, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_REGION_DIGEST: region_digest(data, grid)}))
+        control.expect(FrameType.XFER_DONE)
+    finally:
+        control.close()
+    assert (storage(node) / "held.bin").read_bytes() == data
+
+
+@pytest.mark.parametrize("chunks", [1, 3], ids=["one chunk", "three chunks"])
+def test_push_under_a_regular_file_is_refused_by_name(node, tmp_path,
+                                                      chunks):
+    """A push to `afile/b.bin`, with `afile` a regular file: the node
+    cannot open the destination, so the offer gets an ERROR that names
+    the failure, at once and without a retry, and the client's next push
+    lands."""
+    (storage(node) / "afile").write_bytes(b"a regular file")
+    data = os.urandom(chunks * 4096)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    mover = client(node, chunk_size=4096)
+    start = time.monotonic()
+    with pytest.raises(BadRequest, match="io error"):
+        mover.push(src, "afile/b.bin")
+    assert time.monotonic() - start < 0.5
+    assert mover.push(src, "b.bin").bytes_moved == len(data)
+    assert (storage(node) / "b.bin").read_bytes() == data
 
 
 def test_data_connection_slow_to_join_lands_its_chunks(node, tmp_path,

@@ -13,6 +13,7 @@ from gridfs import ftsm, secchan, wire
 from gridfs.dfsm import FsClient
 from gridfs.errors import (
     AuthFailed,
+    BadRequest,
     GridfsError,
     MalformedConfig,
     ModeRejected,
@@ -261,6 +262,23 @@ def test_fs_close_closes_the_connection_answered_or_not(node):
     with pytest.raises((GridfsError, OSError)):
         fs.close()
     assert fs.channel.sock.fileno() == -1
+
+
+def test_undecodable_dfs_request_gets_an_error_and_the_session_goes_on(
+        node):
+    """A DFS_REQ whose fields cannot be decoded has no request id to
+    answer under: it gets an ERROR frame, as a failed request of any
+    other session does, and the next request is served."""
+    channel = connect(node, mode=Mode.DFSM)
+    fs = FsClient(channel)
+    try:
+        channel.send(FrameType.DFS_REQ, b"\x01\x00")    # a torn field header
+        with pytest.raises(BadRequest):
+            channel.expect(FrameType.DFS_RESP)
+        fs.write("after.txt", 0, b"still served")
+        assert fs.read("after.txt", 0, 100) == b"still served"
+    finally:
+        fs.close()
 
 
 def test_sandboxed_user_lands_in_home(node):
