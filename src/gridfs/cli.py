@@ -249,16 +249,6 @@ def cmd_fs_lock(args) -> int:
     return EX_OK
 
 
-def cmd_fs_unlock(args) -> int:
-    # Locks die with their session, so this can only release a lock id
-    # from the same invocation; its real use is demonstrating NotOwner.
-    fs, path = _fs_open(args)
-    with fs:
-        fs.unlock(path, args.lock_id)
-    print(f"lock {args.lock_id} released")
-    return EX_OK
-
-
 # -- submit ------------------------------------------------------------------
 
 def _parse_dependency(token: str) -> tuple[str, str]:
@@ -469,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "--length": dict(type=int, default=None),
                  "--hold": dict(type=float, default=0.0,
                                 help="seconds to hold before releasing")})
-    fs_parser("unlock", cmd_fs_unlock,
-              **{"--lock-id": dict(type=int, required=True)})
 
     p = sub.add_parser("submit", help="run one process task on a node")
     p.add_argument("--node", required=True, metavar="HOST[:PORT]")

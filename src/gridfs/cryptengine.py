@@ -45,7 +45,7 @@ from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import secchan, wire
-from .dfsm import FileShare, FsClient
+from .dfsm import FileShare, FsClient, sandboxed
 from .errors import (
     BadPadding,
     BadRequest,
@@ -416,11 +416,12 @@ class CryptWorker:
     arrives, so hashing and encryption overlap the distributor's answers.
     A task that fails with replies still in flight takes them before its
     error is reported, and the session goes on. The block goes into the
-    worker's store, or, for a relayed task, back over the session as
-    CRYPT_TASK frames of one piece each, ahead of the task's C_DONE
-    reply. A worker dials no node: it needs no credentials but its own
-    session's. Blocks are decrypted where they are reassembled, never on
-    a worker.
+    worker's store, whose path passes the sandbox gate (`dfsm.sandboxed`)
+    before the first READ, as every file a session touches does, or, for
+    a relayed task, back over the session as CRYPT_TASK frames of one
+    piece each, ahead of the task's C_DONE reply. A worker dials no node:
+    it needs no credentials but its own session's. Blocks are decrypted
+    where they are reassembled, never on a worker.
     """
 
     def serve(self, channel: Channel, account: Account) -> None:
@@ -448,6 +449,8 @@ class CryptWorker:
         length = wire.read_uint(fields, C_LENGTH)
         if length > MAX_BLOCK_SIZE:
             raise BadRequest(f"blocks are at most {MAX_BLOCK_SIZE} bytes")
+        destination = None if wire.read_uint(fields, C_RELAY, 0) else \
+            sandboxed(account, f"{BLOCK_SUBDIR}/{name}")
         # not a context manager: its close would end the crypt session
         fs = FsClient(channel)
         try:
@@ -457,13 +460,12 @@ class CryptWorker:
             # the ERROR this becomes, so none is left for the next task
             fs.drain()
             raise
-        if wire.read_uint(fields, C_RELAY, 0):
+        if destination is None:
             piece_size = channel.params.buffer_size
             for start in range(0, len(block), piece_size):
                 channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
                     C_PIECE: block[start:start + piece_size]}))
         else:
-            destination = account.sandbox_root / BLOCK_SUBDIR / name
             destination.parent.mkdir(parents=True, exist_ok=True)
             scratch = destination.with_name(destination.name + ".tmp")
             scratch.write_bytes(block)

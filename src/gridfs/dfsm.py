@@ -5,7 +5,9 @@ STAT) travel as DFS_REQ/DFS_RESP FieldMaps. Every request names the full
 sandbox-relative path and absolute offset; the server opens, acts and
 closes per request, holding no cursor or position between requests. The
 only server-side session state is the lock table, and a session's locks
-vanish when its connection does.
+vanish when its connection does. A lock is owned by its session's id,
+16 random bytes the server makes when it starts serving the session and
+never sends, so no peer can name another session's locks.
 
 Byte-range locks are advisory and non-blocking: an overlapping request is
 refused immediately with LOCK_CONFLICT and the client retries. Overlap is
@@ -286,14 +288,15 @@ def map_os_error(exc: OSError) -> GridfsError:
 class DfsServer:
     """Answers the requests of one authenticated DFSM session, each as it
     arrives, through `Channel.serve`; the reply to a CLOSE closes the
-    channel. The session's locks are released when it ends."""
+    channel. The session's locks are owned by an id the server makes
+    here, and are released when it ends."""
 
     def __init__(self, channel: Channel, account: Account,
                  locks: LockTable):
         self.channel = channel
         self.account = account
         self.locks = locks
-        self.session = channel.params.session_id
+        self.session = os.urandom(16)
         self._last_request_id: int | None = None
 
     def serve(self) -> None:

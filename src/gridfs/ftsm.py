@@ -115,13 +115,17 @@ refused at once. The chunks of stream 0 need no such wait: they precede
 XFER_DONE on the same connection, and the node lands each one as it
 reads it. A joined session ends with its stream.
 
-A join is admitted only with the transfer's id, security mode and owner,
-and in its direction: an FTSM_PUSH session joins a push, an FTSM_PULL
-session a pull. A pushing node takes CHUNK frames on the control
-connection, and a joined stream for any stream index. A pulling node
-sends stream 0's share of its plan (`sender_plan`, which the client
-computes too) on the control connection, and admits joins only for
-streams 1..n-1.
+A node registers each offered transfer under its id first, before the
+offer resolves a path, reads or deletes a sidecar or opens a file, so an
+offer whose id is in use is refused with nothing touched, and a live
+transfer's sidecar is never the refused offer's to delete. A join is
+admitted only once the offer has opened the node's end, only with the
+transfer's id, security mode and owner, and in its direction: an
+FTSM_PUSH session joins a push, an FTSM_PULL session a pull. A pushing
+node takes CHUNK frames on the control connection, and a joined stream
+for any stream index. A pulling node sends stream 0's share of its plan
+(`sender_plan`, which the client computes too) on the control
+connection, and admits joins only for streams 1..n-1.
 
 The node serves offers on a control session one after another until the
 client hangs up, so a client keeps its authenticated session between
@@ -957,21 +961,21 @@ def fan_out(work: Callable[[int], object], count: int,
 
 class TransferSession:
     """Server-side rendezvous record joining control and data connections.
-    It holds the node's end of the transfer, one of the two: on a push
-    the receiving end (`receiver`, a RegionReceiver or MemSink), on a pull
-    the sending end (`sender`, a RegionSender); which one it holds says
-    which way the transfer runs. Only joined streams attach: stream 0's
-    chunks on the control connection are handled by the thread that
-    serves it."""
+    It is registered before its offer touches a file, and holds the
+    node's end of the transfer, one of the two, once the offer has opened
+    it: on a push the receiving end (`receiver`, a RegionReceiver or
+    MemSink), on a pull the sending end (`sender`, a RegionSender); which
+    one it holds says which way the transfer runs. Only joined streams
+    attach: stream 0's chunks on the control connection are handled by
+    the thread that serves it."""
 
     def __init__(self, transfer_id: bytes, account: Account,
-                 security: SecurityMode, receiver=None,
-                 sender: RegionSender | None = None):
+                 security: SecurityMode):
         self.transfer_id = transfer_id
         self.account = account
         self.security = security
-        self.receiver = receiver
-        self.sender = sender
+        self.receiver = None
+        self.sender: RegionSender | None = None
         self._cond = threading.Condition()
         self._active = 0
 
@@ -1008,9 +1012,12 @@ class TransferRegistry:
         with self._lock:
             return self._sessions.get(transfer_id)
 
-    def remove(self, transfer_id: bytes) -> None:
+    def remove(self, session: TransferSession) -> None:
+        """Unregister `session`; a refused duplicate leaves the live
+        transfer that holds its id registered."""
         with self._lock:
-            self._sessions.pop(transfer_id, None)
+            if self._sessions.get(session.transfer_id) is session:
+                del self._sessions[session.transfer_id]
 
 
 class FtsmService:
@@ -1019,10 +1026,14 @@ class FtsmService:
     offers that task sessions hand it to stage and collect a set's files.
 
     Every transfer registers in `registry` under its id, whichever session
-    offered it, so a data session finds it there. An offer resolves its
-    path by the `resolve(account, relative) -> Path` it is given: the
-    sandbox gate (`dfsm.sandboxed`) for an FTSM session, a task set's own
-    work directory for a task session.
+    offered it, so a data session finds it there. It registers first,
+    before its offer resolves a path, reads or deletes a sidecar or opens
+    a file, so an offer of an id in use is refused with nothing touched;
+    a data session that joins before the offer has opened the node's end
+    is refused too. An offer resolves its path by the
+    `resolve(account, relative) -> Path` it is given: the sandbox gate
+    (`dfsm.sandboxed`) for an FTSM session, a task set's own work
+    directory for a task session.
     """
 
     def __init__(self, registry: TransferRegistry, drain_timeout: float = 30.0):
@@ -1041,43 +1052,36 @@ class FtsmService:
     def offer(self, channel: Channel, account: Account, mode: Mode,
               offer_raw: bytes,
               resolve: Callable[[Account, str], Path] = sandboxed) -> None:
-        """Run one offered transfer to its end: reply to the XFER_OFFER,
-        serve its data connections, and end with XFER_DONE, which answers
-        the peer's own except on a pull planned on one stream. `resolve`
-        maps the offered path to the local file."""
+        """Run one offered transfer to its end: register it, reply to the
+        XFER_OFFER, serve its data connections, and end with XFER_DONE,
+        which answers the peer's own except on a pull planned on one
+        stream. `resolve` maps the offered path to the local file. The
+        transfer is unregistered, and its receiver dropped, before
+        XFER_DONE or an ERROR goes out."""
         fields = wire.decode_fields(offer_raw)
         transfer_id = fields.get(X_TRANSFER, b"")
         if len(transfer_id) != 16:
             raise BadRequest("transfer id must be 16 bytes")
-        if mode == Mode.FTSM_PUSH:
-            self._receive(channel, account, transfer_id, fields, resolve)
-        else:
-            self._send(channel, account, transfer_id, fields, resolve)
-
-    def _register_and_reply(self, channel: Channel, session: TransferSession,
-                            frame_type: FrameType,
-                            fields: dict[int, bytes]) -> None:
-        """Register `session` and send the reply; if either fails, drop
-        the session's receiver, and unregister it only if it registered:
-        a refused duplicate id belongs to a live transfer."""
-        registered = False
+        session = TransferSession(transfer_id, account,
+                                  channel.params.security)
+        run = self._receive if mode == Mode.FTSM_PUSH else self._send
         try:
-            self.registry.register(session)
-            registered = True
-            channel.send(frame_type, wire.encode_fields(
-                {X_TRANSFER: session.transfer_id, **fields}))
-        except BaseException:
-            if registered:
-                self.registry.remove(session.transfer_id)
+            done = run(channel, session, fields, resolve)
+        finally:
+            self.registry.remove(session)
             if session.receiver is not None:
+                # a no-op once finish has closed the file
                 session.receiver.abort()
-            raise
+        if done is not None:
+            channel.send(FrameType.XFER_DONE, wire.encode_fields(
+                {X_TRANSFER: transfer_id, **done}))
 
     # push: the peer sends, this node receives
 
-    def _receive(self, channel: Channel, account: Account,
-                 transfer_id: bytes, fields: dict[int, bytes],
-                 resolve: Callable[[Account, str], Path]) -> None:
+    def _receive(self, channel: Channel, session: TransferSession,
+                 fields: dict[int, bytes],
+                 resolve: Callable[[Account, str], Path]
+                 ) -> dict[int, bytes] | None:
         frame_type, reply = FrameType.XFER_ACCEPT, {}
         grid = None
         if wire.read_uint(fields, X_SINK, SINK_FILE) == SINK_FILE:
@@ -1091,10 +1095,12 @@ class FtsmService:
         # XFER_DONE behind the offer without waiting for the reply
         pipelined = grid is not None and grid.chunk_count <= 1
         try:
+            self.registry.register(session)
             if grid is None:
-                receiver = MemSink()
+                session.receiver = MemSink()
             else:
-                dst = resolve(account, fields.get(X_PATH, b"").decode("utf-8"))
+                dst = resolve(session.account,
+                              fields.get(X_PATH, b"").decode("utf-8"))
                 grid.check_resumable(channel.params.buffer_size)
                 end = grid.region_offset + grid.region_length
                 whole_file = bool(wire.read_uint(fields, X_TRUNCATE, 0))
@@ -1108,13 +1114,11 @@ class FtsmService:
                     grid = state.grid
                     frame_type = FrameType.XFER_RESUME
                     reply = {X_STATE: state.encode()}
-                receiver = RegionReceiver(dst, transfer_id, grid, state,
-                                          truncate_to=end if whole_file
-                                          else None)
-            session = TransferSession(transfer_id, account,
-                                      channel.params.security,
-                                      receiver=receiver)
-            self._register_and_reply(channel, session, frame_type, reply)
+                session.receiver = RegionReceiver(
+                    dst, session.transfer_id, grid, state,
+                    truncate_to=end if whole_file else None)
+            channel.send(frame_type, wire.encode_fields(
+                {X_TRANSFER: session.transfer_id, **reply}))
         except ConnectionLost:
             raise
         except (GridfsError, OSError) as exc:
@@ -1125,10 +1129,12 @@ class FtsmService:
                 # on its path is a regular file
                 raise map_os_error(exc) from None
             raise
-        self._finish_push(channel, session, pipelined)
+        return self._finish_push(channel, session, pipelined)
 
     def _finish_push(self, channel: Channel, session: TransferSession,
-                     pipelined: bool) -> None:
+                     pipelined: bool) -> dict[int, bytes] | None:
+        """Land the push's chunks and verify it; returns the fields of
+        the XFER_DONE that answers it, or None if the sender vanished."""
         receiver = session.receiver
         try:
             receiver.hash_earlier()    # beside the data connections
@@ -1158,22 +1164,21 @@ class FtsmService:
             # before the file closes; a vanished sender keeps its sidecar
             session.wait_quiesce(min(5.0, self.drain_timeout))
             if isinstance(exc, ConnectionLost):
-                return
+                return None
             if isinstance(exc, OSError):
                 raise StreamLost(f"local file error: {exc}") from None
             raise
-        finally:
-            self.registry.remove(session.transfer_id)
-            receiver.abort()    # a no-op once finish has closed the file
-        channel.send(FrameType.XFER_DONE, wire.encode_fields({
-            X_TRANSFER: session.transfer_id, X_TOTAL: wire.u64(total)}))
+        return {X_TOTAL: wire.u64(total)}
 
     # pull: the peer receives, this node sends
 
-    def _send(self, channel: Channel, account: Account, transfer_id: bytes,
+    def _send(self, channel: Channel, session: TransferSession,
               fields: dict[int, bytes],
-              resolve: Callable[[Account, str], Path]) -> None:
-        src = resolve(account, fields.get(X_PATH, b"").decode("utf-8"))
+              resolve: Callable[[Account, str], Path]
+              ) -> dict[int, bytes] | None:
+        self.registry.register(session)
+        src = resolve(session.account,
+                      fields.get(X_PATH, b"").decode("utf-8"))
         if not src.is_file():
             raise NoSuchFile("source does not exist")
         file_size = src.stat().st_size
@@ -1197,12 +1202,11 @@ class FtsmService:
             grid = state.grid
         else:
             state = None    # the puller sees a new grid and starts afresh
-        sender = RegionSender(src, transfer_id, grid, state,
+        sender = RegionSender(src, session.transfer_id, grid, state,
                               channel.params.stream_count)
-        session = TransferSession(transfer_id, account,
-                                  channel.params.security, sender=sender)
-        self._register_and_reply(channel, session, FrameType.XFER_ACCEPT,
-                                 grid_fields(grid))
+        session.sender = sender
+        channel.send(FrameType.XFER_ACCEPT, wire.encode_fields(
+            {X_TRANSFER: session.transfer_id, **grid_fields(grid)}))
         try:
             # beside the data connections, before stream 0's chunks
             sender.hash_earlier()
@@ -1213,15 +1217,11 @@ class FtsmService:
             # stored by then; with one, stream 0's are stored now
             if len(sender.assignments) > 1:
                 channel.expect(FrameType.XFER_DONE)
-            digest = sender.digest()
+            return {X_REGION_DIGEST: sender.digest()}
         except ConnectionLost:
-            return
+            return None
         except OSError as exc:
             raise StreamLost(f"local file error: {exc}") from None
-        finally:
-            self.registry.remove(transfer_id)
-        channel.send(FrameType.XFER_DONE, wire.encode_fields({
-            X_TRANSFER: transfer_id, X_REGION_DIGEST: digest}))
 
     # data sessions: XFER_JOIN
 
@@ -1231,19 +1231,22 @@ class FtsmService:
         move that stream, and end the session: receive its chunks for a
         push, send its share for a pull. Only the transfer's id, security
         mode, owner and direction are admitted, and for a pull only
-        streams 1..n-1 of its plan. The stream attaches before the reply,
-        and detaches once it has moved."""
+        streams 1..n-1 of its plan; a transfer whose offer has not yet
+        opened the node's end admits none. The stream attaches before the
+        reply, and detaches once it has moved."""
         transfer_id, stream_index = wire.parse_join(payload)
         session = self.registry.lookup(transfer_id)
         if session is None:
             raise BadRequest("unknown transfer")
+        sender, receiver = session.sender, session.receiver
+        if sender is None and receiver is None:
+            raise BadRequest("transfer is not open yet")
         if channel.params.security != session.security:
             raise BadRequest("data connection security differs from the "
                              "control session")
         if account.username != session.account.username:
             raise BadRequest(
                 "data connection user differs from the transfer owner")
-        sender = session.sender
         if mode != (Mode.FTSM_PUSH if sender is None else Mode.FTSM_PULL):
             raise BadRequest(f"an {mode.name} session cannot join a "
                              f"{'push' if sender is None else 'pull'}")
@@ -1257,7 +1260,7 @@ class FtsmService:
             if sender is not None:
                 sender.send(stream_index, channel)
             else:
-                receive_chunks(channel, transfer_id, session.receiver)
+                receive_chunks(channel, transfer_id, receiver)
         except ConnectionLost:
             pass    # the peer hung up: nobody is left to tell
         except (GridfsError, OSError) as exc:

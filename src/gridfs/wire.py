@@ -23,10 +23,11 @@ A session starts with the client's HELLO and the server's WELCOME. Those
 two frames negotiate the operating mode, the security mode and the network
 buffer size (the negotiated buffer is min(requested, server cap), floored
 at 4096 bytes), and exchange the random nonces the security channel derives
-its keys from. A HELLO names no transfer: a data stream joins its
-transfer with XFER_JOIN once keys exist. A node refuses a HELLO of
-another PROTOCOL_VERSION before any key is used. A change that makes an
-old peer fail bumps the version:
+its keys from. A HELLO names no transfer and no session: a data stream
+joins its transfer with XFER_JOIN once keys exist, and a node keys a
+session's state, such as its DFSM locks, by an id it makes itself. A
+node refuses a HELLO of another PROTOCOL_VERSION before any key is used.
+A change that makes an old peer fail bumps the version:
 
     1  the original wire
     2  a pull's stream 0 on the control session, the SHA-256 region digest
@@ -44,13 +45,14 @@ old peer fail bumps the version:
     9  a push of at most one chunk sends its CHUNK and XFER_DONE behind
        the offer, unanswered; a pull planned on at most one stream gets
        XFER_DONE behind its chunks and sends none
+    10  HELLO and WELCOME carry no session id: a node keys a session's
+        state by ids it makes itself; HELLO tag 6 retired
 """
 
 from __future__ import annotations
 
-import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 from .errors import (
@@ -67,7 +69,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 9
+PROTOCOL_VERSION = 10
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits
@@ -264,7 +266,6 @@ class SessionParams:
     buffer_size: int = DEFAULT_MAX_PAYLOAD
     stream_count: int = 1
     version: int = PROTOCOL_VERSION
-    session_id: bytes = field(default_factory=lambda: os.urandom(16))
 
     def max_frame_payload(self) -> int:
         return self.buffer_size + FRAME_SLACK
@@ -295,7 +296,8 @@ T_MODE = 2
 T_SECURITY = 3
 T_BUFFER = 4
 T_STREAMS = 5
-T_SESSION = 6
+# tag 6 (a client-chosen session id, which keyed the session's DFSM locks)
+# is retired: a node makes its own; do not reuse it
 T_NONCE = 7
 # tags 8 and 9 (a data connection's transfer id and stream index) are
 # retired: XFER_JOIN carries them now; do not reuse them
@@ -316,7 +318,6 @@ def hello_payload(params: SessionParams, nonce: bytes) -> bytes:
         T_SECURITY: u8(params.security),
         T_BUFFER: u32(params.buffer_size),
         T_STREAMS: u8(params.stream_count),
-        T_SESSION: params.session_id,
         T_NONCE: nonce,
     })
 
@@ -325,9 +326,8 @@ def parse_hello(payload: bytes) -> tuple[SessionParams, bytes]:
     """Returns (params, nonce)."""
     fields = decode_fields(payload)
     nonce = fields.get(T_NONCE, b"")
-    session_id = fields.get(T_SESSION, b"")
-    if len(nonce) != 16 or len(session_id) != 16:
-        raise ProtocolError("HELLO nonce/session id must be 16 bytes")
+    if len(nonce) != 16:
+        raise ProtocolError("HELLO nonce must be 16 bytes")
     try:
         mode = Mode(read_uint(fields, T_MODE))
         security = SecurityMode(read_uint(fields, T_SECURITY))
@@ -339,7 +339,6 @@ def parse_hello(payload: bytes) -> tuple[SessionParams, bytes]:
         buffer_size=read_uint(fields, T_BUFFER),
         stream_count=read_uint(fields, T_STREAMS, 1),
         version=read_uint(fields, T_VERSION),
-        session_id=session_id,
     )
     return params, nonce
 

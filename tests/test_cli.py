@@ -189,14 +189,6 @@ def test_fs_lock_hold_release(node, capsys):
     assert "acquired" in out and "released" in out
 
 
-def test_fs_unlock_foreign_id_fails(node, capsys):
-    remote = f"{endpoint(node)}:locked2.bin"
-    assert main(["fs", "write", remote, "--data", "z", *AS_ALICE]) == EX_OK
-    code = main(["fs", "unlock", remote, "--lock-id", "424242",
-                 *AS_ALICE])
-    assert code == EX_FAILURE
-
-
 def test_fs_read_missing_file_fails(node):
     assert main(["fs", "stat", f"{endpoint(node)}:absent.bin",
                  *AS_ALICE]) == EX_FAILURE

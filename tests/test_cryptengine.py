@@ -891,6 +891,31 @@ def test_denied_user_places_nothing(node_factory, tmp_path):
     assert not blocks.exists()
 
 
+def test_execution_only_account_stores_no_block(node_factory, tmp_path):
+    """A worker's block store passes the same sandbox gate as every other
+    file a session touches: an account that may run tasks but holds no
+    FileIOPermission places no block, as it could not write that file
+    over DFSM either."""
+    worker = node_factory("w1")
+    etc = worker.config.account_dir()
+    psk = b"c" * 32
+    with open(etc / "credentials", "a") as credentials:
+        credentials.write(f"carol:{psk.hex()}\n")
+    (etc / "accounts" / "carol.xml").write_text(
+        '<?xml version="1.0" encoding="utf-8"?>\n'
+        '<permissions AccountType="Others">\n'
+        '  <Execution value="True"/>\n'
+        '  <FileIOPermission value="False"/>\n'
+        '</permissions>\n')
+    worker.accounts.reload()
+    source = tmp_path / "data.bin"
+    source.write_bytes(os.urandom(12))
+    with pytest.raises(PermissionDenied):
+        ce.distribute(source, [endpoint(worker)], PARAMS, "carol", psk,
+                      block_size=4)
+    assert stored_blocks(worker, "carol") == {}
+
+
 def test_no_workers_refused(tmp_path):
     source = tmp_path / "data.bin"
     source.write_bytes(b"x")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gridfs import dfsm, wire
+from gridfs import dfsm, secchan, wire
 from gridfs.dfsm import (
     WHOLE_FILE,
     DfsServer,
@@ -30,6 +30,8 @@ from gridfs.errors import (
 from gridfs.perms import Account, PermissionDoc
 from gridfs.secchan import Channel, ChannelKeys
 from gridfs.wire import FrameType, Mode, SecurityMode, SessionParams
+
+from conftest import ALICE_PSK
 
 PSK = b"p" * 32
 
@@ -603,3 +605,31 @@ def test_file_share_answers_only_reads_of_its_one_file(tmp_path):
     assert shared.read_bytes() == data
     client.close()
     server.close()
+
+
+def test_a_hello_cannot_name_another_sessions_locks(node, monkeypatch):
+    """Two alice sessions whose HELLOs carry the same 16 bytes under tag 6,
+    where a client once chose the id that owned its session's locks. The
+    node keys each session's locks by an id it makes itself, so the second
+    session can neither write through the first one's lock nor release
+    it, and the locked bytes stay as the first session wrote them."""
+    real = wire.hello_payload
+
+    def claiming(params, nonce):
+        fields = wire.decode_fields(real(params, nonce))
+        return wire.encode_fields({**fields, 6: b"S" * 16})
+
+    monkeypatch.setattr(wire, "hello_payload", claiming)
+    params = SessionParams(Mode.DFSM, SecurityMode.NONSECURE)
+    address = ("127.0.0.1", node.port)
+    with FsClient(secchan.connect(address, params, "alice",
+                                  ALICE_PSK)) as first, \
+            FsClient(secchan.connect(address, params, "alice",
+                                     ALICE_PSK)) as second:
+        first.write("claimed.bin", 0, b"A" * 12)
+        lock_id = first.lock("claimed.bin", 0, 10)
+        with pytest.raises(LockConflict):
+            second.write("claimed.bin", 0, b"C" * 10)
+        with pytest.raises(NotOwner):
+            second.unlock("claimed.bin", lock_id)
+        assert first.read("claimed.bin", 0, 12) == b"A" * 12

@@ -1222,6 +1222,105 @@ def test_a_refused_duplicate_transfer_id_closes_its_file(node):
     assert (storage(node) / "held.bin").read_bytes() == data
 
 
+def held_push_offer(transfer_id, path, grid):
+    return wire.encode_fields({ftsm.X_TRANSFER: transfer_id,
+                               ftsm.X_PATH: path, **ftsm.grid_fields(grid)})
+
+
+def finish_held_push(control, transfer_id, grid, data, chunks):
+    """Send `chunks` of `grid` and XFER_DONE on `control`, and take the
+    node's XFER_DONE."""
+    for offset, length in chunks:
+        control.send(FrameType.CHUNK, pack_chunk(
+            transfer_id, 0, offset, data[offset:offset + length]))
+    control.send(FrameType.XFER_DONE, wire.encode_fields({
+        ftsm.X_TRANSFER: transfer_id,
+        ftsm.X_REGION_DIGEST: region_digest(data, grid)}))
+    control.expect(FrameType.XFER_DONE)
+
+
+def test_a_refused_duplicate_offer_leaves_the_live_sidecar(node):
+    """A held three-chunk push has landed one chunk, and its sidecar
+    records it. An offer of the same transfer id and path in another
+    chunk size is refused as a duplicate before it touches a file, so
+    the live transfer's sidecar, which that offer's grid does not
+    continue, is still there, and the held push still lands."""
+    params = SessionParams(Mode.FTSM_PUSH, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=1)
+    address = ("127.0.0.1", node.port)
+    data = os.urandom(3 * 4096)
+    grid = ChunkGrid(0, len(data), 1, 4096)
+    transfer_id = os.urandom(16)
+    dst = storage(node) / "held.bin"
+    control = secchan.connect(address, params, "grid", GRID_PSK)
+    try:
+        control.send(FrameType.XFER_OFFER,
+                     held_push_offer(transfer_id, b"held.bin", grid))
+        control.expect(FrameType.XFER_ACCEPT)
+        chunks = grid.chunks()
+        finish = chunks[1:]
+        offset, length = chunks[0]
+        control.send(FrameType.CHUNK, pack_chunk(
+            transfer_id, 0, offset, data[offset:offset + length]))
+        wait_for_state(dst, length)
+        duplicate = secchan.connect(address, params, "grid", GRID_PSK)
+        try:
+            duplicate.send(FrameType.XFER_OFFER, held_push_offer(
+                transfer_id, b"held.bin", ChunkGrid(0, len(data), 1, 2048)))
+            with pytest.raises(BadRequest, match="already in use"):
+                duplicate.expect(FrameType.XFER_ACCEPT)
+        finally:
+            duplicate.close()
+        assert state_path(dst).exists()
+        finish_held_push(control, transfer_id, grid, data, finish)
+    finally:
+        control.close()
+    assert dst.read_bytes() == data
+
+
+def test_a_join_before_its_offer_has_opened_is_refused(node, tmp_path,
+                                                       monkeypatch):
+    """A data connection joins a push while the node is still opening the
+    offer's destination: the transfer is registered but has no receiving
+    end yet, so the join is refused by name, and the offer then opens,
+    lands and is followed by another push on the same node."""
+    entered, release = threading.Event(), threading.Event()
+    real = ftsm.resumable_state
+
+    def held(dst, grid):
+        entered.set()
+        release.wait(5)
+        return real(dst, grid)
+
+    monkeypatch.setattr(ftsm, "resumable_state", held)
+    params = SessionParams(Mode.FTSM_PUSH, SecurityMode.NONSECURE,
+                           buffer_size=65536, stream_count=2)
+    address = ("127.0.0.1", node.port)
+    data = os.urandom(3 * 4096)
+    grid = ChunkGrid(0, len(data), 1, 4096)
+    transfer_id = os.urandom(16)
+    control = secchan.connect(address, params, "grid", GRID_PSK)
+    try:
+        control.send(FrameType.XFER_OFFER,
+                     held_push_offer(transfer_id, b"opening.bin", grid))
+        assert entered.wait(5)
+        with pytest.raises(BadRequest, match="transfer is not open yet"):
+            secchan.connect(address, params, "grid", GRID_PSK,
+                            transfer_id=transfer_id, stream_index=1)
+        release.set()
+        control.expect(FrameType.XFER_ACCEPT)
+        finish_held_push(control, transfer_id, grid, data, grid.chunks())
+    finally:
+        release.set()
+        control.close()
+    assert (storage(node) / "opening.bin").read_bytes() == data
+    assert node.registry.lookup(transfer_id) is None
+    src = tmp_path / "next.bin"
+    src.write_bytes(data)
+    assert client(node, streams=2, chunk_size=4096).push(
+        src, "next.bin").bytes_moved == len(data)
+
+
 @pytest.mark.parametrize("chunks", [1, 3], ids=["one chunk", "three chunks"])
 def test_push_under_a_regular_file_is_refused_by_name(node, tmp_path,
                                                       chunks):

@@ -200,11 +200,6 @@ class TestNegotiate:
         with pytest.raises(ModeRejected):
             negotiate(p, server_cap=262144, enabled_modes={Mode.DFSM})
 
-    def test_session_id_preserved(self):
-        p = SessionParams(Mode.DFSM)
-        out = negotiate(p, server_cap=262144)
-        assert out.session_id == p.session_id
-
 
 class TestHello:
     def test_round_trip(self):
@@ -216,7 +211,6 @@ class TestHello:
         assert n2 == nonce
         assert (q.mode, q.security, q.buffer_size, q.stream_count) == \
             (p.mode, p.security, p.buffer_size, p.stream_count)
-        assert q.session_id == p.session_id
 
     def test_data_connection_marker(self):
         """A HELLO names no transfer: tags 8 and 9 are retired, and a data
@@ -226,6 +220,16 @@ class TestHello:
         assert not {8, 9} & fields.keys()
         tid = bytes(range(16))
         assert wire.parse_join(wire.join_payload(tid, 3)) == (tid, 3)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_hello_names_no_session_and_no_transfer(self, mode):
+        """No HELLO, nor the WELCOME that echoes it, carries tag 6 (a
+        session id, which the node now makes itself) or tags 8 and 9 (a
+        data connection's transfer and stream)."""
+        params = SessionParams(mode, SecurityMode.SECURE, stream_count=4)
+        for payload in (wire.hello_payload(params, bytes(16)),
+                        wire.welcome_payload(params, bytes(16))):
+            assert not {6, 8, 9} & decode_fields(payload).keys()
 
     def test_unknown_mode_rejected(self):
         fields = decode_fields(wire.hello_payload(SessionParams(Mode.DFSM),
