@@ -18,10 +18,15 @@ and only then reads XFER_ACCEPT and XFER_DONE; a node that refuses it
 first reads and drops that CHUNK and XFER_DONE, then answers with one
 ERROR, so the session stays in step. A pull whose plan has at most one
 stream gets XFER_ACCEPT, stream 0's chunks and XFER_DONE from the node
-without sending an XFER_DONE of its own. The planned region is
-ceiling-split into N
-contiguous spans, one per stream, and each span is sent as sequential
-CHUNK frames:
+without sending an XFER_DONE of its own. The planned region is cut
+into chunks of the chunk size from its start, only the last one short, so
+a chunk's offset, length and ordinal follow from the chunk size alone, as
+GridFTP's extended block mode places blocks by offset. The chunks to be
+sent, all of them or a resume's missing ones, are dealt in ordinal order
+into consecutive slices, one per stream, that differ in size by at most
+one chunk (`assign_missing`); so a region of one chunk moves on one
+stream, whatever the stream count. Each stream sends its slice as
+sequential CHUNK frames:
 
     transfer_id(16) | stream_index(1) | offset(8 BE) | length(4 BE) | payload
 
@@ -76,10 +81,9 @@ node deletes any sidecar beside it and accepts it afresh. Data lands before
 its mark, so a sidecar never claims an unwritten chunk; a receiving
 process killed outright loses at most one interval of marks, and those
 chunks are sent again. An interrupted transfer resumes from the
-sidecar — the original chunk grid is preserved and only missing chunks are
-resent, dealt in ordinal order into one share per stream the resuming
-session opens, the shares differing in size by at most one chunk
-(`assign_missing`), so a gap that forms one run still uses every stream.
+sidecar — the chunk grid is the same, and only missing chunks are resent,
+dealt like a fresh plan over the streams the resuming session opens, so a
+gap that forms one run still uses every stream.
 The sidecar is removed once every chunk has landed, whether or not the
 digest then matches: a complete sidecar has nothing left to resume, so the
 sender's retry starts afresh. A transfer whose bitmap would not fit one
@@ -143,7 +147,7 @@ import os
 import struct
 import threading
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
@@ -335,21 +339,16 @@ def _stamp(path: Path) -> tuple[int, int, int, int]:
 # -- planning ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StreamSpan:
-    index: int
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
 class ChunkGrid:
     """The fixed chunk geometry of one transfer.
 
-    Chunks are enumerated span-major: all of span 0's chunks first, in
-    offset order, then span 1's, and so on. That ordinal numbering is what
-    the resume bitmap indexes, so it must never change for a given
-    (region, stream_count, chunk_size) triple. The enumeration is made
-    once per grid, on first use.
+    The region is cut into `chunk_size` chunks from its start, only the
+    last one short, so chunk k lies at `region_offset + k * chunk_size`
+    and its ordinal, which the resume bitmap indexes, is plain
+    arithmetic, as GridFTP's extended block mode and BitTorrent v2's
+    pieces place blocks by offset alone. `stream_count` shapes no chunk:
+    it is only the number of streams `chunks_by_span` deals the grid
+    over. The enumeration is made once per grid, on first use.
     """
 
     region_offset: int
@@ -363,53 +362,16 @@ class ChunkGrid:
         if self.chunk_size < 1:
             raise BadRequest("chunk size must be at least 1")
 
-    def spans(self) -> list[StreamSpan]:
-        if self.region_length == 0:
-            return []
-        per = -(-self.region_length // self.stream_count)   # ceil
-        spans = []
-        position = self.region_offset
-        end = self.region_offset + self.region_length
-        index = 0
-        while position < end:
-            size = min(per, end - position)
-            spans.append(StreamSpan(index, position, size))
-            position += size
-            index += 1
-        return spans
-
-    @cached_property
-    def _by_span(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        grouped = []
-        for span in self.spans():
-            position = span.offset
-            span_end = span.offset + span.length
-            group = []
-            while position < span_end:
-                size = min(self.chunk_size, span_end - position)
-                group.append((position, size))
-                position += size
-            grouped.append(tuple(group))
-        return tuple(grouped)
-
     @cached_property
     def _chunks(self) -> tuple[tuple[int, int], ...]:
-        return tuple(chunk for group in self._by_span for chunk in group)
-
-    @cached_property
-    def _ordinals(self) -> dict[int, int]:
-        return {offset: k for k, (offset, _) in enumerate(self._chunks)}
+        end = self.region_offset + self.region_length
+        return tuple((offset, min(self.chunk_size, end - offset))
+                     for offset in range(self.region_offset, end,
+                                         self.chunk_size))
 
     @property
     def chunk_count(self) -> int:
-        """The number of chunks, worked out without enumerating one: every
-        span is a full ceil-split share but the last."""
-        if self.region_length == 0:
-            return 0
-        share = -(-self.region_length // self.stream_count)
-        full, rest = divmod(self.region_length, share)
-        return (full * -(-share // self.chunk_size) +
-                -(-rest // self.chunk_size))
+        return -(-self.region_length // self.chunk_size)
 
     @cached_property
     def _full_bitmap(self) -> bytes:
@@ -422,7 +384,10 @@ class ChunkGrid:
         return list(self._chunks)
 
     def chunks_by_span(self) -> list[list[tuple[int, int]]]:
-        return [list(group) for group in self._by_span]
+        """The whole grid dealt over its `stream_count`, as a fresh
+        transfer sends it."""
+        return assign_missing(self, range(self.chunk_count),
+                              self.stream_count)
 
     def check_resumable(self, buffer_size: int) -> None:
         """Refuse, without enumerating a chunk, a grid whose resume bitmap
@@ -448,10 +413,12 @@ def plan_transfer(file_size: int, region: tuple[int, int] | None,
     return grid
 
 
-def assign_missing(grid: ChunkGrid, missing: list[int],
+def assign_missing(grid: ChunkGrid, missing: Sequence[int],
                    streams: int) -> list[list[tuple[int, int]]]:
-    """Deal the missing ordinals, in order, into at most `streams`
-    consecutive slices whose sizes differ by at most one, none empty."""
+    """Deal the ordinals to be sent, in order, into at most `streams`
+    consecutive slices whose sizes differ by at most one, none empty: one
+    share per stream, for a fresh transfer and a resume alike. Any stream
+    may carry any chunk, since a chunk's place is its offset."""
     share, extra = divmod(len(missing), streams)
     slices = []
     start = 0
@@ -487,8 +454,10 @@ S_REGION_OFFSET = 2
 S_REGION_LENGTH = 3
 S_CHUNK_SIZE = 4
 S_STREAMS = 5
-S_BITMAP = 6
+# tag 6 (a bitmap whose ordinals followed the stream count's spans) is
+# retired, so a sidecar laid out by spans is discarded; do not reuse it
 S_TOTAL = 7
+S_BITMAP = 8
 
 
 @dataclass
@@ -510,7 +479,7 @@ class TransferState:
         return bool(self.bitmap[ordinal // 8] & (1 << (ordinal % 8)))
 
     def missing(self) -> list[int]:
-        return [k for k in range(len(self.grid._chunks)) if not self.has(k)]
+        return [k for k in range(self.grid.chunk_count) if not self.has(k)]
 
     def complete(self) -> bool:
         return self.bitmap == self.grid._full_bitmap
@@ -587,9 +556,9 @@ def readable_state(dst: Path) -> TransferState | None:
 
 def continues(state: TransferState | None, grid: ChunkGrid) -> bool:
     """Whether the resume record `state` continues the transfer the node
-    plans now, `grid`: the same region in the same chunk size. The record
-    keeps its own stream count, which is geometry. The node alone decides
-    this, for a push and a pull alike."""
+    plans now, `grid`: the same region in the same chunk size, and so the
+    same chunks, whatever stream count either names. The node alone
+    decides this, for a push and a pull alike."""
     return state is not None and (
         state.grid.region_offset, state.grid.region_length,
         state.grid.chunk_size) == (
@@ -609,15 +578,13 @@ def resumable_state(dst: Path, grid: ChunkGrid) -> TransferState | None:
 
 def sender_plan(grid: ChunkGrid, state: TransferState | None,
                 streams: int) -> list[list[tuple[int, int]]]:
-    """The chunks each stream carries: the grid span by span, or, given
-    the receiver's resume record, its missing chunks dealt over the
-    `streams` the session opens (the grid's stream count is then the
-    record's geometry). A pushing client and a pulling node send by this
-    plan, and a pulling client reads stream 0's share of it on the control
-    session."""
-    if state is None:
-        return grid.chunks_by_span()
-    return assign_missing(grid, state.missing(), streams)
+    """The chunks each stream carries: every chunk of the grid, or, given
+    the receiver's resume record, its missing chunks, dealt over the
+    `streams` the session opens (`assign_missing`). A pushing client and a
+    pulling node send by this plan, and a pulling client reads stream 0's
+    share of it on the control session."""
+    return assign_missing(grid, range(grid.chunk_count) if state is None
+                          else state.missing(), streams)
 
 
 def earlier_chunks(grid: ChunkGrid,
@@ -686,9 +653,10 @@ class RegionReceiver:
         """Land one chunk, with `digest` as its hash-list entry: the AEAD
         tag of the sealed frame that carried it, or, given None, the
         DIGEST of `payload`, taken after the pwrite."""
-        ordinal = self.grid._ordinals.get(offset)
-        if ordinal is None or \
-                self.grid._chunks[ordinal][1] != len(payload):
+        grid = self.grid
+        ordinal, rest = divmod(offset - grid.region_offset, grid.chunk_size)
+        if rest or not 0 <= ordinal < grid.chunk_count or \
+                grid._chunks[ordinal][1] != len(payload):
             raise BadRequest("chunk does not lie on the transfer grid")
         with self._lock:
             if self.state.has(ordinal) or ordinal in self._writing:
@@ -1111,7 +1079,6 @@ class FtsmService:
                 else:
                     state = resumable_state(dst, grid)
                 if state is not None:
-                    grid = state.grid
                     frame_type = FrameType.XFER_RESUME
                     reply = {X_STATE: state.encode()}
                 session.receiver = RegionReceiver(
@@ -1198,9 +1165,7 @@ class FtsmService:
         grid.check_resumable(channel.params.buffer_size)
         record = fields.get(X_STATE)
         state = None if record is None else TransferState.decode(record)
-        if continues(state, grid):
-            grid = state.grid
-        else:
+        if not continues(state, grid):
             state = None    # the puller sees a new grid and starts afresh
         sender = RegionSender(src, session.transfer_id, grid, state,
                               channel.params.stream_count)
@@ -1558,7 +1523,7 @@ class TransferClient:
         control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
         grid = grid_from_fields(wire.decode_fields(
             control.expect(FrameType.XFER_ACCEPT).payload))
-        if state is not None and state.grid != grid:
+        if state is not None and not continues(state, grid):
             # the node planned afresh: the sidecar does not continue it
             state_path(local).unlink(missing_ok=True)
             state = None

@@ -47,6 +47,9 @@ A change that makes an old peer fail bumps the version:
        XFER_DONE behind its chunks and sends none
     10  HELLO and WELCOME carry no session id: a node keys a session's
         state by ids it makes itself; HELLO tag 6 retired
+    11  a transfer's chunks are cut every chunk size from the region
+        start, whatever the stream count, and dealt over the streams; the
+        sidecar's bitmap moves to state tag 8, tag 6 retired
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 10
+PROTOCOL_VERSION = 11
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits

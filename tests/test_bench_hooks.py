@@ -98,18 +98,21 @@ def test_every_gridfs_name_and_keyword_perfbench_uses_exists():
             if not isinstance(node, ast.Call):
                 continue
             target = resolve(node.func, bound)
-            keywords = [k.arg for k in node.keywords if k.arg is not None]
-            if target is None or not keywords:
+            if target is None or \
+                    any(isinstance(arg, ast.Starred) for arg in node.args) or \
+                    any(k.arg is None for k in node.keywords):
                 continue
-            parameters = inspect.signature(target).parameters
-            if any(p.kind == p.VAR_KEYWORD for p in parameters.values()):
-                continue
-            for keyword in keywords:
-                assert keyword in parameters, \
-                    f"{path.name}:{node.lineno}: {ast.unparse(node.func)}" \
-                    f" takes no keyword {keyword!r}"
-                checked += 1
-    assert checked > 0    # the walk did find perfbench's keyword calls
+            # bind the call's positional arguments and keywords as the
+            # callable would: a missing, extra or unknown one fails, as it
+            # would in the run
+            try:
+                inspect.signature(target).bind(
+                    *node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                raise AssertionError(f"{path.name}:{node.lineno}: "
+                                     f"{ast.unparse(node)}: {exc}") from None
+            checked += 1
+    assert checked > 0    # the walk did find perfbench's gridfs calls
 
 
 # -- BENCH trail summary ----------------------------------------------------

@@ -60,20 +60,30 @@ def region_digest(data, grid):
 
 # -- planning ---------------------------------------------------------------
 
-def test_even_split_into_four_spans():
+def test_even_region_is_cut_into_chunks_and_dealt_one_per_stream():
     grid = plan_transfer(100, (0, 100), 4, 25)
-    assert [(s.offset, s.length) for s in grid.spans()] == \
-        [(0, 25), (25, 25), (50, 25), (75, 25)]
+    assert grid.chunks() == [(0, 25), (25, 25), (50, 25), (75, 25)]
+    assert grid.chunks_by_span() == [[(0, 25)], [(25, 25)], [(50, 25)],
+                                     [(75, 25)]]
 
 
-def test_uneven_split_last_span_shorter():
-    grid = plan_transfer(10, None, 4, 1024)
-    assert [s.length for s in grid.spans()] == [3, 3, 3, 1]
+def test_only_the_last_chunk_is_short():
+    """Chunks are cut every chunk size from the region start, whatever the
+    stream count; the deal gives the streams consecutive chunks, the
+    earlier streams one more where they do not divide evenly."""
+    grid = ChunkGrid(7, 10, 2, 3)
+    assert grid.chunks() == [(7, 3), (10, 3), (13, 3), (16, 1)]
+    assert grid.chunks_by_span() == [[(7, 3), (10, 3)], [(13, 3), (16, 1)]]
+    grid = ChunkGrid(0, 11, 3, 2)
+    assert grid.chunks_by_span() == [[(0, 2), (2, 2)], [(4, 2), (6, 2)],
+                                     [(8, 2), (10, 1)]]
 
 
-def test_tiny_file_yields_fewer_spans_than_streams():
+def test_a_region_of_one_chunk_moves_on_one_stream():
     grid = plan_transfer(5, None, 8, 1024)
-    assert [s.length for s in grid.spans()] == [1, 1, 1, 1, 1]
+    assert grid.chunks() == [(0, 5)]
+    assert grid.chunks_by_span() == [[(0, 5)]]
+    assert ftsm.sender_plan(grid, None, 8) == [[(0, 5)]]
 
 
 def test_zero_length_region_refused():
@@ -102,31 +112,22 @@ def test_bad_stream_and_chunk_counts_refused():
        chunk=st.integers(1, 700),
        data=st.data())
 @settings(max_examples=200)
-def test_spans_and_chunks_partition_the_region(file_size, streams, chunk,
-                                                data):
+def test_chunks_partition_the_region_and_every_plan_deals_them(
+        file_size, streams, chunk, data):
     grid = plan_transfer(file_size, None, streams, chunk)
-    spans = grid.spans()
-    assert spans[0].offset == 0
-    for before, after in zip(spans, spans[1:]):
-        assert before.offset + before.length == after.offset
-        assert before.length > 0
-    assert spans[-1].offset + spans[-1].length == file_size
-    assert len(spans) <= streams
-
     chunks = grid.chunks()
+    assert chunks == [(k * chunk, min(chunk, file_size - k * chunk))
+                      for k in range(-(-file_size // chunk))]
     assert sum(length for _, length in chunks) == file_size
-    assert all(1 <= length <= chunk for _, length in chunks)
-    covered = set()
-    for offset, length in chunks:
-        span = set(range(offset, offset + length))
-        assert not (covered & span)
-        covered |= span
-    assert covered == set(range(file_size))
+    assert all(length == chunk for _, length in chunks[:-1])
+    assert 1 <= chunks[-1][1] <= chunk
 
-    assert [c for group in grid.chunks_by_span() for c in group] == chunks
-    ordinals = ordinal_of(grid)
-    assert len(ordinals) == len(chunks)
-    assert all(ordinals[offset] == k for k, (offset, _) in enumerate(chunks))
+    dealt = grid.chunks_by_span()
+    assert [c for share in dealt for c in share] == chunks
+    assert len(dealt) == min(streams, len(chunks))
+    sizes = [len(share) for share in dealt]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert sizes == sorted(sizes, reverse=True)
 
     everything = frozenset(range(len(chunks)))
     marked = data.draw(st.one_of(
@@ -139,12 +140,33 @@ def test_spans_and_chunks_partition_the_region(file_size, streams, chunk,
     for subject in (state, TransferState.decode(state.encode())):
         assert subject.complete() == (not subject.missing())
         assert subject.complete() == (marked == everything)
+    # a resume deals the missing chunks, in order, as a fresh plan deals
+    # the whole grid
+    resumed = ftsm.sender_plan(grid, state, streams)
+    assert [c for share in resumed for c in share] == \
+        [chunks[k] for k in state.missing()]
+    assert len(resumed) == min(streams, len(state.missing()))
 
 
-def test_chunk_ordinals_are_span_major():
-    grid = ChunkGrid(0, 10, 3, 3)    # spans 4,4,2 -> chunks 3+1, 3+1, 2
-    assert grid.chunks() == [(0, 3), (3, 1), (4, 3), (7, 1), (8, 2)]
-    assert ordinal_of(grid) == {0: 0, 3: 1, 4: 2, 7: 3, 8: 4}
+@pytest.mark.parametrize("streams", [1, 3, 7])
+def test_chunk_ordinals_follow_the_offset_alone(tmp_path, streams):
+    """A chunk's ordinal is its offset from the region start over the
+    chunk size, whatever the stream count; a chunk off that grid, or of
+    another length, is refused."""
+    grid = ChunkGrid(10, 10, streams, 3)
+    assert grid.chunks() == [(10, 3), (13, 3), (16, 3), (19, 1)]
+    assert ordinal_of(grid) == {10: 0, 13: 1, 16: 2, 19: 3}
+    receiver = ftsm.RegionReceiver(tmp_path / "dst.bin", bytes(16), grid)
+    try:
+        for offset, payload in ((7, b"abc"), (11, b"abc"), (22, b"abc"),
+                                (19, b"ab"), (16, b"ab")):
+            with pytest.raises(BadRequest):
+                receiver.write_chunk(offset, payload)
+        receiver.write_chunk(16, b"xyz")
+        receiver.write_chunk(19, b"z")
+        assert receiver.state.missing() == [0, 1]
+    finally:
+        receiver.abort()
 
 
 # -- chunk frame codec ------------------------------------------------------
@@ -661,6 +683,59 @@ def test_pull_resume_over_fewer_streams_than_the_sidecar(node, tmp_path):
     assert report.resumed
     assert report.bytes_moved == len(data) - have
     assert local.read_bytes() == data
+    assert not state_path(local).exists()
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+def test_a_sidecar_with_the_retired_bitmap_tag_is_discarded(
+        node, tmp_path, caplog, direction):
+    """A sidecar whose bitmap sits under the retired tag 6, where a record
+    whose ordinals followed the stream count's spans kept it, is discarded
+    with a warning beside a push destination and beside a pull
+    destination, and the transfer moves and lands the whole file."""
+    data = os.urandom(10 * 4096 + 100)
+    grid = ChunkGrid(0, len(data), 3, 4096)
+    state = TransferState.fresh(os.urandom(16), grid)
+    for ordinal, (_, length) in enumerate(grid.chunks()[:5]):
+        state.mark(ordinal, length)
+    fields = wire.decode_fields(state.encode())
+    fields[6] = fields.pop(ftsm.S_BITMAP)
+    src = tmp_path / "src.bin"
+    if direction == "push":
+        src.write_bytes(data)
+        dst = storage(node) / "old.bin"
+    else:
+        (storage(node) / "old.bin").write_bytes(data)
+        dst = tmp_path / "old.bin"
+    dst.write_bytes(data[:5 * 4096])
+    state_path(dst).write_bytes(wire.encode_fields(fields))
+
+    mover = client(node, streams=3, chunk_size=4096)
+    with caplog.at_level("WARNING", logger="gridfs.ftsm"):
+        report = (mover.push(src, "old.bin") if direction == "push"
+                  else mover.pull("old.bin", dst))
+    assert "discarding corrupt transfer state next to old.bin" in caplog.text
+    assert not report.resumed
+    assert report.bytes_moved == len(data)
+    assert dst.read_bytes() == data
+    assert not state_path(dst).exists()
+
+
+@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("security", [SecurityMode.NONSECURE,
+                                      SecurityMode.SECURE],
+                         ids=["NONSECURE", "SECURE"])
+def test_pull_of_an_empty_file_empties_a_stale_local_one(node, tmp_path,
+                                                          security, streams):
+    """An empty remote file pulled onto a stale non-empty local one lands
+    empty: nothing moves and no sidecar is left."""
+    (storage(node) / "empty.bin").write_bytes(b"")
+    local = tmp_path / "empty.bin"
+    local.write_bytes(b"stale bytes")
+    report = client(node, streams=streams, security=security).pull(
+        "empty.bin", local)
+    assert report.bytes_moved == 0
+    assert local.read_bytes() == b""
     assert not state_path(local).exists()
 
 
@@ -1885,21 +1960,25 @@ class BitFlipRelay:
             if not data:
                 break
             buffer += data
-            if not flip:
-                dst.sendall(buffer)
-                del buffer[:]
-                continue
-            while len(buffer) >= wire.HEADER_SIZE:
-                _, ftype, _, length = struct.unpack_from(wire.HEADER_FMT,
-                                                         buffer)
-                end = wire.HEADER_SIZE + length
-                if len(buffer) < end:
-                    break
-                if ftype == FrameType.CHUNK and not self.flipped.is_set():
-                    buffer[wire.HEADER_SIZE + self.at] ^= 0x01
-                    self.flipped.set()
-                dst.sendall(buffer[:end])
-                del buffer[:end]
+            try:
+                if not flip:
+                    dst.sendall(buffer)
+                    del buffer[:]
+                    continue
+                while len(buffer) >= wire.HEADER_SIZE:
+                    _, ftype, _, length = struct.unpack_from(
+                        wire.HEADER_FMT, buffer)
+                    end = wire.HEADER_SIZE + length
+                    if len(buffer) < end:
+                        break
+                    if ftype == FrameType.CHUNK and \
+                            not self.flipped.is_set():
+                        buffer[wire.HEADER_SIZE + self.at] ^= 0x01
+                        self.flipped.set()
+                    dst.sendall(buffer[:end])
+                    del buffer[:end]
+            except OSError:
+                break    # the far end is gone, as when the recv fails
         for sock in (src, dst):
             try:
                 sock.shutdown(socket.SHUT_RDWR)

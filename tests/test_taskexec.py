@@ -21,6 +21,7 @@ from gridfs.errors import (
     PermissionDenied,
     SetExpired,
     StagingFailed,
+    StreamLost,
 )
 from gridfs.perms import Account
 from gridfs.taskexec import (
@@ -324,6 +325,39 @@ def test_denied_before_any_staging(node, tmp_path):
     with pytest.raises(PermissionDenied):
         client.submit([task])
     assert not tasksets_dir(node, "bob").exists()
+
+
+def test_network_task_without_socket_permission_never_runs(node, tmp_path):
+    """alice holds no SocketPermission: her process task that asks for
+    network access comes back DENIED, naming the flag, and its command
+    never runs."""
+    marker = tmp_path / "ran"
+    client = alice_client(node)
+    handle = client.submit([process_task(SH, ["-c", f"touch {marker}"],
+                                         network_access=True)])
+    results = client.collect(handle)
+    client.close(handle)
+    assert results[0].status == TaskStatus.DENIED
+    assert "SocketPermission" in results[0].message
+    assert not marker.exists()
+
+
+def test_failed_staging_push_aborts_the_set(node, tmp_path, monkeypatch):
+    """A dependency push that fails makes `submit` raise StagingFailed,
+    and its abort leaves the node no set and no work directory."""
+    source = tmp_path / "data.bin"
+    source.write_bytes(b"staged")
+
+    def failing_push(*args, **kwargs):
+        raise StreamLost("push cut")
+
+    client = alice_client(node)
+    monkeypatch.setattr(client.mover, "push_on", failing_push)
+    with pytest.raises(StagingFailed, match="push cut"):
+        client.submit([process_task(
+            SH, ["-c", "true"], dependencies=[("data.bin", str(source))])])
+    assert node.tasks._sets == {}
+    assert list(tasksets_dir(node, "alice").iterdir()) == []
 
 
 def test_missing_local_dependency_fails_first(node, tmp_path):
