@@ -1,9 +1,9 @@
 """The benchmark's tracing hooks and calls still find what they use.
 
 `perfbench/spans.py` wraps gridfs functions by name from outside the
-program, and the workloads call gridfs by name and keyword. A rename or a
-removed keyword under `src/` would detach a wrapper or break a run; this
-catches it in the fast suite. It reads `perfbench/` and starts no node.
+program, and the workloads call gridfs by name, position and keyword. A
+rename, a removed keyword or a changed parameter list under `src/` would
+detach a wrapper or break a run; this catches it in the fast suite. It reads `perfbench/` and starts no node.
 The summary of the `BENCH_*.json` trail is checked here too, on a
 synthetic trail."""
 
