@@ -148,25 +148,26 @@ def test_chunks_partition_the_region_and_every_plan_deals_them(
     assert len(resumed) == min(streams, len(state.missing()))
 
 
-@pytest.mark.parametrize("streams", [1, 3, 7])
-def test_chunk_ordinals_follow_the_offset_alone(tmp_path, streams):
+def test_chunk_ordinals_follow_the_offset_alone(tmp_path):
     """A chunk's ordinal is its offset from the region start over the
     chunk size, whatever the stream count; a chunk off that grid, or of
     another length, is refused."""
-    grid = ChunkGrid(10, 10, streams, 3)
-    assert grid.chunks() == [(10, 3), (13, 3), (16, 3), (19, 1)]
-    assert ordinal_of(grid) == {10: 0, 13: 1, 16: 2, 19: 3}
-    receiver = ftsm.RegionReceiver(tmp_path / "dst.bin", bytes(16), grid)
-    try:
-        for offset, payload in ((7, b"abc"), (11, b"abc"), (22, b"abc"),
-                                (19, b"ab"), (16, b"ab")):
-            with pytest.raises(BadRequest):
-                receiver.write_chunk(offset, payload)
-        receiver.write_chunk(16, b"xyz")
-        receiver.write_chunk(19, b"z")
-        assert receiver.state.missing() == [0, 1]
-    finally:
-        receiver.abort()
+    for streams in (1, 3, 7):
+        grid = ChunkGrid(10, 10, streams, 3)
+        assert grid.chunks() == [(10, 3), (13, 3), (16, 3), (19, 1)]
+        assert ordinal_of(grid) == {10: 0, 13: 1, 16: 2, 19: 3}
+        receiver = ftsm.RegionReceiver(tmp_path / f"dst{streams}.bin",
+                                       bytes(16), grid)
+        try:
+            for offset, payload in ((7, b"abc"), (11, b"abc"), (22, b"abc"),
+                                    (19, b"ab"), (16, b"ab")):
+                with pytest.raises(BadRequest):
+                    receiver.write_chunk(offset, payload)
+            receiver.write_chunk(16, b"xyz")
+            receiver.write_chunk(19, b"z")
+            assert receiver.state.missing() == [0, 1]
+        finally:
+            receiver.abort()
 
 
 # -- chunk frame codec ------------------------------------------------------
