@@ -131,7 +131,9 @@ def resolve_seek(origin: SeekOrigin, delta: int, stat: FileStat,
 
 def resolve_path(sandbox_root: Path, relative: str) -> Path:
     """Map a request path into the sandbox; traversal is a denial, not an
-    os error, so the namespace stays closed before any filesystem touch."""
+    os error, so the namespace stays closed before any filesystem touch.
+    A failed resolve, as when a rename races it, reports as its
+    `map_os_error` error, so the session goes on."""
     if not relative or "\x00" in relative:
         raise BadRequest("empty or malformed path")
     if len(relative.encode("utf-8")) > MAX_PATH_BYTES:
@@ -139,7 +141,10 @@ def resolve_path(sandbox_root: Path, relative: str) -> Path:
     pure = PurePosixPath(relative)
     if pure.is_absolute() or ".." in pure.parts:
         raise PermissionDenied("path escapes the sandbox")
-    return (sandbox_root / pure).resolve()
+    try:
+        return (sandbox_root / pure).resolve()
+    except OSError as exc:
+        raise map_os_error(exc) from None
 
 
 def sandboxed(account: Account, relative: str) -> Path:

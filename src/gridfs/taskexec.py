@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import os
 import shutil
+import stat
 import subprocess
 import threading
 import time
@@ -315,6 +316,15 @@ def _safe_name(name: str) -> bool:
             and "\x00" not in name and name not in (".", ".."))
 
 
+def _regular_file(path: Path) -> bool:
+    """Whether `path` is itself a regular file: a symlink is not an
+    output, wherever it points."""
+    try:
+        return stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:
+        return False
+
+
 # -- process execution ------------------------------------------------------
 
 def run_process_task(spec: TaskSpec, workdir: Path, index: int = 0,
@@ -343,7 +353,7 @@ def run_process_task(spec: TaskSpec, workdir: Path, index: int = 0,
     produced = ()
     if status == TaskStatus.OK:
         produced = tuple(name for name in spec.outputs
-                         if (workdir / name).is_file())
+                         if _regular_file(workdir / name))
     return TaskResult(index, status, exit_code=proc.returncode,
                       stdout=proc.stdout[:MAX_CAPTURE],
                       stderr=proc.stderr[:MAX_CAPTURE],

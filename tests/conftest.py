@@ -1,6 +1,9 @@
+import errno
+import os
 import socket
 import struct
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,23 @@ def seed_store(root, extra_accounts=()):
     (etc / "accounts" / "bob.xml").write_text(serialize_permissions(
         PermissionDoc.others()))
     return root
+
+
+def fail_resolve_of(monkeypatch, name):
+    """Make `Path.resolve()` raise EINVAL for paths named `name`, as it
+    does when a rename of a symlink races it; returns the list that each
+    such call appends its path to."""
+    real = Path.resolve
+    calls = []
+
+    def resolve(self, strict=False):
+        if self.name == name:
+            calls.append(self)
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        return real(self, strict)
+
+    monkeypatch.setattr(Path, "resolve", resolve)
+    return calls
 
 
 @pytest.fixture

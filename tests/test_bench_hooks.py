@@ -87,9 +87,11 @@ def resolve(expr: ast.expr, bound: dict[str, object]):
     return None
 
 
-def test_every_gridfs_name_and_keyword_perfbench_uses_exists():
+def bind_gridfs_calls(paths) -> int:
+    """Resolve every gridfs name the files at `paths` use, and bind every
+    call to a gridfs callable in them; returns how many calls it bound."""
     checked = 0
-    for path in sorted(PERFBENCH.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(), str(path))
         bound = gridfs_bindings(tree)
         for node in ast.walk(tree):
@@ -112,7 +114,17 @@ def test_every_gridfs_name_and_keyword_perfbench_uses_exists():
                 raise AssertionError(f"{path.name}:{node.lineno}: "
                                      f"{ast.unparse(node)}: {exc}") from None
             checked += 1
-    assert checked > 0    # the walk did find perfbench's gridfs calls
+    return checked
+
+
+def test_every_gridfs_name_and_keyword_perfbench_uses_exists():
+    # the walk did find perfbench's gridfs calls
+    assert bind_gridfs_calls(sorted(PERFBENCH.glob("*.py"))) > 0
+
+
+def test_every_gridfs_name_and_keyword_the_tools_use_exists():
+    # the walk did find the tools' gridfs calls
+    assert bind_gridfs_calls(sorted((ROOT / "tools").glob("*.py"))) > 0
 
 
 # -- BENCH trail summary ----------------------------------------------------

@@ -31,7 +31,7 @@ from gridfs.perms import Account, PermissionDoc
 from gridfs.secchan import Channel, ChannelKeys
 from gridfs.wire import FrameType, Mode, SecurityMode, SessionParams
 
-from conftest import ALICE_PSK
+from conftest import ALICE_PSK, fail_resolve_of
 
 PSK = b"p" * 32
 
@@ -633,3 +633,18 @@ def test_a_hello_cannot_name_another_sessions_locks(node, monkeypatch):
         with pytest.raises(NotOwner):
             second.unlock("claimed.bin", lock_id)
         assert first.read("claimed.bin", 0, 12) == b"A" * 12
+
+
+def test_a_read_whose_resolve_fails_is_refused_and_the_session_goes_on(
+        node, monkeypatch):
+    """The sandbox gate maps an OSError from `Path.resolve()` to an
+    ERROR: the READ gets a BadRequest status, and the same session still
+    answers the next request instead of being dropped."""
+    fail_resolve_of(monkeypatch, "raced.bin")
+    params = SessionParams(Mode.DFSM, SecurityMode.NONSECURE)
+    with FsClient(secchan.connect(("127.0.0.1", node.port), params,
+                                  "alice", ALICE_PSK)) as fs:
+        fs.write("plain.bin", 0, b"still here")
+        with pytest.raises(BadRequest):
+            fs.read("raced.bin", 0, 16)
+        assert fs.stat("plain.bin").size == 10

@@ -37,7 +37,7 @@ from gridfs.ftsm import (
 )
 from gridfs.wire import FrameType, Mode, SecurityMode, SessionParams
 
-from conftest import ALICE_PSK, BOB_PSK, GRID_PSK
+from conftest import ALICE_PSK, BOB_PSK, GRID_PSK, fail_resolve_of
 
 ALL_MODES = [SecurityMode.NONSECURE, SecurityMode.SEMISECURE,
              SecurityMode.SECURE]
@@ -2816,3 +2816,15 @@ def test_many_threads_on_one_client_leave_one_session_per_mode(
         time.sleep(0.01)
     assert open_sessions == 2
     mover.close()
+
+
+def test_a_pull_whose_resolve_fails_is_refused_at_once(node, tmp_path,
+                                                       monkeypatch):
+    """An OSError from `Path.resolve()` in the sandbox gate reaches the
+    puller as BadRequest on its first attempt, not as a lost connection
+    that every retry meets again."""
+    resolves = fail_resolve_of(monkeypatch, "raced.bin")
+    with pytest.raises(BadRequest):
+        client(node).pull("raced.bin", tmp_path / "local.bin")
+    assert len(resolves) == 1
+    assert not (tmp_path / "local.bin").exists()

@@ -1,66 +1,45 @@
-"""Cluster spawner: topology planning, a real spawned cluster, and its
+"""Cluster spawner: a real spawned cluster of alike peers, and its
 teardown."""
 
 import pytest
 
 from gridfs.errors import BadRequest, SpawnFailed
-from gridfs.harness import (
-    ROLE_COLLECTOR,
-    ROLE_DISTRIBUTOR,
-    ROLE_MASTER,
-    ROLE_PEER,
-    ROLE_WORKER,
-    Topology,
-    plan_topology,
-    spawn_cluster,
-)
+from gridfs.harness import Topology, spawn_cluster
 
 
-# -- topology planning -------------------------------------------------------
-
-def test_hierarchical_six_nodes_is_one_four_one():
-    plan = plan_topology(Topology.HIERARCHICAL, 6)
-    assert plan.roles == (ROLE_DISTRIBUTOR, ROLE_WORKER, ROLE_WORKER,
-                          ROLE_WORKER, ROLE_WORKER, ROLE_COLLECTOR)
-
-
-def test_master_slaves_four_nodes():
-    plan = plan_topology(Topology.MASTER_SLAVES, 4)
-    assert plan.roles == (ROLE_MASTER, ROLE_WORKER, ROLE_WORKER, ROLE_WORKER)
-
-
-def test_complete_graph_single_node_degenerates():
-    assert plan_topology(Topology.COMPLETE_GRAPH, 1).roles == (ROLE_PEER,)
-
-
-def test_topology_minimum_sizes():
+def test_topology_minimum_sizes(tmp_path):
     with pytest.raises(BadRequest):
-        plan_topology(Topology.MASTER_SLAVES, 1)
-    with pytest.raises(BadRequest):
-        plan_topology(Topology.HIERARCHICAL, 2)
-    with pytest.raises(BadRequest):
-        plan_topology(Topology.COMPLETE_GRAPH, 0)
+        spawn_cluster(Topology.COMPLETE_GRAPH, 0, scratch=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- a real cluster ----------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def cluster():
-    spawned = spawn_cluster(Topology.HIERARCHICAL, 3)
+    spawned = spawn_cluster(Topology.COMPLETE_GRAPH, 3)
     yield spawned
     spawned.stop()
 
 
 def test_cluster_shape(cluster):
-    assert [node.role for node in cluster.nodes] == [
-        ROLE_DISTRIBUTOR, ROLE_WORKER, ROLE_COLLECTOR]
-    assert cluster.master is cluster.nodes[0]
-    assert cluster.compute_nodes == [cluster.nodes[1]]
-    assert cluster.collector is cluster.nodes[2]
+    assert len(cluster.nodes) == 3
     for node in cluster.nodes:
         assert node.process.poll() is None
         assert node.port > 0
         assert (node.root / "etc" / "credentials").exists()
+    assert len({node.port for node in cluster.nodes}) == 3
+
+
+def test_every_node_computes(cluster):
+    assert cluster.compute_nodes == cluster.nodes
+
+
+def test_every_node_holds_the_same_credentials(cluster):
+    credentials = {(node.root / "etc" / "credentials").read_bytes()
+                   for node in cluster.nodes}
+    assert credentials == {f"{cluster.username}:{cluster.psk.hex()}\n"
+                           .encode()}
 
 
 # -- spawn failure and teardown ---------------------------------------------

@@ -627,3 +627,24 @@ def test_set_abandoned_in_staging_is_dropped(node):
         time.sleep(0.02)
     assert not workdir.exists()
     assert set_id not in node.tasks._sets
+
+
+def test_a_symlinked_output_is_not_produced(node, tmp_path):
+    """A process task that leaves a symlink under an output's name has
+    not produced that output: it is not listed, not fetched, and a pull
+    of it is refused, so the node never serves the link's target (here
+    its own credential file)."""
+    credentials = node.config.storage_root / "etc" / "credentials"
+    client = alice_client(node)
+    handle = client.submit([process_task(
+        "/bin/ln", ["-s", str(credentials), "out"], outputs=["out"])])
+    while client.status(handle)[0] != taskexec.PH_DONE:
+        time.sleep(0.01)
+    with pytest.raises(PermissionDenied):
+        client.mover.pull_on(handle.channel, "out", tmp_path / "stolen")
+    assert not (tmp_path / "stolen").exists()
+    results = client.collect(handle, output_dir=tmp_path / "out")
+    client.close(handle)
+    assert results[0].status == TaskStatus.OK
+    assert results[0].outputs == ()
+    assert list((tmp_path / "out").iterdir()) == []

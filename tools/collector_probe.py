@@ -4,12 +4,13 @@
         [--rounds N]
 
 No benchmark workload runs a collector, so this probe measures that path.
-It starts four `gridfs serve` processes of this checkout on loopback with
-`harness.spawn_cluster(Topology.HIERARCHICAL, 4)`: a distributor slot, two
-compute nodes and a collector. It writes a file of SIZE bytes from seed 1
+It starts three alike `gridfs serve` processes of this checkout on
+loopback with `harness.spawn_cluster(Topology.COMPLETE_GRAPH, 3)`: the
+first two are the workers and the last is the collector, while the probe
+process itself distributes. It writes a file of SIZE bytes from seed 1
 (default 32 MiB) and, after one untimed warm-up, times N rounds (default
-5) of `cryptengine.distribute` of that file to the two compute nodes with
-the collector, in blocks of BLOCK-SIZE (default 1 MiB) under AES-128 and
+5) of `cryptengine.distribute` of that file to the two workers with the
+collector, in blocks of BLOCK-SIZE (default 1 MiB) under AES-128 and
 NONSECURE. It prints each round's rate and then their median, in MB/s
 (10^6 bytes per second of the file). Last, it reassembles the file from
 the collector and compares it with the source byte for byte.
@@ -55,16 +56,16 @@ def main(argv=None) -> int:
     rng = random.Random(1)
     params = cryptengine.CipherParams("aes128", rng.randbytes(16),
                                       rng.randbytes(16))
-    with spawn_cluster(Topology.HIERARCHICAL, 4) as cluster:
+    with spawn_cluster(Topology.COMPLETE_GRAPH, 3) as cluster:
         source = cluster.scratch / "probe.bin"
         source.write_bytes(rng.randbytes(args.size))
-        workers = [node.endpoint for node in cluster.compute_nodes]
+        *workers, collector = [node.endpoint for node in cluster.nodes]
 
         def distribute():
             return cryptengine.distribute(
                 source, workers, params, cluster.username, cluster.psk,
                 block_size=args.block_size, security=SECURITY,
-                collector=cluster.collector.endpoint)
+                collector=collector)
 
         distribute()
         rates = []
