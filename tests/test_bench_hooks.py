@@ -1,13 +1,16 @@
 """The benchmark's tracing hooks and calls still find what they use.
 
 `perfbench/spans.py` wraps gridfs functions by name from outside the
-program, and the workloads call gridfs by name, position and keyword. A
-rename, a removed keyword or a changed parameter list under `src/` would
-detach a wrapper or break a run; this catches it in the fast suite. It reads `perfbench/` and starts no node.
+program, and the workloads and the scripts in `tools/` call gridfs by
+name, position and keyword. A rename, a removed keyword or a changed
+parameter list under `src/` would detach a wrapper or break a run or a
+tool; this catches it in the fast suite, by reading `perfbench/` and
+`tools/`.
 The summary of the `BENCH_*.json` trail is checked here too, on a
 synthetic trail."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
@@ -50,8 +53,8 @@ def test_thread_modules_start_threads_through_their_own_import():
 
 
 def gridfs_bindings(tree: ast.AST) -> dict[str, object]:
-    """Every name a perfbench module binds by importing from gridfs, at
-    any depth, mapped to the object it is bound to."""
+    """Every name a perfbench module or tool binds by importing from
+    gridfs, at any depth, mapped to the object it is bound to."""
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -65,6 +68,10 @@ def gridfs_bindings(tree: ast.AST) -> dict[str, object]:
                 node.module.partition(".")[0] == "gridfs":
             module = importlib.import_module(node.module)
             for alias in node.names:
+                if not hasattr(module, alias.name):
+                    # a submodule is an attribute only once imported
+                    with contextlib.suppress(ImportError):
+                        importlib.import_module(f"{node.module}.{alias.name}")
                 assert hasattr(module, alias.name), \
                     f"{node.module}.{alias.name} is gone"
                 bound[alias.asname or alias.name] = getattr(module,
@@ -519,9 +526,10 @@ def test_code_lines_counts_code_only(tmp_path):
 
 
 def test_collector_probe_runs_on_a_tiny_file():
-    """`tools/collector_probe.py` distributes a seeded file to the two
-    compute nodes of a four-node cluster with its collector, prints each
-    round's rate and their median, and checks the rebuilt file."""
+    """`tools/collector_probe.py` distributes a seeded file to two of the
+    three peers of a loopback cluster with the third as its collector,
+    prints each round's rate and their median, and checks the rebuilt
+    file."""
     script = ROOT / "tools" / "collector_probe.py"
     run = subprocess.run(
         [sys.executable, str(script), "--size", "65536", "--block-size",
