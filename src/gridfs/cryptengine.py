@@ -60,6 +60,7 @@ from .errors import (
     StreamLost,
     TruncatedHeader,
     WorkerFailed,
+    map_os_error,
 )
 from .ftsm import TransferClient, fan_out, pwrite_all
 from .perms import Account, ActionKind, GuardedAction, check
@@ -466,10 +467,16 @@ class CryptWorker:
                 channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
                     C_PIECE: block[start:start + piece_size]}))
         else:
-            destination.parent.mkdir(parents=True, exist_ok=True)
-            scratch = destination.with_name(destination.name + ".tmp")
-            scratch.write_bytes(block)
-            os.replace(scratch, destination)
+            try:
+                destination.parent.mkdir(parents=True, exist_ok=True)
+                scratch = destination.with_name(destination.name + ".tmp")
+                scratch.write_bytes(block)
+                os.replace(scratch, destination)
+            except OSError as exc:
+                # the worker's fault, not the task's: the distributor
+                # fails this worker over and goes on
+                raise WorkerFailed(f"block store: {map_os_error(exc)}") \
+                    from None
         channel.send(FrameType.CRYPT_TASK, wire.encode_fields({
             C_PART: wire.u64(part), C_DONE: wire.u8(1)}))
 

@@ -23,20 +23,18 @@ a stat snapshot, and the resulting absolute offset rides in the next
 request. The SEEK wire op is answered exactly like STAT so a client can
 fold the size fetch into the same round trip.
 
-Operation failures (missing file, lock conflict, denial) come back as a
-DFS_RESP with a non-zero status and leave the session usable. A request
-whose fields cannot be decoded has no request id to answer under, so it
-gets an ERROR frame, as a failed request of any other session does, and
-the session goes on too. The session ends when the client hangs up, after
-the reply to its CLOSE, or on a frame of another type than DFS_REQ. Error
-statuses carry no path text: DFS responses may cross a transport whose
-policy leaves them clear.
+A failed request (a missing file, a lock conflict, a denial, fields that
+cannot be decoded) gets one ERROR frame in place of its DFS_RESP, as a
+failed request of any other session does (see `secchan.Channel.serve`),
+and the session goes on; the client raises the node's error, which names
+the cause, such as "no such file". The session ends when the client hangs
+up, after the reply to its CLOSE, or on a frame of another type than
+DFS_REQ. An ERROR's message carries no path: ERROR is clear in every
+mode, SECURE included.
 """
 
 from __future__ import annotations
 
-import errno
-import logging
 import os
 import threading
 from collections import deque
@@ -53,18 +51,12 @@ from .errors import (
     GridfsError,
     LockConflict,
     NegativeOffset,
-    NoSuchFile,
     NotOwner,
     PermissionDenied,
-    Status,
-    StorageFull,
-    error_for_status,
 )
 from .perms import Account, ActionKind, GuardedAction, check
 from .secchan import Channel
 from .wire import Frame, FrameType
-
-log = logging.getLogger("gridfs.dfsm")
 
 WHOLE_FILE = 0xFFFFFFFFFFFFFFFF
 MAX_PATH_BYTES = 255
@@ -103,7 +95,8 @@ F_OFFSET = 4
 F_LENGTH = 5
 F_DATA = 6
 F_SEEK_ORIGIN = 7
-F_STATUS = 8
+# tag 8 (F_STATUS, a reply's status code) is retired: a failed request
+# gets an ERROR frame; do not reuse it
 F_LOCK_ID = 9
 F_SIZE = 10
 
@@ -132,8 +125,8 @@ def resolve_seek(origin: SeekOrigin, delta: int, stat: FileStat,
 def resolve_path(sandbox_root: Path, relative: str) -> Path:
     """Map a request path into the sandbox; traversal is a denial, not an
     os error, so the namespace stays closed before any filesystem touch.
-    A failed resolve, as when a rename races it, reports as its
-    `map_os_error` error, so the session goes on."""
+    A failed resolve, as when a rename races it, raises its OSError, which
+    the session answers as any failed file operation."""
     if not relative or "\x00" in relative:
         raise BadRequest("empty or malformed path")
     if len(relative.encode("utf-8")) > MAX_PATH_BYTES:
@@ -141,10 +134,7 @@ def resolve_path(sandbox_root: Path, relative: str) -> Path:
     pure = PurePosixPath(relative)
     if pure.is_absolute() or ".." in pure.parts:
         raise PermissionDenied("path escapes the sandbox")
-    try:
-        return (sandbox_root / pure).resolve()
-    except OSError as exc:
-        raise map_os_error(exc) from None
+    return (sandbox_root / pure).resolve()
 
 
 def sandboxed(account: Account, relative: str) -> Path:
@@ -262,39 +252,22 @@ def _stat(path: Path) -> FileStat:
 @contextmanager
 def _opened(path: Path, flags: int) -> Iterator[int]:
     """A descriptor on `path` for one request, closed when the with-block
-    ends. An OSError from the open or from the block's I/O comes out as
-    the GridfsError it reports as. O_CREAT also creates the parent
-    directories."""
+    ends. O_CREAT also creates the parent directories."""
+    if flags & os.O_CREAT:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path, flags, 0o644)
     try:
-        if flags & os.O_CREAT:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, flags, 0o644)
-        try:
-            yield fd
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise map_os_error(exc) from None
-
-
-def map_os_error(exc: OSError) -> GridfsError:
-    """The GridfsError that a failed file operation reports as."""
-    if isinstance(exc, FileNotFoundError):
-        return NoSuchFile("no such file")
-    if exc.errno == errno.ENOSPC:
-        return StorageFull("storage full")
-    if exc.errno in (errno.EACCES, errno.EPERM):
-        return PermissionDenied("filesystem refused access")
-    if isinstance(exc, IsADirectoryError) or exc.errno == errno.EISDIR:
-        return BadRequest("path names a directory")
-    return BadRequest(f"io error {errno.errorcode.get(exc.errno, exc.errno)}")
+        yield fd
+    finally:
+        os.close(fd)
 
 
 class DfsServer:
     """Answers the requests of one authenticated DFSM session, each as it
-    arrives, through `Channel.serve`; the reply to a CLOSE closes the
-    channel. The session's locks are owned by an id the server makes
-    here, and are released when it ends."""
+    arrives, through `Channel.serve`, which answers a request that raises
+    with an ERROR frame; the reply to a CLOSE closes the channel. The
+    session's locks are owned by an id the server makes here, and are
+    released when it ends."""
 
     def __init__(self, channel: Channel, account: Account,
                  locks: LockTable):
@@ -312,23 +285,21 @@ class DfsServer:
             self.locks.release_session(self.session)
 
     def _handle(self, payload: bytes) -> None:
+        """Answer one request with its DFS_RESP, or raise why not."""
         fields = wire.decode_fields(payload)
         request_id = wire.read_uint(fields, F_REQUEST_ID)
+        if self._last_request_id is not None and \
+                request_id <= self._last_request_id:
+            raise BadRequest("request ids must strictly increase")
+        self._last_request_id = request_id
         reply: dict[int, bytes] = {F_REQUEST_ID: wire.u64(request_id)}
-        op = None
         try:
-            if self._last_request_id is not None and \
-                    request_id <= self._last_request_id:
-                raise BadRequest("request ids must strictly increase")
-            self._last_request_id = request_id
             op = Op(wire.read_uint(fields, F_OP))
             self._dispatch(op, fields, reply)
-            reply[F_STATUS] = wire.u16(Status.OK)
-        except GridfsError as exc:
-            log.debug("dfs op failed: %s", exc)
-            reply[F_STATUS] = wire.u16(exc.status)
-        except ValueError:
-            reply[F_STATUS] = wire.u16(Status.BAD_REQUEST)
+        except (ValueError, OverflowError):
+            # an unknown op, a path that is not UTF-8, or an offset or
+            # size past what the OS takes
+            raise BadRequest("malformed request") from None
         self.channel.send(FrameType.DFS_RESP, wire.encode_fields(reply))
         if op == Op.CLOSE:
             self.channel.close()
@@ -400,12 +371,16 @@ class FileShare(DfsServer):
 
     def answer_until(self, frame_type: int) -> Frame:
         """Answer DFS_REQ frames until a `frame_type` frame arrives, and
-        return it; an ERROR frame raises."""
+        return it; an ERROR frame raises. A request that fails is answered
+        with an ERROR frame, as `Channel.serve` answers one."""
         while True:
             frame = self.channel.expect(FrameType.DFS_REQ, frame_type)
             if frame.frame_type != FrameType.DFS_REQ:
                 return frame
-            self._handle(frame.payload)
+            try:
+                self._handle(frame.payload)
+            except (GridfsError, OSError) as exc:
+                self.channel.send_error(exc)
 
     def _dispatch(self, op: Op, fields: dict[int, bytes],
                   reply: dict[int, bytes]) -> None:
@@ -465,21 +440,19 @@ class FsClient:
         self.channel.send(FrameType.DFS_REQ, wire.encode_fields(fields))
         return request_id
 
-    def _reply(self, op: Op, request_id: int) -> dict[int, bytes]:
-        """Take the next reply, which must answer `request_id`."""
+    def _reply(self, request_id: int) -> dict[int, bytes]:
+        """Take the next reply, which must answer `request_id`; an ERROR
+        frame in its place raises the node's error."""
         reply = wire.decode_fields(
             self.channel.expect(FrameType.DFS_RESP).payload)
         if wire.read_uint(reply, F_REQUEST_ID) != request_id:
             raise ConnectionLost("response for a different request")
-        status = wire.read_uint(reply, F_STATUS, Status.INTERNAL)
-        if status != Status.OK:
-            raise error_for_status(status, f"{op.name} failed")
         return reply
 
     def _call(self, op: Op, extra: dict[int, bytes] | None = None) -> dict[int, bytes]:
         if self._ahead:
             raise BadRequest("reads sent ahead are still unanswered")
-        return self._reply(op, self._send(op, extra))
+        return self._reply(self._send(op, extra))
 
     def _read_request(self, path: str, offset: int, length: int) -> int:
         return self._send(Op.READ, {F_PATH: path.encode("utf-8"),
@@ -508,12 +481,13 @@ class FsClient:
             self._unsent = (path, start, end)
 
     def drain(self) -> None:
-        """Take and drop the reply of every read sent ahead, and send no
-        more of the planned ones."""
+        """Take and drop the reply of every read sent ahead, an ERROR
+        frame as well as a DFS_RESP, and send no more of the planned
+        ones."""
         self._unsent = ("", 0, 0)
         while self._ahead:
             self._ahead.popleft()
-            self.channel.expect(FrameType.DFS_RESP)
+            self.channel.recv()
 
     def read(self, path: str, offset: int, length: int) -> bytes:
         """Up to `length` bytes of `path` from `offset`, shorter only at
@@ -524,7 +498,7 @@ class FsClient:
             if planned != [path, offset, length]:
                 raise BadRequest("a read must take the oldest read ahead")
             self._ahead.popleft()
-            data = self._reply(Op.READ, request_id).get(F_DATA, b"")
+            data = self._reply(request_id).get(F_DATA, b"")
             self._send_ahead()
             return data
         parts = []
@@ -532,7 +506,7 @@ class FsClient:
         step = self.channel.params.buffer_size
         while got < length:
             want = min(step, length - got)
-            data = self._reply(Op.READ, self._read_request(
+            data = self._reply(self._read_request(
                 path, offset + got, want)).get(F_DATA, b"")
             parts.append(data)
             got += len(data)

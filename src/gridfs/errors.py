@@ -1,12 +1,14 @@
 """Error types shared across the toolkit and their wire status codes.
 
-Every operation-level failure maps to one ``Status`` code so a server can
-report it inside a response frame and the client can re-raise the matching
-exception class.
+Every operation-level failure maps to one ``Status`` code so a node can
+report it in the ERROR frame that answers a failed request, and the
+client can re-raise the matching exception class. A failed file
+operation's ``OSError`` reports as the error `map_os_error` gives it.
 """
 
 from __future__ import annotations
 
+import errno
 from enum import IntEnum
 
 
@@ -210,6 +212,21 @@ class BindFailed(GridfsError):
 
 class SpawnFailed(GridfsError):
     status = Status.INTERNAL
+
+
+def map_os_error(exc: OSError) -> GridfsError:
+    """The GridfsError that a failed file operation reports as. Its
+    message names the cause, never the path, since an ERROR frame is
+    clear in every mode."""
+    if isinstance(exc, FileNotFoundError):
+        return NoSuchFile("no such file")
+    if exc.errno == errno.ENOSPC:
+        return StorageFull("storage full")
+    if exc.errno in (errno.EACCES, errno.EPERM):
+        return PermissionDenied("filesystem refused access")
+    if isinstance(exc, IsADirectoryError) or exc.errno == errno.EISDIR:
+        return BadRequest("path names a directory")
+    return BadRequest(f"io error {errno.errorcode.get(exc.errno, exc.errno)}")
 
 
 _STATUS_DEFAULT = {

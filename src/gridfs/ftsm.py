@@ -6,8 +6,9 @@ either side of a connection holds either end: on a push the client sends
 and the node receives, on a pull the node sends and the client receives.
 
 A transfer is negotiated on the authenticated control connection
-(XFER_OFFER / XFER_ACCEPT, or XFER_RESUME when a pushing node holds a
-sidecar that continues the offer), then the bytes travel over N streams.
+(XFER_OFFER / XFER_ACCEPT; the accept of a push carries X_STATE when the
+node holds a sidecar that continues the offer), then the bytes travel over
+N streams.
 Stream 0 rides the control connection itself, between the reply and
 XFER_DONE; streams 1..N-1 each open an FTSM session of their own, in the
 transfer's direction, that joins the transfer with XFER_JOIN(transfer_id,
@@ -97,13 +98,14 @@ The node alone decides whether a sidecar continues a transfer, in both
 directions, by one rule (`continues`: the same region in the same chunk
 size as the grid it plans now). The sidecar's record travels in its own
 encoding under X_STATE. On a push the node holds the sidecar: it answers
-a continuing offer with XFER_RESUME and the record, and deletes any other
-sidecar. On a pull the client holds it: the offer carries the request as
-the caller made it plus the record, the node plans from the request and
-the file as it is now, and it continues the record only if the rule
-holds; otherwise it plans afresh, and the client, seeing another grid in
-XFER_ACCEPT, deletes its sidecar. So a pull whose remote file changed
-size since the record was written receives the whole new file.
+a continuing offer with an XFER_ACCEPT that carries the record, and
+deletes any other sidecar. On a pull the client holds it: the offer
+carries the request as the caller made it plus the record, the node
+plans from the request and the file as it is now, and it continues the
+record only if the rule holds; otherwise it plans afresh, and the
+client, seeing another grid in XFER_ACCEPT, deletes its sidecar. So a
+pull whose remote file changed size since the record was written
+receives the whole new file.
 
 A memory-to-memory mode (zero generator into a discarding sink) drives the
 identical protocol path with no disk at either end, for measuring raw
@@ -153,7 +155,7 @@ from functools import cache, cached_property
 from pathlib import Path
 
 from . import secchan, wire
-from .dfsm import map_os_error, sandboxed
+from .dfsm import sandboxed
 from .errors import (
     BadRequest,
     ConnectionLost,
@@ -191,7 +193,7 @@ X_TRUNCATE = 12      # whole-file transfer: drop any stale tail on finish
 # tag 13 (X_CONTROL_STREAM, stream 0 on control) is retired; do not reuse it
 # tag 14 (X_SHA256, DIGEST of the region's bytes) is retired; do not reuse it
 X_REGION_DIGEST = 15    # XFER_DONE: DIGEST over the chunk digests
-X_STATE = 16    # XFER_RESUME, a resuming pull's XFER_OFFER: the sidecar record
+X_STATE = 16    # a resuming XFER_ACCEPT or pull XFER_OFFER: the sidecar record
 
 SINK_FILE = 0
 SINK_MEM = 1
@@ -216,8 +218,8 @@ SIDECAR_INTERVAL = 0.05
 # landed since it last did
 WRITE_BEHIND = 4 << 20
 
-# room an XFER_RESUME, or a resuming pull XFER_OFFER, needs beside its
-# record's bitmap: the record's other fields, the frame's other fields, a
+# room a resuming XFER_ACCEPT, or a resuming pull XFER_OFFER, needs beside
+# its record's bitmap: the record's other fields, the frame's other fields, a
 # path and an AEAD tag
 BITMAP_MARGIN = 512
 
@@ -1001,7 +1003,11 @@ class FtsmService:
     is refused too. An offer resolves its path by the
     `resolve(account, relative) -> Path` it is given: the sandbox gate
     (`dfsm.sandboxed`) for an FTSM session, a task set's own work
-    directory for a task session.
+    directory for a task session. A push whose sidecar continues the
+    offer resumes: its XFER_ACCEPT carries the sidecar's record. An offer
+    that fails raises, and the session's `Channel.serve` answers it with
+    one ERROR frame; a refused one-chunk push is first read through its
+    XFER_DONE.
     """
 
     def __init__(self, registry: TransferRegistry, drain_timeout: float = 30.0):
@@ -1050,7 +1056,7 @@ class FtsmService:
                  fields: dict[int, bytes],
                  resolve: Callable[[Account, str], Path]
                  ) -> dict[int, bytes] | None:
-        frame_type, reply = FrameType.XFER_ACCEPT, {}
+        reply = {}
         grid = None
         if wire.read_uint(fields, X_SINK, SINK_FILE) == SINK_FILE:
             grid = ChunkGrid(
@@ -1079,22 +1085,17 @@ class FtsmService:
                 else:
                     state = resumable_state(dst, grid)
                 if state is not None:
-                    frame_type = FrameType.XFER_RESUME
                     reply = {X_STATE: state.encode()}
                 session.receiver = RegionReceiver(
                     dst, session.transfer_id, grid, state,
                     truncate_to=end if whole_file else None)
-            channel.send(frame_type, wire.encode_fields(
+            channel.send(FrameType.XFER_ACCEPT, wire.encode_fields(
                 {X_TRANSFER: session.transfer_id, **reply}))
         except ConnectionLost:
             raise
-        except (GridfsError, OSError) as exc:
+        except (GridfsError, OSError):
             if pipelined:
                 drop_pushed(channel)    # the refusal answers it all
-            if isinstance(exc, OSError):
-                # the destination could not be opened, as when a parent
-                # on its path is a regular file
-                raise map_os_error(exc) from None
             raise
         return self._finish_push(channel, session, pipelined)
 
@@ -1289,7 +1290,7 @@ class TransferClient:
     retry re-offers the transfer, so completed chunks are never resent,
     except that a one-chunk transfer is resent whole.
     The node decides whether a transfer resumes, in both directions: a
-    push's XFER_RESUME carries the node's sidecar record, and a pull's
+    push's XFER_ACCEPT carries the node's sidecar record, and a pull's
     offer carries the client's, which the node continues or replaces by a
     fresh plan (see `pull_on`). A record travels as the sidecar's own
     bytes (`TransferState.encode`), and its reader checks the bitmap
@@ -1454,11 +1455,10 @@ class TransferClient:
         control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
         state = None
         if not pipelined:
-            reply = control.expect(FrameType.XFER_ACCEPT,
-                                   FrameType.XFER_RESUME)
-            if reply.frame_type == FrameType.XFER_RESUME:
-                state = TransferState.decode(
-                    wire.decode_fields(reply.payload).get(X_STATE, b""))
+            record = wire.decode_fields(control.expect(
+                FrameType.XFER_ACCEPT).payload).get(X_STATE)
+            if record is not None:
+                state = TransferState.decode(record)
                 grid = state.grid    # its chunks make the region digest
         sender = RegionSender(local, transfer_id, grid, state, self.streams)
         self._run_senders(control, sender)

@@ -5,9 +5,11 @@ the sealed challenge-response AUTH, then hands the connection to whichever
 service the negotiated mode selects: remote file access, parallel transfer
 (either direction), task execution, or block cryptography. Every
 connection takes that one way in; a HELLO of another protocol version
-or a disabled mode gets an ERROR frame and a warning naming the peer. A
-transfer's data stream is an FTSM session like any other: the transfer
-service admits it when it sends XFER_JOIN (see ftsm).
+or a disabled mode gets an ERROR frame and a warning naming the peer, and
+an AUTH that fails gets one ERROR frame, the same whether the user is
+unknown, the key wrong or the proof bad. A transfer's data stream is an
+FTSM session like any other: the transfer service admits it when it
+sends XFER_JOIN (see ftsm).
 
 Configuration is a flat `key = value` file. Unknown keys warn and are
 ignored so configs can be shared across versions; a known key with an
@@ -28,6 +30,7 @@ from pathlib import Path
 from . import secchan, wire
 from .dfsm import DfsServer, LockTable
 from .errors import (
+    AuthFailed,
     BindFailed,
     GridfsError,
     IntegrityFailure,
@@ -257,7 +260,8 @@ class NodeServer:
 
         account = self.accounts.get(username)
         # unknown users get a random key so timing does not reveal which
-        # usernames exist; their AUTH then fails like any wrong password
+        # usernames exist; their AUTH then fails like any wrong password,
+        # with the same ERROR frame, byte for byte
         psk = account.psk if account is not None else secrets.token_bytes(32)
         server_nonce = os.urandom(secchan.NONCE_SIZE)
         channel.params = agreed
@@ -265,11 +269,12 @@ class NodeServer:
                      wire.welcome_payload(agreed, server_nonce))
         channel.keys = ChannelKeys.for_role(psk, client_nonce, server_nonce,
                                             is_client=False)
+        rejected = AuthFailed("server rejected credentials")
         try:
             auth = channel.expect(FrameType.AUTH)
         except IntegrityFailure:
             # wrong key: either a bad password or an unknown user
-            channel.send(FrameType.AUTH_FAIL, b"")
+            channel.send_error(rejected)
             return
         auth_fields = wire.decode_fields(auth.payload)
         claimed = auth_fields.get(A_USER, b"").decode("utf-8",
@@ -278,7 +283,7 @@ class NodeServer:
         expected = credential_proof(psk, client_nonce, server_nonce, username)
         if account is None or claimed != username or \
                 not secrets.compare_digest(proof, expected):
-            channel.send(FrameType.AUTH_FAIL, b"")
+            channel.send_error(rejected)
             return
         channel.send(FrameType.AUTH_OK, b"")
         conn.settimeout(None)

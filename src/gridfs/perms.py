@@ -184,7 +184,8 @@ class AccountStore:
     """Immutable account snapshot with atomic reload.
 
     Layout under `store_dir`: a `credentials` file plus `accounts/*.xml`.
-    Checks read the snapshot without locking; reload swaps it whole.
+    `get` reads the snapshot under the store's lock, and reload swaps it
+    whole under the same lock.
     """
 
     def __init__(self, store_dir: Path, storage_root: Path):

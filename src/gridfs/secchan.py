@@ -32,9 +32,16 @@ Mode policy:
               TASK_RESULT and CRYPT_TASK; everything else clear.
 A sealed frame is sealed whole in every mode, so a NONSECURE DFSM WRITE
 seals its data along with its path, while a READ's reply stays clear.
-HELLO, WELCOME, AUTH_FAIL and ERROR are clear in every mode: the first two
-happen before keys exist, and the last two must stay readable to a peer
-whose keys are wrong. None of them ever carries a secret.
+HELLO, WELCOME and ERROR are clear in every mode: the first two happen
+before keys exist, and ERROR must stay readable to a peer whose keys are
+wrong, as a refused AUTH's is. None of them ever carries a secret, and
+the ERROR that refuses an AUTH is the same whatever was wrong, so it
+tells no user names.
+
+Every failed request gets one answer, an ERROR frame, in every mode:
+`Channel.serve` sends a handler's GridfsError as itself and an OSError as
+its `map_os_error` error, and the session takes the next request;
+`Channel.expect` raises it again on the other side.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import hmac
 import os
 import socket
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 
 from cryptography.exceptions import InvalidTag
@@ -59,8 +66,9 @@ from .errors import (
     OversizedPayload,
     ProtocolError,
     error_for_status,
+    map_os_error,
 )
-from .wire import Frame, FrameType, Mode, SecurityMode, SessionParams
+from .wire import Frame, FrameType, SecurityMode, SessionParams
 
 KEY_SIZE = 16
 NONCE_SIZE = 16
@@ -138,7 +146,7 @@ CLEAR = 0
 SEALED = 1
 
 _ALWAYS_CLEAR = frozenset({FrameType.HELLO, FrameType.WELCOME,
-                           FrameType.AUTH_FAIL, FrameType.ERROR})
+                           FrameType.ERROR})
 # NONSECURE: AUTH and AUTH_OK, and the frames that carry a path, a name or
 # key material
 _NONSECURE_SEALED = frozenset({
@@ -259,7 +267,11 @@ class Channel:
                 f"got 0x{frame.frame_type:02x}")
         return frame
 
-    def send_error(self, exc: GridfsError) -> None:
+    def send_error(self, exc: GridfsError | OSError) -> None:
+        """Answer a failed request with one ERROR frame: a GridfsError as
+        itself, an OSError as its `map_os_error` error."""
+        if isinstance(exc, OSError):
+            exc = map_os_error(exc)
         self.send(FrameType.ERROR,
                   wire.error_payload(int(exc.status), str(exc)))
 
@@ -269,12 +281,13 @@ class Channel:
         `handle(frame)`, until the peer hangs up or a handler closes the
         channel.
 
-        One error policy for every control session: a ProtocolError means
-        the peer broke the frame choreography (a frame of another type, an
+        One error policy for every session: a ProtocolError means the
+        peer broke the frame choreography (a frame of another type, an
         ERROR frame included, is one), so it ends the session and
-        propagates to the caller; any other GridfsError is one failed
-        request, so it goes back to the peer as an ERROR frame and the
-        session takes the next frame.
+        propagates to the caller; any other GridfsError, and an OSError as
+        its `map_os_error` error, is one failed request, so it goes back
+        to the peer as one ERROR frame and the session takes the next
+        frame.
         """
         while not self.closed:
             try:
@@ -289,7 +302,7 @@ class Channel:
                 handle(frame)
             except ProtocolError:
                 raise
-            except GridfsError as exc:
+            except (GridfsError, OSError) as exc:
                 self.send_error(exc)
 
     def _require_keys(self) -> ChannelKeys:
@@ -356,7 +369,8 @@ def connect(address: tuple[str, int], params: SessionParams,
     `stream_index`) follows AUTH at once, without waiting for AUTH_OK,
     so the dial still takes two round trips. The node reads it only once
     AUTH has verified, and answers it with XFER_JOIN once the stream has
-    joined, or with an ERROR frame, raised here, saying why not. The
+    joined, or with an ERROR frame, raised here, saying why not. A
+    refused AUTH is an ERROR frame too, raised here as AuthFailed. The
     session's mode must be the transfer's direction. A transfer's client
     dials one only for streams 1..n-1: stream 0 rides the control
     session, so a single-stream transfer dials none. The node admits a
@@ -388,9 +402,7 @@ def connect(address: tuple[str, int], params: SessionParams,
         if transfer_id is not None:
             channel.send(FrameType.XFER_JOIN,
                          wire.join_payload(transfer_id, stream_index))
-        reply = channel.expect(FrameType.AUTH_OK, FrameType.AUTH_FAIL)
-        if reply.frame_type == FrameType.AUTH_FAIL:
-            raise AuthFailed("server rejected credentials")
+        channel.expect(FrameType.AUTH_OK)
         if transfer_id is not None:
             channel.expect(FrameType.XFER_JOIN)
         sock.settimeout(None)

@@ -581,12 +581,14 @@ class TaskService:
                     raise BadRequest("output names are flat file names")
 
         workdir = account.sandbox_root / ".tasksets" / set_id.hex()
+        # before the set registers: a set whose directory cannot be made
+        # leaves nothing behind
+        workdir.mkdir(parents=True, exist_ok=True)
         record = TaskSetRecord(set_id, account, workdir, specs)
         with self._lock:
             if set_id in self._sets:
                 raise BadRequest("set id already in use")
             self._sets[set_id] = record
-        workdir.mkdir(parents=True, exist_ok=True)
         channel.send(FrameType.TASK_STATUS, record.status_payload())
         return record
 

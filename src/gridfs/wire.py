@@ -14,10 +14,13 @@ a sequence of (tag u8 | value_len u32 BE | value) triples with unique tags.
 Frame type registry:
 
     0x01 HELLO        0x02 WELCOME      0x03 AUTH         0x04 AUTH_OK
-    0x05 AUTH_FAIL    0x10 DFS_REQ      0x11 DFS_RESP     0x20 XFER_OFFER
-    0x21 XFER_ACCEPT  0x22 CHUNK        0x23 XFER_DONE    0x24 XFER_RESUME
-    0x25 XFER_JOIN    0x30 TASK_SUBMIT  0x31 TASK_STATUS  0x32 TASK_RESULT
-    0x40 CRYPT_TASK   0x7F ERROR
+    0x10 DFS_REQ      0x11 DFS_RESP     0x20 XFER_OFFER   0x21 XFER_ACCEPT
+    0x22 CHUNK        0x23 XFER_DONE    0x25 XFER_JOIN    0x30 TASK_SUBMIT
+    0x31 TASK_STATUS  0x32 TASK_RESULT  0x40 CRYPT_TASK   0x7F ERROR
+
+    retired, not to be reused: 0x05 (AUTH_FAIL), 0x24 (XFER_RESUME)
+
+Every failed request is answered by one ERROR frame, whatever the mode.
 
 A session starts with the client's HELLO and the server's WELCOME. Those
 two frames negotiate the operating mode, the security mode and the network
@@ -50,6 +53,9 @@ A change that makes an old peer fail bumps the version:
     11  a transfer's chunks are cut every chunk size from the region
         start, whatever the stream count, and dealt over the streams; the
         sidecar's bitmap moves to state tag 8, tag 6 retired
+    12  every failed request, a refused AUTH included, gets one ERROR
+        frame: DFS_RESP tag 8 (its status), AUTH_FAIL and XFER_RESUME
+        retired, and a resuming push's XFER_ACCEPT carries the record
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ MAGIC = b"DG01"
 HEADER_FMT = ">4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 10 bytes
 
-PROTOCOL_VERSION = 11
+PROTOCOL_VERSION = 12
 DEFAULT_MAX_PAYLOAD = 262144
 MIN_BUFFER = 4096
 # Extra room on top of the negotiated buffer so a full data chunk still fits
@@ -87,14 +93,16 @@ class FrameType(IntEnum):
     WELCOME = 0x02
     AUTH = 0x03
     AUTH_OK = 0x04
-    AUTH_FAIL = 0x05
+    # 0x05 (AUTH_FAIL) is retired: a refused AUTH gets an ERROR frame;
+    # do not reuse it
     DFS_REQ = 0x10
     DFS_RESP = 0x11
     XFER_OFFER = 0x20
     XFER_ACCEPT = 0x21
     CHUNK = 0x22
     XFER_DONE = 0x23
-    XFER_RESUME = 0x24
+    # 0x24 (XFER_RESUME) is retired: a resuming push's XFER_ACCEPT carries
+    # the sidecar record; do not reuse it
     XFER_JOIN = 0x25
     TASK_SUBMIT = 0x30
     TASK_STATUS = 0x31

@@ -1003,3 +1003,31 @@ def test_collector_pushes_and_holder_pulls_each_ride_one_session(
               for raw in proxy.payloads(FrameType.HELLO)]
     assert hellos == [wire.Mode.FTSM_PUSH, wire.Mode.FTSM_PULL]
     assert open_sessions(collector) == 0
+
+
+def test_a_worker_whose_block_store_fails_is_failed_over(node_factory,
+                                                         tmp_path):
+    """The first worker's block store cannot be made: a regular file
+    named `blocks` sits where the directory goes. That worker fails with
+    WorkerFailed naming the cause, its blocks go to the second, and the
+    run completes; with the broken worker alone, the run's WorkerFailed
+    names the cause too."""
+    broken = node_factory("w1")
+    sound = node_factory("w2")
+    sandbox = broken.config.storage_root / "home" / "alice"
+    sandbox.mkdir(parents=True, exist_ok=True)
+    (sandbox / ce.BLOCK_SUBDIR).write_bytes(b"not a directory")
+    payload = os.urandom(64 * 1024)
+    source = tmp_path / "data.bin"
+    source.write_bytes(payload)
+    with pytest.raises(WorkerFailed, match="block store: io error EEXIST"):
+        ce.distribute(source, [endpoint(broken)], PARAMS, "alice",
+                      ALICE_PSK, block_size=32 * 1024)
+    manifest = ce.distribute(source, [endpoint(broken), endpoint(sound)],
+                             PARAMS, "alice", ALICE_PSK,
+                             block_size=32 * 1024)
+    assert {p.holder for p in manifest.placements.values()} == {
+        endpoint(sound)}
+    rebuilt = tmp_path / "rebuilt.bin"
+    ce.reassemble(manifest, PARAMS, rebuilt, "alice", ALICE_PSK)
+    assert rebuilt.read_bytes() == payload

@@ -648,3 +648,40 @@ def test_a_read_whose_resolve_fails_is_refused_and_the_session_goes_on(
         with pytest.raises(BadRequest):
             fs.read("raced.bin", 0, 16)
         assert fs.stat("plain.bin").size == 10
+
+
+@pytest.mark.parametrize("call, cause", [
+    (lambda fs: fs.stat("afile/b"), "io error ENOTDIR"),
+    (lambda fs: fs.set_length("afile/b", 4), "io error ENOTDIR"),
+    (lambda fs: fs.read("afile", 2 ** 63, 4), "malformed request"),
+    (lambda fs: fs.set_length("afile", 2 ** 64 - 1), "malformed request"),
+], ids=["stat-under-a-file", "setlength-under-a-file", "read-at-2^63",
+        "setlength-to-2^64-1"])
+def test_a_request_the_os_refuses_is_refused_and_the_session_goes_on(
+        node, call, cause):
+    """Requests whose failure no handler maps itself: a STAT or SETLENGTH
+    of `afile/b`, where `afile` is a regular file, fails in the node's
+    stat with ENOTDIR, and an offset or size of 2^63 or more overflows
+    the OS's file offset. Each comes back as one ERROR naming the cause,
+    raised as BadRequest, and the same session answers the next STAT."""
+    params = SessionParams(Mode.DFSM, SecurityMode.NONSECURE)
+    with FsClient(secchan.connect(("127.0.0.1", node.port), params,
+                                  "alice", ALICE_PSK)) as fs:
+        fs.write("afile", 0, b"plain")
+        with pytest.raises(BadRequest, match=cause):
+            call(fs)
+        assert fs.stat("afile").size == 5
+
+
+def test_a_failed_request_raises_the_nodes_cause(node):
+    """A READ of a missing file raises NoSuchFile with the node's own
+    message, and a READ of a directory BadRequest with its, not a message
+    the client makes up from the op's name."""
+    params = SessionParams(Mode.DFSM, SecurityMode.NONSECURE)
+    with FsClient(secchan.connect(("127.0.0.1", node.port), params,
+                                  "alice", ALICE_PSK)) as fs:
+        with pytest.raises(NoSuchFile, match="^no such file$"):
+            fs.read("absent.bin", 0, 16)
+        fs.write("dir/inner.bin", 0, b"x")
+        with pytest.raises(BadRequest, match="^path names a directory$"):
+            fs.read("dir", 0, 16)

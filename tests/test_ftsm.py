@@ -825,7 +825,7 @@ def test_resumed_pull_of_a_one_run_gap_uses_every_stream(node, tmp_path,
 
 def test_a_resume_record_with_a_short_bitmap_is_state_corrupt(
         node, tmp_path, monkeypatch):
-    """A node whose XFER_RESUME record has a bitmap short of its geometry:
+    """A node whose resume record has a bitmap short of its geometry:
     the push raises StateCorrupt, a GridfsError, and sends no chunk."""
     data = os.urandom(20 * 4096)
     src = tmp_path / "src.bin"
@@ -835,7 +835,7 @@ def test_a_resume_record_with_a_short_bitmap_is_state_corrupt(
     chunks = []
 
     def resume_with_the_record(service, channel, account, mode, raw):
-        channel.send(FrameType.XFER_RESUME, wire.encode_fields({
+        channel.send(FrameType.XFER_ACCEPT, wire.encode_fields({
             ftsm.X_TRANSFER: wire.decode_fields(raw)[ftsm.X_TRANSFER],
             ftsm.X_STATE: record}))
         while True:

@@ -315,3 +315,29 @@ def test_restart_preserves_files_and_drops_sessions(tmp_path):
         fs2.close()
     finally:
         second.stop()
+
+
+def test_a_refused_auth_is_one_error_frame_that_tells_no_user(
+        node, sniff_factory, monkeypatch):
+    """An unknown user, a known user with a wrong key, and a known user
+    with the right key but a bad proof are each refused with one ERROR
+    frame, raised as AuthFailed. The three frames are the same byte for
+    byte, so a reply tells no one which user names exist."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    params = SessionParams(Mode.DFSM, SecurityMode.SECURE)
+
+    def refused(username, psk):
+        with pytest.raises(AuthFailed, match="server rejected credentials"):
+            secchan.connect(proxy.address, params, username, psk)
+
+    refused("nobody", b"k" * 32)
+    refused("alice", b"k" * 32)
+    monkeypatch.setattr(secchan, "credential_proof",
+                        lambda *args: b"\0" * 32)
+    refused("alice", ALICE_PSK)
+    answers = [(ftype, flags, payload)
+               for side, ftype, flags, payload in proxy.frames
+               if side == "s2c" and ftype != FrameType.WELCOME]
+    assert len(answers) == 3
+    assert len(set(answers)) == 1
+    assert answers[0][0] == FrameType.ERROR

@@ -2,18 +2,28 @@
 its offer, chunk and XFER_DONE back to back, and a pull planned on one
 stream gets XFER_DONE behind its chunks without sending one. Covers the
 frame order on each side, the sidecar a one-chunk region never writes,
-the refusals that must leave the session in step, and a sweep that cuts
-the connection after each frame the node sends."""
+the refusals that must leave the session in step, a sweep that cuts
+the connection after each frame the node sends, and a sweep that checks
+that every refused request, in every mode, is answered by one ERROR
+frame."""
 
 import os
 import time
 
 import pytest
 
-from gridfs import ftsm, taskexec, wire
-from gridfs.errors import GridfsError, PermissionDenied, StreamLost
+from gridfs import cryptengine, ftsm, secchan, taskexec, wire
+from gridfs.dfsm import FsClient
+from gridfs.errors import (
+    AuthFailed,
+    BadRequest,
+    GridfsError,
+    NoSuchFile,
+    PermissionDenied,
+    StreamLost,
+)
 from gridfs.ftsm import TransferClient, state_path
-from gridfs.wire import FrameType, Mode, SecurityMode
+from gridfs.wire import FrameType, Mode, SecurityMode, SessionParams
 
 from conftest import ALICE_PSK, BOB_PSK, GRID_PSK
 
@@ -394,3 +404,193 @@ def test_a_cut_after_any_node_frame_recovers_or_names_its_cause(
             break
     assert clean >= 4
     assert outcomes == [(cut, True) for cut in [None, *range(1, clean + 1)]]
+
+
+@pytest.mark.parametrize("security", ALL_MODES,
+                         ids=[mode.name for mode in ALL_MODES])
+def test_a_cut_after_any_dfsm_frame_completes_or_names_its_cause(
+        node, sniff_factory, security):
+    """A DFSM write, lock, READ of a missing file and unlock, cut right
+    behind each frame the node sends in turn. DFSM has no retry, so each
+    run either completes or raises a named GridfsError; after every run
+    the node holds no session and no lock."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    params = SessionParams(Mode.DFSM, security)
+    outcomes = []
+    for cut in [None, *range(1, 99)]:
+        before = len(proxy.frames)
+        proxy.kill_s2c_after = None if cut is None else (None, cut)
+        try:
+            with FsClient(secchan.connect(proxy.address, params, "alice",
+                                          ALICE_PSK)) as fs:
+                fs.write("cut/dfsm.bin", 0, b"data")
+                lock_id = fs.lock("cut/dfsm.bin", 0, 4)
+                with pytest.raises(NoSuchFile):
+                    fs.read("cut/absent.bin", 0, 4)
+                fs.unlock("cut/dfsm.bin", lock_id)
+            outcomes.append((cut, "done"))
+        except GridfsError as exc:
+            assert type(exc) is not GridfsError
+            outcomes.append((cut, type(exc).__name__))
+        assert wait_until_idle(node), f"cut after node frame {cut}"
+        assert not node.locks._locks, f"cut after node frame {cut}"
+        if cut is None:
+            clean = sum(1 for side, *_ in proxy.frames[before:]
+                        if side == "s2c")
+        elif cut == clean:
+            break
+    # WELCOME, AUTH_OK, then one answer to each request and to CLOSE,
+    # whose answer the client does not need
+    assert clean == 7
+    assert outcomes == [(None, "done"),
+                        *[(cut, "ConnectionLost") for cut in range(1, 6)],
+                        (6, "done"), (7, "done")]
+
+
+# -- every refusal is one ERROR frame ------------------------------------------
+
+# a path and a user name no ERROR may echo: ERROR is clear in every mode
+NAME = "quokka-umbra-41"
+
+
+def refusal(proxy, error, call):
+    """Run `call`, which must raise `error`; returns the types of the
+    frames the node sent meanwhile."""
+    start = len(proxy.frames)
+    with pytest.raises(error):
+        call()
+    return [ftype for side, ftype, _, _ in proxy.frames[start:]
+            if side == "s2c"]
+
+
+def received_payloads(channel, frame_type):
+    """The payloads of the `frame_type` frames `channel` receives from now
+    on, as opened."""
+    payloads = []
+    recv = channel.recv
+
+    def receiving():
+        frame = recv()
+        if frame.frame_type == frame_type:
+            payloads.append(frame.payload)
+        return frame
+
+    channel.recv = receiving
+    return payloads
+
+
+def dfsm_read_of_a_missing_file(proxy, security, node, tmp_path):
+    channel = secchan.connect(proxy.address, SessionParams(Mode.DFSM,
+                                                          security),
+                              "alice", ALICE_PSK)
+    replies = received_payloads(channel, FrameType.DFS_RESP)
+    with FsClient(channel) as fs:
+        fs.write("present.bin", 0, b"here")
+        answer = refusal(proxy, NoSuchFile,
+                         lambda: fs.read(f"{NAME}.bin", 0, 16))
+        assert fs.stat("present.bin").size == 4
+    assert replies and all(8 not in wire.decode_fields(reply)
+                           for reply in replies)
+    return answer
+
+
+def ftsm_push_under_a_regular_file(proxy, security, node, tmp_path):
+    (storage(node) / "home" / "alice").mkdir(parents=True, exist_ok=True)
+    (storage(node) / "home" / "alice" / "afile").write_bytes(b"plain")
+    src = tmp_path / "src.bin"
+    src.write_bytes(b"x" * 100)
+    mover = mover_for(proxy.address, security, "alice", ALICE_PSK)
+    control = mover.dial(Mode.FTSM_PUSH)
+    try:
+        answer = refusal(proxy, BadRequest, lambda: mover.push_on(
+            control, src, f"afile/{NAME}.bin"))
+        mover.push_on(control, src, "landed.bin")
+    finally:
+        control.close()
+    assert (storage(node) / "home" / "alice" / "landed.bin").read_bytes() \
+        == b"x" * 100
+    return answer
+
+
+def task_submit_by_bob(proxy, security, node, tmp_path):
+    channel = mover_for(proxy.address, security, "bob", BOB_PSK).dial(
+        Mode.TASK)
+    task = taskexec.process_task("/bin/true", [NAME], outputs=[NAME])
+
+    def submit():
+        channel.send(FrameType.TASK_SUBMIT, wire.encode_fields({
+            taskexec.SUB_SET: os.urandom(16),
+            taskexec.SUB_COUNT: wire.u16(1),
+            taskexec.SUB_TASKS: wire.pack_blobs(
+                [taskexec.encode_spec(task)]),
+        }))
+        channel.expect(FrameType.TASK_STATUS)
+    try:
+        answer = refusal(proxy, PermissionDenied, submit)
+        # bob may do nothing: the next request is answered, and alone
+        assert refusal(proxy, PermissionDenied, submit) == [FrameType.ERROR]
+    finally:
+        channel.close()
+    return answer
+
+
+def crypt_task_by_bob(proxy, security, node, tmp_path):
+    channel = secchan.connect(proxy.address, SessionParams(Mode.CRYPT,
+                                                          security),
+                              "bob", BOB_PSK)
+    fields = cryptengine._encrypt_task_fields(
+        0, 0, 16, cryptengine.CipherParams("aes128", b"k" * 16, b"i" * 16),
+        f"{NAME}.bin", cryptengine.block_name(f"{NAME}.bin", 0), False)
+
+    def task():
+        channel.send(FrameType.CRYPT_TASK, wire.encode_fields(fields))
+        channel.expect(FrameType.CRYPT_TASK)
+    try:
+        answer = refusal(proxy, PermissionDenied, task)
+        assert refusal(proxy, PermissionDenied, task) == [FrameType.ERROR]
+    finally:
+        channel.close()
+    return answer
+
+
+def dial_refused(username, psk):
+    def case(proxy, security, node, tmp_path):
+        params = SessionParams(Mode.DFSM, security)
+        answer = refusal(proxy, AuthFailed, lambda: secchan.connect(
+            proxy.address, params, username, psk))
+        # the node still serves: the next dial, with alice's key, works
+        with FsClient(secchan.connect(proxy.address, params, "alice",
+                                      ALICE_PSK)) as fs:
+            assert not fs.stat("absent.bin").exists
+        assert answer[:1] == [FrameType.WELCOME]
+        return answer[1:]
+    return case
+
+
+REFUSALS = {"dfsm-read": dfsm_read_of_a_missing_file,
+            "ftsm-push": ftsm_push_under_a_regular_file,
+            "task-submit": task_submit_by_bob,
+            "crypt-task": crypt_task_by_bob,
+            "wrong-key": dial_refused("alice", b"k" * 32),
+            "unknown-user": dial_refused(NAME, b"k" * 32)}
+
+
+@pytest.mark.parametrize("security", ALL_MODES,
+                         ids=[mode.name for mode in ALL_MODES])
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_a_refused_request_gets_one_error_frame_and_the_session_goes_on(
+        node, sniff_factory, tmp_path, security, case):
+    """In every mode and every security mode, a refused request is
+    answered by exactly one ERROR frame and nothing else, and the same
+    session (or, for a refused dial, the node) serves the next request.
+    No AUTH_FAIL (0x05) or XFER_RESUME (0x24) frame crosses, no DFS_RESP
+    carries a status (tag 8), and no ERROR names the request's path or
+    the dialling user."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    assert REFUSALS[case](proxy, security, node, tmp_path) == \
+        [FrameType.ERROR]
+    assert proxy.count(0x05) == proxy.count(0x24) == 0
+    errors = proxy.payloads(FrameType.ERROR)
+    assert errors
+    assert not [payload for payload in errors
+                if NAME.encode() in payload or b"alice" in payload]

@@ -29,8 +29,7 @@ PSK = bytes(range(32))
 CN = b"c" * 16
 SN = b"s" * 16
 # the frame types every mode leaves clear
-BOOTSTRAP = {FrameType.HELLO, FrameType.WELCOME, FrameType.AUTH_FAIL,
-             FrameType.ERROR}
+BOOTSTRAP = {FrameType.HELLO, FrameType.WELCOME, FrameType.ERROR}
 # the frame types NONSECURE seals, each whole
 NONSECURE_SEALED = {FrameType.AUTH, FrameType.AUTH_OK, FrameType.DFS_REQ,
                     FrameType.XFER_OFFER, FrameType.TASK_SUBMIT,

@@ -648,3 +648,17 @@ def test_a_symlinked_output_is_not_produced(node, tmp_path):
     assert results[0].status == TaskStatus.OK
     assert results[0].outputs == ()
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_set_whose_work_directory_cannot_be_made_is_not_kept(node):
+    """alice's `.tasksets` is a regular file, so no set's work directory
+    can be made under it. The submit is refused with BadRequest naming
+    the cause, and the node keeps no record of the set: a set left in
+    staging by a failed submit would never expire."""
+    sandbox = node.config.storage_root / "home" / "alice"
+    sandbox.mkdir(parents=True, exist_ok=True)
+    (sandbox / ".tasksets").write_bytes(b"not a directory")
+    client = alice_client(node)
+    with pytest.raises(BadRequest, match="io error ENOTDIR"):
+        client.submit([builtin_task("echo", {5: b"payload"})])
+    assert node.tasks._sets == {}
