@@ -274,12 +274,13 @@ def cmd_submit(args) -> int:
     client = TaskClient(parse_node_address(args.node), user, psk,
                         security=SECURITY_NAMES[args.security],
                         streams=args.streams, buffer_size=args.buffer)
-    handle = client.submit([spec])
-    try:
-        results = client.collect(
-            handle, Path(args.out_dir) if args.output else None)
-    finally:
-        client.close(handle)
+    with client.mover:    # no held session outlives the command
+        handle = client.submit([spec])
+        try:
+            results = client.collect(
+                handle, Path(args.out_dir) if args.output else None)
+        finally:
+            client.close(handle)
     result = results[0]
     sys.stdout.buffer.write(result.stdout)
     sys.stderr.buffer.write(result.stderr)

@@ -134,10 +134,14 @@ for any stream index. A pulling node sends stream 0's share of its plan
 connection, and admits joins only for streams 1..n-1.
 
 The node serves offers on a control session one after another until the
-client hangs up, so a client keeps its authenticated session between
-transfers: `TransferClient` holds one idle session per direction, so a
-run of pushes and pulls to one node dials and authenticates once per
-direction.
+client hangs up, or until the session has sat idle for
+`secchan.IDLE_TIMEOUT`, so a client keeps its authenticated session
+between transfers: `TransferClient` holds one idle session per direction,
+and one TASK session for its `taskexec.TaskClient`, so a run of pushes,
+pulls and task sets to one node dials and authenticates once per mode.
+
+A push whose region would end past MAX_OFFSET, the last offset a file
+can have, is refused before any file is opened.
 """
 
 from __future__ import annotations
@@ -153,6 +157,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
+from typing import TypeVar
 
 from . import secchan, wire
 from .dfsm import sandboxed
@@ -172,6 +177,8 @@ from .secchan import Channel
 from .wire import Frame, FrameType, Mode, SecurityMode, SessionParams
 
 log = logging.getLogger("gridfs.ftsm")
+
+T = TypeVar("T")
 
 CHUNK_HEADER = struct.Struct(">16sBQI")    # transfer_id, stream, offset, length
 STATE_SUFFIX = ".xferstate"
@@ -204,6 +211,9 @@ DIGEST = hashlib.sha256
 
 # a pull offer without a region length asks for everything from its offset
 WHOLE_REST = 2**64 - 1
+
+# the last byte offset a file can have: the OS's offsets are signed 64-bit
+MAX_OFFSET = 2**63 - 1
 
 # client re-offers after a lost stream or connection or a digest mismatch,
 # and the pause before the first one; the pause doubles on each further
@@ -1073,10 +1083,13 @@ class FtsmService:
             if grid is None:
                 session.receiver = MemSink()
             else:
+                end = grid.region_offset + grid.region_length
+                if end > MAX_OFFSET:
+                    raise BadRequest("region ends past the largest file "
+                                     "offset")
                 dst = resolve(session.account,
                               fields.get(X_PATH, b"").decode("utf-8"))
                 grid.check_resumable(channel.params.buffer_size)
-                end = grid.region_offset + grid.region_length
                 whole_file = bool(wire.read_uint(fields, X_TRUNCATE, 0))
                 if pipelined:
                     # resuming one chunk would send it whole again
@@ -1259,9 +1272,9 @@ def throughput_mbps(byte_count: int, seconds: float) -> float:
 
 
 class StaleSession(ConnectionLost):
-    """A held control session was lost before the node's first reply to
-    the offer, as when the node closed it while it sat idle: nothing of
-    the transfer ran."""
+    """A held session was lost before the node's first reply to the
+    request taken on it, as when the node closed it while it sat idle:
+    nothing of the request ran."""
 
 
 def _with_retries(attempt: Callable[[], TransferReport]) -> TransferReport:
@@ -1296,19 +1309,24 @@ class TransferClient:
     bytes (`TransferState.encode`), and its reader checks the bitmap
     against the geometry, so a bad record raises StateCorrupt.
 
-    The client holds at most one idle authenticated control session per
-    mode (FTSM_PUSH, FTSM_PULL), so a run of transfers to one node
-    dials and authenticates once per mode. A transfer takes the held
-    session out of the client under a lock, or dials one if none is
-    held, and gives it back only when it ends normally; any exception
-    closes it, an ERROR reply included. A held session that turns out
-    to be dead before the node's first reply is dialled again at once,
-    without backoff. A client used from several threads at once dials a
-    session for each transfer that finds none held; when a second one
-    comes back it is closed rather than kept. An idle held session keeps
-    a connection, and a session thread, open on the node, and counts
-    against the node's `max_sessions` until `close()` (or the end of a
-    `with` block) closes it; the client stays usable, and dials anew.
+    The client holds at most one idle authenticated session per mode:
+    FTSM_PUSH and FTSM_PULL for its own transfers, and TASK for the
+    `taskexec.TaskClient` that owns it. So a run of transfers or task
+    sets to one node dials and authenticates once per mode. A user
+    `take`s the held session out of the client under a lock, or a newly
+    dialled one if none is held, and `give`s it back only when it is in
+    step for its next request; a transfer gives it back only when it
+    ends normally, and any exception closes it, an ERROR reply included.
+    A held session that turns out to be dead before the node's first
+    reply (`StaleSession`, as when the node ended it after
+    `secchan.IDLE_TIMEOUT` idle) is dialled again at once, without
+    backoff and without spending a retry. A client used from several
+    threads at once dials a session for each user that finds none held;
+    when a second one comes back it is closed rather than kept. An idle
+    held session keeps a connection, and a session thread, open on the
+    node, and counts against the node's `max_sessions` until `close()`
+    (or the end of a `with` block) closes it, or the node ends it; the
+    client stays usable, and dials anew.
     """
 
     def __init__(self, address: tuple[str, int], username: str, psk: bytes,
@@ -1338,11 +1356,14 @@ class TransferClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _on_held(self, mode: Mode,
-                 transfer: Callable[[Channel], TransferReport]
-                 ) -> TransferReport:
-        """Run `transfer` on the held session for `mode`, or on a new one,
-        and hold the session afterwards if it ended normally."""
+    def take(self, mode: Mode,
+             request: Callable[[Channel], T]) -> tuple[Channel, T]:
+        """Take the held session for `mode` out of the client, or dial one
+        if none is held, and run `request` on it; returns the session, now
+        the caller's to `give` back or close, and what `request`
+        returned. Any exception closes the session. A held session lost
+        before the node's first reply raises StaleSession: nothing of the
+        request ran, so the caller may run it again at once."""
         with self._held_lock:
             control = self._held.pop(mode, None)
         reused = control is not None
@@ -1350,7 +1371,7 @@ class TransferClient:
             control = self.dial(mode)
         replies = control.frames_received
         try:
-            report = transfer(control)
+            return control, request(control)
         except BaseException as exc:
             control.close()
             # a one-chunk push may find the session dead while its chunk
@@ -1360,11 +1381,23 @@ class TransferClient:
                     and control.frames_received == replies:
                 raise StaleSession(str(exc)) from exc
             raise
+
+    def give(self, mode: Mode, control: Channel) -> None:
+        """Hold `control`, a session in step for its next request, as the
+        idle session for `mode`; close it if one is held already."""
         with self._held_lock:
             if mode not in self._held:
                 self._held[mode], control = control, None
         if control is not None:
             control.close()
+
+    def _on_held(self, mode: Mode,
+                 transfer: Callable[[Channel], TransferReport]
+                 ) -> TransferReport:
+        """Run `transfer` on the held session for `mode`, or on a new one,
+        and hold the session afterwards if it ended normally."""
+        control, report = self.take(mode, transfer)
+        self.give(mode, control)
         return report
 
     def dial(self, mode: Mode, transfer_id: bytes | None = None,
@@ -1437,6 +1470,20 @@ class TransferClient:
         node's XFER_ACCEPT (such a grid never resumes) and XFER_DONE read.
         A node that refuses it reads all three before its ERROR, so the
         channel stays in step for its next request."""
+        return self.send_push(control, local, remote, region,
+                              lambda: None)()
+
+    def send_push(self, control: Channel, local: Path, remote: str,
+                  region: tuple[int, int] | None,
+                  settle: Callable[[], object]
+                  ) -> Callable[[], TransferReport]:
+        """Send one push over `control` as far as it goes without a reply;
+        returns the reader of the replies it is still owed, which returns
+        its report. A grid of at most one chunk goes out whole, so its
+        reader reads XFER_ACCEPT and XFER_DONE. A larger grid sends its
+        offer, calls `settle()` to read the replies that earlier requests
+        on `control` are still owed, and then waits for its XFER_ACCEPT
+        before its chunks; its reader reads XFER_DONE."""
         local = Path(local)
         file_size = local.stat().st_size
         offset, length = region if region is not None else (0, file_size)
@@ -1455,6 +1502,7 @@ class TransferClient:
         control.send(FrameType.XFER_OFFER, wire.encode_fields(offer))
         state = None
         if not pipelined:
+            settle()
             record = wire.decode_fields(control.expect(
                 FrameType.XFER_ACCEPT).payload).get(X_STATE)
             if record is not None:
@@ -1464,13 +1512,16 @@ class TransferClient:
         self._run_senders(control, sender)
         control.send(FrameType.XFER_DONE, wire.encode_fields({
             X_TRANSFER: transfer_id, X_REGION_DIGEST: sender.digest()}))
-        if pipelined:
-            control.expect(FrameType.XFER_ACCEPT)
-        control.expect(FrameType.XFER_DONE)
-        per_stream = [sum(length for _, length in chunks)
-                      for chunks in sender.assignments]
-        return TransferReport(sum(per_stream), time.monotonic() - start,
-                              per_stream, state is not None)
+
+        def replies() -> TransferReport:
+            if pipelined:
+                control.expect(FrameType.XFER_ACCEPT)
+            control.expect(FrameType.XFER_DONE)
+            per_stream = [sum(length for _, length in chunks)
+                          for chunks in sender.assignments]
+            return TransferReport(sum(per_stream), time.monotonic() - start,
+                                  per_stream, state is not None)
+        return replies
 
     def _run_senders(self, control: Channel, sender: RegionSender) -> None:
         self._run_streams(control, Mode.FTSM_PUSH, sender.transfer_id,

@@ -9,7 +9,10 @@ or a disabled mode gets an ERROR frame and a warning naming the peer, and
 an AUTH that fails gets one ERROR frame, the same whether the user is
 unknown, the key wrong or the proof bad. A transfer's data stream is an
 FTSM session like any other: the transfer service admits it when it
-sends XFER_JOIN (see ftsm).
+sends XFER_JOIN (see ftsm). A session that sends no request for
+`secchan.IDLE_TIMEOUT` seconds is ended, so a silent or vanished client
+does not keep its slot of `max_sessions`, and every accepted socket asks
+for TCP keepalive.
 
 Configuration is a flat `key = value` file. Unknown keys warn and are
 ignored so configs can be shared across versions; a known key with an
@@ -228,6 +231,8 @@ class NodeServer:
     def _session(self, conn: socket.socket, peer) -> None:
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # a peer lost without a FIN ends its session too
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
             conn.settimeout(secchan.HANDSHAKE_TIMEOUT)
             self._handle_session(conn, peer)
         except (GridfsError, OSError, socket.timeout) as exc:

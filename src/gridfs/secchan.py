@@ -87,9 +87,12 @@ _COUNTER_LIMIT = 2**64
 # a channel's receive buffer starts this large and grows to its largest frame
 RECV_START = 4096
 
-# seconds either end of a dial waits on the socket until AUTH has settled;
-# after it, a session waits on its peer without a limit
+# seconds either end of a dial waits on the socket until AUTH has settled
 HANDSHAKE_TIMEOUT = 30.0
+
+# seconds a session waits in `Channel.serve` for its peer's next request
+# before it ends; a request being handled, however long, is never cut
+IDLE_TIMEOUT = 300.0
 
 
 def derive_keys(psk: bytes, client_nonce: bytes, server_nonce: bytes) -> tuple[bytes, bytes]:
@@ -278,8 +281,10 @@ class Channel:
     def serve(self, handle: Callable[[Frame], None],
               *frame_types: int) -> None:
         """Answer each frame of `frame_types` the peer sends with
-        `handle(frame)`, until the peer hangs up or a handler closes the
-        channel.
+        `handle(frame)`, until the peer hangs up, a handler closes the
+        channel, or the peer sends no request for IDLE_TIMEOUT seconds.
+        The bound holds only between requests: while a handler runs, the
+        socket waits without a limit, so no transfer or task wait is cut.
 
         One error policy for every session: a ProtocolError means the
         peer broke the frame choreography (a frame of another type, an
@@ -291,8 +296,13 @@ class Channel:
         """
         while not self.closed:
             try:
+                self.sock.settimeout(IDLE_TIMEOUT)
                 frame = self.recv()
-            except ConnectionLost:
+                self.sock.settimeout(None)
+            except (ConnectionLost, OSError):
+                # the peer hung up or sat idle past IDLE_TIMEOUT, which
+                # `recv` raises as ConnectionLost; `settimeout` raises
+                # OSError on a socket closed under the session
                 return
             if frame.frame_type not in frame_types:
                 raise ProtocolError(

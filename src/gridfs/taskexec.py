@@ -9,12 +9,16 @@ their context. Results come back as an array with one slot per task, in
 submission order; produced output files can then be pulled back over the
 same session.
 
-Authentication happens once per set on the control session, and once
-per data session. Each transfer's first stream rides the control session,
-so a single-stream set stages and collects over one connection. Any
-further stream is a data session of its own: an FTSM session in the
-transfer's direction (FTSM_PUSH to stage, FTSM_PULL to collect) that
-joins the transfer with XFER_JOIN, so it needs no TASK mode.
+A client holds its authenticated TASK session from set to set (see
+`TaskClient`), so a run of sets to one node authenticates once, and a
+set takes three client waits: SUBMIT's decision, the staging and RUN
+sent back to back, and the results and FINISH sent back to back. Each
+transfer's first stream rides the task session, so a single-stream set
+stages and collects over that one connection. Any further stream is a
+data session of its own, authenticated on its own: an FTSM session in
+the transfer's direction (FTSM_PUSH to stage, FTSM_PULL to collect) that
+joins the transfer with XFER_JOIN, so it needs no TASK mode. A set runs
+only once every dependency it declares has landed and been verified.
 
 The pi built-in extracts hexadecimal digits of pi with a BBP-family series
 using pure integer arithmetic; any digit range is computable without its
@@ -32,28 +36,44 @@ import subprocess
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
+from typing import TypeVar
 
 from . import wire
 from .errors import (
     BadRequest,
+    ConnectionLost,
     GridfsError,
+    IntegrityFailure,
     LaunchFailed,
     NoSuchFile,
     PermissionDenied,
+    ProtocolError,
     SetExpired,
     StagingFailed,
     WorkerFailed,
 )
-from .ftsm import FtsmService, TransferClient
+from .ftsm import (
+    X_CHUNK_SIZE,
+    X_PATH,
+    X_REGION_LENGTH,
+    X_TRUNCATE,
+    FtsmService,
+    StaleSession,
+    TransferClient,
+    drop_pushed,
+)
 from .perms import Account, ActionKind, GuardedAction, check
 from .secchan import Channel
 from .wire import FrameType, Mode, SecurityMode
 
 log = logging.getLogger("gridfs.taskexec")
+
+T = TypeVar("T")
 
 KIND_BUILTIN = 0
 KIND_PROCESS = 1
@@ -377,6 +397,20 @@ def run_builtin_task(spec: TaskSpec, index: int = 0) -> TaskResult:
 
 # -- server -----------------------------------------------------------------
 
+def _pushed_behind(fields: dict[int, bytes], buffer_size: int) -> bool:
+    """Whether an offer a task session refuses has its chunk and
+    XFER_DONE behind it, sent without waiting for a reply, as a push of at
+    most one chunk does. A task session tells a push from a pull only by
+    its set's phase, and a refused offer has no phase that fits; but of
+    all offers only a whole-file push, which is what staging sends,
+    carries X_TRUNCATE, so no other offer is ever read past."""
+    if not wire.read_uint(fields, X_TRUNCATE, 0):
+        return False
+    chunk_size = wire.read_uint(fields, X_CHUNK_SIZE, buffer_size)
+    return 0 < chunk_size and \
+        wire.read_uint(fields, X_REGION_LENGTH, 0) <= chunk_size
+
+
 class TaskSetRecord:
     """A set from its submission until ACT_FINISH: its tasks, its work
     directory, its results so far and its phase. `resolve` is the path
@@ -390,6 +424,7 @@ class TaskSetRecord:
         self.specs = specs
         self.dep_names = {name for spec in specs
                           for name, _ in spec.dependencies}
+        self.landed: set[str] = set()    # dependencies pushed and verified
         self.results: list[TaskResult | None] = [None] * len(specs)
         self.produced: set[str] = set()
         self.phase = PH_STAGING
@@ -595,16 +630,32 @@ class TaskService:
     def _offer(self, channel: Channel, account: Account,
                record: TaskSetRecord | FinishedSet | None,
                payload: bytes) -> None:
+        """Run an offer as the set's phase says: a staging push, or a pull
+        of an output once the set is done. A push that lands verified
+        counts its dependency as staged. An offer with no such phase is
+        refused, and a one-chunk push refused so is first read through
+        its XFER_DONE (`_pushed_behind`), so the session stays in step."""
+        refusal = None
         if record is None:
-            raise BadRequest("no task set on this session")
-        if isinstance(record, FinishedSet):
-            raise NoSuchFile("the set is finished: its outputs are gone")
-        with record.cond:
-            phase = record.phase
-        if phase == PH_RUNNING:
-            raise BadRequest("no transfers while the set is running")
+            refusal = BadRequest("no task set on this session")
+        elif isinstance(record, FinishedSet):
+            refusal = NoSuchFile("the set is finished: its outputs are gone")
+        else:
+            with record.cond:
+                phase = record.phase
+            if phase == PH_RUNNING:
+                refusal = BadRequest("no transfers while the set is running")
+        if refusal is not None:
+            if _pushed_behind(wire.decode_fields(payload),
+                              channel.params.buffer_size):
+                drop_pushed(channel)
+            raise refusal
         mode = Mode.FTSM_PUSH if phase == PH_STAGING else Mode.FTSM_PULL
         self.ftsm.offer(channel, account, mode, payload, record.resolve)
+        if mode == Mode.FTSM_PUSH:    # a push that failed has raised
+            name = wire.decode_fields(payload).get(X_PATH, b"")
+            with record.cond:
+                record.landed.add(name.decode("utf-8"))
 
     def _status(self, channel: Channel, account: Account,
                 record: TaskSetRecord | FinishedSet | None,
@@ -661,8 +712,7 @@ class TaskService:
         with record.cond:
             if record.phase != PH_STAGING:
                 raise BadRequest("set already started")
-            missing = [name for name in record.dep_names
-                       if not (record.workdir / name).is_file()]
+            missing = record.dep_names - record.landed
             if missing:
                 self._drop(record)
                 raise StagingFailed(
@@ -703,13 +753,35 @@ class TaskService:
 
 # -- client -----------------------------------------------------------------
 
+# what puts a session out of step: after one of these, no later reply can
+# be matched to its request
+_OUT_OF_STEP = (ConnectionLost, ProtocolError, IntegrityFailure)
+
+
+def _action(set_id: bytes, action: int) -> bytes:
+    """The payload of a TASK_STATUS that asks `action` of `set_id`."""
+    return wire.encode_fields({ST_SET: set_id, ST_ACTION: wire.u8(action)})
+
+
 def _set_action(channel: Channel, set_id: bytes,
                 action: int) -> dict[int, bytes]:
     """Send one TASK_STATUS action for `set_id`; returns the reply's
     fields."""
-    channel.send(FrameType.TASK_STATUS, wire.encode_fields({
-        ST_SET: set_id, ST_ACTION: wire.u8(action)}))
+    channel.send(FrameType.TASK_STATUS, _action(set_id, action))
     return wire.decode_fields(channel.expect(FrameType.TASK_STATUS).payload)
+
+
+def _refusal(read: Callable[[], object]) -> GridfsError | None:
+    """Read one request's replies with `read`; returns the error that an
+    ERROR frame among them raised, after which the session is still in
+    step, or None. A session lost or out of step raises."""
+    try:
+        read()
+    except _OUT_OF_STEP:
+        raise
+    except GridfsError as exc:
+        return exc
+    return None
 
 
 @dataclass
@@ -717,13 +789,39 @@ class TaskHandle:
     channel: Channel
     set_id: bytes
     total: int
+    # collected, every reply read: the session is in step for a next set
+    finished: bool = field(default=False, init=False)
 
 
 class TaskClient:
     """Submits task sets and collects their results.
 
-    One authenticated session carries the whole lifecycle: submit, stage
-    every dependency, run, collect, pull outputs back.
+    One authenticated TASK session carries a set's whole lifecycle:
+    submit, stage every dependency, run, collect, pull outputs back.
+    Between sets the client holds that session through its mover's
+    holder (`TransferClient.take` and `give`), so a run of sets to one
+    node dials and authenticates once. A set costs three client waits:
+
+    1. `submit` sends TASK_SUBMIT and waits for its TASK_STATUS, so the
+       node decides on the set before any dependency byte leaves.
+    2. `submit` sends each dependency's push, then ACT_RUN, and reads
+       their replies in order after. A one-chunk push goes out whole; a
+       larger one reads the replies still owed, then waits for its own
+       XFER_ACCEPT before its chunks.
+    3. `collect` with no `output_dir` sends TASK_RESULT and ACT_FINISH
+       back to back and reads both replies; with one, it pulls the
+       outputs before ACT_FINISH.
+
+    The node serves one request at a time, in order, and answers each on
+    its own, so a refusal is one ERROR in its place among the replies. A
+    refused submit, or a staging with an ERROR among its replies (RUN's
+    own check then drops the set), leaves the session in step, and it
+    goes back to the holder. A session lost or out of step is closed,
+    which drops a set still staging. A held session found dead before
+    SUBMIT's reply is dialled again at once, under a fresh set id.
+    `close(handle)`, once per handle, gives the session back if `collect`
+    read every reply, and closes it otherwise; `mover.close()` closes the
+    held one.
     """
 
     def __init__(self, address: tuple[str, int], username: str, psk: bytes,
@@ -733,6 +831,16 @@ class TaskClient:
         self.mover = TransferClient(address, username, psk, security=security,
                                     streams=streams, buffer_size=buffer_size,
                                     chunk_size=chunk_size)
+
+    def _take(self, request: Callable[[Channel], T]) -> tuple[Channel, T]:
+        """The TASK session, as `TransferClient.take` hands it over after
+        `request`; a held one found stale is replaced by a fresh dial at
+        once."""
+        while True:
+            try:
+                return self.mover.take(Mode.TASK, request)
+            except StaleSession:
+                continue
 
     def submit(self, tasks: list[TaskSpec]) -> TaskHandle:
         if not tasks:
@@ -747,41 +855,73 @@ class TaskClient:
         for name, source in dependencies.items():
             if not Path(source).is_file():
                 raise StagingFailed(f"dependency source missing: {source}")
+        blobs = wire.pack_blobs([encode_spec(spec) for spec in tasks])
 
-        set_id = os.urandom(16)
-        channel = self.mover.dial(Mode.TASK)
-        try:
+        def request(channel: Channel) -> tuple[bytes, GridfsError | None]:
+            set_id = os.urandom(16)
             channel.send(FrameType.TASK_SUBMIT, wire.encode_fields({
                 SUB_SET: set_id,
                 SUB_COUNT: wire.u16(len(tasks)),
-                SUB_TASKS: wire.pack_blobs(
-                    [encode_spec(spec) for spec in tasks]),
+                SUB_TASKS: blobs,
             }))
-            channel.expect(FrameType.TASK_STATUS)
-            try:
-                for name, source in dependencies.items():
-                    self.mover.push_on(channel, Path(source), name)
-            except (GridfsError, OSError) as exc:
-                try:
-                    _set_action(channel, set_id, ACT_ABORT)
-                except GridfsError:
-                    pass
-                raise StagingFailed(f"staging failed: {exc}") from exc
-            _set_action(channel, set_id, ACT_RUN)
-        except BaseException:
-            channel.close()
-            raise
+            return set_id, _refusal(
+                lambda: channel.expect(FrameType.TASK_STATUS))
+
+        channel, (set_id, refusal) = self._take(request)
+        if refusal is not None:
+            self.mover.give(Mode.TASK, channel)
+            raise refusal
+        self._stage(channel, set_id, dependencies)
         return TaskHandle(channel, set_id, len(tasks))
+
+    def _stage(self, channel: Channel, set_id: bytes,
+               dependencies: dict[str, str]) -> None:
+        """Push every dependency and send ACT_RUN back to back, then read
+        the replies still owed, in order. A push that could not be sent,
+        or an ERROR among the replies, raises StagingFailed naming the
+        first, once every reply is read: RUN finds that dependency never
+        landed and drops the set, and the session goes back to the
+        holder. A session lost or out of step is closed first."""
+        owed: deque[Callable[[], object]] = deque()
+        failures: list[GridfsError | OSError] = []
+
+        def settle() -> None:
+            while owed:
+                refusal = _refusal(owed.popleft())
+                if refusal is not None:
+                    failures.append(refusal)
+
+        try:
+            for name, source in dependencies.items():
+                try:
+                    owed.append(self.mover.send_push(
+                        channel, Path(source), name, None, settle))
+                except _OUT_OF_STEP:
+                    raise
+                except (GridfsError, OSError) as exc:
+                    # it never landed, so RUN drops the set; a push cut
+                    # off after its offer makes the node end the session
+                    # at the next frame, and a read below raises
+                    failures.append(exc)
+            channel.send(FrameType.TASK_STATUS, _action(set_id, ACT_RUN))
+            owed.append(lambda: channel.expect(FrameType.TASK_STATUS))
+            settle()
+        except BaseException as exc:
+            channel.close()
+            if not isinstance(exc, (GridfsError, OSError)):
+                raise
+            failures.append(exc)
+        if failures:
+            if not channel.closed:
+                self.mover.give(Mode.TASK, channel)
+            raise StagingFailed(f"staging failed: {failures[0]}") \
+                from failures[0]
 
     def reattach(self, set_id: bytes, total: int = 0) -> TaskHandle:
         """Reopen a handle after a lost connection, within the retention
         window."""
-        channel = self.mover.dial(Mode.TASK)
-        try:
-            status = _set_action(channel, set_id, ACT_ATTACH)
-        except BaseException:
-            channel.close()
-            raise
+        channel, status = self._take(
+            lambda channel: _set_action(channel, set_id, ACT_ATTACH))
         return TaskHandle(channel, set_id,
                           wire.read_uint(status, ST_TOTAL, total))
 
@@ -795,28 +935,42 @@ class TaskClient:
     def collect(self, handle: TaskHandle,
                 output_dir: Path | None = None) -> list[TaskResult]:
         """Block until every task is terminal; fetch produced outputs into
-        `output_dir` when given; release the server work directory."""
-        handle.channel.send(FrameType.TASK_RESULT,
-                            wire.encode_fields({RES_SET: handle.set_id}))
+        `output_dir` when given; release the server work directory. With
+        no `output_dir`, ACT_FINISH goes out right behind TASK_RESULT."""
+        channel = handle.channel
+        channel.send(FrameType.TASK_RESULT,
+                     wire.encode_fields({RES_SET: handle.set_id}))
+        if output_dir is None:
+            channel.send(FrameType.TASK_STATUS,
+                         _action(handle.set_id, ACT_FINISH))
         reply = wire.decode_fields(
-            handle.channel.expect(FrameType.TASK_RESULT).payload)
+            channel.expect(FrameType.TASK_RESULT).payload)
         results = [decode_result(blob)
                    for blob in wire.unpack_blobs(reply.get(RES_RESULTS, b""))]
-        if output_dir is not None:
+        if output_dir is None:
+            channel.expect(FrameType.TASK_STATUS)
+        else:
             output_dir = Path(output_dir)
             output_dir.mkdir(parents=True, exist_ok=True)
             fetched = set()
             for result in results:
                 for name in result.outputs:
                     if name not in fetched:
-                        self.mover.pull_on(handle.channel, name,
-                                           output_dir / name)
+                        self.mover.pull_on(channel, name, output_dir / name)
                         fetched.add(name)
-        _set_action(handle.channel, handle.set_id, ACT_FINISH)
+            _set_action(channel, handle.set_id, ACT_FINISH)
+        handle.finished = True
         return results
 
     def close(self, handle: TaskHandle) -> None:
-        handle.channel.close()
+        """Give the handle's session back to the holder if `collect` read
+        every reply, or close it: a set not collected may still owe a
+        reply that the next set would read as its own."""
+        if handle.finished:
+            handle.finished = False
+            self.mover.give(Mode.TASK, handle.channel)
+        else:
+            handle.channel.close()
 
 
 def pi_across(addresses, start: int, count: int, username: str, psk: bytes,
@@ -854,3 +1008,5 @@ def pi_across(addresses, start: int, count: int, username: str, psk: bytes,
                 client.close(handle)
             except (GridfsError, OSError):
                 pass
+        for client in clients:
+            client.mover.close()

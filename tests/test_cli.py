@@ -7,12 +7,10 @@ import signal
 import socket
 import subprocess
 import sys
-import time
-from pathlib import Path
 
 import pytest
 
-from conftest import ALICE_PSK, BOB_PSK, GRID_PSK, seed_store
+from conftest import ALICE_PSK, BOB_PSK, seed_store
 from gridfs.cli import (
     EX_DENIED,
     EX_FAILURE,

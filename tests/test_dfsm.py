@@ -1,4 +1,3 @@
-import hashlib
 import os
 import random
 import socket
@@ -14,7 +13,6 @@ from gridfs.dfsm import (
     FileStat,
     FsClient,
     LockTable,
-    Op,
     SeekOrigin,
     resolve_path,
     resolve_seek,

@@ -1,7 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, no test and no tool imports a name it never
+uses.
 
 `tools/unused_imports.py` reads each file's syntax tree; this runs it
-over `src/gridfs/*.py`, and over a sample to show what it reports."""
+over `src/gridfs/*.py`, `tests/*.py` and `tools/*.py`, and over a sample
+to show what it reports."""
 
 import subprocess
 import sys
@@ -39,6 +41,14 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted((ROOT / "src" / "gridfs").glob("*.py"))
     assert modules
     result = run(*modules)
+    assert (result.returncode, result.stdout) == (0, "")
+
+
+def test_no_test_or_tool_imports_a_name_it_never_uses():
+    scripts = sorted([*(ROOT / "tests").glob("*.py"),
+                      *(ROOT / "tools").glob("*.py")])
+    assert scripts
+    result = run(*scripts)
     assert (result.returncode, result.stdout) == (0, "")
 
 

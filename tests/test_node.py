@@ -14,6 +14,7 @@ from gridfs.dfsm import FsClient
 from gridfs.errors import (
     AuthFailed,
     BadRequest,
+    ConnectionLost,
     GridfsError,
     MalformedConfig,
     ModeRejected,
@@ -21,6 +22,7 @@ from gridfs.errors import (
 )
 from gridfs.ftsm import TransferClient
 from gridfs.node import NodeConfig, NodeServer, load_config, parse_config
+from gridfs.taskexec import TaskClient, TaskStatus, process_task
 from gridfs.wire import FrameType, Mode, SecurityMode, SessionParams
 
 from conftest import ALICE_PSK, GRID_PSK, seed_store
@@ -209,6 +211,126 @@ def test_session_limit_refuses_extra_connections(node_factory):
         assert "session limit" in str(err.value)
     finally:
         first.close()
+
+
+def sessions_of(node):
+    with node._sessions_lock:
+        return len(node._conns)
+
+
+def wait_for(predicate, timeout=10.0):
+    """Poll `predicate` until it holds or `timeout` runs out; returns
+    whether it held."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_silent_sessions_do_not_lock_out_the_next(node_factory, monkeypatch):
+    """Two sessions authenticate and then send nothing. They fill a node
+    of two session slots only until IDLE_TIMEOUT: then the node hangs up
+    on both, and a third dial is served."""
+    monkeypatch.setattr(secchan, "IDLE_TIMEOUT", 1.0)
+    node = node_factory("two", max_sessions=2)
+    silent = [connect(node), connect(node)]
+    try:
+        with pytest.raises(GridfsError, match="session limit"):
+            connect(node)
+        assert wait_for(lambda: sessions_of(node) == 0)
+        for channel in silent:
+            channel.sock.settimeout(5)
+            with pytest.raises(ConnectionLost, match="peer closed"):
+                channel.recv()
+        with FsClient(connect(node)) as fs:
+            assert not fs.stat("absent.bin").exists
+    finally:
+        for channel in silent:
+            channel.close()
+
+
+def test_accepted_sockets_keep_alive(node):
+    """A peer lost without a FIN ends its session too: the node's end of
+    every session asks the kernel for keepalive probes."""
+    channel = connect(node)
+    try:
+        with node._sessions_lock:
+            conns = list(node._conns)
+        assert [conn.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE)
+                for conn in conns] == [1]
+    finally:
+        channel.close()
+
+
+def test_a_request_that_waits_on_its_peer_is_not_cut(node, monkeypatch,
+                                                    tmp_path):
+    """The idle bound holds only between requests: a push whose chunk
+    comes twice IDLE_TIMEOUT after its offer still lands."""
+    monkeypatch.setattr(secchan, "IDLE_TIMEOUT", 0.2)
+    src = tmp_path / "src.bin"
+    src.write_bytes(b"late")
+    mover = TransferClient(("127.0.0.1", node.port), "grid", GRID_PSK)
+    control = mover.dial(Mode.FTSM_PUSH)
+    send = control.send
+
+    def late(frame_type, payload=b""):
+        if frame_type == FrameType.CHUNK:
+            time.sleep(0.4)
+        return send(frame_type, payload)
+
+    control.send = late
+    try:
+        assert mover.push_on(control, src, "late.bin").bytes_moved == 4
+    finally:
+        control.close()
+    assert (node.config.storage_root / "late.bin").read_bytes() == b"late"
+
+
+def test_held_sessions_the_node_ended_idle_are_dialled_again(
+        node, monkeypatch, tmp_path):
+    """The node ends a held FTSM session and a held TASK session once
+    each has sat idle past IDLE_TIMEOUT. The next push and the next set
+    each find theirs dead before any reply and dial once, at once: no
+    backoff pause and no retry. A task that runs longer than the bound is
+    not cut while TASK_RESULT waits for it."""
+    monkeypatch.setattr(secchan, "IDLE_TIMEOUT", 0.2)
+    data = os.urandom(3000)
+    src = tmp_path / "src.bin"
+    src.write_bytes(data)
+    address = ("127.0.0.1", node.port)
+    mover = TransferClient(address, "alice", ALICE_PSK)
+    tasks = TaskClient(address, "alice", ALICE_PSK)
+
+    def run_set():
+        handle = tasks.submit([process_task(
+            "/bin/sleep", ["0.4"], dependencies=[("src.bin", str(src))])])
+        try:
+            return tasks.collect(handle)[0].status
+        finally:
+            tasks.close(handle)
+
+    with mover, tasks.mover:
+        mover.push(src, "first.bin")
+        assert run_set() == TaskStatus.OK
+        assert wait_for(lambda: sessions_of(node) == 0)
+        dials = []
+        dial = secchan.connect
+
+        def counting(address, params, *args, **kwargs):
+            dials.append(params.mode)
+            return dial(address, params, *args, **kwargs)
+
+        monkeypatch.setattr(secchan, "connect", counting)
+        pauses = []
+        monkeypatch.setattr(ftsm.time, "sleep", pauses.append)
+        mover.push(src, "second.bin")
+        assert run_set() == TaskStatus.OK
+    assert dials == [Mode.FTSM_PUSH, Mode.TASK]
+    assert pauses == []
+    home = node.config.storage_root / "home" / "alice"
+    assert (home / "second.bin").read_bytes() == data
 
 
 def test_non_hello_first_frame_closes_connection(node):

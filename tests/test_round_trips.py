@@ -1,13 +1,14 @@
 """One round trip for a small transfer: a push of at most one chunk sends
 its offer, chunk and XFER_DONE back to back, and a pull planned on one
-stream gets XFER_DONE behind its chunks without sending one. Covers the
-frame order on each side, the sidecar a one-chunk region never writes,
-the refusals that must leave the session in step, a sweep that cuts
-the connection after each frame the node sends, and a sweep that checks
-that every refused request, in every mode, is answered by one ERROR
-frame."""
+stream gets XFER_DONE behind its chunks without sending one. A task set
+on a held session takes three client waits. Covers the frame order on
+each side, the sidecar a one-chunk region never writes, the refusals
+that must leave the session in step, a sweep that cuts the connection
+after each frame the node sends, and a sweep that checks that every
+refused request, in every mode, is answered by one ERROR frame."""
 
 import os
+import socket
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from gridfs.errors import (
     GridfsError,
     NoSuchFile,
     PermissionDenied,
+    StagingFailed,
     StreamLost,
 )
 from gridfs.ftsm import TransferClient, state_path
@@ -335,6 +337,208 @@ def test_a_stale_session_under_a_one_chunk_push_is_dialled_again(
     assert (storage(node) / "second.bin").read_bytes() == data
     assert report.bytes_moved == len(data)
     assert pauses == []
+
+
+def task_session_refusing_offers(mover, case):
+    """A TASK session that refuses offers as `case` says: with no set,
+    with its set running, or with its set finished; returns the session
+    and the error the refusal raises."""
+    channel = mover.dial(Mode.TASK)
+    if case == "no set":
+        return channel, BadRequest
+    task = (taskexec.process_task("/bin/sleep", ["1"]) if case == "running"
+            else taskexec.builtin_task("echo", {1: b"x"}))
+    set_id = submit_by_hand(channel, task)
+    taskexec._set_action(channel, set_id, taskexec.ACT_RUN)
+    if case == "running":
+        return channel, BadRequest
+    channel.send(FrameType.TASK_RESULT, wire.encode_fields(
+        {taskexec.RES_SET: set_id}))
+    channel.expect(FrameType.TASK_RESULT)
+    taskexec._set_action(channel, set_id, taskexec.ACT_FINISH)
+    return channel, NoSuchFile
+
+
+def submit_by_hand(channel, task):
+    """Send a one-task TASK_SUBMIT and read its reply; returns the set id."""
+    set_id = os.urandom(16)
+    channel.send(FrameType.TASK_SUBMIT, wire.encode_fields({
+        taskexec.SUB_SET: set_id,
+        taskexec.SUB_COUNT: wire.u16(1),
+        taskexec.SUB_TASKS: wire.pack_blobs([taskexec.encode_spec(task)]),
+    }))
+    channel.expect(FrameType.TASK_STATUS)
+    return set_id
+
+
+@pytest.mark.parametrize("case", ["no set", "running", "finished"])
+def test_a_push_a_task_session_refuses_is_read_through_its_done(
+        node, tmp_path, case):
+    """A task session refuses an offer when it has no set, when its set
+    runs and when its set is finished. A one-chunk push so refused is
+    answered by its one ERROR, and the session then takes a new set."""
+    mover = mover_for(("127.0.0.1", node.port), username="alice",
+                      psk=ALICE_PSK)
+    src = tmp_path / "dep.bin"
+    src.write_bytes(b"dependency")
+    channel, error = task_session_refusing_offers(mover, case)
+    try:
+        with pytest.raises(error):
+            mover.push_on(channel, src, "dep.bin")
+        submit_by_hand(channel, taskexec.builtin_task("echo", {1: b"y"}))
+    finally:
+        channel.close()
+
+
+def test_a_push_region_past_the_largest_offset_is_refused(node, tmp_path):
+    """A one-chunk push whose region starts at 2^63 is refused with
+    BadRequest before any file is made, and the session lands the next
+    push."""
+    mover = mover_for(("127.0.0.1", node.port))
+    transfer_id = os.urandom(16)
+    src = tmp_path / "src.bin"
+    src.write_bytes(b"near")
+    control = mover.dial(Mode.FTSM_PUSH)
+    try:
+        control.send(OFFER, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_PATH: b"far.bin",
+            **ftsm.grid_fields(ftsm.ChunkGrid(2**63, 4, 1, CHUNK))}))
+        control.send(DATA, ftsm.pack_chunk(transfer_id, 0, 2**63, b"abcd"))
+        control.send(DONE, wire.encode_fields({
+            ftsm.X_TRANSFER: transfer_id,
+            ftsm.X_REGION_DIGEST: bytes(32)}))
+        with pytest.raises(BadRequest, match="largest file offset"):
+            control.expect(ACCEPT)
+        mover.push_on(control, src, "near.bin")
+    finally:
+        control.close()
+    assert not (storage(node) / "far.bin").exists()
+    assert (storage(node) / "near.bin").read_bytes() == b"near"
+
+
+# -- a task set on a held session ----------------------------------------------
+
+SUBMIT, STATUS, RESULT = (FrameType.TASK_SUBMIT, FrameType.TASK_STATUS,
+                          FrameType.TASK_RESULT)
+
+
+def task_client(address, username="alice", psk=ALICE_PSK):
+    return taskexec.TaskClient(address, username, psk,
+                               security=SecurityMode.SEMISECURE)
+
+
+def pi_set(client, dep):
+    """Submit and collect one pi task that declares `dep`; returns its
+    digits."""
+    handle = client.submit([taskexec.builtin_task(
+        "pi_hex_digits", {1: wire.u64(5), 2: wire.u32(8)},
+        dependencies=[("dep.bin", str(dep))])])
+    try:
+        result = client.collect(handle)[0]
+    finally:
+        client.close(handle)
+    assert result.status == taskexec.TaskStatus.OK
+    return result.result[1].decode()
+
+
+PI = taskexec.pi_hex_digits(5, 8)
+
+
+@pytest.fixture
+def dep(tmp_path):
+    path = tmp_path / "dep.bin"
+    path.write_bytes(os.urandom(4096))
+    return path
+
+
+def waits(events):
+    """How often the client turned from sending to waiting for a reply."""
+    return sum(1 for before, after in zip(events, events[1:])
+               if before[0] == "send" and after[0] == "recv")
+
+
+def test_a_held_task_set_takes_three_waits(node, sniff_factory, dep):
+    """After one collected set, a one-task set with a 4 KiB dependency
+    rides the held session, with no HELLO or AUTH, and waits three
+    times: for SUBMIT's decision, for the staging and RUN, and for the
+    results and FINISH."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    client = task_client(proxy.address)
+    with client.mover:
+        pi_set(client, dep)
+        events = record_frames(client.mover._held[Mode.TASK])
+        assert pi_set(client, dep) == PI
+    assert proxy.count(FrameType.HELLO) == proxy.count(FrameType.AUTH) == 1
+    assert events == [("send", SUBMIT), ("recv", STATUS),
+                      ("send", OFFER), ("send", DATA), ("send", DONE),
+                      ("send", STATUS), ("recv", ACCEPT), ("recv", DONE),
+                      ("recv", STATUS),
+                      ("send", RESULT), ("send", STATUS), ("recv", RESULT),
+                      ("recv", STATUS)]
+    assert waits(events) == 3
+
+
+def test_a_set_refused_at_submit_keeps_the_held_session_in_step(
+        node, sniff_factory, dep, monkeypatch):
+    """bob may not execute: his set is refused at SUBMIT before one byte
+    of its dependency leaves, and the session stays held and in step.
+    Once the node lets him (its check is patched, since a held session
+    keeps the account it authenticated as), his next set runs on that
+    same session."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    client = task_client(proxy.address, "bob", BOB_PSK)
+    with client.mover:
+        with pytest.raises(PermissionDenied):
+            pi_set(client, dep)
+        assert frames_of(proxy, "c2s") == [SUBMIT]
+        monkeypatch.setattr(taskexec, "check", lambda account, action: None)
+        assert pi_set(client, dep) == PI
+    assert proxy.count(FrameType.HELLO) == 1
+
+
+def test_a_set_whose_dependency_is_refused_keeps_the_session_in_step(
+        node, sniff_factory, dep, monkeypatch):
+    """The node's disk fails under a set's one-chunk dependency: submit
+    raises StagingFailed naming the cause, the node keeps neither the set
+    nor its work directory, and the next set runs on the same session."""
+    real_write = ftsm.RegionReceiver.write_chunk
+    failures = [OSError(28, "No space left on device")]
+
+    def failing(receiver, offset, payload, digest=None):
+        if failures:
+            raise failures.pop()
+        real_write(receiver, offset, payload, digest)
+
+    monkeypatch.setattr(ftsm.RegionReceiver, "write_chunk", failing)
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    client = task_client(proxy.address)
+    tasksets = storage(node) / "home" / "alice" / ".tasksets"
+    with client.mover:
+        with pytest.raises(StagingFailed, match="No space left"):
+            pi_set(client, dep)
+        assert node.tasks._sets == {}
+        assert list(tasksets.iterdir()) == []
+        assert pi_set(client, dep) == PI
+    assert proxy.count(FrameType.HELLO) == 1
+
+
+def test_a_held_task_session_the_node_dropped_is_dialled_again(
+        node, sniff_factory, dep):
+    """The node ends the held TASK session while it sits idle; the next
+    set finds it dead before SUBMIT's reply, dials afresh and runs."""
+    proxy = sniff_factory(("127.0.0.1", node.port))
+    client = task_client(proxy.address)
+    with client.mover:
+        pi_set(client, dep)
+        assert Mode.TASK in client.mover._held
+        with node._sessions_lock:
+            conns = list(node._conns)
+        for conn in conns:
+            conn.shutdown(socket.SHUT_RDWR)
+        time.sleep(0.05)
+        assert pi_set(client, dep) == PI
+    assert proxy.count(FrameType.HELLO) == 2
 
 
 # -- a cut after each frame the node sends -------------------------------------

@@ -352,7 +352,7 @@ def test_failed_staging_push_aborts_the_set(node, tmp_path, monkeypatch):
         raise StreamLost("push cut")
 
     client = alice_client(node)
-    monkeypatch.setattr(client.mover, "push_on", failing_push)
+    monkeypatch.setattr(client.mover, "send_push", failing_push)
     with pytest.raises(StagingFailed, match="push cut"):
         client.submit([process_task(
             SH, ["-c", "true"], dependencies=[("data.bin", str(source))])])
@@ -407,6 +407,44 @@ def test_run_with_dependency_never_staged(node):
     finally:
         channel.close()
     assert list(tasksets_dir(node, "alice").iterdir()) == []
+
+
+def test_a_dependency_that_failed_to_land_never_runs(node, tmp_path,
+                                                     monkeypatch):
+    """Driving the protocol by hand: the node's disk fails under a
+    dependency's push, which leaves the file made but unverified in the
+    work directory. RUN is refused all the same and the set leaves
+    nothing behind: only a push the node verified stages a dependency."""
+    def failing(receiver, offset, payload, digest=None):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ftsm.RegionReceiver, "write_chunk", failing)
+    marker = tmp_path / "ran"
+    source = tmp_path / "data.bin"
+    source.write_bytes(b"staged")
+    mover = ftsm.TransferClient(("127.0.0.1", node.port), "alice", ALICE_PSK)
+    channel = mover.dial(Mode.TASK)
+    try:
+        task = process_task(SH, ["-c", f"touch {marker}"],
+                            dependencies=[("data.bin", str(source))])
+        set_id = b"\xcc" * 16
+        channel.send(FrameType.TASK_SUBMIT, wire.encode_fields({
+            taskexec.SUB_SET: set_id,
+            taskexec.SUB_COUNT: wire.u16(1),
+            taskexec.SUB_TASKS: wire.pack_blobs([taskexec.encode_spec(task)]),
+        }))
+        channel.expect(FrameType.TASK_STATUS)
+        with pytest.raises(StreamLost, match="No space left"):
+            mover.push_on(channel, source, "data.bin")
+        assert (tasksets_dir(node, "alice") / set_id.hex() / "data.bin") \
+            .exists()
+        with pytest.raises(StagingFailed):
+            taskexec._set_action(channel, set_id, taskexec.ACT_RUN)
+    finally:
+        channel.close()
+    assert list(tasksets_dir(node, "alice").iterdir()) == []
+    time.sleep(0.1)
+    assert not marker.exists()
 
 
 def test_foreign_set_is_invisible(node):
